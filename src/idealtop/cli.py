@@ -20,7 +20,11 @@ from .verdicts import Verdict, Witness
 
 def _load_space(path: str) -> Space:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_space(fh.read())
+        text = fh.read()
+    try:
+        return parse_space(text)
+    except SpaceDocumentError as exc:
+        raise SpaceDocumentError(f"{path}: {exc}") from exc
 
 
 def _parse_binding(space: Space, text: str) -> tuple[str, int]:
@@ -122,6 +126,8 @@ def cmd_families(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     documents = []
     for path in args.space or ():
         with open(path, "r", encoding="utf-8") as fh:
@@ -144,7 +150,10 @@ def cmd_search(args) -> int:
         var_cap=args.var_cap,
         documents=tuple(documents),
     )
-    result = search_mod.run_search(task, workers=args.workers)
+    try:
+        result = search_mod.run_search(task, workers=args.workers)
+    except search_mod.DocumentError as exc:
+        raise ValueError(f"{args.space[exc.index]}: {exc.error}") from exc
     sys.stdout.write(search_mod.report_json(result))
     if result.status == search_mod.STATUS_CERTIFIED:
         return 0

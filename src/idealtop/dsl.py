@@ -17,6 +17,7 @@ outermost, masks ascending) and reports the first violation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -297,28 +298,71 @@ def eval_expr(space: Space, bindings: Mapping[str, int], node: Expr) -> int:
     return fn(space, eval_expr(space, bindings, node.child))
 
 
-def _eval_with_tables(space, tables, env, node: Expr, full: int) -> int:
+# Assignments evaluated together by ``scan_law``: 2**16 bits per plane.
+_BLOCK_BITS = 16
+
+# Bit positions set in each subset mask of up to 8 points.
+_BIT_POSITIONS = tuple(tuple(q for q in range(8) if v >> q & 1) for v in range(256))
+
+
+@functools.lru_cache(maxsize=None)
+def _index_bit_planes(width: int) -> tuple[int, ...]:
+    """Plane ``s`` has bit ``i`` set iff bit ``s`` of ``i`` is set, for i < 2**width."""
+    ones = (1 << (1 << width)) - 1
+    return tuple(
+        ones // ((1 << (2 << s)) - 1) * (((1 << (1 << s)) - 1) << (1 << s))
+        for s in range(width)
+    )
+
+
+def _apply_planes(table, planes: list[int], ones: int) -> list[int]:
+    """Push per-point planes through a unary table via its input minterms.
+
+    Minterm ``a`` marks the assignments whose input subset is exactly ``a``;
+    they are built point by point, dropping the empty ones, and each is ORed
+    into the output planes of the points in ``table[a]``.
+    """
+    minterms = [(0, ones)]
+    for p, c in enumerate(planes):
+        bit = 1 << p
+        split = []
+        for a, m in minterms:
+            hi = m & c
+            lo = m ^ hi
+            if lo:
+                split.append((a, lo))
+            if hi:
+                split.append((a | bit, hi))
+        minterms = split
+    out = [0] * len(planes)
+    for a, m in minterms:
+        for q in _BIT_POSITIONS[table[a]]:
+            out[q] |= m
+    return out
+
+
+def _eval_planes(node: Expr, env, tables, ones: int, n: int) -> list[int]:
+    """Evaluate ``node`` for a whole block: plane ``p`` holds point ``p``."""
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Const):
-        return 0 if node.kind == "empty" else full
-    if isinstance(node, Union):
-        return _eval_with_tables(space, tables, env, node.left, full) | _eval_with_tables(
-            space, tables, env, node.right, full
-        )
-    if isinstance(node, Inter):
-        return _eval_with_tables(space, tables, env, node.left, full) & _eval_with_tables(
-            space, tables, env, node.right, full
-        )
-    if isinstance(node, Diff):
-        return (
-            _eval_with_tables(space, tables, env, node.left, full)
-            & ~_eval_with_tables(space, tables, env, node.right, full)
-            & full
-        )
+        return [0 if node.kind == "empty" else ones] * n
     if isinstance(node, Compl):
-        return full ^ _eval_with_tables(space, tables, env, node.child, full)
-    return tables[node.op][_eval_with_tables(space, tables, env, node.child, full)]
+        return [ones ^ a for a in _eval_planes(node.child, env, tables, ones, n)]
+    if isinstance(node, Apply):
+        child = _eval_planes(node.child, env, tables, ones, n)
+        return _apply_planes(tables[node.op], child, ones)
+    left = _eval_planes(node.left, env, tables, ones, n)
+    right = _eval_planes(node.right, env, tables, ones, n)
+    if isinstance(node, Union):
+        return [a | b for a, b in zip(left, right)]
+    if isinstance(node, Inter):
+        return [a & b for a, b in zip(left, right)]
+    return [a & ~b for a, b in zip(left, right)]
+
+
+def _value_at(planes: list[int], offset: int) -> int:
+    return sum((plane >> offset & 1) << p for p, plane in enumerate(planes))
 
 
 def scan_law(
@@ -330,34 +374,60 @@ def scan_law(
 ) -> tuple[str, Verdict | None, int]:
     """Scan all assignments; returns (outcome, verdict, assignments evaluated).
 
-    Outcome is "holds", "violated" or "budget". Operator applications go
-    through per-space tables, so repeated scans stay cheap; the scan order
-    and the reported first witness are independent of that caching.
+    Outcome is "holds", "violated" or "budget". The scan is bit-sliced:
+    assignment ``i`` is the concatenation of the variables' masks (first
+    variable in the high bits), every subexpression is one big int per
+    point whose bit ``i`` is that point's membership under assignment
+    ``i``, and blocks of ``2**16`` assignments are evaluated at once. The
+    first witness is the lowest violating index, which is the serial
+    lexicographic order (first variable outermost, masks ascending), and
+    the count is what a serial scan would have evaluated: index + 1 on a
+    violation, the budget when it runs out first, otherwise every
+    assignment.
     """
     names = law.free_vars
     if len(names) > var_cap:
         raise VariableCapError(
             f"law has {len(names)} free variables, cap is {var_cap}"
         )
-    full = space.ground.universe
     tables = {
         node.op: ops.unary_table(space, node.op)
         for node in itertools.chain(_walk(law.lhs), _walk(law.rhs))
         if isinstance(node, Apply)
     }
-    count = 0
-    for combo in itertools.product(range(space.n_subsets), repeat=len(names)):
-        if budget is not None and count >= budget:
-            return "budget", None, count
-        count += 1
-        env = dict(zip(names, combo))
-        lhs = _eval_with_tables(space, tables, env, law.lhs, full)
-        rhs = _eval_with_tables(space, tables, env, law.rhs, full)
-        ok = lhs == rhs if law.relation == "==" else (lhs & ~rhs) == 0
-        if not ok:
-            witness = Witness(tuple(zip(names, combo)), lhs, rhs)
-            return "violated", Verdict(False, witness), count
-    return "holds", Verdict.ok(), count
+    n, k = space.ground.n, len(names)
+    width = n * k
+    total = 1 << width
+    limit = total if budget is None else max(0, min(budget, total))
+    block_bits = min(width, _BLOCK_BITS)
+    size = 1 << block_bits
+    ones = (1 << size) - 1
+    low = _index_bit_planes(block_bits)
+    shifts = [n * (k - 1 - j) for j in range(k)]
+    for start in range(0, limit, size):
+        index_planes = [*low, *(ones if start >> s & 1 else 0 for s in range(block_bits, width))]
+        env = {name: index_planes[sh : sh + n] for name, sh in zip(names, shifts)}
+        lhs = _eval_planes(law.lhs, env, tables, ones, n)
+        rhs = _eval_planes(law.rhs, env, tables, ones, n)
+        mismatch = 0
+        if law.relation == "==":
+            for a, b in zip(lhs, rhs):
+                mismatch |= a ^ b
+        else:
+            for a, b in zip(lhs, rhs):
+                mismatch |= a & ~b
+        if limit - start < size:
+            mismatch &= (1 << (limit - start)) - 1
+        if mismatch:
+            offset = (mismatch & -mismatch).bit_length() - 1
+            index = start + offset
+            point_mask = (1 << n) - 1
+            bindings = tuple((name, index >> sh & point_mask) for name, sh in zip(names, shifts))
+            witness = Witness(bindings, _value_at(lhs, offset), _value_at(rhs, offset))
+            return "violated", Verdict(False, witness), index + 1
+    if limit < total:
+        return "budget", None, limit
+    return "holds", Verdict.ok(), total
 
 
 def check_law(space: Space, law: LawAst, *, var_cap: int = 3) -> Verdict:

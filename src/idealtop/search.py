@@ -175,11 +175,24 @@ class SearchTask:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.want not in ("first", "all-minimal"):
             raise ValueError(f"unknown want {self.want!r}")
+        for name in ("budget_spaces", "budget_assignments"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.mode == "documents":
             if not self.documents:
                 raise ValueError("documents mode needs at least one space document")
         elif not 1 <= self.n <= 8:
             raise ValueError(f"point count must be between 1 and 8, got {self.n}")
+
+
+class DocumentError(ValueError):
+    """Space document ``index`` of a documents-mode task failed to load."""
+
+    def __init__(self, index: int, error: ValueError):
+        super().__init__(f"document {index + 1}: {error}")
+        self.index = index
+        self.error = error
 
 
 @dataclass(frozen=True)
@@ -222,7 +235,12 @@ class SearchResult:
 def _space_stream(task: SearchTask) -> tuple[Iterator[tuple], int | None]:
     """Yield (labels, topology members, ideal members); also total when known."""
     if task.mode == "documents":
-        spaces = [space_from_document(json.loads(text)) for text in task.documents]
+        spaces = []
+        for index, text in enumerate(task.documents):
+            try:
+                spaces.append(space_from_document(json.loads(text)))
+            except ValueError as exc:  # bad JSON or a SpaceDocumentError
+                raise DocumentError(index, exc) from exc
         stream = iter(
             [
                 (sp.ground.labels, sp.topology.family.members, sp.ideal.family.members)

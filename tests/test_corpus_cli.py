@@ -171,6 +171,16 @@ class TestCheckCommand:
         assert out.returncode == 2
         assert "nothing to check" in out.stderr
 
+    def test_malformed_space_file_is_named(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"points": ["a"], x}')
+        out = run_cli("check", "--space", str(bad), "--law", "star(A) == A")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            f"error: {bad}: invalid JSON: Expecting property name enclosed in "
+            "double quotes: line 1 column 19 (char 18)\n"
+        )
+
     def test_json_output(self):
         out = run_cli("check", "--space", SPACE_B_FILE, "--name", "kuratowski:pstar", "--json")
         payload = json.loads(out.stdout)
@@ -230,6 +240,37 @@ class TestSearchCommand:
                       "--budget-spaces", "5")
         assert out.returncode == 3
         assert json.loads(out.stdout)["status"] == "BudgetExhausted"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--budget-spaces", "-1", "budget_spaces must be >= 0, got -1"),
+            ("--budget-assignments", "-5", "budget_assignments must be >= 0, got -5"),
+            ("--workers", "-4", "--workers must be >= 1, got -4"),
+            ("--workers", "0", "--workers must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_search_numbers_exit_2(self, flag, value, message):
+        out = run_cli("search", "star(A) == star(A)", "--points", "2", flag, value)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {message}\n"
+
+    def test_malformed_space_file_is_named(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"points": ["a"], x}')
+        out = run_cli("search", "star(A) == A", "--space", SPACE_A_FILE, "--space", str(bad))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            f"error: {bad}: Expecting property name enclosed in double quotes: "
+            "line 1 column 19 (char 18)\n"
+        )
+
+    def test_invalid_space_file_is_named(self, tmp_path):
+        doc = tmp_path / "ideal.json"
+        doc.write_text('{"points": ["a"], "topology": [[], ["a"]], "ideal": [["a"]]}')
+        out = run_cli("search", "star(A) == A", "--space", str(doc))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {doc}: ideal must contain the empty set\n"
 
     def test_bad_law_exits_2(self):
         out = run_cli("search", "sstar(union(A,B) == union(sstar(A),sstar(B))")

@@ -1,0 +1,172 @@
+"""Differential test of the bit-sliced ``dsl.scan_law`` against a serial scan.
+
+The reference walks the assignments one at a time in lexicographic order
+(first variable outermost, masks ascending) with ``itertools.product`` and
+evaluates both sides with the definition-direct ``dsl.eval_expr``. Every
+case must agree on (outcome, bindings, lhs, rhs, count). Spaces and budgets
+are drawn from a seeded ``random.Random`` so the test is deterministic.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from idealtop import dsl
+from idealtop.search import default_labels
+from idealtop.space import space_from_document
+
+SEED = 20241015
+
+# Hand-written laws covering both relations, compl, diff, the constants, a
+# star closure and a psi dual, with 0 to 3 free variables.
+LAWS = (
+    "star(X) <= X",
+    "psi(empty) == compl(star(X))",
+    "A <= clstar:star(A)",
+    "compl(psixis(A)) == xis(compl(A))",
+    "psi(A) <= clstar:xib(A)",
+    "star(union(A,B)) == union(star(A),star(B))",
+    "diff(sstar(A),sstar(B)) == diff(sstar(diff(A,B)),sstar(B))",
+    "inter(psi(A),B) <= union(compl(B),cl(A))",
+    "diff(X,union(A,inter(B,C))) == inter(compl(A),compl(inter(B,C)))",
+    "inter(psixis(A),diff(B,C)) <= union(xis(C),empty)",
+)
+
+_OPERATORS = ("star", "sstar", "xis", "psi", "psixis", "clstar:star", "clstar:xib", "cl", "int")
+
+
+def reference_scan(space, law, budget=None):
+    """Serial scan with definition-direct evaluation, one assignment at a time."""
+    count = 0
+    for combo in itertools.product(range(space.n_subsets), repeat=len(law.free_vars)):
+        if budget is not None and count >= budget:
+            return "budget", None, count
+        count += 1
+        env = dict(zip(law.free_vars, combo))
+        lhs = dsl.eval_expr(space, env, law.lhs)
+        rhs = dsl.eval_expr(space, env, law.rhs)
+        ok = lhs == rhs if law.relation == "==" else lhs & ~rhs == 0
+        if not ok:
+            return "violated", (tuple(zip(law.free_vars, combo)), lhs, rhs), count
+    return "holds", None, count
+
+
+def bit_sliced_scan(space, law, budget=None):
+    outcome, verdict, count = dsl.scan_law(space, law, budget=budget)
+    witness = None
+    if outcome == "violated":
+        w = verdict.witness
+        witness = (w.bindings, w.lhs, w.rhs)
+    else:
+        assert (verdict is None) == (outcome == "budget")
+    return outcome, witness, count
+
+
+def random_space(rng, n):
+    labels = default_labels(n)
+
+    def subset():
+        return [lab for lab in labels if rng.random() < 0.5]
+
+    return space_from_document(
+        {
+            "points": list(labels),
+            "topology_subbase": [subset() for _ in range(rng.randrange(5))],
+            "ideal_generators": [subset()],
+        }
+    )
+
+
+def random_expr(rng, names, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(names + ("X", "empty") if names else ("X", "empty"))
+    kind = rng.randrange(5)
+    if kind < 2:
+        fn = rng.choice(("union", "inter", "diff"))
+        return f"{fn}({random_expr(rng, names, depth - 1)},{random_expr(rng, names, depth - 1)})"
+    if kind == 2:
+        return f"compl({random_expr(rng, names, depth - 1)})"
+    return f"{rng.choice(_OPERATORS)}({random_expr(rng, names, depth - 1)})"
+
+
+def random_law(rng, k):
+    names = ("A", "B", "C")[:k]
+    while True:
+        rel = rng.choice(("==", "<="))
+        law = dsl.parse_law(f"{random_expr(rng, names, 3)} {rel} {random_expr(rng, names, 3)}")
+        if len(law.free_vars) == k:
+            return law
+
+
+def random_budget(rng, total):
+    # Unbounded only where the serial reference stays cheap.
+    choices = [0, 1, rng.randrange(1, min(total, 1500) + 1)]
+    if total <= 1024:
+        choices += [None, total, total + 1]
+    return rng.choice(choices)
+
+
+def cases():
+    rng = random.Random(SEED)
+    out = []
+    for law_text in LAWS:
+        law = dsl.parse_law(law_text)
+        for _ in range(4):
+            n = rng.randint(4, 6)
+            total = 1 << (n * len(law.free_vars))
+            out.append((random_space(rng, n), law, random_budget(rng, total)))
+    for _ in range(150):
+        n = rng.randint(4, 6)
+        k = rng.randint(0, 3)
+        out.append((random_space(rng, n), random_law(rng, k), random_budget(rng, 1 << (n * k))))
+    return out
+
+
+def test_random_scans_match_serial_reference():
+    outcomes = []
+    for space, law, budget in cases():
+        expected = reference_scan(space, law, budget)
+        assert bit_sliced_scan(space, law, budget) == expected, (dsl.format_law(law), budget)
+        outcomes.append(expected[0])
+    # The cases exercise every outcome, not just early violations.
+    assert min(outcomes.count(o) for o in ("holds", "violated", "budget")) >= 5
+
+
+# Six points and three variables: 2**18 assignments, four blocks of 2**16.
+# With the only nonempty proper open set {w5} (or {w6}), int(A) stays empty
+# until A reaches 16 (or 32), so the first violation lies past the first block.
+@pytest.mark.parametrize(
+    "open_point, budget, expected_outcome, expected_count",
+    [
+        ("w5", None, "violated", 65536 + 16 * 64 + 1),
+        ("w6", None, "violated", 2 * 65536 + 32 * 64 + 1),
+        ("w6", 65536, "budget", 65536),
+        ("w6", 70000, "budget", 70000),
+        ("w5", 65537, "budget", 65537),
+        ("w5", 66560, "budget", 66560),
+        ("w5", 66561, "violated", 66561),
+    ],
+)
+def test_multi_block_scans_match_serial_reference(
+    open_point, budget, expected_outcome, expected_count
+):
+    space = space_from_document(
+        {
+            "points": list(default_labels(6)),
+            "topology_subbase": [[open_point]],
+            "ideal": [[]],
+        }
+    )
+    law = dsl.parse_law("inter(int(A),B) <= C")
+    got = bit_sliced_scan(space, law, budget)
+    assert got[0::2] == (expected_outcome, expected_count)
+    assert got == reference_scan(space, law, budget)
+
+
+def test_budget_larger_than_scan_holds():
+    space = random_space(random.Random(SEED), 5)
+    law = dsl.parse_law("inter(A,B) <= union(A,C)")
+    assert bit_sliced_scan(space, law, budget=10**6) == ("holds", None, 2 ** 15)
+    assert bit_sliced_scan(space, law, budget=2 ** 15) == ("holds", None, 2 ** 15)
+    assert bit_sliced_scan(space, law, budget=2 ** 15 - 1) == ("budget", None, 2 ** 15 - 1)

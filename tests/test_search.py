@@ -11,7 +11,7 @@ import pytest
 
 import oracle
 from idealtop import dsl, search
-from idealtop.space import GroundSet
+from idealtop.space import GroundSet, serialize_space
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"
 
@@ -90,6 +90,21 @@ class TestTaskValidation:
             search.SearchTask("star(A) == A", 0)
         with pytest.raises(ValueError):
             search.SearchTask("star(A) == A", 2, mode="documents")
+
+    @pytest.mark.parametrize("field", ["budget_spaces", "budget_assignments"])
+    def test_negative_budgets_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+            search.SearchTask("star(A) == A", 2, **{field: -1})
+        assert getattr(search.SearchTask("star(A) == A", 2, **{field: 0}), field) == 0
+
+    def test_bad_document_names_its_index(self, space_a):
+        task = search.SearchTask(
+            "star(A) == A", 0, mode="documents", documents=(serialize_space(space_a), "{x}")
+        )
+        with pytest.raises(search.DocumentError, match="^document 2: ") as info:
+            search.run_search(task)
+        assert info.value.index == 1
+        assert isinstance(info.value.error, json.JSONDecodeError)
 
     def test_run_rejects_bad_law_and_scale(self):
         with pytest.raises(dsl.DslError):
@@ -243,8 +258,6 @@ class TestNonExhaustiveModes:
         assert w.space()  # revalidated, constructible
 
     def test_documents_mode(self, space_a):
-        from idealtop.space import serialize_space
-
         law = ADDITIVITY.format(op="sstar")
         doc_a = serialize_space(space_a)
         doc_1pt = json.dumps({"points": ["w1"], "topology": [[], ["w1"]], "ideal": [[]]})
