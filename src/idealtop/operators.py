@@ -8,6 +8,13 @@ blown up by a generalized closure); the complement duals of all of these;
 the star-closure ``a | f(a)``; the family of dual-expansive sets; and the
 topology induced by a star-closure once it passes the Kuratowski axioms.
 
+Tables that depend on the topology alone (generalized-open families and
+closures, local-function hit tables) live in ``space.tables.cache`` and are
+shared by every ideal on that topology. The ideal is the power set of its
+top member, so a trace ``t & a`` lies in it iff ``t & a & ~top`` is empty;
+hence ``f(a) = H[a & ~top]`` for the ideal-free hit table ``H``. Tables that
+depend on the ideal live in the per-space ``space._cache``.
+
 The string alias table at the bottom is the single naming surface shared
 by the law DSL and the command line.
 """
@@ -41,14 +48,6 @@ class LocalFnSpec:
     nbhd: OpenKind
     cl: OpenKind | None = None
 
-    @classmethod
-    def plain(cls, kind: OpenKind) -> "LocalFnSpec":
-        return cls(kind, None)
-
-    @classmethod
-    def closure_style(cls, nbhd: OpenKind, cl: OpenKind) -> "LocalFnSpec":
-        return cls(nbhd, cl)
-
     @property
     def is_plain(self) -> bool:
         return self.cl is None
@@ -80,7 +79,7 @@ def kopen_family(space: Space, kind: OpenKind) -> Family:
     beta: a <= cl(int(cl(a)))
     """
     key = ("kopen", kind)
-    fam = space._cache.get(key)
+    fam = space.tables.cache.get(key)
     if fam is None:
         if kind is OpenKind.OPEN:
             fam = space.topology.family
@@ -95,26 +94,26 @@ def kopen_family(space: Space, kind: OpenKind) -> Family:
             fam = Family(
                 tuple(a for a in range(space.n_subsets) if a & ~pred(a) == 0)
             )
-        space._cache[key] = fam
+        space.tables.cache[key] = fam
     return fam
 
 
 def kopen_at(space: Space, kind: OpenKind) -> tuple[tuple[int, ...], ...]:
     """Per point, the kind-open sets containing it."""
     key = ("kopen-at", kind)
-    nbhds = space._cache.get(key)
+    nbhds = space.tables.cache.get(key)
     if nbhds is None:
         members = kopen_family(space, kind).members
         nbhds = tuple(
             tuple(u for u in members if u >> z & 1) for z in range(space.ground.n)
         )
-        space._cache[key] = nbhds
+        space.tables.cache[key] = nbhds
     return nbhds
 
 
 def kclosure_table(space: Space, kind: OpenKind) -> tuple[int, ...]:
     key = ("kclosure", kind)
-    table = space._cache.get(key)
+    table = space.tables.cache.get(key)
     if table is None:
         full = space.ground.universe
         closed = [full ^ u for u in kopen_family(space, kind).members]
@@ -126,7 +125,7 @@ def kclosure_table(space: Space, kind: OpenKind) -> tuple[int, ...]:
                     r &= c
             out.append(r)
         table = tuple(out)
-        space._cache[key] = table
+        space.tables.cache[key] = table
     return table
 
 
@@ -135,37 +134,46 @@ def kclosure(space: Space, kind: OpenKind, a: int) -> int:
     return kclosure_table(space, kind)[a]
 
 
-def _tests_at(space: Space, spec: LocalFnSpec) -> tuple[tuple[int, ...], ...]:
-    # Per point, the deduplicated masks whose trace on the argument must
-    # stay outside the ideal: the neighborhoods themselves for a plain
-    # spec, their generalized closures otherwise.
-    key = ("lf-tests", spec)
-    tests = space._cache.get(key)
-    if tests is None:
-        nbhds = kopen_at(space, spec.nbhd)
-        if spec.is_plain:
-            tests = nbhds
-        else:
+def hit_table(space: Space, spec: LocalFnSpec) -> tuple[int, ...]:
+    """Ideal-free local-function table: bit ``z`` of entry ``b`` is set iff
+    every test at ``z`` meets ``b``.
+
+    The tests at ``z`` are its kind-open neighborhoods for a plain spec,
+    their generalized closures otherwise. Only the inclusion-minimal tests
+    are checked: a test meets ``b`` whenever a test inside it does.
+    """
+    key = ("lf-hits", spec)
+    table = space.tables.cache.get(key)
+    if table is None:
+        tests_at = kopen_at(space, spec.nbhd)
+        if not spec.is_plain:
             kcl = kclosure_table(space, spec.cl)
-            tests = tuple(tuple(sorted({kcl[u] for u in us})) for us in nbhds)
-        space._cache[key] = tests
-    return tests
+            tests_at = [{kcl[u] for u in us} for us in tests_at]
+        minimal_at = []
+        for tests in tests_at:
+            minimal: list[int] = []
+            for t in sorted(tests, key=int.bit_count):
+                if all(m & ~t for m in minimal):
+                    minimal.append(t)
+            minimal_at.append(minimal)
+        table = tuple(
+            sum(1 << z for z, tests in enumerate(minimal_at) if all(t & b for t in tests))
+            for b in range(space.n_subsets)
+        )
+        space.tables.cache[key] = table
+    return table
 
 
 def local_function(space: Space, spec: LocalFnSpec, a: int) -> int:
-    imask = space.ideal_mask
-    out = 0
-    for z, tests in enumerate(_tests_at(space, spec)):
-        if all(not imask >> (t & a) & 1 for t in tests):
-            out |= 1 << z
-    return out
+    return hit_table(space, spec)[a & ~space.ideal_top]
 
 
 def local_function_table(space: Space, spec: LocalFnSpec) -> tuple[int, ...]:
     key = ("lf-table", spec)
     table = space._cache.get(key)
     if table is None:
-        table = tuple(local_function(space, spec, a) for a in range(space.n_subsets))
+        hits, outside = hit_table(space, spec), ~space.ideal_top
+        table = tuple(hits[a & outside] for a in range(space.n_subsets))
         space._cache[key] = table
     return table
 
@@ -276,17 +284,17 @@ def star_topology(space: Space, spec: LocalFnSpec) -> Topology:
 # Alias table: the naming surface shared by the DSL and the CLI.
 
 LOCAL_FN_ALIASES: dict[str, LocalFnSpec] = {
-    "star": LocalFnSpec.plain(OpenKind.OPEN),
-    "sstar": LocalFnSpec.plain(OpenKind.SEMI),
-    "pstar": LocalFnSpec.plain(OpenKind.PRE),
-    "bstar": LocalFnSpec.plain(OpenKind.B),
-    "betastar": LocalFnSpec.plain(OpenKind.BETA),
-    "G": LocalFnSpec.closure_style(OpenKind.OPEN, OpenKind.OPEN),
-    "g": LocalFnSpec.closure_style(OpenKind.OPEN, OpenKind.SEMI),
-    "xis": LocalFnSpec.closure_style(OpenKind.SEMI, OpenKind.SEMI),
-    "xip": LocalFnSpec.closure_style(OpenKind.PRE, OpenKind.PRE),
-    "xib": LocalFnSpec.closure_style(OpenKind.B, OpenKind.B),
-    "xibeta": LocalFnSpec.closure_style(OpenKind.BETA, OpenKind.BETA),
+    "star": LocalFnSpec(OpenKind.OPEN),
+    "sstar": LocalFnSpec(OpenKind.SEMI),
+    "pstar": LocalFnSpec(OpenKind.PRE),
+    "bstar": LocalFnSpec(OpenKind.B),
+    "betastar": LocalFnSpec(OpenKind.BETA),
+    "G": LocalFnSpec(OpenKind.OPEN, OpenKind.OPEN),
+    "g": LocalFnSpec(OpenKind.OPEN, OpenKind.SEMI),
+    "xis": LocalFnSpec(OpenKind.SEMI, OpenKind.SEMI),
+    "xip": LocalFnSpec(OpenKind.PRE, OpenKind.PRE),
+    "xib": LocalFnSpec(OpenKind.B, OpenKind.B),
+    "xibeta": LocalFnSpec(OpenKind.BETA, OpenKind.BETA),
 }
 
 # Dual alias for each local-function alias.
@@ -345,14 +353,42 @@ def operator_names() -> tuple[str, ...]:
     return tuple(sorted(OPERATORS)) + ("clstar:<op>",)
 
 
+# The local function behind each dual alias.
+_PSI_SPEC: dict[str, LocalFnSpec] = {
+    PSI_ALIAS[alias]: spec for alias, spec in LOCAL_FN_ALIASES.items()
+}
+
+
+def _tabulate(space: Space, name: str) -> tuple[int, ...]:
+    # Duals and star closures are read off the tables they are built from;
+    # every other alias is evaluated subset by subset.
+    spec = LOCAL_FN_ALIASES.get(name)
+    if spec is not None:
+        return local_function_table(space, spec)
+    subsets = range(space.n_subsets)
+    spec = _PSI_SPEC.get(name)
+    if spec is not None:
+        full = space.ground.universe
+        table = local_function_table(space, spec)
+        return tuple(full ^ table[full ^ a] for a in subsets)
+    if name.startswith("clstar:"):
+        table = _tabulate(space, name[len("clstar:"):])
+        return tuple(a | table[a] for a in subsets)
+    fn = OPERATORS[name]
+    return tuple(fn(space, a) for a in subsets)
+
+
 def unary_table(space: Space, name: str) -> tuple[int, ...]:
-    """Tabulate an alias over every subset; memoized per space."""
+    """Tabulate an alias over every subset; memoized per space.
+
+    A local-function alias gets its ``local_function_table`` tuple, so each
+    spec has one table per space.
+    """
     key = ("alias-table", name)
     table = space._cache.get(key)
     if table is None:
-        fn = resolve_operator(name)
-        if fn is None:
+        if resolve_operator(name) is None:
             raise KeyError(f"unknown operator alias {name!r}")
-        table = tuple(fn(space, a) for a in range(space.n_subsets))
+        table = _tabulate(space, name)
         space._cache[key] = table
     return table

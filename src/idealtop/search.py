@@ -175,7 +175,7 @@ class SearchTask:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.want not in ("first", "all-minimal"):
             raise ValueError(f"unknown want {self.want!r}")
-        for name in ("budget_spaces", "budget_assignments"):
+        for name in ("budget_spaces", "budget_assignments", "max_subbase_size"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")

@@ -4,7 +4,7 @@ A subset of the ground set is a plain ``int``: bit ``i`` set means point
 ``i`` (in declared label order) belongs to the subset. A family of subsets
 is a strictly increasing tuple of such masks; constructors canonicalize, so
 equality is structural. Each family also carries a ``2**2**n``-bit
-membership mask giving O(1) membership tests in operator hot loops.
+membership mask giving O(1) membership tests in axiom checks.
 
 Space documents are JSON objects with keys ``points``, ``topology`` or
 ``topology_subbase``, and ``ideal`` or ``ideal_generators``; subsets are
@@ -14,6 +14,7 @@ reports the first offending pair on failure.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -236,13 +237,20 @@ def validate_topology(family: Family, ground: GroundSet) -> TopologyIssue | None
 def validate_ideal(family: Family, ground: GroundSet) -> IdealIssue | None:
     """Return None when the family is an ideal, else the first failure.
 
-    Checks the empty set, then heredity (members ascending, missing subsets
-    ascending), then pairwise unions in lexicographic pair order.
+    A family that is exactly the power set of its largest member passes at
+    once. Otherwise checks the empty set, then heredity (members ascending,
+    missing subsets ascending), then pairwise unions in lexicographic pair
+    order.
     """
     _check_members_in_range(family, ground)
+    members, mask = family.members, family.mask
+    # Fast path: a finite ideal is the power set of its largest member.
+    if members:
+        top = members[-1]
+        if len(members) == 1 << top.bit_count() and all(m & ~top == 0 for m in members):
+            return None
     if 0 not in family:
         return IdealIssue("missing-empty")
-    members, mask = family.members, family.mask
     for b in members:
         for t in range(b):
             if t & b == t and not mask >> t & 1:
@@ -302,47 +310,69 @@ def generate_ideal(generators: Iterable[int], ground: GroundSet) -> Ideal:
     return Ideal(Family(tuple(members)))
 
 
+@dataclass(frozen=True, eq=False)
+class TopologyTables:
+    """What a space derives from its ground set and topology alone.
+
+    Interior/closure tables and per-point open neighborhoods are built
+    eagerly; ``cache`` holds the operator layer's ideal-free tables
+    (generalized-open families, generalized closures, local-function hit
+    tables). Every ideal on the same topology shares one instance.
+    """
+
+    int_table: tuple[int, ...]
+    cl_table: tuple[int, ...]
+    opens_at: tuple[tuple[int, ...], ...]
+    cache: dict = field(default_factory=dict)
+
+
+@functools.lru_cache(maxsize=1)
+def topology_tables(ground: GroundSet, topology: Topology) -> TopologyTables:
+    """Validate ``topology`` on ``ground`` and build its tables.
+
+    One entry: search streams yield every ideal of a topology in a row, so
+    the last topology is the only one worth keeping.
+    """
+    issue = validate_topology(topology.family, ground)
+    if issue is not None:
+        raise TopologyAxiomError(issue.describe(ground), issue)
+    full = ground.universe
+    opens = topology.family.members
+    int_table = []
+    for a in range(full + 1):
+        u = 0
+        for o in opens:
+            if o & a == o:
+                u |= o
+        int_table.append(u)
+    cl_table = tuple(full ^ int_table[full ^ a] for a in range(full + 1))
+    opens_at = tuple(tuple(o for o in opens if o >> z & 1) for z in range(ground.n))
+    return TopologyTables(tuple(int_table), cl_table, opens_at)
+
+
 @dataclass(frozen=True)
 class Space:
     """A validated (ground set, topology, ideal) triple.
 
-    Interior/closure tables and per-point open neighborhoods are built at
-    construction; generalized-open families and local-function tables are
-    memoized into ``_cache`` by the operator layer. Caches never feed back
-    into equality and always equal fresh recomputation.
+    Topology-only tables live in a shared :class:`TopologyTables` taken from
+    a one-entry memo, so consecutive spaces on one topology validate it and
+    build its tables once. The ideal is the power set of ``ideal_top``; the
+    operator layer reads it only through that mask. Ideal-dependent tables
+    are memoized into ``_cache``. Caches never feed back into equality and
+    always equal fresh recomputation.
     """
 
     ground: GroundSet
     topology: Topology
     ideal: Ideal
-    int_table: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    cl_table: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    opens_at: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    tables: TopologyTables = field(init=False, repr=False, compare=False)
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        issue = validate_topology(self.topology.family, self.ground)
-        if issue is not None:
-            raise TopologyAxiomError(issue.describe(self.ground), issue)
+        object.__setattr__(self, "tables", topology_tables(self.ground, self.topology))
         issue = validate_ideal(self.ideal.family, self.ground)
         if issue is not None:
             raise IdealAxiomError(issue.describe(self.ground), issue)
-        full = self.ground.universe
-        opens = self.topology.family.members
-        int_table = []
-        for a in range(full + 1):
-            u = 0
-            for o in opens:
-                if o & a == o:
-                    u |= o
-            int_table.append(u)
-        cl_table = [full ^ int_table[full ^ a] for a in range(full + 1)]
-        opens_at = tuple(
-            tuple(o for o in opens if o >> z & 1) for z in range(self.ground.n)
-        )
-        object.__setattr__(self, "int_table", tuple(int_table))
-        object.__setattr__(self, "cl_table", tuple(cl_table))
-        object.__setattr__(self, "opens_at", opens_at)
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -350,8 +380,21 @@ class Space:
         return 1 << self.ground.n
 
     @property
-    def ideal_mask(self) -> int:
-        return self.ideal.family.mask
+    def int_table(self) -> tuple[int, ...]:
+        return self.tables.int_table
+
+    @property
+    def cl_table(self) -> tuple[int, ...]:
+        return self.tables.cl_table
+
+    @property
+    def opens_at(self) -> tuple[tuple[int, ...], ...]:
+        return self.tables.opens_at
+
+    @property
+    def ideal_top(self) -> int:
+        """Largest ideal member; the ideal is its power set."""
+        return self.ideal.family.members[-1]
 
     def format(self, bits: int) -> str:
         return self.ground.format(bits)

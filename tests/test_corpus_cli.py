@@ -248,6 +248,7 @@ class TestSearchCommand:
             ("--budget-assignments", "-5", "budget_assignments must be >= 0, got -5"),
             ("--workers", "-4", "--workers must be >= 1, got -4"),
             ("--workers", "0", "--workers must be >= 1, got 0"),
+            ("--max-subbase-size", "-1", "max_subbase_size must be >= 0, got -1"),
         ],
     )
     def test_bad_search_numbers_exit_2(self, flag, value, message):

@@ -91,7 +91,7 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             search.SearchTask("star(A) == A", 2, mode="documents")
 
-    @pytest.mark.parametrize("field", ["budget_spaces", "budget_assignments"])
+    @pytest.mark.parametrize("field", ["budget_spaces", "budget_assignments", "max_subbase_size"])
     def test_negative_budgets_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
             search.SearchTask("star(A) == A", 2, **{field: -1})

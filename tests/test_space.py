@@ -145,6 +145,15 @@ class TestValidateIdeal:
                 fam = Family(tuple(oracle.set_to_bits(g, s) for s in ideal))
                 assert validate_ideal(fam, g) is None
 
+    def test_accepts_exactly_the_oracle_ideals(self):
+        # every family of subsets of three points, ideal or not
+        points = list(G3.labels)
+        for mask in range(1 << 8):
+            members = tuple(s for s in range(8) if mask >> s & 1)
+            family = frozenset(oracle.bits_to_set(G3, s) for s in members)
+            issue = validate_ideal(Family(members), G3)
+            assert (issue is None) == oracle.is_ideal(family, points)
+
     def test_missing_empty(self):
         assert validate_ideal(Family((1,)), G3).kind == "missing-empty"
 
