@@ -28,7 +28,6 @@ from .space import (
 from .operators import (
     LocalFnSpec,
     OpenKind,
-    StarTopologyRefused,
     cl_star,
     closure,
     derived_set,
@@ -39,18 +38,16 @@ from .operators import (
     operator_names,
     psi_dual,
     psi_fix_family,
-    star_topology,
 )
 from .laws import (
     Law,
-    check_additivity,
-    check_difference_law,
+    StarTopologyRefused,
     check_family_intersection_closed,
     check_family_is_topology,
     check_kuratowski,
-    check_psi_distributivity,
     get_law,
     law_name_templates,
+    star_topology,
 )
 from .dsl import LawAst, check_law, eval_expr, format_law, parse_expr, parse_law
 from .search import SearchResult, SearchTask, enumerate_ideals, enumerate_topologies, run_search

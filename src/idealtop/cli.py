@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import corpus, dsl, laws
+from . import dsl, laws
 from . import operators as ops
 from . import search as search_mod
 from .space import Space, SpaceDocumentError, parse_space
@@ -163,6 +163,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_repro(args) -> int:
+    from . import corpus  # only repro needs it; other commands start without it
+
     reports = corpus.run_corpus(only=args.only)
     if args.json:
         _emit_json(
@@ -246,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--max-subbase-size", type=int, default=3)
     p_search.add_argument("--var-cap", type=int, default=3)
     p_search.add_argument("--workers", type=int, default=1)
-    p_search.add_argument("--seed", type=int, default=None, help="reserved; all modes are deterministic")
     p_search.set_defaults(func=cmd_search)
 
     p_repro = sub.add_parser("repro", help="re-run the embedded corpus")

@@ -157,8 +157,8 @@ class StarRefusalCheck:
 
     def run(self, space: Space) -> str | None:
         try:
-            ops.star_topology(space, ops.LOCAL_FN_ALIASES[self.op])
-        except ops.StarTopologyRefused as refusal:
+            laws.star_topology(space, ops.LOCAL_FN_ALIASES[self.op])
+        except laws.StarTopologyRefused as refusal:
             if refusal.axiom == self.axiom:
                 return None
             return (

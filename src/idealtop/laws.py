@@ -1,84 +1,113 @@
-"""Hand-coded law checkers and the named-law registry.
+"""The named-law registry.
 
-Each checker quantifies over every subset (or subset pair) of the space and
-returns a verdict; violations carry the lexicographically first witness,
-scanning assignments in ascending mask order with the first variable
-outermost. Registry names follow ``<law>:<operator alias>``.
+Equation laws are DSL templates checked by the bit-sliced scan of
+:mod:`idealtop.dsl`; violations carry the lexicographically first witness
+(first variable outermost, masks ascending). Only the two laws that
+quantify over family members are hand-coded. Registry names follow
+``<law>:<operator alias>``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Callable
 
+from . import dsl
 from . import operators as ops
-from .space import Family, GroundSet, Space, validate_topology
-from .verdicts import KuratowskiReport, Verdict, Witness
+from .space import Family, GroundSet, Space, Topology, validate_topology
+from .verdicts import KURATOWSKI_AXIOMS, KuratowskiReport, Verdict, Witness
 
 __all__ = [
     "Law",
     "Verdict",
     "Witness",
     "KuratowskiReport",
-    "check_additivity",
-    "check_difference_law",
-    "check_psi_distributivity",
+    "LAW_TEMPLATES",
+    "StarTopologyRefused",
     "check_kuratowski",
     "check_family_is_topology",
     "check_family_intersection_closed",
     "get_law",
     "law_name_templates",
+    "star_topology",
 ]
 
+# Registry heads built from DSL templates, as witness tag -> template text.
+# ``{op}`` is a local-function alias and ``{psi}`` its dual. The Kuratowski
+# axioms are laws of the star closure ``clstar:{op}``, in KURATOWSKI_AXIOMS
+# order; a law holds iff all of its templates do.
+LAW_TEMPLATES: dict[str, dict[str | None, str]] = {
+    "additivity": {None: "{op}(union(A,B)) == union({op}(A),{op}(B))"},
+    "diff-law": {None: "diff({op}(A),{op}(B)) == diff({op}(diff(A,B)),{op}(B))"},
+    "psi-cap": {"inter": "{psi}(inter(A,B)) == inter({psi}(A),{psi}(B))"},
+    "psi-cup": {"union": "{psi}(union(A,B)) == union({psi}(A),{psi}(B))"},
+    "kuratowski": {
+        "fixes-empty": "clstar:{op}(empty) == empty",
+        "extensive": "A <= clstar:{op}(A)",
+        "idempotent": "clstar:{op}(clstar:{op}(A)) == clstar:{op}(A)",
+        "additive": "clstar:{op}(union(A,B)) == union(clstar:{op}(A),clstar:{op}(B))",
+    },
+}
 
-def check_additivity(space: Space, spec: ops.LocalFnSpec) -> Verdict:
-    """f(a | b) == f(a) | f(b) over all ordered pairs."""
-    t = ops.local_function_table(space, spec)
-    n_subsets = space.n_subsets
-    for a in range(n_subsets):
-        ta = t[a]
-        for b in range(n_subsets):
-            lhs = t[a | b]
-            rhs = ta | t[b]
-            if lhs != rhs:
-                return Verdict.violated((("A", a), ("B", b)), lhs, rhs)
-    return Verdict.ok()
-
-
-def check_difference_law(space: Space, spec: ops.LocalFnSpec) -> Verdict:
-    """f(a) - f(b) == f(a - b) - f(b) over all ordered pairs."""
-    t = ops.local_function_table(space, spec)
-    n_subsets = space.n_subsets
-    for a in range(n_subsets):
-        for b in range(n_subsets):
-            lhs = t[a] & ~t[b]
-            rhs = t[a & ~b] & ~t[b]
-            if lhs != rhs:
-                return Verdict.violated((("A", a), ("B", b)), lhs, rhs)
-    return Verdict.ok()
+_ALIAS_OF = {spec: alias for alias, spec in ops.LOCAL_FN_ALIASES.items()}
 
 
-def check_psi_distributivity(space: Space, spec: ops.LocalFnSpec, connective: str) -> Verdict:
-    """psi(a # b) == psi(a) # psi(b) for # = "inter" or "union"."""
-    if connective not in ("inter", "union"):
-        raise ValueError(f"connective must be 'inter' or 'union', got {connective!r}")
-    full = space.ground.universe
-    t = ops.local_function_table(space, spec)
-    psi = [full ^ t[full ^ a] for a in range(space.n_subsets)]
-    n_subsets = space.n_subsets
-    for a in range(n_subsets):
-        for b in range(n_subsets):
-            c = a & b if connective == "inter" else a | b
-            lhs = psi[c]
-            rhs = psi[a] & psi[b] if connective == "inter" else psi[a] | psi[b]
-            if lhs != rhs:
-                return Verdict.violated((("A", a), ("B", b)), lhs, rhs, operation=connective)
-    return Verdict.ok()
+@functools.lru_cache(maxsize=None)  # one entry per template and alias at most
+def _parse(text: str, alias: str) -> dsl.LawAst:
+    return dsl.parse_law(text.format(op=alias, psi=ops.PSI_ALIAS[alias]))
+
+
+def _scan(space: Space, tag: str | None, law: dsl.LawAst) -> Verdict:
+    verdict = dsl.check_law(space, law)
+    if verdict.holds:
+        return verdict
+    return Verdict(False, replace(verdict.witness, operation=tag))
 
 
 def check_kuratowski(space: Space, spec: ops.LocalFnSpec) -> KuratowskiReport:
-    """Per-axiom verdicts for the star closure ``a | f(a)``."""
-    return ops.cl_star_axioms(space, spec)
+    """Per-axiom verdicts for the star closure ``a | f(a)``.
+
+    ``spec`` must be one of ``operators.LOCAL_FN_ALIASES``, since the
+    axioms are scanned as laws of its alias.
+    """
+    alias = _ALIAS_OF[spec]
+    axioms = LAW_TEMPLATES["kuratowski"]
+    return KuratowskiReport(
+        *(_scan(space, axiom, _parse(axioms[axiom], alias)) for axiom in KURATOWSKI_AXIOMS)
+    )
+
+
+class StarTopologyRefused(Exception):
+    """The star closure failed a Kuratowski axiom, so no topology is built."""
+
+    def __init__(self, axiom: str, verdict: Verdict):
+        super().__init__(f"star closure violates the {axiom} axiom")
+        self.axiom = axiom
+        self.verdict = verdict
+
+
+def star_topology(space: Space, spec: ops.LocalFnSpec) -> Topology:
+    """Topology whose closed sets are the star-closure fixed points.
+
+    Refuses with :class:`StarTopologyRefused` unless all four Kuratowski
+    axioms hold for ``cl_star(spec, .)`` on this space.
+    """
+    failure = check_kuratowski(space, spec).first_violation
+    if failure is not None:
+        raise StarTopologyRefused(*failure)
+    full = space.ground.universe
+    table = ops.local_function_table(space, spec)
+    opens = tuple(
+        a for a in range(space.n_subsets) if (full ^ a) | table[full ^ a] == full ^ a
+    )
+    topo = Topology(Family(opens))
+    issue = validate_topology(topo.family, space.ground)
+    if issue is not None:  # guarded by the axioms; defensive only
+        raise StarTopologyRefused(
+            "axioms", Verdict.violated((), 0, operation=issue.kind)
+        )
+    return topo
 
 
 def check_family_is_topology(family: Family, ground: GroundSet) -> Verdict:
@@ -116,7 +145,7 @@ class Law:
         return self._check(space)
 
     def witness_violates(self, space: Space, witness: Witness) -> bool:
-        """Re-validate a witness from scratch (no tables, no caching tricks)."""
+        """Re-validate a witness at its own bindings, without the law scan."""
         return self._recheck(space, witness)
 
     def pair_violates(self, space: Space, a: int, b: int) -> bool:
@@ -124,13 +153,32 @@ class Law:
         return self.witness_violates(space, Witness((("A", a), ("B", b)), 0))
 
 
-def _equation_recheck(instance):
-    def recheck(space: Space, witness: Witness) -> bool:
-        sets = tuple(bits for _, bits in witness.bindings)
-        lhs, rhs = instance(space, *sets)
-        return lhs != rhs
+def _template_law(name: str, alias: str, templates: dict[str | None, str]) -> Law:
+    """A law from tagged templates: the first that fails gives the witness,
+    and a witness is re-evaluated on the template its tag names (on the
+    only template when there is one)."""
+    asts = {tag: _parse(text, alias) for tag, text in templates.items()}
 
-    return recheck
+    def check(space: Space) -> Verdict:
+        for tag, ast in asts.items():
+            verdict = _scan(space, tag, ast)
+            if not verdict.holds:
+                return verdict
+        return Verdict.ok()
+
+    def recheck(space: Space, witness: Witness) -> bool:
+        if len(asts) == 1:
+            (ast,) = asts.values()
+        else:
+            ast = asts.get(witness.operation)
+            if ast is None:
+                raise ValueError(f"unknown closure axiom {witness.operation!r}")
+        env = dict(witness.bindings)
+        lhs = dsl.eval_expr(space, env, ast.lhs)
+        rhs = dsl.eval_expr(space, env, ast.rhs)
+        return lhs != rhs if ast.relation == "==" else bool(lhs & ~rhs)
+
+    return Law(name, max(len(ast.free_vars) for ast in asts.values()), check, recheck)
 
 
 def _family_pair_recheck(producer):
@@ -187,59 +235,8 @@ def get_law(name: str) -> Law:
     if spec is None:
         raise ValueError(f"unknown operator alias {arg!r} in {name!r}")
 
-    if head == "additivity":
-        def instance(space: Space, a: int, b: int, _s=spec):
-            f = lambda x: ops.local_function(space, _s, x)
-            return f(a | b), f(a) | f(b)
-
-        return Law(name, 2, lambda sp, _s=spec: check_additivity(sp, _s),
-                   _equation_recheck(instance))
-
-    if head == "diff-law":
-        def instance(space: Space, a: int, b: int, _s=spec):
-            f = lambda x: ops.local_function(space, _s, x)
-            return f(a) & ~f(b), f(a & ~b) & ~f(b)
-
-        return Law(name, 2, lambda sp, _s=spec: check_difference_law(sp, _s),
-                   _equation_recheck(instance))
-
-    if head in ("psi-cap", "psi-cup"):
-        connective = "inter" if head == "psi-cap" else "union"
-
-        def instance(space: Space, a: int, b: int, _s=spec, _c=connective):
-            psi = lambda x: ops.psi_dual(space, _s, x)
-            if _c == "inter":
-                return psi(a & b), psi(a) & psi(b)
-            return psi(a | b), psi(a) | psi(b)
-
-        return Law(
-            name, 2,
-            lambda sp, _s=spec, _c=connective: check_psi_distributivity(sp, _s, _c),
-            _equation_recheck(instance),
-        )
-
-    if head == "kuratowski":
-        def check_all(space: Space, _s=spec) -> Verdict:
-            failure = check_kuratowski(space, _s).first_violation
-            return Verdict.ok() if failure is None else failure[1]
-
-        def recheck(space: Space, witness: Witness, _s=spec) -> bool:
-            star = lambda x: ops.cl_star(space, _s, x)
-            sets = tuple(bits for _, bits in witness.bindings)
-            if witness.operation == "fixes-empty":
-                return star(0) != 0
-            if witness.operation == "extensive":
-                (a,) = sets
-                return bool(a & ~star(a))
-            if witness.operation == "idempotent":
-                (a,) = sets
-                return star(star(a)) != star(a)
-            if witness.operation == "additive":
-                a, b = sets
-                return star(a | b) != star(a) | star(b)
-            raise ValueError(f"unknown closure axiom {witness.operation!r}")
-
-        return Law(name, 2, check_all, recheck)
+    if head in LAW_TEMPLATES:
+        return _template_law(name, arg, LAW_TEMPLATES[head])
 
     if head == "eta-topology":
         def check_topology(space: Space, _s=spec) -> Verdict:

@@ -5,8 +5,7 @@ families with their generalized closures; plain local functions (membership
 demands every kind-open neighborhood to meet the argument outside the
 ideal) and closure-expanded local functions (the neighborhood is first
 blown up by a generalized closure); the complement duals of all of these;
-the star-closure ``a | f(a)``; the family of dual-expansive sets; and the
-topology induced by a star-closure once it passes the Kuratowski axioms.
+the star-closure ``a | f(a)``; and the family of dual-expansive sets.
 
 Tables that depend on the topology alone (generalized-open families and
 closures, local-function hit tables) live in ``space.tables.cache`` and are
@@ -25,8 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .space import Family, Space, Topology, validate_topology
-from .verdicts import KuratowskiReport, Verdict, Witness
+from .space import Family, Space
 
 
 class OpenKind(Enum):
@@ -199,85 +197,6 @@ def psi_fix_family(space: Space, spec: LocalFnSpec) -> Family:
         if a & ~(full ^ table[full ^ a]) == 0
     )
     return Family(members)
-
-
-def cl_star_axioms(space: Space, spec: LocalFnSpec) -> KuratowskiReport:
-    """Check the four Kuratowski axioms for the star closure, exhaustively.
-
-    Witness scans run in ascending mask order, pairs in lexicographic
-    order, so the first witness is deterministic.
-    """
-    table = local_function_table(space, spec)
-    n_subsets = space.n_subsets
-    star = [a | table[a] for a in range(n_subsets)]
-
-    if star[0] == 0:
-        fixes_empty = Verdict.ok()
-    else:
-        fixes_empty = Verdict.violated(
-            (("A", 0),), star[0], 0, operation="fixes-empty"
-        )
-
-    extensive = Verdict.ok()
-    for a in range(n_subsets):
-        if a & ~star[a]:
-            extensive = Verdict.violated((("A", a),), a, star[a], operation="extensive")
-            break
-
-    idempotent = Verdict.ok()
-    for a in range(n_subsets):
-        if star[star[a]] != star[a]:
-            idempotent = Verdict.violated(
-                (("A", a),), star[star[a]], star[a], operation="idempotent"
-            )
-            break
-
-    additive = Verdict.ok()
-    for a in range(n_subsets):
-        sa = star[a]
-        for b in range(n_subsets):
-            if star[a | b] != sa | star[b]:
-                additive = Verdict.violated(
-                    (("A", a), ("B", b)), star[a | b], sa | star[b], operation="additive"
-                )
-                break
-        if not additive.holds:
-            break
-
-    return KuratowskiReport(fixes_empty, extensive, idempotent, additive)
-
-
-class StarTopologyRefused(Exception):
-    """The star closure failed a Kuratowski axiom, so no topology is built."""
-
-    def __init__(self, axiom: str, verdict: Verdict):
-        super().__init__(f"star closure violates the {axiom} axiom")
-        self.axiom = axiom
-        self.verdict = verdict
-
-
-def star_topology(space: Space, spec: LocalFnSpec) -> Topology:
-    """Topology whose closed sets are the star-closure fixed points.
-
-    Refuses with :class:`StarTopologyRefused` unless all four Kuratowski
-    axioms hold for ``cl_star(spec, .)`` on this space.
-    """
-    report = cl_star_axioms(space, spec)
-    failure = report.first_violation
-    if failure is not None:
-        raise StarTopologyRefused(*failure)
-    full = space.ground.universe
-    table = local_function_table(space, spec)
-    opens = tuple(
-        a for a in range(space.n_subsets) if (full ^ a) | table[full ^ a] == full ^ a
-    )
-    topo = Topology(Family(opens))
-    issue = validate_topology(topo.family, space.ground)
-    if issue is not None:  # guarded by the axioms; defensive only
-        raise StarTopologyRefused(
-            "axioms", Verdict.violated((), 0, operation=issue.kind)
-        )
-    return topo
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -86,12 +85,13 @@ def _subbase_topology_members(
     """Topologies generated from small subbases, first-seen order, deduplicated.
 
     Covers sizes 0..max_subbase_size with subbase members drawn from the
-    nonempty proper subsets in ascending order. Incomplete by design.
+    nonempty proper subsets in ascending order; sizes past the number of
+    those subsets have no subbases and are skipped. Incomplete by design.
     """
     ground = GroundSet(default_labels(n))
     pool = range(1, ground.universe)
     seen: set[int] = set()
-    for size in range(max_subbase_size + 1):
+    for size in range(min(max_subbase_size, len(pool)) + 1):
         for subbase in itertools.combinations(pool, size):
             topo = generate_topology(subbase, ground)
             if topo.family.mask not in seen:
@@ -308,6 +308,8 @@ def _scan_results(task: SearchTask, stream, workers: int):
         for space_key in stream:
             yield space_key, *_scan_one(space_key, law, task.var_cap, cap)
         return
+    from concurrent.futures import ProcessPoolExecutor  # one-worker runs skip loading it
+
     header = (task.law_text, task.var_cap, cap)
     pending = []
     with ProcessPoolExecutor(max_workers=workers) as pool:

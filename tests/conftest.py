@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from idealtop import corpus, search
 from idealtop.space import GroundSet, Space, space_from_document
+
+# pytest puts src/ on sys.path (pyproject's ``pythonpath``); the CLI tests'
+# ``python -m idealtop`` children need it on PYTHONPATH as well.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

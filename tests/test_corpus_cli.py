@@ -77,13 +77,13 @@ class TestCorpusFiles:
         assert doc == space_to_document(space_from_document(entry.document), name=entry.id)
 
 
-def run_cli(*argv, cwd=REPO):
+def run_cli(*argv, cwd=REPO, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "idealtop", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -255,6 +255,19 @@ class TestSearchCommand:
         out = run_cli("search", "star(A) == star(A)", "--points", "2", flag, value)
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == f"error: {message}\n"
+
+    def test_seed_is_not_an_option(self):
+        out = run_cli("search", "star(A) == star(A)", "--points", "2", "--seed", "1")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert "unrecognized arguments: --seed 1" in out.stderr
+
+    def test_subbase_sizes_past_the_pool_add_nothing(self):
+        # two points have two proper nonempty subsets to combine
+        argv = ("search", "A == A", "--points", "2", "--mode", "subbase")
+        two = run_cli(*argv, "--max-subbase-size", "2")
+        huge = run_cli(*argv, "--max-subbase-size", "1000000000", timeout=30)
+        assert two.returncode == huge.returncode == 3
+        assert huge.stdout == two.stdout
 
     def test_malformed_space_file_is_named(self, tmp_path):
         bad = tmp_path / "bad.json"

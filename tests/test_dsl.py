@@ -1,5 +1,5 @@
 """Law DSL: tokenizing, parsing, formatting, evaluation, scanning, and the
-equivalence of DSL transliterations with the hand-coded law registry.
+equivalence of DSL transliterations with the law registry.
 
 The registry scans assignments in the same lexicographic order as the DSL
 product scan, so violated laws must agree not just on the verdict but on

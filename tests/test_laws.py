@@ -3,10 +3,11 @@ witness re-validation, and relabeling equivariance.
 
 Frozen witnesses are the engine's deterministic first finds; each one is
 re-validated through the definition-direct recheck path, and one is walked
-through the oracle end to end.
+through the oracle end to end. Every equation law and Kuratowski axiom is
+also held to a brute-force scan over the oracle's tables.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -181,9 +182,86 @@ class TestFamilyChecks:
         assert (v.witness.bindings, v.witness.lhs) == ((("A", 3), ("B", 5)), 1)
         assert laws.check_family_intersection_closed(Family((0, 1, 3))).holds
 
-    def test_psi_distributivity_rejects_bad_connective(self, space_a):
-        with pytest.raises(ValueError):
-            laws.check_psi_distributivity(space_a, ops.LOCAL_FN_ALIASES["star"], "xor")
+
+# The registry's equation laws restated over the oracle's frozensets: name ->
+# (witness tag, variable count, relation, sides). ``t`` maps each subset to
+# its local function ``f``, dual ``psi`` and star closure ``star``.
+ORACLE_EQUATIONS = {
+    "additivity": (None, 2, "==", lambda t, a, b: (t.f[a | b], t.f[a] | t.f[b])),
+    "diff-law": (None, 2, "==", lambda t, a, b: (t.f[a] - t.f[b], t.f[a - b] - t.f[b])),
+    "psi-cap": ("inter", 2, "==", lambda t, a, b: (t.psi[a & b], t.psi[a] & t.psi[b])),
+    "psi-cup": ("union", 2, "==", lambda t, a, b: (t.psi[a | b], t.psi[a] | t.psi[b])),
+}
+# The Kuratowski axioms for the star closure, in the order a law reports them.
+ORACLE_AXIOMS = {
+    "fixes-empty": (0, "==", lambda t: (t.star[frozenset()], frozenset())),
+    "extensive": (1, "<=", lambda t, a: (a, t.star[a])),
+    "idempotent": (1, "==", lambda t, a: (t.star[t.star[a]], t.star[a])),
+    "additive": (2, "==", lambda t, a, b: (t.star[a | b], t.star[a] | t.star[b])),
+}
+
+
+class OracleTables:
+    """The oracle's local-function table, with ``psi`` and ``star`` read off
+    it by the definitions of ``oracle.psi_dual`` and ``oracle.cl_star``."""
+
+    def __init__(self, space, alias):
+        topo, ideal, points = oracle.space_to_oracle(space)
+        nbhd, cl = oracle.NAMED_LOCAL_FNS[alias]
+        X = frozenset(points)
+        self.sets = [oracle.bits_to_set(space.ground, m) for m in range(space.n_subsets)]
+        self.f = oracle.local_function_table(topo, ideal, points, nbhd, cl)
+        self.psi = {a: X - self.f[X - a] for a in self.f}
+        self.star = {a: a | self.f[a] for a in self.f}
+
+
+def oracle_first_violation(space, tables, arity, relation, sides):
+    """Brute-force scan: masks ascending, first variable outermost."""
+    for masks in product(range(space.n_subsets), repeat=arity):
+        lhs, rhs = sides(tables, *(tables.sets[m] for m in masks))
+        if not (lhs <= rhs if relation == "<=" else lhs == rhs):
+            bits = lambda s: oracle.set_to_bits(space.ground, s)
+            return tuple(zip("AB", masks)), bits(lhs), bits(rhs)
+    return None
+
+
+def outcome(verdict):
+    if verdict.holds:
+        return None
+    w = verdict.witness
+    return w.bindings, w.lhs, w.rhs, w.operation
+
+
+# Four points where the star closure of xip fails both idempotence and
+# additivity (no space on three points fails two axioms), so the order in
+# which a law reports its axioms shows.
+TWO_AXIOMS_FAIL = Space(
+    GroundSet(("w1", "w2", "w3", "w4")),
+    Topology(Family((0, 3, 4, 7, 15))),
+    Ideal(Family((0,))),
+)
+
+
+class TestRegistryAgainstOracle:
+    @pytest.mark.parametrize("alias", sorted(ops.LOCAL_FN_ALIASES))
+    def test_verdicts_and_first_witnesses(self, alias, small_spaces, space_a, space_b):
+        spec = ops.LOCAL_FN_ALIASES[alias]
+        equations = {head: laws.get_law(f"{head}:{alias}") for head in ORACLE_EQUATIONS}
+        kuratowski = laws.get_law(f"kuratowski:{alias}")
+        for space in (*small_spaces, space_a, space_b, TWO_AXIOMS_FAIL):
+            tables = OracleTables(space, alias)
+            for head, (tag, arity, relation, sides) in ORACLE_EQUATIONS.items():
+                found = oracle_first_violation(space, tables, arity, relation, sides)
+                want = found and (*found, tag)
+                assert outcome(equations[head].check(space)) == want, (head, space)
+            report = laws.check_kuratowski(space, spec)
+            first = None
+            for axiom, (arity, relation, sides) in ORACLE_AXIOMS.items():
+                found = oracle_first_violation(space, tables, arity, relation, sides)
+                want = found and (*found, axiom)
+                assert outcome(report.verdict(axiom)) == want, (axiom, space)
+                first = first or want
+            assert outcome(kuratowski.check(space)) == first, space
 
 
 class TestRegistry:

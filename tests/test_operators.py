@@ -9,6 +9,7 @@ frozen value and a wrong engine disagree loudly.
 import pytest
 
 import oracle
+from idealtop import laws
 from idealtop import operators as ops
 from idealtop.space import Family, GroundSet, Ideal, Space, Topology, generate_ideal
 from idealtop.verdicts import KURATOWSKI_AXIOMS
@@ -260,7 +261,7 @@ class TestStarClosure:
     def test_always_extensive_and_empty_fixing(self, small_spaces):
         for space in small_spaces:
             for _, spec in ALL_SPECS:
-                report = ops.cl_star_axioms(space, spec)
+                report = laws.check_kuratowski(space, spec)
                 assert report.fixes_empty.holds
                 assert report.extensive.holds
 
@@ -277,12 +278,12 @@ class TestStarClosure:
                 addv = all(
                     star[a | b] == star[a] | star[b] for a in star for b in star
                 )
-                report = ops.cl_star_axioms(space, spec)
+                report = laws.check_kuratowski(space, spec)
                 assert report.idempotent.holds == idem
                 assert report.additive.holds == addv
 
     def test_frozen_pre_star_axioms(self, space_b):
-        report = ops.cl_star_axioms(space_b, ops.LOCAL_FN_ALIASES["pstar"])
+        report = laws.check_kuratowski(space_b, ops.LOCAL_FN_ALIASES["pstar"])
         assert report.idempotent.holds
         w = report.additive.witness
         assert (w.bindings, w.lhs, w.rhs, w.operation) == (
@@ -306,12 +307,12 @@ class TestStarTopology:
     def test_plain_open_star_topology_refines_base(self, small_spaces):
         spec = ops.LOCAL_FN_ALIASES["star"]
         for space in small_spaces:
-            topo = ops.star_topology(space, spec)
+            topo = laws.star_topology(space, spec)
             assert set(space.topology.family) <= set(topo.family)
 
     def test_opens_are_complements_of_star_fixed_sets(self, space_a):
         spec = ops.LOCAL_FN_ALIASES["star"]
-        topo = ops.star_topology(space_a, spec)
+        topo = laws.star_topology(space_a, spec)
         full = space_a.ground.universe
         for a in range(space_a.n_subsets):
             closed = full ^ a
@@ -324,13 +325,13 @@ class TestStarTopology:
             space_a.topology,
             generate_ideal([space_a.ground.universe], space_a.ground),
         )
-        topo = ops.star_topology(space, ops.LOCAL_FN_ALIASES["star"])
+        topo = laws.star_topology(space, ops.LOCAL_FN_ALIASES["star"])
         assert len(topo.family) == space.n_subsets
 
     def test_refusal_carries_axiom_and_witness(self, space_b):
         for alias in ("pstar", "betastar"):
-            with pytest.raises(ops.StarTopologyRefused) as exc:
-                ops.star_topology(space_b, ops.LOCAL_FN_ALIASES[alias])
+            with pytest.raises(laws.StarTopologyRefused) as exc:
+                laws.star_topology(space_b, ops.LOCAL_FN_ALIASES[alias])
             assert exc.value.axiom == "additive"
             assert exc.value.verdict.witness.bindings == (("A", 4), ("B", 8))
             assert "additive" in str(exc.value)
