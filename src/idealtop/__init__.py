@@ -28,16 +28,11 @@ from .space import (
 from .operators import (
     LocalFnSpec,
     OpenKind,
-    cl_star,
-    closure,
     derived_set,
-    interior,
-    kclosure,
     kopen_family,
-    local_function,
     operator_names,
-    psi_dual,
     psi_fix_family,
+    unary_table,
 )
 from .laws import (
     Law,

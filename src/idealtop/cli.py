@@ -14,7 +14,7 @@ import sys
 from . import dsl, laws
 from . import operators as ops
 from . import search as search_mod
-from .space import Space, SpaceDocumentError, parse_space
+from .space import Space, SpaceDocumentError, UnknownLabelError, parse_space
 from .verdicts import Verdict, Witness
 
 
@@ -27,11 +27,25 @@ def _load_space(path: str) -> Space:
         raise SpaceDocumentError(f"{path}: {exc}") from exc
 
 
-def _parse_binding(space: Space, text: str) -> tuple[str, int]:
-    name, sep, subset = text.partition("=")
-    if not sep:
-        raise ValueError(f"binding must look like A=w1,w3 (got {text!r})")
-    return name.strip(), space.ground.parse_subset(subset)
+def _parse_bindings(space: Space, texts: list[str]) -> dict[str, int]:
+    bindings: dict[str, int] = {}
+    for text in texts:
+        name, sep, subset = text.partition("=")
+        if not sep:
+            raise ValueError(f"--bind {text!r}: a binding looks like A=w1,w3")
+        name = name.strip()
+        if len(name) != 1 or not "A" <= name <= "Z" or name == "X":
+            raise ValueError(
+                f"--bind {text!r}: {name!r} is not a variable "
+                "(single uppercase letter other than X)"
+            )
+        if name in bindings:
+            raise ValueError(f"--bind {text!r}: variable {name} is already bound")
+        try:
+            bindings[name] = space.ground.parse_subset(subset)
+        except UnknownLabelError as exc:
+            raise ValueError(f"--bind {text!r}: {exc}") from None
+    return bindings
 
 
 def _witness_text(space: Space, witness: Witness) -> str:
@@ -69,7 +83,7 @@ def _emit_json(payload) -> None:
 def cmd_eval(args) -> int:
     space = _load_space(args.space)
     expr = dsl.parse_expr(args.expr)
-    bindings = dict(_parse_binding(space, b) for b in args.bind)
+    bindings = _parse_bindings(space, args.bind)
     value = dsl.eval_expr(space, bindings, expr)
     if args.json:
         _emit_json(
@@ -97,7 +111,10 @@ def cmd_check(args) -> int:
     if args.laws_file:
         with open(args.laws_file, "r", encoding="utf-8") as fh:
             text = fh.read()
-        for law in dsl.read_laws_file(text):
+        file_laws = dsl.read_laws_file(text)
+        if not file_laws:
+            raise ValueError(f"{args.laws_file}: no law in the file")
+        for law in file_laws:
             results.append((dsl.format_law(law), dsl.check_law(space, law, var_cap=args.var_cap)))
     if not results:
         raise ValueError("nothing to check: pass --law, --name or --laws-file")

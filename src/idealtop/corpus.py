@@ -141,8 +141,8 @@ class KuratowskiCheck:
             return f"kuratowski {self.axiom} for {self.op}: expected {want}"
         if self.pair is not None:
             a, b = self.pair
-            star = lambda x: ops.cl_star(space, spec, x)
-            if star(a | b) == star(a) | star(b):
+            star = ops.unary_table(space, "clstar:" + self.op)
+            if star[a | b] == star[a] | star[b]:
                 pair = _fmt_bindings(space, (("A", a), ("B", b)))
                 return f"kuratowski additive for {self.op}: [{pair}] does not violate"
         return None

@@ -205,7 +205,7 @@ class _Parser:
             if len(args) != 1:
                 raise ArityError(f"compl takes 1 argument, got {len(args)}", tok.pos)
             return Compl(args[0])
-        if ops.resolve_operator(name) is None:
+        if not ops.is_operator(name):
             raise UnknownOperatorError(f"unknown operator {name!r}", tok.pos)
         if len(args) != 1:
             raise ArityError(f"{name} takes 1 argument, got {len(args)}", tok.pos)
@@ -292,10 +292,11 @@ def eval_expr(space: Space, bindings: Mapping[str, int], node: Expr) -> int:
         return eval_expr(space, bindings, node.left) & ~eval_expr(space, bindings, node.right) & full
     if isinstance(node, Compl):
         return full ^ eval_expr(space, bindings, node.child)
-    fn = ops.resolve_operator(node.op)
-    if fn is None:
-        raise UnknownOperatorError(f"unknown operator {node.op!r}")
-    return fn(space, eval_expr(space, bindings, node.child))
+    try:
+        table = ops.unary_table(space, node.op)
+    except KeyError:
+        raise UnknownOperatorError(f"unknown operator {node.op!r}") from None
+    return table[eval_expr(space, bindings, node.child)]
 
 
 # Assignments evaluated together by ``scan_law``: 2**16 bits per plane.

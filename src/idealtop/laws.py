@@ -50,9 +50,6 @@ LAW_TEMPLATES: dict[str, dict[str | None, str]] = {
     },
 }
 
-_ALIAS_OF = {spec: alias for alias, spec in ops.LOCAL_FN_ALIASES.items()}
-
-
 @functools.lru_cache(maxsize=None)  # one entry per template and alias at most
 def _parse(text: str, alias: str) -> dsl.LawAst:
     return dsl.parse_law(text.format(op=alias, psi=ops.PSI_ALIAS[alias]))
@@ -71,7 +68,7 @@ def check_kuratowski(space: Space, spec: ops.LocalFnSpec) -> KuratowskiReport:
     ``spec`` must be one of ``operators.LOCAL_FN_ALIASES``, since the
     axioms are scanned as laws of its alias.
     """
-    alias = _ALIAS_OF[spec]
+    alias = ops.SPEC_ALIAS[spec]
     axioms = LAW_TEMPLATES["kuratowski"]
     return KuratowskiReport(
         *(_scan(space, axiom, _parse(axioms[axiom], alias)) for axiom in KURATOWSKI_AXIOMS)
@@ -91,16 +88,14 @@ def star_topology(space: Space, spec: ops.LocalFnSpec) -> Topology:
     """Topology whose closed sets are the star-closure fixed points.
 
     Refuses with :class:`StarTopologyRefused` unless all four Kuratowski
-    axioms hold for ``cl_star(spec, .)`` on this space.
+    axioms hold for the star closure ``clstar:<alias>`` on this space.
     """
     failure = check_kuratowski(space, spec).first_violation
     if failure is not None:
         raise StarTopologyRefused(*failure)
     full = space.ground.universe
-    table = ops.local_function_table(space, spec)
-    opens = tuple(
-        a for a in range(space.n_subsets) if (full ^ a) | table[full ^ a] == full ^ a
-    )
+    star = ops.unary_table(space, "clstar:" + ops.SPEC_ALIAS[spec])
+    opens = tuple(a for a in range(space.n_subsets) if star[full ^ a] == full ^ a)
     topo = Topology(Family(opens))
     issue = validate_topology(topo.family, space.ground)
     if issue is not None:  # guarded by the axioms; defensive only

@@ -7,12 +7,14 @@ ideal) and closure-expanded local functions (the neighborhood is first
 blown up by a generalized closure); the complement duals of all of these;
 the star-closure ``a | f(a)``; and the family of dual-expansive sets.
 
-Tables that depend on the topology alone (generalized-open families and
-closures, local-function hit tables) live in ``space.tables.cache`` and are
-shared by every ideal on that topology. The ideal is the power set of its
-top member, so a trace ``t & a`` lies in it iff ``t & a & ~top`` is empty;
-hence ``f(a) = H[a & ~top]`` for the ideal-free hit table ``H``. Tables that
-depend on the ideal live in the per-space ``space._cache``.
+``unary_table(space, name)`` is the one producer of operator values: every
+alias, and ``clstar:`` of one, is a table over all subsets, memoized in the
+per-space ``space._cache`` under its name. Tables that depend on the
+topology alone (generalized-open families and closures, local-function hit
+tables) live in ``space.tables.cache`` and are shared by every ideal on
+that topology. The ideal is the power set of its top member, so a trace
+``t & a`` lies in it iff ``t & a & ~top`` is empty; hence
+``f(a) = H[a & ~top]`` for the ideal-free hit table ``H``.
 
 The string alias table at the bottom is the single naming surface shared
 by the law DSL and the command line.
@@ -51,20 +53,12 @@ class LocalFnSpec:
         return self.cl is None
 
 
-def interior(space: Space, a: int) -> int:
-    return space.int_table[a]
-
-
-def closure(space: Space, a: int) -> int:
-    return space.cl_table[a]
-
-
 def derived_set(space: Space, a: int) -> int:
     """Points whose every open neighborhood meets ``a`` elsewhere."""
     out = 0
-    for z in range(space.ground.n):
+    for z, opens in enumerate(kopen_at(space, OpenKind.OPEN)):
         rest = a & ~(1 << z)
-        if all(u & rest for u in space.opens_at[z]):
+        if all(u & rest for u in opens):
             out |= 1 << z
     return out
 
@@ -127,11 +121,6 @@ def kclosure_table(space: Space, kind: OpenKind) -> tuple[int, ...]:
     return table
 
 
-def kclosure(space: Space, kind: OpenKind, a: int) -> int:
-    """Smallest kind-closed superset (kind-closed = complement kind-open)."""
-    return kclosure_table(space, kind)[a]
-
-
 def hit_table(space: Space, spec: LocalFnSpec) -> tuple[int, ...]:
     """Ideal-free local-function table: bit ``z`` of entry ``b`` is set iff
     every test at ``z`` meets ``b``.
@@ -160,43 +149,6 @@ def hit_table(space: Space, spec: LocalFnSpec) -> tuple[int, ...]:
         )
         space.tables.cache[key] = table
     return table
-
-
-def local_function(space: Space, spec: LocalFnSpec, a: int) -> int:
-    return hit_table(space, spec)[a & ~space.ideal_top]
-
-
-def local_function_table(space: Space, spec: LocalFnSpec) -> tuple[int, ...]:
-    key = ("lf-table", spec)
-    table = space._cache.get(key)
-    if table is None:
-        hits, outside = hit_table(space, spec), ~space.ideal_top
-        table = tuple(hits[a & outside] for a in range(space.n_subsets))
-        space._cache[key] = table
-    return table
-
-
-def psi_dual(space: Space, spec: LocalFnSpec, a: int) -> int:
-    """Complement dual of the local function: X - f(X - a)."""
-    full = space.ground.universe
-    return full ^ local_function(space, spec, full ^ a)
-
-
-def cl_star(space: Space, spec: LocalFnSpec, a: int) -> int:
-    """Star closure ``a | f(a)``."""
-    return a | local_function(space, spec, a)
-
-
-def psi_fix_family(space: Space, spec: LocalFnSpec) -> Family:
-    """All subsets contained in their own dual image."""
-    full = space.ground.universe
-    table = local_function_table(space, spec)
-    members = tuple(
-        a
-        for a in range(space.n_subsets)
-        if a & ~(full ^ table[full ^ a]) == 0
-    )
-    return Family(members)
 
 
 # ---------------------------------------------------------------------------
@@ -231,83 +183,81 @@ PSI_ALIAS: dict[str, str] = {
     "xibeta": "psixibeta",
 }
 
-UnaryOp = Callable[[Space, int], int]
+# The alias of each local function, and the local function behind each dual.
+SPEC_ALIAS: dict[LocalFnSpec, str] = {spec: alias for alias, spec in LOCAL_FN_ALIASES.items()}
+_DUAL_BASE: dict[str, str] = {psi: alias for alias, psi in PSI_ALIAS.items()}
+
+# Generalized closure alias for each kind but open.
+_KCLOSURE_KIND: dict[str, OpenKind] = {
+    "scl": OpenKind.SEMI,
+    "pcl": OpenKind.PRE,
+    "bcl": OpenKind.B,
+    "betacl": OpenKind.BETA,
+}
+
+_ALIASES = frozenset(("int", "cl", "der", *_KCLOSURE_KIND, *LOCAL_FN_ALIASES, *_DUAL_BASE))
+
+_CLSTAR = "clstar:"
 
 
-def _build_operator_table() -> dict[str, UnaryOp]:
-    ops: dict[str, UnaryOp] = {
-        "int": interior,
-        "cl": closure,
-        "der": derived_set,
-    }
-    for kind, alias in (
-        (OpenKind.SEMI, "scl"),
-        (OpenKind.PRE, "pcl"),
-        (OpenKind.B, "bcl"),
-        (OpenKind.BETA, "betacl"),
-    ):
-        ops[alias] = (lambda k: lambda sp, a: kclosure(sp, k, a))(kind)
-    for alias, spec in LOCAL_FN_ALIASES.items():
-        ops[alias] = (lambda s: lambda sp, a: local_function(sp, s, a))(spec)
-        ops[PSI_ALIAS[alias]] = (lambda s: lambda sp, a: psi_dual(sp, s, a))(spec)
-    return ops
-
-
-OPERATORS: dict[str, UnaryOp] = _build_operator_table()
-
-
-def resolve_operator(name: str) -> UnaryOp | None:
-    """Look up a unary operator alias; ``clstar:<op>`` composes a | op(a)."""
-    fn = OPERATORS.get(name)
-    if fn is not None:
-        return fn
-    if name.startswith("clstar:"):
-        base = resolve_operator(name[len("clstar:"):])
-        if base is not None:
-            return lambda sp, a, _base=base: a | _base(sp, a)
-    return None
+def is_operator(name: str) -> bool:
+    """Whether ``name`` is an alias, or ``clstar:`` applied to one."""
+    while name.startswith(_CLSTAR):
+        name = name[len(_CLSTAR):]
+    return name in _ALIASES
 
 
 def operator_names() -> tuple[str, ...]:
-    return tuple(sorted(OPERATORS)) + ("clstar:<op>",)
+    return tuple(sorted(_ALIASES)) + ("clstar:<op>",)
 
 
-# The local function behind each dual alias.
-_PSI_SPEC: dict[str, LocalFnSpec] = {
-    PSI_ALIAS[alias]: spec for alias, spec in LOCAL_FN_ALIASES.items()
-}
+def _table(space: Space, name: str) -> tuple[int, ...]:
+    table = space._cache.get(name)
+    if table is None:
+        table = _build(space, name)
+        space._cache[name] = table
+    return table
 
 
-def _tabulate(space: Space, name: str) -> tuple[int, ...]:
-    # Duals and star closures are read off the tables they are built from;
-    # every other alias is evaluated subset by subset.
+def _build(space: Space, name: str) -> tuple[int, ...]:
+    # Duals and star closures are read off the tables they are built from.
+    subsets = range(space.n_subsets)
+    if name == "int":
+        return space.int_table
+    if name == "cl":
+        return space.cl_table
+    if name == "der":
+        return tuple(derived_set(space, a) for a in subsets)
+    kind = _KCLOSURE_KIND.get(name)
+    if kind is not None:
+        return kclosure_table(space, kind)
     spec = LOCAL_FN_ALIASES.get(name)
     if spec is not None:
-        return local_function_table(space, spec)
-    subsets = range(space.n_subsets)
-    spec = _PSI_SPEC.get(name)
-    if spec is not None:
+        hits, outside = hit_table(space, spec), ~space.ideal_top
+        return tuple(hits[a & outside] for a in subsets)
+    base = _DUAL_BASE.get(name)
+    if base is not None:
         full = space.ground.universe
-        table = local_function_table(space, spec)
+        table = _table(space, base)
         return tuple(full ^ table[full ^ a] for a in subsets)
-    if name.startswith("clstar:"):
-        table = _tabulate(space, name[len("clstar:"):])
-        return tuple(a | table[a] for a in subsets)
-    fn = OPERATORS[name]
-    return tuple(fn(space, a) for a in subsets)
+    table = _table(space, name[len(_CLSTAR):])
+    return tuple(a | table[a] for a in subsets)
 
 
 def unary_table(space: Space, name: str) -> tuple[int, ...]:
-    """Tabulate an alias over every subset; memoized per space.
+    """The values of an operator alias, or ``clstar:`` of one, on every
+    subset, memoized per space.
 
-    A local-function alias gets its ``local_function_table`` tuple, so each
-    spec has one table per space.
+    This is the only producer of operator values: each alias has one table
+    per space, kept in ``space._cache`` under its name. Unknown names raise
+    ``KeyError``.
     """
-    key = ("alias-table", name)
-    table = space._cache.get(key)
-    if table is None:
-        if resolve_operator(name) is None:
-            raise KeyError(f"unknown operator alias {name!r}")
-        table = _tabulate(space, name)
-        space._cache[key] = table
-    return table
+    if not is_operator(name):
+        raise KeyError(f"unknown operator alias {name!r}")
+    return _table(space, name)
+
+
+def psi_fix_family(space: Space, spec: LocalFnSpec) -> Family:
+    """All subsets contained in their own dual image; ``spec`` must be aliased."""
+    dual = unary_table(space, PSI_ALIAS[SPEC_ALIAS[spec]])
+    return Family(tuple(a for a in range(space.n_subsets) if a & ~dual[a] == 0))

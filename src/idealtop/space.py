@@ -10,6 +10,10 @@ Space documents are JSON objects with keys ``points``, ``topology`` or
 ``topology_subbase``, and ``ideal`` or ``ideal_generators``; subsets are
 written as arrays of point labels. ``parse_space`` validates the axioms and
 reports the first offending pair on failure.
+
+A ``Space`` builds its interior and closure tables; every operator value,
+those two included, is read through ``operators.unary_table``, which
+memoizes one table per alias on the space.
 """
 
 from __future__ import annotations
@@ -314,15 +318,14 @@ def generate_ideal(generators: Iterable[int], ground: GroundSet) -> Ideal:
 class TopologyTables:
     """What a space derives from its ground set and topology alone.
 
-    Interior/closure tables and per-point open neighborhoods are built
-    eagerly; ``cache`` holds the operator layer's ideal-free tables
-    (generalized-open families, generalized closures, local-function hit
-    tables). Every ideal on the same topology shares one instance.
+    Interior/closure tables are built eagerly; ``cache`` holds the operator
+    layer's ideal-free tables (generalized-open families and neighborhoods,
+    generalized closures, local-function hit tables). Every ideal on the
+    same topology shares one instance.
     """
 
     int_table: tuple[int, ...]
     cl_table: tuple[int, ...]
-    opens_at: tuple[tuple[int, ...], ...]
     cache: dict = field(default_factory=dict)
 
 
@@ -346,8 +349,7 @@ def topology_tables(ground: GroundSet, topology: Topology) -> TopologyTables:
                 u |= o
         int_table.append(u)
     cl_table = tuple(full ^ int_table[full ^ a] for a in range(full + 1))
-    opens_at = tuple(tuple(o for o in opens if o >> z & 1) for z in range(ground.n))
-    return TopologyTables(tuple(int_table), cl_table, opens_at)
+    return TopologyTables(tuple(int_table), cl_table)
 
 
 @dataclass(frozen=True)
@@ -357,9 +359,10 @@ class Space:
     Topology-only tables live in a shared :class:`TopologyTables` taken from
     a one-entry memo, so consecutive spaces on one topology validate it and
     build its tables once. The ideal is the power set of ``ideal_top``; the
-    operator layer reads it only through that mask. Ideal-dependent tables
-    are memoized into ``_cache``. Caches never feed back into equality and
-    always equal fresh recomputation.
+    operator layer reads it only through that mask. Operator tables, one
+    per alias, are memoized into ``_cache`` by ``operators.unary_table``.
+    Caches never feed back into equality and always equal fresh
+    recomputation.
     """
 
     ground: GroundSet
@@ -386,10 +389,6 @@ class Space:
     @property
     def cl_table(self) -> tuple[int, ...]:
         return self.tables.cl_table
-
-    @property
-    def opens_at(self) -> tuple[tuple[int, ...], ...]:
-        return self.tables.opens_at
 
     @property
     def ideal_top(self) -> int:

@@ -89,6 +89,7 @@ def run_cli(*argv, cwd=REPO, timeout=300):
 
 SPACE_A_FILE = str(CORPUS_DIR / "ex-3.3-1.json")
 SPACE_B_FILE = str(CORPUS_DIR / "ex-3.3-2.json")
+NOT_A_VARIABLE = "is not a variable (single uppercase letter other than X)"
 
 
 class TestEvalCommand:
@@ -132,6 +133,22 @@ class TestEvalCommand:
         assert out.returncode == 2
         assert "w9" in out.stderr
 
+    @pytest.mark.parametrize(
+        "binds, message",
+        [
+            (["X=w1"], f"--bind 'X=w1': 'X' {NOT_A_VARIABLE}"),
+            (["foo=w1"], f"--bind 'foo=w1': 'foo' {NOT_A_VARIABLE}"),
+            (["A=w1", "A=w2"], "--bind 'A=w2': variable A is already bound"),
+            (["A"], "--bind 'A': a binding looks like A=w1,w3"),
+            (["A=w9"], "--bind 'A=w9': unknown point label 'w9'"),
+        ],
+    )
+    def test_bad_binding_exits_2(self, binds, message):
+        argv = [arg for bind in binds for arg in ("--bind", bind)]
+        out = run_cli("eval", "--space", SPACE_A_FILE, "star(A)", *argv)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {message}\n"
+
 
 class TestCheckCommand:
     def test_violated_law_with_witness(self):
@@ -170,6 +187,13 @@ class TestCheckCommand:
         out = run_cli("check", "--space", SPACE_A_FILE)
         assert out.returncode == 2
         assert "nothing to check" in out.stderr
+
+    def test_laws_file_without_a_law_is_named(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# only a comment\n\n")
+        out = run_cli("check", "--space", SPACE_A_FILE, "--laws-file", str(empty))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {empty}: no law in the file\n"
 
     def test_malformed_space_file_is_named(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -10,7 +10,7 @@ import pytest
 
 from idealtop import dsl, laws
 from idealtop import operators as ops
-from idealtop.verdicts import Witness
+from idealtop.verdicts import KURATOWSKI_AXIOMS
 
 
 class TestParsing:
@@ -189,6 +189,17 @@ def dsl_text(head: str, alias: str) -> str:
 
 
 class TestRegistryEquivalence:
+    def test_law_templates_are_the_documented_transliterations(self):
+        assert laws.LAW_TEMPLATES == {
+            "additivity": {None: EQUATION_TEMPLATES["additivity"]},
+            "diff-law": {None: EQUATION_TEMPLATES["diff-law"]},
+            "psi-cap": {"inter": EQUATION_TEMPLATES["psi-cap"]},
+            "psi-cup": {"union": EQUATION_TEMPLATES["psi-cup"]},
+            "kuratowski": KURATOWSKI_TEMPLATES,
+        }
+        # the first failing axiom tags a kuratowski witness, so order matters
+        assert tuple(laws.LAW_TEMPLATES["kuratowski"]) == KURATOWSKI_AXIOMS
+
     @pytest.mark.parametrize("head", sorted(EQUATION_TEMPLATES))
     @pytest.mark.parametrize("alias", sorted(ops.LOCAL_FN_ALIASES))
     def test_equation_laws_match_registry(self, head, alias, space_a, space_b):

@@ -9,7 +9,7 @@ frozen value and a wrong engine disagree loudly.
 import pytest
 
 import oracle
-from idealtop import laws
+from idealtop import dsl, laws
 from idealtop import operators as ops
 from idealtop.space import Family, GroundSet, Ideal, Space, Topology, generate_ideal
 from idealtop.verdicts import KURATOWSKI_AXIOMS
@@ -40,13 +40,15 @@ class TestPointSetOperators:
 
     def test_closure_is_union_with_derived_set(self, small_spaces, space_a, space_b):
         for space in small_spaces + [space_a, space_b]:
+            cl = ops.unary_table(space, "cl")
             for a in range(space.n_subsets):
-                assert ops.closure(space, a) == a | ops.derived_set(space, a)
+                assert cl[a] == a | ops.derived_set(space, a)
 
     def test_interior_closure_duality(self, space_a):
         full = space_a.ground.universe
+        it, cl = ops.unary_table(space_a, "int"), ops.unary_table(space_a, "cl")
         for a in range(space_a.n_subsets):
-            assert ops.interior(space_a, a) == full ^ ops.closure(space_a, full ^ a)
+            assert it[a] == full ^ cl[full ^ a]
 
 
 class TestGeneralizedOpenSets:
@@ -95,12 +97,12 @@ class TestGeneralizedOpenSets:
         for space in small_spaces[::5] + [space_a, space_b]:
             topo, _, points = oracle.space_to_oracle(space)
             for kind in ALL_KINDS:
+                table = ops.kclosure_table(space, kind)
                 for a in range(space.n_subsets):
                     want = oracle.kind_closure(
                         topo, points, kind.value, oracle.bits_to_set(space.ground, a)
                     )
-                    got = ops.kclosure(space, kind, a)
-                    assert oracle.bits_to_set(space.ground, got) == want
+                    assert oracle.bits_to_set(space.ground, table[a]) == want
 
     def test_kclosure_is_a_closure_operator(self, small_spaces):
         for space in small_spaces:
@@ -119,13 +121,13 @@ class TestGeneralizedOpenSets:
 class TestLocalFunctions:
     def test_tables_match_oracle_exhaustively(self, small_spaces):
         for space in small_spaces:
-            for alias, spec in ALL_SPECS:
-                assert ops.local_function_table(space, spec) == oracle_table(space, alias)
+            for alias in ops.LOCAL_FN_ALIASES:
+                assert ops.unary_table(space, alias) == oracle_table(space, alias)
 
     def test_tables_match_oracle_on_reference_spaces(self, space_a, space_b):
         for space in (space_a, space_b):
-            for alias, spec in ALL_SPECS:
-                assert ops.local_function_table(space, spec) == oracle_table(space, alias)
+            for alias in ops.LOCAL_FN_ALIASES:
+                assert ops.unary_table(space, alias) == oracle_table(space, alias)
 
     def test_frozen_closure_style_semi_table(self, space_a):
         assert ops.unary_table(space_a, "xis") == (
@@ -140,13 +142,13 @@ class TestLocalFunctions:
 
     def test_empty_set_maps_to_empty(self, small_spaces):
         for space in small_spaces:
-            for _, spec in ALL_SPECS:
-                assert ops.local_function(space, spec, 0) == 0
+            for alias in ops.LOCAL_FN_ALIASES:
+                assert ops.unary_table(space, alias)[0] == 0
 
     def test_monotone_in_the_argument(self, small_spaces):
         for space in small_spaces:
-            for _, spec in ALL_SPECS:
-                table = ops.local_function_table(space, spec)
+            for alias in ops.LOCAL_FN_ALIASES:
+                table = ops.unary_table(space, alias)
                 for a in range(space.n_subsets):
                     for b in range(space.n_subsets):
                         if a & ~b == 0:
@@ -200,15 +202,15 @@ class TestDualsAndFixFamilies:
     def test_psi_dual_matches_oracle(self, small_spaces, space_a, space_b):
         for space in small_spaces[::5] + [space_a, space_b]:
             topo, ideal, points = oracle.space_to_oracle(space)
-            for alias, spec in ALL_SPECS:
+            for alias in ops.LOCAL_FN_ALIASES:
                 nbhd, cl = oracle.NAMED_LOCAL_FNS[alias]
+                dual = ops.unary_table(space, ops.PSI_ALIAS[alias])
                 for a in range(space.n_subsets):
                     want = oracle.psi_dual(
                         topo, ideal, points, nbhd, cl,
                         oracle.bits_to_set(space.ground, a),
                     )
-                    got = ops.psi_dual(space, spec, a)
-                    assert oracle.bits_to_set(space.ground, got) == want
+                    assert oracle.bits_to_set(space.ground, dual[a]) == want
 
     def test_psi_alias_is_complement_dual(self, space_a, space_b):
         for space in (space_a, space_b):
@@ -295,11 +297,11 @@ class TestStarClosure:
         ]
 
     def test_clstar_alias_composition(self, space_a):
-        fn = ops.resolve_operator("clstar:sstar")
+        star = ops.unary_table(space_a, "clstar:sstar")
         for a in range(space_a.n_subsets):
-            assert fn(space_a, a) == a | ops.unary_table(space_a, "sstar")[a]
-        assert ops.resolve_operator("clstar:clstar:int")(space_a, 5) == (
-            5 | ops.interior(space_a, 5)
+            assert star[a] == a | ops.unary_table(space_a, "sstar")[a]
+        assert ops.unary_table(space_a, "clstar:clstar:int")[5] == (
+            5 | ops.unary_table(space_a, "int")[5]
         )
 
 
@@ -314,9 +316,10 @@ class TestStarTopology:
         spec = ops.LOCAL_FN_ALIASES["star"]
         topo = laws.star_topology(space_a, spec)
         full = space_a.ground.universe
+        star = ops.unary_table(space_a, "clstar:star")
         for a in range(space_a.n_subsets):
             closed = full ^ a
-            fixed = ops.cl_star(space_a, spec, closed) == closed
+            fixed = star[closed] == closed
             assert (a in topo.family) == fixed
 
     def test_discrete_ideal_gives_discrete_star_topology(self, space_a):
@@ -337,28 +340,67 @@ class TestStarTopology:
             assert "additive" in str(exc.value)
 
 
+def oracle_alias_tables(space):
+    """Every alias and its ``clstar:`` form, by definition over the oracle."""
+    topo, ideal, points = oracle.space_to_oracle(space)
+    ground, full = space.ground, space.ground.universe
+    sets = [oracle.bits_to_set(ground, a) for a in range(space.n_subsets)]
+    bits = lambda values: tuple(oracle.set_to_bits(ground, v) for v in values)
+    out = {
+        "int": bits(oracle.interior(topo, a) for a in sets),
+        "cl": bits(oracle.closure(topo, points, a) for a in sets),
+        "der": bits(oracle.derived_set(topo, points, a) for a in sets),
+    }
+    for name, kind in (("scl", oracle.SEMI), ("pcl", oracle.PRE),
+                       ("bcl", oracle.B), ("betacl", oracle.BETA)):
+        out[name] = bits(oracle.kind_closure(topo, points, kind, a) for a in sets)
+    for alias, (nbhd, cl) in oracle.NAMED_LOCAL_FNS.items():
+        table = oracle.local_function_table(topo, ideal, points, nbhd, cl)
+        out[alias] = bits(table[a] for a in sets)
+        out[ops.PSI_ALIAS[alias]] = tuple(full ^ out[alias][full ^ a] for a in range(full + 1))
+    for name in list(out):
+        out["clstar:" + name] = tuple(a | out[name][a] for a in range(full + 1))
+    return out
+
+
 class TestAliasSurface:
-    def test_alias_tables_agree_with_resolved_operators(self, space_a):
-        for name in ("int", "cl", "der", "scl", "pcl", "bcl", "betacl", "star", "psixip"):
-            fn = ops.resolve_operator(name)
-            assert ops.unary_table(space_a, name) == tuple(
-                fn(space_a, a) for a in range(space_a.n_subsets)
-            )
+    def test_every_alias_matches_oracle_and_eval_expr(self, small_spaces, space_a, space_b):
+        names = ops.operator_names()[:-1]
+        names += tuple("clstar:" + name for name in names)
+        exprs = {name: dsl.parse_expr(f"{name}(A)") for name in names}
+        for space in small_spaces + [space_a, space_b]:
+            want = oracle_alias_tables(space)
+            assert set(want) == set(names)
+            for name in names:
+                table = ops.unary_table(space, name)
+                assert table == want[name], name
+                for a in range(space.n_subsets):
+                    assert dsl.eval_expr(space, {"A": a}, exprs[name]) == table[a], name
 
     def test_unary_table_is_memoized(self, space_b):
         assert ops.unary_table(space_b, "g") is ops.unary_table(space_b, "g")
 
+    def test_one_cache_entry_per_alias(self, space_a):
+        space = Space(space_a.ground, space_a.topology, space_a.ideal)
+        ops.unary_table(space, "clstar:psixis")
+        ops.unary_table(space, "xis")
+        assert sorted(space._cache) == ["clstar:psixis", "psixis", "xis"]
+
     def test_unknown_alias(self, space_a):
-        assert ops.resolve_operator("nope") is None
-        assert ops.resolve_operator("clstar:nope") is None
-        with pytest.raises(KeyError):
-            ops.unary_table(space_a, "nope")
+        for name in ("nope", "clstar:nope", "clstar:", "clstar"):
+            assert not ops.is_operator(name)
+            with pytest.raises(KeyError):
+                ops.unary_table(space_a, name)
 
     def test_operator_names_cover_table(self):
         names = ops.operator_names()
         assert names[-1] == "clstar:<op>"
-        assert set(names[:-1]) == set(ops.OPERATORS)
-        assert len(ops.OPERATORS) == 29
+        assert set(names[:-1]) == {
+            "int", "cl", "der", "scl", "pcl", "bcl", "betacl",
+            *ops.LOCAL_FN_ALIASES, *ops.PSI_ALIAS.values(),
+        }
+        assert len(names[:-1]) == 29
+        assert all(ops.is_operator(n) and ops.is_operator("clstar:" + n) for n in names[:-1])
 
     def test_alias_and_oracle_key_tables_agree(self):
         assert set(ops.LOCAL_FN_ALIASES) == set(oracle.NAMED_LOCAL_FNS)

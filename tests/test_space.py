@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 import oracle
+from idealtop.operators import OpenKind, kopen_at
 from idealtop.space import (
     Family,
     GroundSet,
@@ -248,8 +249,9 @@ class TestSpace:
 
     def test_opens_at_lists_open_neighborhoods(self, space_a):
         # point w1 is bit 0: opens containing it are {w1}, {w1,w2}, X
-        assert space_a.opens_at[0] == (1, 3, 15)
-        assert space_a.opens_at[2] == (15,)
+        opens_at = kopen_at(space_a, OpenKind.OPEN)
+        assert opens_at[0] == (1, 3, 15)
+        assert opens_at[2] == (15,)
 
 
 class TestDocuments:

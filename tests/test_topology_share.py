@@ -69,8 +69,6 @@ def test_random_spaces_match_oracle():
     for space in spaces:
         for alias, (nbhd, cl) in oracle.NAMED_LOCAL_FNS.items():
             lf, dual = oracle_tables(space, nbhd, cl)
-            spec = ops.LOCAL_FN_ALIASES[alias]
-            assert ops.local_function_table(space, spec) == lf, alias
             assert ops.unary_table(space, alias) == lf, alias
             assert ops.unary_table(space, ops.PSI_ALIAS[alias]) == dual, alias
 
@@ -84,7 +82,6 @@ def every_table(space):
     out = {
         "int": space.int_table,
         "cl": space.cl_table,
-        "opens_at": space.opens_at,
     }
     for kind in ops.OpenKind:
         out["kopen", kind] = ops.kopen_family(space, kind)
@@ -92,8 +89,7 @@ def every_table(space):
         out["kclosure", kind] = ops.kclosure_table(space, kind)
     for spec in ops.LOCAL_FN_ALIASES.values():
         out["hits", spec] = ops.hit_table(space, spec)
-        out["lf", spec] = ops.local_function_table(space, spec)
-    for name in ops.OPERATORS:
+    for name in ops.operator_names()[:-1]:
         out["alias", name] = ops.unary_table(space, name)
         out["alias", "clstar:" + name] = ops.unary_table(space, "clstar:" + name)
     return out
@@ -129,9 +125,9 @@ def test_ideal_tables_stay_per_space():
     small = Space(G3, topology, generate_ideal([], G3))
     large = Space(G3, topology, generate_ideal([7], G3))
     assert small.tables is large.tables
-    assert ops.local_function_table(small, spec) == ops.hit_table(small, spec)
-    assert ops.local_function_table(large, spec) == (0,) * 8
-    assert ops.local_function_table(small, spec) != ops.local_function_table(large, spec)
+    assert ops.unary_table(small, "star") == ops.hit_table(small, spec)
+    assert ops.unary_table(large, "star") == (0,) * 8
+    assert ops.unary_table(small, "star") != ops.unary_table(large, "star")
 
 
 def test_invalid_topology_after_memoized_valid_one_still_raises():
