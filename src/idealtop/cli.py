@@ -27,7 +27,8 @@ def _load_space(path: str) -> Space:
         raise SpaceDocumentError(f"{path}: {exc}") from exc
 
 
-def _parse_bindings(space: Space, texts: list[str]) -> dict[str, int]:
+def _parse_bindings(space: Space, texts: list[str], names: tuple[str, ...]) -> dict[str, int]:
+    """Parse ``--bind`` texts for the variables ``names`` of an expression."""
     bindings: dict[str, int] = {}
     for text in texts:
         name, sep, subset = text.partition("=")
@@ -39,6 +40,8 @@ def _parse_bindings(space: Space, texts: list[str]) -> dict[str, int]:
                 f"--bind {text!r}: {name!r} is not a variable "
                 "(single uppercase letter other than X)"
             )
+        if name not in names:
+            raise ValueError(f"--bind {text!r}: variable {name} does not occur in the expression")
         if name in bindings:
             raise ValueError(f"--bind {text!r}: variable {name} is already bound")
         try:
@@ -83,7 +86,7 @@ def _emit_json(payload) -> None:
 def cmd_eval(args) -> int:
     space = _load_space(args.space)
     expr = dsl.parse_expr(args.expr)
-    bindings = _parse_bindings(space, args.bind)
+    bindings = _parse_bindings(space, args.bind, dsl.free_vars(expr))
     value = dsl.eval_expr(space, bindings, expr)
     if args.json:
         _emit_json(
@@ -104,8 +107,8 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     space = _load_space(args.space)
     results = []
-    if args.law:
-        results.append((args.law, dsl.check_law(space, dsl.parse_law(args.law), var_cap=args.var_cap)))
+    for text in args.law:
+        results.append((text, dsl.check_law(space, dsl.parse_law(text), var_cap=args.var_cap)))
     if args.name:
         results.append((args.name, laws.get_law(args.name).check(space)))
     if args.laws_file:
@@ -230,7 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="check laws on a space")
     p_check.add_argument("--space", required=True)
-    p_check.add_argument("--law", help="law text, e.g. 'sstar(union(A,B)) == union(sstar(A),sstar(B))'")
+    p_check.add_argument(
+        "--law",
+        action="append",
+        default=[],
+        help="law text, e.g. 'sstar(union(A,B)) == union(sstar(A),sstar(B))' (repeatable)",
+    )
     p_check.add_argument("--name", help="registry law name, e.g. additivity:sstar")
     p_check.add_argument("--laws-file", help="file with one law per line, # comments")
     p_check.add_argument("--var-cap", type=int, default=3)

@@ -107,6 +107,11 @@ class LawAst:
     rhs: Expr
     free_vars: tuple[str, ...]
 
+    @functools.cached_property
+    def _program(self) -> "_Program":
+        """This law compiled for ``scan_law``, once, on first use."""
+        return _compile(self)
+
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*(?::[A-Za-z][A-Za-z0-9]*)*")
 
@@ -218,7 +223,7 @@ class _Parser:
         end = self.peek()
         if end.kind != "END":
             raise DslSyntaxError("trailing input after law", end.pos)
-        return LawAst(lhs, rel, rhs, _free_vars((lhs, rhs)))
+        return LawAst(lhs, rel, rhs, free_vars(lhs, rhs))
 
     def parse_only_expr(self) -> Expr:
         expr = self.parse_expr()
@@ -237,7 +242,8 @@ def _walk(node: Expr) -> Iterator[Expr]:
         yield from _walk(node.child)
 
 
-def _free_vars(roots) -> tuple[str, ...]:
+def free_vars(*roots: Expr) -> tuple[str, ...]:
+    """The variables of the expressions, in order of first occurrence."""
     seen: list[str] = []
     for root in roots:
         for node in _walk(root):
@@ -316,12 +322,11 @@ def _index_bit_planes(width: int) -> tuple[int, ...]:
     )
 
 
-def _apply_planes(table, planes: list[int], ones: int) -> list[int]:
-    """Push per-point planes through a unary table via its input minterms.
+def _split(planes: list[int], ones: int) -> list[tuple[int, int]]:
+    """Input minterms of per-point planes, as ``(subset, assignments)`` pairs.
 
     Minterm ``a`` marks the assignments whose input subset is exactly ``a``;
-    they are built point by point, dropping the empty ones, and each is ORed
-    into the output planes of the points in ``table[a]``.
+    they are built point by point, dropping the empty ones.
     """
     minterms = [(0, ones)]
     for p, c in enumerate(planes):
@@ -335,31 +340,148 @@ def _apply_planes(table, planes: list[int], ones: int) -> list[int]:
             if hi:
                 split.append((a | bit, hi))
         minterms = split
-    out = [0] * len(planes)
+    return minterms
+
+
+def _push(table, minterms: list[tuple[int, int]], n: int) -> list[int]:
+    """Planes of a unary table applied to an input given by its minterms:
+    each minterm is ORed into the output planes of the points in ``table[a]``."""
+    out = [0] * n
     for a, m in minterms:
         for q in _BIT_POSITIONS[table[a]]:
             out[q] |= m
     return out
 
 
-def _eval_planes(node: Expr, env, tables, ones: int, n: int) -> list[int]:
-    """Evaluate ``node`` for a whole block: plane ``p`` holds point ``p``."""
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Const):
-        return [0 if node.kind == "empty" else ones] * n
-    if isinstance(node, Compl):
-        return [ones ^ a for a in _eval_planes(node.child, env, tables, ones, n)]
-    if isinstance(node, Apply):
-        child = _eval_planes(node.child, env, tables, ones, n)
-        return _apply_planes(tables[node.op], child, ones)
-    left = _eval_planes(node.left, env, tables, ones, n)
-    right = _eval_planes(node.right, env, tables, ones, n)
-    if isinstance(node, Union):
-        return [a | b for a, b in zip(left, right)]
-    if isinstance(node, Inter):
-        return [a & b for a, b in zip(left, right)]
-    return [a & ~b for a, b in zip(left, right)]
+# Step codes of a compiled law.
+_VAR, _CONST, _UNION, _INTER, _DIFF, _COMPL, _APPLY = range(7)
+_BINARY_CODE = {Union: _UNION, Inter: _INTER, Diff: _DIFF}
+
+
+@dataclass(frozen=True, eq=False)
+class _Program:
+    """A law as straight-line code: one step per distinct subexpression.
+
+    Step ``i`` is ``(code, a, b)``: a variable index, a constant (``a`` true
+    for ``X``), or an operation on earlier steps ``a`` and ``b`` (for
+    ``_APPLY``, ``b`` is the operator name). A step is space-free when no
+    operator lies below it; its planes depend only on the point count and
+    the block, and ``space_free`` lists those steps, ``per_space`` the rest,
+    each in evaluation order.
+    """
+
+    k: int  # free variables
+    steps: tuple[tuple, ...]
+    space_free: tuple[int, ...]
+    per_space: tuple[int, ...]
+    lhs: int
+    rhs: int
+    ops: tuple[str, ...]  # the operator of every Apply node, repeats included
+
+
+def _compile(law: LawAst) -> _Program:
+    slots: dict[Expr, int] = {}
+    steps: list[tuple] = []
+    free: list[bool] = []
+
+    def slot(node: Expr) -> int:
+        if node in slots:
+            return slots[node]
+        if isinstance(node, Var):
+            step, is_free = (_VAR, law.free_vars.index(node.name), None), True
+        elif isinstance(node, Const):
+            step, is_free = (_CONST, node.kind == "universe", None), True
+        elif isinstance(node, Compl):
+            a = slot(node.child)
+            step, is_free = (_COMPL, a, None), free[a]
+        elif isinstance(node, Apply):
+            step, is_free = (_APPLY, slot(node.child), node.op), False
+        else:
+            a, b = slot(node.left), slot(node.right)
+            step, is_free = (_BINARY_CODE[type(node)], a, b), free[a] and free[b]
+        slots[node] = len(steps)
+        steps.append(step)
+        free.append(is_free)
+        return slots[node]
+
+    lhs, rhs = slot(law.lhs), slot(law.rhs)
+    return _Program(
+        k=len(law.free_vars),
+        steps=tuple(steps),
+        space_free=tuple(i for i, f in enumerate(free) if f),
+        per_space=tuple(i for i, f in enumerate(free) if not f),
+        lhs=lhs,
+        rhs=rhs,
+        ops=tuple(
+            node.op
+            for node in itertools.chain(_walk(law.lhs), _walk(law.rhs))
+            if isinstance(node, Apply)
+        ),
+    )
+
+
+def _block_shape(n: int, k: int) -> tuple[int, int, int]:
+    """(index width, bits per block, all-ones plane) for n points, k variables."""
+    width = n * k
+    block_bits = min(width, _BLOCK_BITS)
+    return width, block_bits, (1 << (1 << block_bits)) - 1
+
+
+def _run(program: _Program, order, vals: list, env, tables, splits, ones: int, n: int) -> None:
+    """Evaluate the steps in ``order`` into ``vals``: plane ``p`` holds point ``p``."""
+    for i in order:
+        code, a, b = program.steps[i]
+        if code == _VAR:
+            vals[i] = env[a]
+        elif code == _CONST:
+            vals[i] = [ones if a else 0] * n
+        elif code == _COMPL:
+            vals[i] = [ones ^ x for x in vals[a]]
+        elif code == _UNION:
+            vals[i] = [x | y for x, y in zip(vals[a], vals[b])]
+        elif code == _INTER:
+            vals[i] = [x & y for x, y in zip(vals[a], vals[b])]
+        elif code == _DIFF:
+            vals[i] = [x & ~y for x, y in zip(vals[a], vals[b])]
+        else:
+            vals[i] = _push(tables[b], splits[i] or _split(vals[a], ones), n)
+
+
+# Blocks of space-free values kept. A search whose law fits in one block
+# (n * variables <= 16) needs one per point count it scans; a many-block
+# scan recomputes its blocks rather than hold them all (one block of star
+# additivity on 8 points holds about 5 MB).
+_SPACE_FREE_BLOCKS = 2
+
+
+@functools.lru_cache(maxsize=_SPACE_FREE_BLOCKS)
+def _space_free_block(program: _Program, n: int, start: int) -> tuple[tuple, tuple]:
+    """Planes of the space-free steps for the block at ``start``, and the
+    input minterms of every operator applied to one (None elsewhere).
+
+    Both are the same on every space with ``n`` points, so a search
+    computes them once and each space only pushes minterms through its
+    operator tables.
+    """
+    k = program.k
+    width, block_bits, ones = _block_shape(n, k)
+    index_planes = [
+        *_index_bit_planes(block_bits),
+        *(ones if start >> s & 1 else 0 for s in range(block_bits, width)),
+    ]
+    env = [index_planes[n * (k - 1 - j) : n * (k - j)] for j in range(k)]
+    vals: list = [None] * len(program.steps)
+    _run(program, program.space_free, vals, env, None, None, ones, n)
+    splits = [None] * len(program.steps)
+    for i in program.per_space:
+        code, a, _ = program.steps[i]
+        if code == _APPLY and vals[a] is not None:
+            splits[i] = _split(vals[a], ones)
+    # Every later scan reads these: hand out tuples, which none can change.
+    return (
+        tuple(None if v is None else tuple(v) for v in vals),
+        tuple(None if s is None else tuple(s) for s in splits),
+    )
 
 
 def _value_at(planes: list[int], offset: int) -> int:
@@ -385,31 +507,33 @@ def scan_law(
     the count is what a serial scan would have evaluated: index + 1 on a
     violation, the budget when it runs out first, otherwise every
     assignment.
+
+    The law is compiled once into straight-line code with one step per
+    distinct subexpression, so a repeated subexpression is evaluated once.
+    Steps with no operator below them are space-free: their planes, and
+    the input minterms of operators applied to them, come from a small
+    memo keyed by point count and block and shared by every space, so a
+    space only pushes minterms through its own operator tables.
     """
     names = law.free_vars
     if len(names) > var_cap:
         raise VariableCapError(
             f"law has {len(names)} free variables, cap is {var_cap}"
         )
-    tables = {
-        node.op: ops.unary_table(space, node.op)
-        for node in itertools.chain(_walk(law.lhs), _walk(law.rhs))
-        if isinstance(node, Apply)
-    }
+    program = law._program
+    # One lookup per operator node, repeats included: the space's table
+    # counts do not depend on how the law compiles.
+    tables = {op: ops.unary_table(space, op) for op in program.ops}
     n, k = space.ground.n, len(names)
-    width = n * k
+    width, block_bits, ones = _block_shape(n, k)
     total = 1 << width
     limit = total if budget is None else max(0, min(budget, total))
-    block_bits = min(width, _BLOCK_BITS)
     size = 1 << block_bits
-    ones = (1 << size) - 1
-    low = _index_bit_planes(block_bits)
-    shifts = [n * (k - 1 - j) for j in range(k)]
     for start in range(0, limit, size):
-        index_planes = [*low, *(ones if start >> s & 1 else 0 for s in range(block_bits, width))]
-        env = {name: index_planes[sh : sh + n] for name, sh in zip(names, shifts)}
-        lhs = _eval_planes(law.lhs, env, tables, ones, n)
-        rhs = _eval_planes(law.rhs, env, tables, ones, n)
+        fixed, splits = _space_free_block(program, n, start)
+        vals = list(fixed)
+        _run(program, program.per_space, vals, None, tables, splits, ones, n)
+        lhs, rhs = vals[program.lhs], vals[program.rhs]
         mismatch = 0
         if law.relation == "==":
             for a, b in zip(lhs, rhs):
@@ -423,6 +547,7 @@ def scan_law(
             offset = (mismatch & -mismatch).bit_length() - 1
             index = start + offset
             point_mask = (1 << n) - 1
+            shifts = [n * (k - 1 - j) for j in range(k)]
             bindings = tuple((name, index >> sh & point_mask) for name, sh in zip(names, shifts))
             witness = Witness(bindings, _value_at(lhs, offset), _value_at(rhs, offset))
             return "violated", Verdict(False, witness), index + 1

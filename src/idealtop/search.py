@@ -107,6 +107,7 @@ def enumerate_topologies(
     mode "exhaustive" (n <= 4) yields every topology in ascending order of
     the family membership mask; mode "subbase" yields a deduplicated but
     incomplete stream for any n. Default picks exhaustive when possible.
+    Arguments are checked when this is called, before the first topology.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"point count must be between 1 and 8, got {n}")
@@ -117,13 +118,12 @@ def enumerate_topologies(
             raise ValueError(
                 f"exhaustive enumeration needs n <= {EXHAUSTIVE_MAX_POINTS}, got {n}"
             )
-        for members in _topology_members(n):
-            yield Topology(Family(members))
+        members: Iterable[tuple[int, ...]] = _topology_members(n)
     elif mode == "subbase":
-        for members in _subbase_topology_members(n, max_subbase_size):
-            yield Topology(Family(members))
+        members = _subbase_topology_members(n, max_subbase_size)
     else:
         raise ValueError(f"unknown enumeration mode {mode!r}")
+    return (Topology(Family(m)) for m in members)
 
 
 def _submasks_ascending(m: int) -> tuple[int, ...]:
@@ -233,7 +233,11 @@ class SearchResult:
 
 
 def _space_stream(task: SearchTask) -> tuple[Iterator[tuple], int | None]:
-    """Yield (labels, topology members, ideal members); also total when known."""
+    """Yield (ground, topology, ideal) space keys; also the total when known.
+
+    Each topology and each ideal is built once and shared by all the
+    spaces that contain it.
+    """
     if task.mode == "documents":
         spaces = []
         for index, text in enumerate(task.documents):
@@ -241,37 +245,22 @@ def _space_stream(task: SearchTask) -> tuple[Iterator[tuple], int | None]:
                 spaces.append(space_from_document(json.loads(text)))
             except ValueError as exc:  # bad JSON or a SpaceDocumentError
                 raise DocumentError(index, exc) from exc
-        stream = iter(
-            [
-                (sp.ground.labels, sp.topology.family.members, sp.ideal.family.members)
-                for sp in spaces
-            ]
-        )
-        return stream, len(spaces)
-    labels = default_labels(task.n)
-    ideals = [ideal.family.members for ideal in enumerate_ideals(task.n)]
+        return iter([(sp.ground, sp.topology, sp.ideal) for sp in spaces]), len(spaces)
+    ground = GroundSet(default_labels(task.n))
+    ideals = list(enumerate_ideals(task.n))
+    topologies: Iterable[Topology] = enumerate_topologies(
+        task.n, task.mode, max_subbase_size=task.max_subbase_size
+    )
+    total = None
     if task.mode == "exhaustive":
-        if task.n > EXHAUSTIVE_MAX_POINTS:
-            raise ValueError(
-                f"exhaustive enumeration needs n <= {EXHAUSTIVE_MAX_POINTS}, got {task.n}"
-            )
-        topos: Iterable[tuple[int, ...]] = _topology_members(task.n)
-        total = len(topos) * len(ideals)
-    else:
-        topos = _subbase_topology_members(task.n, task.max_subbase_size)
-        total = None
-
-    def gen():
-        for topo in topos:
-            for ideal in ideals:
-                yield (labels, topo, ideal)
-
-    return gen(), total
+        topologies = list(topologies)
+        total = len(topologies) * len(ideals)
+    stream = ((ground, topology, ideal) for topology in topologies for ideal in ideals)
+    return stream, total
 
 
 def _scan_one(space_key, law, var_cap, cap):
-    labels, topo, ideal = space_key
-    space = Space(GroundSet(labels), Topology(Family(topo)), Ideal(Family(ideal)))
+    space = Space(*space_key)
     outcome, verdict, count = dsl.scan_law(space, law, var_cap=var_cap, budget=cap)
     packed = None
     if outcome == "violated":
@@ -354,9 +343,12 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
         scanned += 1
         if outcome == "violated" and (remaining is None or count <= remaining):
             used += count
-            labels, topo, ideal = space_key
-            bindings, lhs, rhs = packed
-            witnesses.append(SpaceWitness(labels, topo, ideal, bindings, lhs, rhs))
+            ground, topology, ideal = space_key
+            witnesses.append(
+                SpaceWitness(
+                    ground.labels, topology.family.members, ideal.family.members, *packed
+                )
+            )
             if task.want == "first":
                 completed = False
                 break

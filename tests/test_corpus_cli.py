@@ -141,6 +141,7 @@ class TestEvalCommand:
             (["A=w1", "A=w2"], "--bind 'A=w2': variable A is already bound"),
             (["A"], "--bind 'A': a binding looks like A=w1,w3"),
             (["A=w9"], "--bind 'A=w9': unknown point label 'w9'"),
+            (["A=w1", "B=w2"], "--bind 'B=w2': variable B does not occur in the expression"),
         ],
     )
     def test_bad_binding_exits_2(self, binds, message):
@@ -164,6 +165,17 @@ class TestCheckCommand:
                       "--law", "star(union(A,B)) == union(star(A),star(B))")
         assert out.returncode == 0
         assert out.stdout == "Holds     star(union(A,B)) == union(star(A),star(B))\n"
+
+    def test_repeated_law_checks_each_in_order(self):
+        out = run_cli("check", "--space", SPACE_A_FILE,
+                      "--law", "sstar(union(A,B)) == union(sstar(A),sstar(B))",
+                      "--law", "A <= clstar:star(A)")
+        assert (out.returncode, out.stderr) == (1, "")
+        assert out.stdout == (
+            "Violated  sstar(union(A,B)) == union(sstar(A),sstar(B))  "
+            "[A={w1} B={w2} lhs={w1,w2,w3,w4} rhs={w1,w2}]\n"
+            "Holds     A <= clstar:star(A)\n"
+        )
 
     def test_laws_file(self, tmp_path):
         laws_file = tmp_path / "laws.txt"

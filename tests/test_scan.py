@@ -19,7 +19,9 @@ from idealtop.space import space_from_document
 SEED = 20241015
 
 # Hand-written laws covering both relations, compl, diff, the constants, a
-# star closure and a psi dual, with 0 to 3 free variables.
+# star closure and a psi dual, with 0 to 3 free variables; the last three
+# repeat a subexpression, or apply an operator to a compound or a constant
+# with no operator below it (values the compiled scan shares across spaces).
 LAWS = (
     "star(X) <= X",
     "psi(empty) == compl(star(X))",
@@ -31,6 +33,9 @@ LAWS = (
     "inter(psi(A),B) <= union(compl(B),cl(A))",
     "diff(X,union(A,inter(B,C))) == inter(compl(A),compl(inter(B,C)))",
     "inter(psixis(A),diff(B,C)) <= union(xis(C),empty)",
+    "xis(xis(A)) == xis(A)",
+    "star(union(A,compl(B))) <= cl(union(A,compl(B)))",
+    "star(X) == star(diff(X,empty))",
 )
 
 _OPERATORS = ("star", "sstar", "xis", "psi", "psixis", "clstar:star", "clstar:xib", "cl", "int")
@@ -170,3 +175,28 @@ def test_budget_larger_than_scan_holds():
     assert bit_sliced_scan(space, law, budget=10**6) == ("holds", None, 2 ** 15)
     assert bit_sliced_scan(space, law, budget=2 ** 15) == ("holds", None, 2 ** 15)
     assert bit_sliced_scan(space, law, budget=2 ** 15 - 1) == ("budget", None, 2 ** 15 - 1)
+
+
+def test_space_free_memo_keeps_spaces_and_block_sizes_apart():
+    # The values shared across spaces are keyed by point count and block;
+    # nothing of one space, point count or block may reach another scan.
+    rng = random.Random(SEED + 1)
+    law = dsl.parse_law("inter(sstar(union(A,compl(B))),cl(A)) <= union(xis(xis(A)),B)")
+    first = random_space(rng, 4)
+    sequence = [(first, law, None), (random_space(rng, 6), law, None)]
+    sequence += [(random_space(rng, 4), law, None) for _ in range(2)]
+    # six points, three variables: 2**18 assignments in four blocks; with
+    # {w5} the only nonempty proper open set the violation lies in block 2
+    multi_block = space_from_document(
+        {"points": list(default_labels(6)), "topology_subbase": [["w5"]], "ideal": [[]]}
+    )
+    sequence.append((multi_block, dsl.parse_law("inter(int(inter(A,B)),C) <= empty"), None))
+    sequence.append((first, law, None))
+    dsl._space_free_block.cache_clear()
+    results = []
+    for space, law_, budget in sequence:
+        expected = reference_scan(space, law_, budget)
+        assert bit_sliced_scan(space, law_, budget) == expected, dsl.format_law(law_)
+        results.append(expected)
+    assert results[-2][0::2] == ("violated", 16 * 4096 + 16 * 64 + 16 + 1)
+    assert results[-1] == results[0]

@@ -6,6 +6,8 @@ serial scan and must stay byte-identical under parallelism.
 """
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -58,12 +60,21 @@ class TestEnumeration:
                 assert len(members) == 1 << bin(members[-1]).count("1")
 
     def test_exhaustive_mode_bounds(self):
+        # Arguments are checked by the call itself, before any iteration:
+        # past the bound, a lazy check would start the 2^(2^n)-mask scan.
+        with pytest.raises(ValueError, match="needs n <= 4, got 5"):
+            search.enumerate_topologies(5, "exhaustive")
         with pytest.raises(ValueError):
-            list(search.enumerate_topologies(5, "exhaustive"))
+            search.enumerate_topologies(0)
         with pytest.raises(ValueError):
-            list(search.enumerate_topologies(0))
-        with pytest.raises(ValueError):
-            list(search.enumerate_topologies(3, "weird"))
+            search.enumerate_topologies(3, "weird")
+        out = subprocess.run(
+            [sys.executable, "-m", "idealtop", "search", "A == A", "--points", "5",
+             "--mode", "exhaustive"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: exhaustive enumeration needs n <= 4, got 5\n"
         # past the exhaustive bound the default falls back to subbases
         first = next(search.enumerate_topologies(5))
         assert first.family.members == (0, 31)
