@@ -148,6 +148,8 @@ def cmd_families(args) -> int:
 def cmd_search(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    if args.space and args.points is not None:
+        raise ValueError("--points conflicts with --space files")
     documents = []
     for path in args.space or ():
         with open(path, "r", encoding="utf-8") as fh:
@@ -161,7 +163,7 @@ def cmd_search(args) -> int:
         raise ValueError(f"--space files conflict with --mode {mode}")
     task = search_mod.SearchTask(
         law_text=args.law,
-        n=args.points,
+        n=3 if args.points is None else args.points,
         mode=mode,
         want="all-minimal" if args.all_minimal else "first",
         budget_spaces=args.budget_spaces,
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="hunt for counterexamples over enumerated spaces")
     p_search.add_argument("law", help="law text to refute or certify")
-    p_search.add_argument("--points", type=int, default=3, help="ground set size (default 3)")
+    p_search.add_argument("--points", type=int, default=None, help="ground set size (default 3)")
     p_search.add_argument(
         "--mode",
         choices=["exhaustive", "subbase", "documents"],

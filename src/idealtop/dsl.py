@@ -305,6 +305,14 @@ def eval_expr(space: Space, bindings: Mapping[str, int], node: Expr) -> int:
     return table[eval_expr(space, bindings, node.child)]
 
 
+def eval_law(space: Space, law: LawAst, bindings: Mapping[str, int]) -> tuple[int, int, bool]:
+    """Both sides of ``law`` at one assignment, and whether they violate it."""
+    lhs = eval_expr(space, bindings, law.lhs)
+    rhs = eval_expr(space, bindings, law.rhs)
+    violated = lhs != rhs if law.relation == "==" else bool(lhs & ~rhs)
+    return lhs, rhs, violated
+
+
 # Assignments evaluated together by ``scan_law``: 2**16 bits per plane.
 _BLOCK_BITS = 16
 

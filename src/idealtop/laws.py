@@ -168,10 +168,7 @@ def _template_law(name: str, alias: str, templates: dict[str | None, str]) -> La
             ast = asts.get(witness.operation)
             if ast is None:
                 raise ValueError(f"unknown closure axiom {witness.operation!r}")
-        env = dict(witness.bindings)
-        lhs = dsl.eval_expr(space, env, ast.lhs)
-        rhs = dsl.eval_expr(space, env, ast.rhs)
-        return lhs != rhs if ast.relation == "==" else bool(lhs & ~rhs)
+        return dsl.eval_law(space, ast, dict(witness.bindings))[2]
 
     return Law(name, max(len(ast.free_vars) for ast in asts.values()), check, recheck)
 

@@ -12,6 +12,12 @@ reports "BudgetExhausted" because it proves nothing about other spaces.
 Results are deterministic: the space stream has a fixed order, budgets
 are applied as if the scan were strictly serial, and parallel workers
 only precompute per-space answers that are then merged in stream order.
+
+Every topology and ideal in the stream comes from the generators of
+:mod:`idealtop.space`. The exhaustive stream picks each point's minimal
+neighbourhood U(x) and keeps the choices that form a preorder; the
+subbase stream generates from small subbases; the ideals are the power
+sets of the 2^n subsets.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .space import (
     Ideal,
     Space,
     Topology,
+    generate_ideal,
     generate_topology,
     space_from_document,
     space_to_document,
@@ -52,36 +59,26 @@ def default_labels(n: int) -> tuple[str, ...]:
 # enumeration
 
 
-_TOPOLOGY_MEMBERS_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
+def _topology_members(n: int) -> tuple[Topology, ...]:
+    """All topologies on n labeled points, ascending by membership mask.
+
+    A finite topology is fixed by its minimal neighbourhoods U(x), and a
+    tuple (U(0), ..., U(n-1)) with x in U(x) is one exactly when
+    y in U(x) implies U(y) ⊆ U(x) (a preorder; Alexandrov 1937).
+    """
+    ground = GroundSet(default_labels(n))
+    points = range(n)
+    choices = [[u for u in range(ground.universe + 1) if u >> x & 1] for x in points]
+    found = [
+        generate_topology(nbhd, ground)
+        for nbhd in itertools.product(*choices)
+        if all(nbhd[y] & ~u == 0 for u in nbhd for y in points if u >> y & 1)
+    ]
+    found.sort(key=lambda topology: topology.family.mask)
+    return tuple(found)
 
 
-def _pairwise_closed(members: list[int], mask: int) -> bool:
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if not (mask >> (a | b)) & 1 or not (mask >> (a & b)) & 1:
-                return False
-    return True
-
-
-def _topology_members(n: int) -> tuple[tuple[int, ...], ...]:
-    """All topologies on n labeled points, ascending by membership mask."""
-    if n not in _TOPOLOGY_MEMBERS_CACHE:
-        full = (1 << n) - 1
-        need = 1 | (1 << full)  # must contain empty set and X
-        found = []
-        for mask in range(1 << (1 << n)):
-            if mask & need != need:
-                continue
-            members = [s for s in range(full + 1) if (mask >> s) & 1]
-            if _pairwise_closed(members, mask):
-                found.append(tuple(members))
-        _TOPOLOGY_MEMBERS_CACHE[n] = tuple(found)
-    return _TOPOLOGY_MEMBERS_CACHE[n]
-
-
-def _subbase_topology_members(
-    n: int, max_subbase_size: int
-) -> Iterator[tuple[int, ...]]:
+def _subbase_topology_members(n: int, max_subbase_size: int) -> Iterator[Topology]:
     """Topologies generated from small subbases, first-seen order, deduplicated.
 
     Covers sizes 0..max_subbase_size with subbase members drawn from the
@@ -96,7 +93,7 @@ def _subbase_topology_members(
             topo = generate_topology(subbase, ground)
             if topo.family.mask not in seen:
                 seen.add(topo.family.mask)
-                yield topo.family.members
+                yield topo
 
 
 def enumerate_topologies(
@@ -118,23 +115,10 @@ def enumerate_topologies(
             raise ValueError(
                 f"exhaustive enumeration needs n <= {EXHAUSTIVE_MAX_POINTS}, got {n}"
             )
-        members: Iterable[tuple[int, ...]] = _topology_members(n)
-    elif mode == "subbase":
-        members = _subbase_topology_members(n, max_subbase_size)
-    else:
-        raise ValueError(f"unknown enumeration mode {mode!r}")
-    return (Topology(Family(m)) for m in members)
-
-
-def _submasks_ascending(m: int) -> tuple[int, ...]:
-    out = []
-    s = m
-    while True:
-        out.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & m
-    return tuple(reversed(out))
+        return iter(_topology_members(n))
+    if mode == "subbase":
+        return _subbase_topology_members(n, max_subbase_size)
+    raise ValueError(f"unknown enumeration mode {mode!r}")
 
 
 def enumerate_ideals(n: int) -> Iterator[Ideal]:
@@ -146,8 +130,9 @@ def enumerate_ideals(n: int) -> Iterator[Ideal]:
     """
     if not 1 <= n <= 8:
         raise ValueError(f"point count must be between 1 and 8, got {n}")
+    ground = GroundSet(default_labels(n))
     for m in range(1 << n):
-        yield Ideal(Family(_submasks_ascending(m)))
+        yield generate_ideal((m,), ground)
 
 
 def count_topologies(n: int) -> int:
@@ -380,12 +365,8 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
 
 def _revalidate(witness: SpaceWitness, law: dsl.LawAst) -> None:
     """Definition-direct recheck of a reported witness; guards the merge path."""
-    space = witness.space()
-    env = dict(witness.bindings)
-    lhs = dsl.eval_expr(space, env, law.lhs)
-    rhs = dsl.eval_expr(space, env, law.rhs)
-    ok = lhs == rhs if law.relation == "==" else (lhs & ~rhs) == 0
-    if ok or lhs != witness.lhs or rhs != witness.rhs:
+    lhs, rhs, violated = dsl.eval_law(witness.space(), law, dict(witness.bindings))
+    if not violated or lhs != witness.lhs or rhs != witness.rhs:
         raise AssertionError(f"search produced a witness that does not re-validate: {witness}")
 
 

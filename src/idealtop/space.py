@@ -11,6 +11,12 @@ Space documents are JSON objects with keys ``points``, ``topology`` or
 written as arrays of point labels. ``parse_space`` validates the axioms and
 reports the first offending pair on failure.
 
+The generators build every topology and ideal the package uses apart
+from listed documents: ``generate_topology`` unions the minimal
+neighbourhoods U(x) of a subbase (a finite topology is the same thing as
+its preorder y ∈ U(x)), and ``generate_ideal`` takes the power set of the
+union of its generators.
+
 A ``Space`` builds its interior and closure tables; every operator value,
 those two included, is read through ``operators.unary_table``, which
 memoizes one table per alias on the space.
@@ -266,32 +272,24 @@ def validate_ideal(family: Family, ground: GroundSet) -> IdealIssue | None:
     return None
 
 
-def _close_pairwise(start: set[int], op) -> set[int]:
-    out = set(start)
-    frontier = list(out)
-    while frontier:
-        added = []
-        for a in frontier:
-            for b in list(out):
-                c = op(a, b)
-                if c not in out:
-                    out.add(c)
-                    added.append(c)
-        frontier = added
-    return out
-
-
 def generate_topology(subbase: Iterable[int], ground: GroundSet) -> Topology:
-    """Smallest topology containing the subbase: finite intersections of
-    subbase members form the base, unions of base members the topology."""
+    """Smallest topology containing the subbase.
+
+    A finite topology is fixed by its minimal neighbourhoods: U(x) is the
+    intersection of the subbase members that contain point x (the whole
+    ground set if none do), and the open sets are all unions of the U(x).
+    """
     full = ground.universe
-    sets = set()
+    nbhd = [full] * ground.n
     for s in subbase:
         if not 0 <= s <= full:
             raise ValueError(f"subbase mask {s} out of range")
-        sets.add(s)
-    base = _close_pairwise(sets | {full}, lambda a, b: a & b)
-    opens = _close_pairwise(base | {0}, lambda a, b: a | b)
+        for x in range(ground.n):
+            if s >> x & 1:
+                nbhd[x] &= s
+    opens = {0}
+    for u in set(nbhd):
+        opens |= {o | u for o in opens}
     return Topology(Family(tuple(opens)))
 
 
@@ -394,9 +392,6 @@ class Space:
     def ideal_top(self) -> int:
         """Largest ideal member; the ideal is its power set."""
         return self.ideal.family.members[-1]
-
-    def format(self, bits: int) -> str:
-        return self.ground.format(bits)
 
 
 _DOCUMENT_KEYS = {"points", "topology", "topology_subbase", "ideal", "ideal_generators", "name"}

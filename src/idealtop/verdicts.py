@@ -20,15 +20,6 @@ class Witness:
     rhs: int | None = None
     operation: str | None = None
 
-    def binding(self, name: str) -> int:
-        for var, bits in self.bindings:
-            if var == name:
-                return bits
-        raise KeyError(name)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.bindings)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -69,10 +60,6 @@ class KuratowskiReport:
             return table[axiom]
         except KeyError:
             raise ValueError(f"unknown closure axiom {axiom!r}") from None
-
-    @property
-    def all_hold(self) -> bool:
-        return all(self.verdict(a).holds for a in KURATOWSKI_AXIOMS)
 
     @property
     def first_violation(self) -> tuple[str, Verdict] | None:

@@ -158,6 +158,17 @@ def all_topologies(points):
     return found
 
 
+def generated_topology(subbase, points):
+    """Smallest topology containing ``subbase``: add {} and X, then close
+    under pairwise union and intersection until nothing new appears."""
+    family = set(subbase) | {frozenset(), frozenset(points)}
+    while True:
+        new = {c for a in family for b in family for c in (a | b, a & b)} - family
+        if not new:
+            return frozenset(family)
+        family |= new
+
+
 def all_ideals(points):
     """Validator scan over every family of subsets containing {}."""
     rest = [s for s in powerset(points) if s != frozenset()]

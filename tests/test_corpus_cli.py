@@ -350,6 +350,16 @@ class TestSearchCommand:
         assert out.returncode == 2
         assert "conflict" in out.stderr
 
+    def test_points_conflict_with_space_files(self):
+        out = run_cli("search", "star(A) == A", "--points", "2", "--space", SPACE_A_FILE)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: --points conflicts with --space files\n"
+
+    def test_points_zero_keeps_its_message(self):
+        out = run_cli("search", "star(A) == A", "--points", "0")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: point count must be between 1 and 8, got 0\n"
+
     def test_workers_do_not_change_output(self):
         argv = ("search", "xip(union(A,B)) == union(xip(A),xip(B))", "--all-minimal")
         one = run_cli(*argv, "--workers", "1")

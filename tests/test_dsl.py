@@ -102,6 +102,15 @@ class TestEvaluation:
         with pytest.raises(dsl.UnknownOperatorError):
             dsl.eval_expr(space_a, {"A": 1}, dsl.Apply("zzz", dsl.Var("A")))
 
+    def test_eval_law_at_one_assignment(self, space_a):
+        # the scan's first witnesses, re-evaluated at their own bindings
+        additivity = dsl.parse_law("sstar(union(A,B)) == union(sstar(A),sstar(B))")
+        assert dsl.eval_law(space_a, additivity, {"A": 1, "B": 2}) == (15, 3, True)
+        assert dsl.eval_law(space_a, additivity, {"A": 0, "B": 0})[2] is False
+        subset = dsl.parse_law("cl(A) <= A")
+        assert dsl.eval_law(space_a, subset, {"A": 1}) == (13, 1, True)
+        assert dsl.eval_law(space_a, subset, {"A": 0}) == (0, 0, False)
+
 
 class TestScanning:
     def test_first_witness_and_count(self, space_a):

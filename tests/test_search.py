@@ -37,6 +37,16 @@ class TestEnumeration:
             theirs = {frozenset(t) for t in oracle.all_topologies(list(g.labels))}
             assert mine == theirs
 
+    @pytest.mark.parametrize("n, count", [(3, 29), (4, 355)])
+    def test_exhaustive_stream_ascends_and_passes_the_oracle(self, n, count):
+        labels = search.default_labels(n)
+        g = GroundSet(labels)
+        topologies = list(search.enumerate_topologies(n, "exhaustive"))
+        masks = [t.family.mask for t in topologies]
+        assert len(topologies) == count
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        assert all(oracle.is_topology(bits_family(g, t.family), labels) for t in topologies)
+
     def test_ideal_counts_and_sets_match_oracle(self):
         for n in (1, 2, 3):
             g = GroundSet(search.default_labels(n))
@@ -60,8 +70,8 @@ class TestEnumeration:
                 assert len(members) == 1 << bin(members[-1]).count("1")
 
     def test_exhaustive_mode_bounds(self):
-        # Arguments are checked by the call itself, before any iteration:
-        # past the bound, a lazy check would start the 2^(2^n)-mask scan.
+        # Arguments are checked by the call itself, before any iteration,
+        # so an out-of-range request never starts enumerating.
         with pytest.raises(ValueError, match="needs n <= 4, got 5"):
             search.enumerate_topologies(5, "exhaustive")
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ deterministic scan order stays part of the contract.
 """
 
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -201,6 +202,20 @@ class TestGenerators:
         for topo in oracle.all_topologies(["w1", "w2", "w3"]):
             masks = [oracle.set_to_bits(G3, s) for s in topo]
             assert generate_topology(masks, G3).family == Family(tuple(masks))
+
+    def test_generated_topology_matches_pairwise_closure(self):
+        # seeded differential past the exhaustive oracle range: the
+        # minimal-neighbourhood construction against literal closure
+        rng = random.Random(20240607)
+        for _ in range(400):
+            n = rng.randint(4, 8)
+            ground = GroundSet(tuple(f"p{i}" for i in range(n)))
+            subbase = [rng.randint(0, ground.universe) for _ in range(rng.randint(0, 6))]
+            got = generate_topology(subbase, ground)
+            want = oracle.generated_topology(
+                [oracle.bits_to_set(ground, s) for s in subbase], ground.labels
+            )
+            assert {oracle.bits_to_set(ground, m) for m in got.family} == want
 
     def test_ideal_from_generators_is_powerset_of_union(self):
         ideal = generate_ideal([1, 4], G3)
