@@ -229,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="VAR=SUBSET",
         help="variable binding, e.g. A=w1,w3 (repeatable; empty set: A=)",
     )
-    p_eval.add_argument("--raw", action="store_true", help="print the subset as an integer bitmask")
-    p_eval.add_argument("--json", action="store_true")
+    eval_format = p_eval.add_mutually_exclusive_group()
+    eval_format.add_argument("--raw", action="store_true", help="print the subset as an integer bitmask")
+    eval_format.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser("check", help="check laws on a space")
@@ -250,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam = sub.add_parser("families", help="print a generalized-open family")
     p_fam.add_argument("kind", choices=sorted(ops.KIND_BY_NAME))
     p_fam.add_argument("--space", required=True)
-    p_fam.add_argument("--raw", action="store_true")
-    p_fam.add_argument("--json", action="store_true")
+    fam_format = p_fam.add_mutually_exclusive_group()
+    fam_format.add_argument("--raw", action="store_true")
+    fam_format.add_argument("--json", action="store_true")
     p_fam.set_defaults(func=cmd_families)
 
     p_search = sub.add_parser("search", help="hunt for counterexamples over enumerated spaces")

@@ -313,53 +313,8 @@ def eval_law(space: Space, law: LawAst, bindings: Mapping[str, int]) -> tuple[in
     return lhs, rhs, violated
 
 
-# Assignments evaluated together by ``scan_law``: 2**16 bits per plane.
+# Assignments evaluated together by ``scan_law``: 2**16 byte lanes per value.
 _BLOCK_BITS = 16
-
-# Bit positions set in each subset mask of up to 8 points.
-_BIT_POSITIONS = tuple(tuple(q for q in range(8) if v >> q & 1) for v in range(256))
-
-
-@functools.lru_cache(maxsize=None)
-def _index_bit_planes(width: int) -> tuple[int, ...]:
-    """Plane ``s`` has bit ``i`` set iff bit ``s`` of ``i`` is set, for i < 2**width."""
-    ones = (1 << (1 << width)) - 1
-    return tuple(
-        ones // ((1 << (2 << s)) - 1) * (((1 << (1 << s)) - 1) << (1 << s))
-        for s in range(width)
-    )
-
-
-def _split(planes: list[int], ones: int) -> list[tuple[int, int]]:
-    """Input minterms of per-point planes, as ``(subset, assignments)`` pairs.
-
-    Minterm ``a`` marks the assignments whose input subset is exactly ``a``;
-    they are built point by point, dropping the empty ones.
-    """
-    minterms = [(0, ones)]
-    for p, c in enumerate(planes):
-        bit = 1 << p
-        split = []
-        for a, m in minterms:
-            hi = m & c
-            lo = m ^ hi
-            if lo:
-                split.append((a, lo))
-            if hi:
-                split.append((a | bit, hi))
-        minterms = split
-    return minterms
-
-
-def _push(table, minterms: list[tuple[int, int]], n: int) -> list[int]:
-    """Planes of a unary table applied to an input given by its minterms:
-    each minterm is ORed into the output planes of the points in ``table[a]``."""
-    out = [0] * n
-    for a, m in minterms:
-        for q in _BIT_POSITIONS[table[a]]:
-            out[q] |= m
-    return out
-
 
 # Step codes of a compiled law.
 _VAR, _CONST, _UNION, _INTER, _DIFF, _COMPL, _APPLY = range(7)
@@ -373,7 +328,7 @@ class _Program:
     Step ``i`` is ``(code, a, b)``: a variable index, a constant (``a`` true
     for ``X``), or an operation on earlier steps ``a`` and ``b`` (for
     ``_APPLY``, ``b`` is the operator name). A step is space-free when no
-    operator lies below it; its planes depend only on the point count and
+    operator lies below it; its lanes depend only on the point count and
     the block, and ``space_free`` lists those steps, ``per_space`` the rest,
     each in evaluation order.
     """
@@ -428,72 +383,82 @@ def _compile(law: LawAst) -> _Program:
     )
 
 
-def _block_shape(n: int, k: int) -> tuple[int, int, int]:
-    """(index width, bits per block, all-ones plane) for n points, k variables."""
+@functools.lru_cache(maxsize=None)
+def _block_shape(n: int, k: int) -> tuple[int, int, int, int]:
+    """(index width, bits per block, ``0x01`` in every lane, every lane the
+    full set) for n points, k variables."""
     width = n * k
     block_bits = min(width, _BLOCK_BITS)
-    return width, block_bits, (1 << (1 << block_bits)) - 1
+    ones = int.from_bytes(b"\1" * (1 << block_bits), "little")
+    return width, block_bits, ones, ones * ((1 << n) - 1)
 
 
-def _run(program: _Program, order, vals: list, env, tables, splits, ones: int, n: int) -> None:
-    """Evaluate the steps in ``order`` into ``vals``: plane ``p`` holds point ``p``."""
+@functools.lru_cache(maxsize=None)
+def _index_lanes(shift: int, n: int, block_bits: int) -> int:
+    """Lane ``i`` holds ``i >> shift & (2**n - 1)``, for i < 2**block_bits."""
+    if shift >= block_bits:
+        return 0
+    values = range(1 << min(n, block_bits - shift))
+    period = b"".join(bytes([v]) * (1 << shift) for v in values)
+    return int.from_bytes(period * ((1 << block_bits) // len(period)), "little")
+
+
+def _run(program: _Program, order, vals: list, env, tables, inputs, size: int, full: int) -> None:
+    """Evaluate the steps in ``order`` into ``vals``: byte ``i`` of a value
+    is its subset at assignment ``i``."""
     for i in order:
         code, a, b = program.steps[i]
         if code == _VAR:
             vals[i] = env[a]
         elif code == _CONST:
-            vals[i] = [ones if a else 0] * n
+            vals[i] = full if a else 0
         elif code == _COMPL:
-            vals[i] = [ones ^ x for x in vals[a]]
+            vals[i] = full ^ vals[a]
         elif code == _UNION:
-            vals[i] = [x | y for x, y in zip(vals[a], vals[b])]
+            vals[i] = vals[a] | vals[b]
         elif code == _INTER:
-            vals[i] = [x & y for x, y in zip(vals[a], vals[b])]
+            vals[i] = vals[a] & vals[b]
         elif code == _DIFF:
-            vals[i] = [x & ~y for x, y in zip(vals[a], vals[b])]
+            # ``full ^ y`` rather than ``~y``: a negative int costs extra passes
+            vals[i] = vals[a] & (full ^ vals[b])
         else:
-            vals[i] = _push(tables[b], splits[i] or _split(vals[a], ones), n)
+            lanes = inputs[i] or vals[a].to_bytes(size, "little")
+            vals[i] = int.from_bytes(lanes.translate(tables[b]), "little")
 
 
 # Blocks of space-free values kept. A search whose law fits in one block
-# (n * variables <= 16) needs one per point count it scans; a many-block
-# scan recomputes its blocks rather than hold them all (one block of star
-# additivity on 8 points holds about 5 MB).
-_SPACE_FREE_BLOCKS = 2
+# (n * variables <= 16) needs one per point count it scans, and a 6-point
+# 3-variable law needs its four; a law of more blocks recomputes them
+# rather than hold them all. A block holds at most 64 KiB per step, and
+# as much again for the bytes of an operator input.
+_SPACE_FREE_BLOCKS = 4
 
 
 @functools.lru_cache(maxsize=_SPACE_FREE_BLOCKS)
 def _space_free_block(program: _Program, n: int, start: int) -> tuple[tuple, tuple]:
-    """Planes of the space-free steps for the block at ``start``, and the
-    input minterms of every operator applied to one (None elsewhere).
+    """Lanes of the space-free steps for the block at ``start``, and the
+    ``bytes`` of every space-free operator input (None elsewhere).
 
     Both are the same on every space with ``n`` points, so a search
-    computes them once and each space only pushes minterms through its
-    operator tables.
+    computes them once and each space only translates those bytes through
+    its operator tables.
     """
     k = program.k
-    width, block_bits, ones = _block_shape(n, k)
-    index_planes = [
-        *_index_bit_planes(block_bits),
-        *(ones if start >> s & 1 else 0 for s in range(block_bits, width)),
+    _, block_bits, ones, full = _block_shape(n, k)
+    point_mask = (1 << n) - 1
+    env = [
+        _index_lanes(shift, n, block_bits) | (start >> shift & point_mask) * ones
+        for shift in (n * (k - 1 - j) for j in range(k))
     ]
-    env = [index_planes[n * (k - 1 - j) : n * (k - j)] for j in range(k)]
+    size = 1 << block_bits
     vals: list = [None] * len(program.steps)
-    _run(program, program.space_free, vals, env, None, None, ones, n)
-    splits = [None] * len(program.steps)
+    _run(program, program.space_free, vals, env, None, None, size, full)
+    inputs = [None] * len(program.steps)
     for i in program.per_space:
         code, a, _ = program.steps[i]
         if code == _APPLY and vals[a] is not None:
-            splits[i] = _split(vals[a], ones)
-    # Every later scan reads these: hand out tuples, which none can change.
-    return (
-        tuple(None if v is None else tuple(v) for v in vals),
-        tuple(None if s is None else tuple(s) for s in splits),
-    )
-
-
-def _value_at(planes: list[int], offset: int) -> int:
-    return sum((plane >> offset & 1) << p for p, plane in enumerate(planes))
+            inputs[i] = vals[a].to_bytes(size, "little")
+    return tuple(vals), tuple(inputs)
 
 
 def scan_law(
@@ -505,23 +470,25 @@ def scan_law(
 ) -> tuple[str, Verdict | None, int]:
     """Scan all assignments; returns (outcome, verdict, assignments evaluated).
 
-    Outcome is "holds", "violated" or "budget". The scan is bit-sliced:
-    assignment ``i`` is the concatenation of the variables' masks (first
-    variable in the high bits), every subexpression is one big int per
-    point whose bit ``i`` is that point's membership under assignment
-    ``i``, and blocks of ``2**16`` assignments are evaluated at once. The
-    first witness is the lowest violating index, which is the serial
-    lexicographic order (first variable outermost, masks ascending), and
-    the count is what a serial scan would have evaluated: index + 1 on a
-    violation, the budget when it runs out first, otherwise every
-    assignment.
+    Outcome is "holds", "violated" or "budget". The scan runs in byte
+    lanes: assignment ``i`` is the concatenation of the variables' masks
+    (first variable in the high bits), every subexpression is one big int
+    whose byte ``i`` is its subset under assignment ``i`` (``MAX_POINTS``
+    is 8, so a subset fits in a byte), and blocks of ``2**16`` assignments
+    are evaluated at once. Set operations act on all lanes in one int
+    operation, and an operator is applied to every lane at once with
+    ``bytes.translate`` through its table. The first witness is the lowest
+    violating lane, which is the serial lexicographic order (first
+    variable outermost, masks ascending), and the count is what a serial
+    scan would have evaluated: index + 1 on a violation, the budget when
+    it runs out first, otherwise every assignment.
 
     The law is compiled once into straight-line code with one step per
     distinct subexpression, so a repeated subexpression is evaluated once.
-    Steps with no operator below them are space-free: their planes, and
-    the input minterms of operators applied to them, come from a small
-    memo keyed by point count and block and shared by every space, so a
-    space only pushes minterms through its own operator tables.
+    Steps with no operator below them are space-free: their lanes, and the
+    bytes of operator inputs among them, come from a small memo keyed by
+    point count and block and shared by every space, so a space only
+    translates those bytes through its own operator tables.
     """
     names = law.free_vars
     if len(names) > var_cap:
@@ -530,34 +497,29 @@ def scan_law(
         )
     program = law._program
     # One lookup per operator node, repeats included: the space's table
-    # counts do not depend on how the law compiles.
-    tables = {op: ops.unary_table(space, op) for op in program.ops}
+    # counts do not depend on how the law compiles. ``bytes.translate``
+    # takes a 256-byte table; lanes only ever index its first 2**n bytes.
+    tables = {op: bytes(ops.unary_table(space, op)).ljust(256, b"\0") for op in program.ops}
     n, k = space.ground.n, len(names)
-    width, block_bits, ones = _block_shape(n, k)
+    width, block_bits, _, full = _block_shape(n, k)
     total = 1 << width
     limit = total if budget is None else max(0, min(budget, total))
     size = 1 << block_bits
     for start in range(0, limit, size):
-        fixed, splits = _space_free_block(program, n, start)
+        fixed, inputs = _space_free_block(program, n, start)
         vals = list(fixed)
-        _run(program, program.per_space, vals, None, tables, splits, ones, n)
+        _run(program, program.per_space, vals, None, tables, inputs, size, full)
         lhs, rhs = vals[program.lhs], vals[program.rhs]
-        mismatch = 0
-        if law.relation == "==":
-            for a, b in zip(lhs, rhs):
-                mismatch |= a ^ b
-        else:
-            for a, b in zip(lhs, rhs):
-                mismatch |= a & ~b
+        mismatch = lhs ^ rhs if law.relation == "==" else lhs & (full ^ rhs)
         if limit - start < size:
-            mismatch &= (1 << (limit - start)) - 1
+            mismatch &= (1 << 8 * (limit - start)) - 1
         if mismatch:
-            offset = (mismatch & -mismatch).bit_length() - 1
+            offset = ((mismatch & -mismatch).bit_length() - 1) // 8
             index = start + offset
             point_mask = (1 << n) - 1
             shifts = [n * (k - 1 - j) for j in range(k)]
             bindings = tuple((name, index >> sh & point_mask) for name, sh in zip(names, shifts))
-            witness = Witness(bindings, _value_at(lhs, offset), _value_at(rhs, offset))
+            witness = Witness(bindings, lhs >> 8 * offset & 0xFF, rhs >> 8 * offset & 0xFF)
             return "violated", Verdict(False, witness), index + 1
     if limit < total:
         return "budget", None, limit

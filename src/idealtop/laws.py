@@ -1,6 +1,6 @@
 """The named-law registry.
 
-Equation laws are DSL templates checked by the bit-sliced scan of
+Equation laws are DSL templates checked by the byte-lane scan of
 :mod:`idealtop.dsl`; violations carry the lexicographically first witness
 (first variable outermost, masks ascending). Only the two laws that
 quantify over family members are hand-coded. Registry names follow

@@ -116,6 +116,13 @@ class TestEvalCommand:
             "raw": 13,
         }
 
+    def test_raw_and_json_are_exclusive(self):
+        out = run_cli("eval", "--space", SPACE_A_FILE, "cl(A)", "--bind", "A=w1", "--raw", "--json")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.splitlines()[-1] == (
+            "idealtop eval: error: argument --json: not allowed with argument --raw"
+        )
+
     def test_parse_error_exits_2(self):
         out = run_cli("eval", "--space", SPACE_A_FILE, "union(A B)")
         assert out.returncode == 2
@@ -254,6 +261,14 @@ class TestFamiliesCommand:
         assert json.loads(out.stdout) == [
             [], ["w1"], ["w2"], ["w1", "w2"], ["w1", "w2", "w3", "w4"],
         ]
+
+
+    def test_raw_and_json_are_exclusive(self):
+        out = run_cli("families", "open", "--space", SPACE_A_FILE, "--raw", "--json")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.splitlines()[-1] == (
+            "idealtop families: error: argument --json: not allowed with argument --raw"
+        )
 
 
 class TestSearchCommand:

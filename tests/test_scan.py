@@ -1,20 +1,23 @@
-"""Differential test of the bit-sliced ``dsl.scan_law`` against a serial scan.
+"""Differential test of the byte-lane ``dsl.scan_law`` against a serial scan.
 
 The reference walks the assignments one at a time in lexicographic order
 (first variable outermost, masks ascending) with ``itertools.product`` and
 evaluates both sides with the definition-direct ``dsl.eval_expr``. Every
 case must agree on (outcome, bindings, lhs, rhs, count). Spaces and budgets
 are drawn from a seeded ``random.Random`` so the test is deterministic.
+Point counts run from 1 (a single lane when the law has no variable) to 8
+(every bit of a lane in use).
 """
 
+import functools
 import itertools
 import random
 
 import pytest
 
 from idealtop import dsl
-from idealtop.search import default_labels
-from idealtop.space import space_from_document
+from idealtop.search import default_labels, enumerate_topologies
+from idealtop.space import GroundSet, Space, generate_ideal, space_from_document
 
 SEED = 20241015
 
@@ -57,7 +60,7 @@ def reference_scan(space, law, budget=None):
     return "holds", None, count
 
 
-def bit_sliced_scan(space, law, budget=None):
+def byte_lane_scan(space, law, budget=None):
     outcome, verdict, count = dsl.scan_law(space, law, budget=budget)
     witness = None
     if outcome == "violated":
@@ -118,11 +121,11 @@ def cases():
     for law_text in LAWS:
         law = dsl.parse_law(law_text)
         for _ in range(4):
-            n = rng.randint(4, 6)
+            n = rng.randint(1, 8)
             total = 1 << (n * len(law.free_vars))
             out.append((random_space(rng, n), law, random_budget(rng, total)))
     for _ in range(150):
-        n = rng.randint(4, 6)
+        n = rng.randint(1, 8)
         k = rng.randint(0, 3)
         out.append((random_space(rng, n), random_law(rng, k), random_budget(rng, 1 << (n * k))))
     return out
@@ -132,7 +135,7 @@ def test_random_scans_match_serial_reference():
     outcomes = []
     for space, law, budget in cases():
         expected = reference_scan(space, law, budget)
-        assert bit_sliced_scan(space, law, budget) == expected, (dsl.format_law(law), budget)
+        assert byte_lane_scan(space, law, budget) == expected, (dsl.format_law(law), budget)
         outcomes.append(expected[0])
     # The cases exercise every outcome, not just early violations.
     assert min(outcomes.count(o) for o in ("holds", "violated", "budget")) >= 5
@@ -164,7 +167,7 @@ def test_multi_block_scans_match_serial_reference(
         }
     )
     law = dsl.parse_law("inter(int(A),B) <= C")
-    got = bit_sliced_scan(space, law, budget)
+    got = byte_lane_scan(space, law, budget)
     assert got[0::2] == (expected_outcome, expected_count)
     assert got == reference_scan(space, law, budget)
 
@@ -172,9 +175,9 @@ def test_multi_block_scans_match_serial_reference(
 def test_budget_larger_than_scan_holds():
     space = random_space(random.Random(SEED), 5)
     law = dsl.parse_law("inter(A,B) <= union(A,C)")
-    assert bit_sliced_scan(space, law, budget=10**6) == ("holds", None, 2 ** 15)
-    assert bit_sliced_scan(space, law, budget=2 ** 15) == ("holds", None, 2 ** 15)
-    assert bit_sliced_scan(space, law, budget=2 ** 15 - 1) == ("budget", None, 2 ** 15 - 1)
+    assert byte_lane_scan(space, law, budget=10**6) == ("holds", None, 2 ** 15)
+    assert byte_lane_scan(space, law, budget=2 ** 15) == ("holds", None, 2 ** 15)
+    assert byte_lane_scan(space, law, budget=2 ** 15 - 1) == ("budget", None, 2 ** 15 - 1)
 
 
 def test_space_free_memo_keeps_spaces_and_block_sizes_apart():
@@ -196,7 +199,81 @@ def test_space_free_memo_keeps_spaces_and_block_sizes_apart():
     results = []
     for space, law_, budget in sequence:
         expected = reference_scan(space, law_, budget)
-        assert bit_sliced_scan(space, law_, budget) == expected, dsl.format_law(law_)
+        assert byte_lane_scan(space, law_, budget) == expected, dsl.format_law(law_)
         results.append(expected)
     assert results[-2][0::2] == ("violated", 16 * 4096 + 16 * 64 + 16 + 1)
     assert results[-1] == results[0]
+
+
+@pytest.mark.parametrize("law_text", ["star(X) <= X", "psi(empty) == compl(star(X))", "cl(X) == empty"])
+@pytest.mark.parametrize("ideal", [[[]], [[], ["w1"]]])
+def test_one_point_law_without_variables_is_a_single_lane(law_text, ideal):
+    space = space_from_document({"points": ["w1"], "topology": [[], ["w1"]], "ideal": ideal})
+    law = dsl.parse_law(law_text)
+    for budget in (None, 0, 1, 2):
+        assert byte_lane_scan(space, law, budget) == reference_scan(space, law, budget)
+
+
+# On the indiscrete 8-point space with the trivial ideal, cl and star send
+# every nonempty set to X = 255, so bit 7 of every lane past the first is set.
+@pytest.mark.parametrize(
+    "law_text, expected",
+    [
+        ("cl(A) <= A", ("violated", ((("A", 1),), 255, 1), 2)),
+        ("inter(star(A),compl(B)) <= B", ("violated", ((("A", 1), ("B", 0)), 255, 0), 257)),
+        ("diff(cl(A),A) == diff(star(A),A)", ("holds", None, 256)),
+        ("compl(A) == diff(cl(A),A)", ("violated", ((("A", 0),), 255, 0), 1)),
+        ("union(compl(A),B) <= cl(union(A,B))", ("violated", ((("A", 0), ("B", 0)), 255, 0), 1)),
+    ],
+)
+def test_eight_point_values_use_the_top_bit_of_a_lane(law_text, expected):
+    labels = list(default_labels(8))
+    space = space_from_document({"points": labels, "topology": [[], labels], "ideal": [[]]})
+    law = dsl.parse_law(law_text)
+    assert byte_lane_scan(space, law) == expected
+    assert reference_scan(space, law) == expected
+    # a budget that stops inside the first block, just before the witness
+    count = expected[2]
+    assert byte_lane_scan(space, law, count - 1) == reference_scan(space, law, count - 1)
+
+
+def test_tables_workload_law_on_eight_point_subbase_spaces():
+    # The law and space stream of the tables-n8 benchmark: subbase
+    # topologies on 8 points (from one and from two subbase members), here
+    # with a seeded sample of their ideals. The law holds on all of them.
+    law = dsl.parse_law("clstar:xib(clstar:xib(A)) == clstar:xib(A)")
+    ground = GroundSet(default_labels(8))
+    rng = random.Random(SEED + 2)
+    stream = enumerate_topologies(8, "subbase", max_subbase_size=2)
+    topologies = itertools.islice(stream, 1, 700, 233)
+    outcomes = []
+    for topology in topologies:
+        for top in [0, 255, *rng.sample(range(1, 255), 5)]:
+            space = Space(ground, topology, generate_ideal((top,), ground))
+            expected = reference_scan(space, law)
+            assert byte_lane_scan(space, law) == expected, (topology, top)
+            outcomes.append(expected[0])
+    assert outcomes == ["holds"] * 21
+
+
+@functools.lru_cache(maxsize=None)
+def _seven_point_case():
+    # Seven points and three variables: 2**21 assignments, 32 blocks of 2**16.
+    # A occupies index bits 14-20, so it straddles the block boundary: bits
+    # 14-15 vary inside a block, bits 16-20 come from the block's start. With
+    # {w1,w3} the only nonempty proper open set, int(A) is empty until A
+    # reaches {w1,w3} = 5, whose bits lie on both sides of the boundary.
+    space = space_from_document(
+        {"points": list(default_labels(7)), "topology_subbase": [["w1", "w3"]], "ideal": [[]]}
+    )
+    law = dsl.parse_law("inter(int(A),B) <= C")
+    return space, law, reference_scan(space, law)
+
+
+@pytest.mark.parametrize("budget", [None, 65536, 70000, 5 * 2 ** 14 + 128, 5 * 2 ** 14 + 129, 10 ** 7])
+def test_seven_point_multi_block_scan_matches_serial_reference(budget):
+    space, law, unbounded = _seven_point_case()
+    assert unbounded == ("violated", ((("A", 5), ("B", 1), ("C", 0)), 1, 0), 5 * 2 ** 14 + 128 + 1)
+    # A budget cuts the serial scan short exactly when it ends before the witness.
+    expected = unbounded if budget is None or budget >= unbounded[2] else ("budget", None, budget)
+    assert byte_lane_scan(space, law, budget) == expected
