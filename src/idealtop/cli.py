@@ -105,6 +105,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.var_cap < 0:
+        raise ValueError(f"--var-cap must be >= 0, got {args.var_cap}")
     space = _load_space(args.space)
     results = []
     for text in args.law:

@@ -206,13 +206,6 @@ def run_corpus(only: str | None = None) -> list[EntryReport]:
     return [run_entry(entry) for entry in entries]
 
 
-def get_entry(entry_id: str) -> CorpusEntry:
-    for entry in ENTRIES:
-        if entry.id == entry_id:
-            return entry
-    raise ValueError(f"no such entry: {entry_id}")
-
-
 ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-3.3-1",

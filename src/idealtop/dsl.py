@@ -9,10 +9,14 @@ Grammar (whitespace insignificant, function-call syntax only):
 
 ``union``, ``inter`` and ``diff`` are binary, ``compl`` is unary, and every
 operator alias from :mod:`idealtop.operators` (including ``clstar:<op>``)
-is unary. ``X`` denotes the whole ground set, ``empty`` the empty set. A
-law quantifies implicitly over all assignments of its free variables;
-``check_law`` scans assignments lexicographically (first variable
-outermost, masks ascending) and reports the first violation.
+is unary. ``X`` denotes the whole ground set, ``empty`` the empty set.
+
+A parsed expression is one ``Expr(name, args)`` node per production: a
+leaf (variable, ``empty`` or ``X``) has no ``args``, and a call holds its
+arguments in order. A law quantifies implicitly over all assignments of
+its free variables; ``check_law`` scans assignments lexicographically
+(first variable outermost, masks ascending) and reports the first
+violation.
 """
 
 from __future__ import annotations
@@ -59,45 +63,23 @@ class VariableCapError(DslError):
 
 
 @dataclass(frozen=True)
-class Var:
+class Expr:
+    """One node of a parsed expression, shaped like the grammar: a leaf (a
+    variable, ``empty`` or ``X``) has no ``args``; ``union``, ``inter``,
+    ``diff``, ``compl`` and an operator alias apply to their ``args``."""
+
     name: str
+    args: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
-class Const:
-    kind: str  # "empty" | "universe"
+_CONSTANTS = ("empty", "X")
 
+# Step codes of a compiled law.
+_VAR, _CONST, _UNION, _INTER, _DIFF, _COMPL, _APPLY = range(7)
 
-@dataclass(frozen=True)
-class Union:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Inter:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Diff:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Compl:
-    child: "Expr"
-
-
-@dataclass(frozen=True)
-class Apply:
-    op: str
-    child: "Expr"
-
-
-Expr = Var | Const | Union | Inter | Diff | Compl | Apply
+# (arity, step code) of each set operation; every operator alias is
+# (1, _APPLY).
+_SET_OPS = {"union": (2, _UNION), "inter": (2, _INTER), "diff": (2, _DIFF), "compl": (1, _COMPL)}
 
 
 @dataclass(frozen=True)
@@ -153,9 +135,6 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
-_BINARY = {"union": Union, "inter": Inter, "diff": Diff}
-
-
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -180,41 +159,30 @@ class _Parser:
         if tok.kind != "NAME":
             raise DslSyntaxError("expected an expression", tok.pos)
         self.take()
-        if self.peek().kind == "LPAREN":
+        name = tok.text
+        if self.peek().kind != "LPAREN":
+            if name in _CONSTANTS or (len(name) == 1 and name.isupper()):
+                return Expr(name)
+            raise DslSyntaxError(
+                f"{name!r} is not a variable (single uppercase letter), 'empty' or 'X'",
+                tok.pos,
+            )
+        self.take()
+        args = [self.parse_expr()]
+        while self.peek().kind == "COMMA":
             self.take()
-            args = [self.parse_expr()]
-            while self.peek().kind == "COMMA":
-                self.take()
-                args.append(self.parse_expr())
-            self.expect("RPAREN", "',' or ')'")
-            return self._make_call(tok, args)
-        name = tok.text
-        if name == "empty":
-            return Const("empty")
-        if name == "X":
-            return Const("universe")
-        if len(name) == 1 and name.isupper():
-            return Var(name)
-        raise DslSyntaxError(
-            f"{name!r} is not a variable (single uppercase letter), 'empty' or 'X'",
-            tok.pos,
-        )
-
-    def _make_call(self, tok: _Token, args: list[Expr]) -> Expr:
-        name = tok.text
-        if name in _BINARY:
-            if len(args) != 2:
-                raise ArityError(f"{name} takes 2 arguments, got {len(args)}", tok.pos)
-            return _BINARY[name](*args)
-        if name == "compl":
-            if len(args) != 1:
-                raise ArityError(f"compl takes 1 argument, got {len(args)}", tok.pos)
-            return Compl(args[0])
-        if not ops.is_operator(name):
+            args.append(self.parse_expr())
+        self.expect("RPAREN", "',' or ')'")
+        if name in _SET_OPS:
+            arity = _SET_OPS[name][0]
+        elif ops.is_operator(name):
+            arity = 1
+        else:
             raise UnknownOperatorError(f"unknown operator {name!r}", tok.pos)
-        if len(args) != 1:
-            raise ArityError(f"{name} takes 1 argument, got {len(args)}", tok.pos)
-        return Apply(name, args[0])
+        if len(args) != arity:
+            plural = "s" if arity > 1 else ""
+            raise ArityError(f"{name} takes {arity} argument{plural}, got {len(args)}", tok.pos)
+        return Expr(name, tuple(args))
 
     def parse_law(self) -> LawAst:
         lhs = self.parse_expr()
@@ -235,11 +203,8 @@ class _Parser:
 
 def _walk(node: Expr) -> Iterator[Expr]:
     yield node
-    if isinstance(node, (Union, Inter, Diff)):
-        yield from _walk(node.left)
-        yield from _walk(node.right)
-    elif isinstance(node, (Compl, Apply)):
-        yield from _walk(node.child)
+    for arg in node.args:
+        yield from _walk(arg)
 
 
 def free_vars(*roots: Expr) -> tuple[str, ...]:
@@ -247,7 +212,7 @@ def free_vars(*roots: Expr) -> tuple[str, ...]:
     seen: list[str] = []
     for root in roots:
         for node in _walk(root):
-            if isinstance(node, Var) and node.name not in seen:
+            if not node.args and node.name not in _CONSTANTS and node.name not in seen:
                 seen.append(node.name)
     return tuple(seen)
 
@@ -261,19 +226,9 @@ def parse_expr(text: str) -> Expr:
 
 
 def format_expr(node: Expr) -> str:
-    if isinstance(node, Var):
+    if not node.args:
         return node.name
-    if isinstance(node, Const):
-        return "empty" if node.kind == "empty" else "X"
-    if isinstance(node, Union):
-        return f"union({format_expr(node.left)},{format_expr(node.right)})"
-    if isinstance(node, Inter):
-        return f"inter({format_expr(node.left)},{format_expr(node.right)})"
-    if isinstance(node, Diff):
-        return f"diff({format_expr(node.left)},{format_expr(node.right)})"
-    if isinstance(node, Compl):
-        return f"compl({format_expr(node.child)})"
-    return f"{node.op}({format_expr(node.child)})"
+    return f"{node.name}({','.join(map(format_expr, node.args))})"
 
 
 def format_law(law: LawAst) -> str:
@@ -283,26 +238,28 @@ def format_law(law: LawAst) -> str:
 def eval_expr(space: Space, bindings: Mapping[str, int], node: Expr) -> int:
     """Definition-direct evaluation of one expression under one assignment."""
     full = space.ground.universe
-    if isinstance(node, Var):
+    name = node.name
+    if not node.args:
+        if name in _CONSTANTS:
+            return full if name == "X" else 0
         try:
-            return bindings[node.name]
+            return bindings[name]
         except KeyError:
-            raise UnboundVariableError(f"unbound variable {node.name!r}") from None
-    if isinstance(node, Const):
-        return 0 if node.kind == "empty" else full
-    if isinstance(node, Union):
-        return eval_expr(space, bindings, node.left) | eval_expr(space, bindings, node.right)
-    if isinstance(node, Inter):
-        return eval_expr(space, bindings, node.left) & eval_expr(space, bindings, node.right)
-    if isinstance(node, Diff):
-        return eval_expr(space, bindings, node.left) & ~eval_expr(space, bindings, node.right) & full
-    if isinstance(node, Compl):
-        return full ^ eval_expr(space, bindings, node.child)
+            raise UnboundVariableError(f"unbound variable {name!r}") from None
+    vals = [eval_expr(space, bindings, arg) for arg in node.args]
+    if name == "union":
+        return vals[0] | vals[1]
+    if name == "inter":
+        return vals[0] & vals[1]
+    if name == "diff":
+        return vals[0] & ~vals[1] & full
+    if name == "compl":
+        return full ^ vals[0]
     try:
-        table = ops.unary_table(space, node.op)
+        table = ops.unary_table(space, name)
     except KeyError:
-        raise UnknownOperatorError(f"unknown operator {node.op!r}") from None
-    return table[eval_expr(space, bindings, node.child)]
+        raise UnknownOperatorError(f"unknown operator {name!r}") from None
+    return table[vals[0]]
 
 
 def eval_law(space: Space, law: LawAst, bindings: Mapping[str, int]) -> tuple[int, int, bool]:
@@ -315,10 +272,6 @@ def eval_law(space: Space, law: LawAst, bindings: Mapping[str, int]) -> tuple[in
 
 # Assignments evaluated together by ``scan_law``: 2**16 byte lanes per value.
 _BLOCK_BITS = 16
-
-# Step codes of a compiled law.
-_VAR, _CONST, _UNION, _INTER, _DIFF, _COMPL, _APPLY = range(7)
-_BINARY_CODE = {Union: _UNION, Inter: _INTER, Diff: _DIFF}
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +292,7 @@ class _Program:
     per_space: tuple[int, ...]
     lhs: int
     rhs: int
-    ops: tuple[str, ...]  # the operator of every Apply node, repeats included
+    ops: tuple[str, ...]  # the operator of every operator node, repeats included
 
 
 def _compile(law: LawAst) -> _Program:
@@ -350,18 +303,19 @@ def _compile(law: LawAst) -> _Program:
     def slot(node: Expr) -> int:
         if node in slots:
             return slots[node]
-        if isinstance(node, Var):
-            step, is_free = (_VAR, law.free_vars.index(node.name), None), True
-        elif isinstance(node, Const):
-            step, is_free = (_CONST, node.kind == "universe", None), True
-        elif isinstance(node, Compl):
-            a = slot(node.child)
-            step, is_free = (_COMPL, a, None), free[a]
-        elif isinstance(node, Apply):
-            step, is_free = (_APPLY, slot(node.child), node.op), False
+        args = [slot(arg) for arg in node.args]
+        name = node.name
+        if not args:
+            if name in _CONSTANTS:
+                step = (_CONST, name == "X", None)
+            else:
+                step = (_VAR, law.free_vars.index(name), None)
+            is_free = True
+        elif name in _SET_OPS:
+            step = (_SET_OPS[name][1], args[0], args[1] if len(args) > 1 else None)
+            is_free = all(free[a] for a in args)
         else:
-            a, b = slot(node.left), slot(node.right)
-            step, is_free = (_BINARY_CODE[type(node)], a, b), free[a] and free[b]
+            step, is_free = (_APPLY, args[0], name), False
         slots[node] = len(steps)
         steps.append(step)
         free.append(is_free)
@@ -376,9 +330,9 @@ def _compile(law: LawAst) -> _Program:
         lhs=lhs,
         rhs=rhs,
         ops=tuple(
-            node.op
+            node.name
             for node in itertools.chain(_walk(law.lhs), _walk(law.rhs))
-            if isinstance(node, Apply)
+            if node.args and node.name not in _SET_OPS
         ),
     )
 

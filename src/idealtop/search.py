@@ -29,6 +29,7 @@ from typing import Iterable, Iterator
 
 from . import dsl
 from .space import (
+    MAX_POINTS,
     Family,
     GroundSet,
     Ideal,
@@ -49,6 +50,11 @@ STATUS_BUDGET = "BudgetExhausted"
 # Spaces handed to workers per task; fixed so the stream partition (and
 # therefore the merged result) does not depend on the worker count.
 _CHUNK_SIZE = 64
+
+
+def _check_points(n: int) -> None:
+    if not 1 <= n <= MAX_POINTS:
+        raise ValueError(f"point count must be between 1 and {MAX_POINTS}, got {n}")
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -106,8 +112,7 @@ def enumerate_topologies(
     incomplete stream for any n. Default picks exhaustive when possible.
     Arguments are checked when this is called, before the first topology.
     """
-    if not 1 <= n <= 8:
-        raise ValueError(f"point count must be between 1 and 8, got {n}")
+    _check_points(n)
     if mode is None:
         mode = "exhaustive" if n <= EXHAUSTIVE_MAX_POINTS else "subbase"
     if mode == "exhaustive":
@@ -128,8 +133,7 @@ def enumerate_ideals(n: int) -> Iterator[Ideal]:
     powerset of its largest member, so the ideals are the powersets of the
     2^n subsets; ascending generator order is ascending membership-mask order.
     """
-    if not 1 <= n <= 8:
-        raise ValueError(f"point count must be between 1 and 8, got {n}")
+    _check_points(n)
     ground = GroundSet(default_labels(n))
     for m in range(1 << n):
         yield generate_ideal((m,), ground)
@@ -160,15 +164,15 @@ class SearchTask:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.want not in ("first", "all-minimal"):
             raise ValueError(f"unknown want {self.want!r}")
-        for name in ("budget_spaces", "budget_assignments", "max_subbase_size"):
+        for name in ("budget_spaces", "budget_assignments", "max_subbase_size", "var_cap"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if self.mode == "documents":
             if not self.documents:
                 raise ValueError("documents mode needs at least one space document")
-        elif not 1 <= self.n <= 8:
-            raise ValueError(f"point count must be between 1 and 8, got {self.n}")
+        else:
+            _check_points(self.n)
 
 
 class DocumentError(ValueError):

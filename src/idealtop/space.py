@@ -415,6 +415,8 @@ def space_from_document(doc) -> Space:
     unknown = set(doc) - _DOCUMENT_KEYS
     if unknown:
         raise SchemaError(f"unknown document keys: {sorted(unknown)}")
+    if not isinstance(doc.get("name", ""), str):
+        raise SchemaError("'name' must be a string")
     if "points" not in doc:
         raise SchemaError("space document needs a 'points' array")
     points = doc["points"]

@@ -90,6 +90,7 @@ def run_cli(*argv, cwd=REPO, timeout=300):
 SPACE_A_FILE = str(CORPUS_DIR / "ex-3.3-1.json")
 SPACE_B_FILE = str(CORPUS_DIR / "ex-3.3-2.json")
 NOT_A_VARIABLE = "is not a variable (single uppercase letter other than X)"
+NON_STRING_NAME_DOC = '{"name": [1, 2], "points": ["a"], "topology": [[], ["a"]], "ideal": [[]]}'
 
 
 class TestEvalCommand:
@@ -224,6 +225,18 @@ class TestCheckCommand:
             "double quotes: line 1 column 19 (char 18)\n"
         )
 
+    def test_non_string_name_is_named(self, tmp_path):
+        doc = tmp_path / "named.json"
+        doc.write_text(NON_STRING_NAME_DOC)
+        out = run_cli("check", "--space", str(doc), "--law", "A <= X")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {doc}: 'name' must be a string\n"
+
+    def test_negative_var_cap_exits_2(self):
+        out = run_cli("check", "--space", SPACE_A_FILE, "--law", "A <= X", "--var-cap", "-1")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: --var-cap must be >= 0, got -1\n"
+
     def test_json_output(self):
         out = run_cli("check", "--space", SPACE_B_FILE, "--name", "kuratowski:pstar", "--json")
         payload = json.loads(out.stdout)
@@ -300,6 +313,7 @@ class TestSearchCommand:
             ("--workers", "-4", "--workers must be >= 1, got -4"),
             ("--workers", "0", "--workers must be >= 1, got 0"),
             ("--max-subbase-size", "-1", "max_subbase_size must be >= 0, got -1"),
+            ("--var-cap", "-1", "var_cap must be >= 0, got -1"),
         ],
     )
     def test_bad_search_numbers_exit_2(self, flag, value, message):
@@ -329,6 +343,13 @@ class TestSearchCommand:
             f"error: {bad}: Expecting property name enclosed in double quotes: "
             "line 1 column 19 (char 18)\n"
         )
+
+    def test_non_string_name_is_named(self, tmp_path):
+        doc = tmp_path / "named.json"
+        doc.write_text(NON_STRING_NAME_DOC)
+        out = run_cli("search", "A <= X", "--space", str(doc))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {doc}: 'name' must be a string\n"
 
     def test_invalid_space_file_is_named(self, tmp_path):
         doc = tmp_path / "ideal.json"

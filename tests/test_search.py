@@ -112,7 +112,9 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             search.SearchTask("star(A) == A", 2, mode="documents")
 
-    @pytest.mark.parametrize("field", ["budget_spaces", "budget_assignments", "max_subbase_size"])
+    @pytest.mark.parametrize(
+        "field", ["budget_spaces", "budget_assignments", "max_subbase_size", "var_cap"]
+    )
     def test_negative_budgets_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
             search.SearchTask("star(A) == A", 2, **{field: -1})

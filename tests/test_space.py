@@ -318,6 +318,13 @@ class TestDocuments:
         with pytest.raises(SchemaError):
             space_from_document(doc)
 
+    def test_name_must_be_a_string(self):
+        doc = {"name": [1, 2], "points": ["w1"], "topology": [[], ["w1"]], "ideal": [[]]}
+        with pytest.raises(SchemaError, match="^'name' must be a string$"):
+            space_from_document(doc)
+        doc["name"] = "ok"
+        assert space_from_document(doc).ground.labels == ("w1",)
+
     def test_axiom_errors_carry_issue(self):
         with pytest.raises(TopologyAxiomError) as exc:
             space_from_document(
