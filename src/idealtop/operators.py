@@ -14,7 +14,18 @@ topology alone (generalized-open families and closures, local-function hit
 tables) live in ``space.tables.cache`` and are shared by every ideal on
 that topology. The ideal is the power set of its top member, so a trace
 ``t & a`` lies in it iff ``t & a & ~top`` is empty; hence
-``f(a) = H[a & ~top]`` for the ideal-free hit table ``H``.
+``f(a) = H[a & ~top]`` for the ideal-free hit table ``H``. For a plain
+local function ``H`` is the kind closure table: every kind-open
+neighborhood of ``z`` meets ``b`` iff ``z`` lies in every kind-closed
+superset of ``b``.
+
+Every table is built in byte lanes (see ``space``): lane ``a`` holds the
+value at subset ``a``, and a table is applied to all lanes at once with
+``bytes.translate``. Builders loop over points, family members or tests,
+never over subsets: a kind closure is the dual of the union of the
+kind-open sets inside each subset, a local function is the lanes of
+``a & ~top`` translated through ``H``, a dual is the base table's lanes
+reversed and complemented, and ``clstar:`` ORs in the identity lanes.
 
 The string alias table at the bottom is the single naming surface shared
 by the law DSL and the command line.
@@ -22,11 +33,11 @@ by the law DSL and the command line.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
-from .space import Family, Space
+from .space import Family, Space, dual, lanes, nonzero, union_below
 
 
 class OpenKind(Enum):
@@ -55,12 +66,34 @@ class LocalFnSpec:
 
 def derived_set(space: Space, a: int) -> int:
     """Points whose every open neighborhood meets ``a`` elsewhere."""
-    out = 0
-    for z, opens in enumerate(kopen_at(space, OpenKind.OPEN)):
-        rest = a & ~(1 << z)
-        if all(u & rest for u in opens):
-            out |= 1 << z
-    return out
+    return _table(space, "der")[a]
+
+
+def _lanes(table: tuple[int, ...]) -> int:
+    """A table as byte lanes: lane ``a`` holds ``table[a]``."""
+    return int.from_bytes(bytes(table), "little")
+
+
+def _apply(table: tuple[int, ...], x: int) -> int:
+    """``table`` applied to every lane of ``x`` (``bytes.translate`` takes
+    a 256-byte table; lanes only index its first ``2**n`` bytes)."""
+    size = len(table)
+    return int.from_bytes(
+        x.to_bytes(size, "little").translate(bytes(table).ljust(256, b"\0")), "little"
+    )
+
+
+def _table_of(x: int, space: Space) -> tuple[int, ...]:
+    return tuple(x.to_bytes(space.n_subsets, "little"))
+
+
+def _inside(x: int, space: Space) -> Family:
+    """The subsets ``a`` contained in lane ``a`` of ``x``."""
+    ones, identity = lanes(space.ground.n)
+    outside = nonzero(identity ^ identity & x, ones)
+    return Family(tuple(itertools.compress(
+        range(space.n_subsets), (ones ^ outside).to_bytes(space.n_subsets, "little")
+    )))
 
 
 def kopen_family(space: Space, kind: OpenKind) -> Family:
@@ -69,6 +102,10 @@ def kopen_family(space: Space, kind: OpenKind) -> Family:
     open: members of the topology      semi: a <= cl(int(a))
     pre:  a <= int(cl(a))              b:    a <= int(cl(a)) | cl(int(a))
     beta: a <= cl(int(cl(a)))
+
+    The test runs on every subset at once, in byte lanes: the int/cl
+    tables are the lanes of ``int(a)`` and ``cl(a)``, and translating
+    lanes through a table applies it to each.
     """
     key = ("kopen", kind)
     fam = space.tables.cache.get(key)
@@ -77,15 +114,13 @@ def kopen_family(space: Space, kind: OpenKind) -> Family:
             fam = space.topology.family
         else:
             it, cl = space.int_table, space.cl_table
-            pred: Callable[[int], int] = {
-                OpenKind.SEMI: lambda a: cl[it[a]],
-                OpenKind.PRE: lambda a: it[cl[a]],
-                OpenKind.B: lambda a: it[cl[a]] | cl[it[a]],
-                OpenKind.BETA: lambda a: cl[it[cl[a]]],
-            }[kind]
-            fam = Family(
-                tuple(a for a in range(space.n_subsets) if a & ~pred(a) == 0)
-            )
+            cl_int, int_cl = _apply(cl, _lanes(it)), _apply(it, _lanes(cl))
+            fam = _inside({
+                OpenKind.SEMI: cl_int,
+                OpenKind.PRE: int_cl,
+                OpenKind.B: int_cl | cl_int,
+                OpenKind.BETA: _apply(cl, int_cl),
+            }[kind], space)
         space.tables.cache[key] = fam
     return fam
 
@@ -104,19 +139,15 @@ def kopen_at(space: Space, kind: OpenKind) -> tuple[tuple[int, ...], ...]:
 
 
 def kclosure_table(space: Space, kind: OpenKind) -> tuple[int, ...]:
+    """The kind closure of every subset: the intersection of its
+    kind-closed supersets, i.e. the complement of the union of the
+    kind-open sets that miss it. That is the dual of the table of unions
+    of the kind-open sets inside each subset."""
     key = ("kclosure", kind)
     table = space.tables.cache.get(key)
     if table is None:
-        full = space.ground.universe
-        closed = [full ^ u for u in kopen_family(space, kind).members]
-        out = []
-        for a in range(space.n_subsets):
-            r = full
-            for c in closed:
-                if c & a == a:
-                    r &= c
-            out.append(r)
-        table = tuple(out)
+        n = space.ground.n
+        table = _table_of(dual(union_below(kopen_family(space, kind), n), n), space)
         space.tables.cache[key] = table
     return table
 
@@ -126,27 +157,26 @@ def hit_table(space: Space, spec: LocalFnSpec) -> tuple[int, ...]:
     every test at ``z`` meets ``b``.
 
     The tests at ``z`` are its kind-open neighborhoods for a plain spec,
-    their generalized closures otherwise. Only the inclusion-minimal tests
-    are checked: a test meets ``b`` whenever a test inside it does.
+    their generalized closures otherwise. Every kind-open neighborhood of
+    ``z`` meets ``b`` iff ``z`` lies in every kind-closed superset of
+    ``b``, so a plain spec's table is the kind closure table. For an
+    expanded spec each point ANDs, over its tests, the lanes that meet
+    the test.
     """
+    if spec.is_plain:
+        return kclosure_table(space, spec.nbhd)
     key = ("lf-hits", spec)
     table = space.tables.cache.get(key)
     if table is None:
-        tests_at = kopen_at(space, spec.nbhd)
-        if not spec.is_plain:
-            kcl = kclosure_table(space, spec.cl)
-            tests_at = [{kcl[u] for u in us} for us in tests_at]
-        minimal_at = []
-        for tests in tests_at:
-            minimal: list[int] = []
-            for t in sorted(tests, key=int.bit_count):
-                if all(m & ~t for m in minimal):
-                    minimal.append(t)
-            minimal_at.append(minimal)
-        table = tuple(
-            sum(1 << z for z, tests in enumerate(minimal_at) if all(t & b for t in tests))
-            for b in range(space.n_subsets)
-        )
+        ones, identity = lanes(space.ground.n)
+        kcl = kclosure_table(space, spec.cl)
+        out = 0
+        for z, us in enumerate(kopen_at(space, spec.nbhd)):
+            hit = ones
+            for t in {kcl[u] for u in us}:
+                hit &= nonzero(identity & t * ones, ones)
+            out |= hit << z
+        table = _table_of(out, space)
         space.tables.cache[key] = table
     return table
 
@@ -220,28 +250,31 @@ def _table(space: Space, name: str) -> tuple[int, ...]:
 
 
 def _build(space: Space, name: str) -> tuple[int, ...]:
-    # Duals and star closures are read off the tables they are built from.
-    subsets = range(space.n_subsets)
+    # Every table is computed on all subsets at once, in byte lanes.
+    ones, identity = lanes(space.ground.n)
+    full = space.ground.universe
     if name == "int":
         return space.int_table
     if name == "cl":
         return space.cl_table
     if name == "der":
-        return tuple(derived_set(space, a) for a in subsets)
+        # z is in der(a) iff it is in cl(a - {z})
+        out = 0
+        for z in range(space.ground.n):
+            bit = 1 << z
+            out |= _apply(space.cl_table, identity & (full ^ bit) * ones) & bit * ones
+        return _table_of(out, space)
     kind = _KCLOSURE_KIND.get(name)
     if kind is not None:
         return kclosure_table(space, kind)
     spec = LOCAL_FN_ALIASES.get(name)
     if spec is not None:
-        hits, outside = hit_table(space, spec), ~space.ideal_top
-        return tuple(hits[a & outside] for a in subsets)
+        outside = full & ~space.ideal_top
+        return _table_of(_apply(hit_table(space, spec), identity & outside * ones), space)
     base = _DUAL_BASE.get(name)
     if base is not None:
-        full = space.ground.universe
-        table = _table(space, base)
-        return tuple(full ^ table[full ^ a] for a in subsets)
-    table = _table(space, name[len(_CLSTAR):])
-    return tuple(a | table[a] for a in subsets)
+        return _table_of(dual(_lanes(_table(space, base)), space.ground.n), space)
+    return _table_of(_lanes(_table(space, name[len(_CLSTAR):])) | identity, space)
 
 
 def unary_table(space: Space, name: str) -> tuple[int, ...]:
@@ -259,5 +292,4 @@ def unary_table(space: Space, name: str) -> tuple[int, ...]:
 
 def psi_fix_family(space: Space, spec: LocalFnSpec) -> Family:
     """All subsets contained in their own dual image; ``spec`` must be aliased."""
-    dual = unary_table(space, PSI_ALIAS[SPEC_ALIAS[spec]])
-    return Family(tuple(a for a in range(space.n_subsets) if a & ~dual[a] == 0))
+    return _inside(_lanes(unary_table(space, PSI_ALIAS[SPEC_ALIAS[spec]])), space)

@@ -19,7 +19,13 @@ union of its generators.
 
 A ``Space`` builds its interior and closure tables; every operator value,
 those two included, is read through ``operators.unary_table``, which
-memoizes one table per alias on the space.
+memoizes one table per alias on the space. Tables are built in byte lanes:
+lane ``a`` of a ``2**n``-byte int holds the value at subset ``a`` (a subset
+fits in a byte, as ``MAX_POINTS`` is 8), so a per-subset loop becomes a
+few big-int operations per point or family member. The table builders
+share ``lanes`` and ``nonzero``, plus ``union_below`` (the union of a
+family's members inside each subset: the interior, for the opens) and
+``dual`` (lanes reversed and complemented: the closure, from it).
 """
 
 from __future__ import annotations
@@ -327,9 +333,54 @@ class TopologyTables:
     cache: dict = field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=None)
+def lanes(n: int) -> tuple[int, int]:
+    """Byte lanes over the ``2**n`` subsets of n points: ``0x01`` in every
+    lane, and the identity lanes (lane ``a`` holds ``a``)."""
+    size = 1 << n
+    return int.from_bytes(b"\1" * size, "little"), int.from_bytes(bytes(range(size)), "little")
+
+
+def nonzero(x: int, ones: int) -> int:
+    """1 in each nonzero byte lane of ``x``, 0 in the others.
+
+    Adding 0x7F to the low seven bits of a lane sets its top bit iff they
+    are not all zero, and cannot carry into the next lane.
+    """
+    low = 0x7F * ones
+    return ((x & low) + low | x) >> 7 & ones
+
+
+def union_below(members: Iterable[int], n: int) -> int:
+    """Lane ``b`` holds the union of the members that lie inside ``b``: its
+    interior, when the members are the opens of a topology.
+
+    Lane ``b`` starts as ``b`` if it is a member, else empty; then, point by
+    point, every lane ORs in the lane of its subset without that point.
+    """
+    ones, identity = lanes(n)
+    start = bytearray(1 << n)
+    for m in members:
+        start[m] = m
+    out = int.from_bytes(start, "little")
+    for i in range(n):
+        out |= out << (8 << i) & (identity >> i & ones) * 0xFF
+    return out
+
+
+def dual(x: int, n: int) -> int:
+    """The complement dual of a lane table: lane ``a`` gets the complement
+    of lane ``full ^ a``, so the dual of the interior is the closure."""
+    ones, _ = lanes(n)
+    return int.from_bytes(x.to_bytes(1 << n, "little"), "big") ^ ((1 << n) - 1) * ones
+
+
 @functools.lru_cache(maxsize=1)
 def topology_tables(ground: GroundSet, topology: Topology) -> TopologyTables:
     """Validate ``topology`` on ``ground`` and build its tables.
+
+    Both are built in byte lanes: the interior of ``a`` is the union of
+    the opens inside it, and the closure is the interior's dual.
 
     One entry: search streams yield every ideal of a topology in a row, so
     the last topology is the only one worth keeping.
@@ -337,17 +388,12 @@ def topology_tables(ground: GroundSet, topology: Topology) -> TopologyTables:
     issue = validate_topology(topology.family, ground)
     if issue is not None:
         raise TopologyAxiomError(issue.describe(ground), issue)
-    full = ground.universe
-    opens = topology.family.members
-    int_table = []
-    for a in range(full + 1):
-        u = 0
-        for o in opens:
-            if o & a == o:
-                u |= o
-        int_table.append(u)
-    cl_table = tuple(full ^ int_table[full ^ a] for a in range(full + 1))
-    return TopologyTables(tuple(int_table), cl_table)
+    n = ground.n
+    int_lanes = union_below(topology.family, n)
+    return TopologyTables(
+        tuple(int_lanes.to_bytes(1 << n, "little")),
+        tuple(dual(int_lanes, n).to_bytes(1 << n, "little")),
+    )
 
 
 @dataclass(frozen=True)

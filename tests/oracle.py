@@ -93,6 +93,16 @@ def kind_closure(topology, points, kind, a):
     return X.intersection(*supersets)
 
 
+def kind_closure_table(topology, points, kind):
+    """Same quantifier as kind_closure on every subset, with the kind-closed
+    sets hoisted."""
+    X = frozenset(points)
+    subsets = powerset(points)
+    opens = set(kind_open_family(topology, points, kind))
+    closed = [s for s in subsets if X - s in opens]
+    return {a: X.intersection(*(s for s in closed if a <= s)) for a in subsets}
+
+
 def local_function(topology, ideal, points, nbhd_kind, cl_kind, a):
     """cl_kind None gives the plain form; otherwise the neighborhood is
     expanded by the cl_kind closure before meeting a."""
@@ -110,19 +120,21 @@ def local_function(topology, ideal, points, nbhd_kind, cl_kind, a):
 
 
 def local_function_table(topology, ideal, points, nbhd_kind, cl_kind):
-    """Same quantifier as local_function, with the neighborhood family and
-    its closures hoisted so exhaustive sweeps stay affordable."""
+    """Same quantifier as local_function, with the neighborhood family, the
+    closure table and each point's tests hoisted so exhaustive sweeps stay
+    affordable."""
     opens = kind_open_family(topology, points, nbhd_kind)
     if cl_kind is None:
         expanded = {u: u for u in opens}
     else:
-        expanded = {u: kind_closure(topology, points, cl_kind, u) for u in opens}
+        closures = kind_closure_table(topology, points, cl_kind)
+        expanded = {u: closures[u] for u in opens}
+    tests_at = {z: [expanded[u] for u in opens if z in u] for z in points}
     table = {}
     for a in powerset(points):
         out = set()
         for z in points:
-            tests = [expanded[u] for u in opens if z in u]
-            if all((t & a) not in ideal for t in tests):
+            if all((t & a) not in ideal for t in tests_at[z]):
                 out.add(z)
         table[a] = frozenset(out)
     return table

@@ -6,12 +6,22 @@ hand and are re-confirmed against the oracle inside the test, so a wrong
 frozen value and a wrong engine disagree loudly.
 """
 
+import random
+
 import pytest
 
 import oracle
-from idealtop import dsl, laws
+from idealtop import dsl, laws, search
 from idealtop import operators as ops
-from idealtop.space import Family, GroundSet, Ideal, Space, Topology, generate_ideal
+from idealtop.space import (
+    Family,
+    GroundSet,
+    Ideal,
+    Space,
+    Topology,
+    generate_ideal,
+    generate_topology,
+)
 from idealtop.verdicts import KURATOWSKI_AXIOMS
 
 ALL_KINDS = tuple(ops.OpenKind)
@@ -353,7 +363,8 @@ def oracle_alias_tables(space):
     }
     for name, kind in (("scl", oracle.SEMI), ("pcl", oracle.PRE),
                        ("bcl", oracle.B), ("betacl", oracle.BETA)):
-        out[name] = bits(oracle.kind_closure(topo, points, kind, a) for a in sets)
+        table = oracle.kind_closure_table(topo, points, kind)
+        out[name] = bits(table[a] for a in sets)
     for alias, (nbhd, cl) in oracle.NAMED_LOCAL_FNS.items():
         table = oracle.local_function_table(topo, ideal, points, nbhd, cl)
         out[alias] = bits(table[a] for a in sets)
@@ -412,3 +423,55 @@ class TestAliasSurface:
     def test_generalized_closure_aliases(self, space_a):
         for alias, kind in (("scl", ops.OpenKind.SEMI), ("betacl", ops.OpenKind.BETA)):
             assert ops.unary_table(space_a, alias) == ops.kclosure_table(space_a, kind)
+
+
+def seeded_spaces(seed=1):
+    """Two topologies each on 7 and 8 points, from three random subbase
+    sets, and two ideals per topology, the power sets of 1-3 random points."""
+    rng = random.Random(seed)
+    out = []
+    for n in (7, 8):
+        ground = GroundSet(tuple(f"w{i + 1}" for i in range(n)))
+        for _ in range(2):
+            topo = generate_topology([rng.randrange(1, 1 << n) for _ in range(3)], ground)
+            for _ in range(2):
+                top = sum(1 << x for x in rng.sample(range(n), rng.randint(1, 3)))
+                out.append(Space(ground, topo, generate_ideal([top], ground)))
+    return out
+
+
+class TestSevenAndEightPoints:
+    def test_seeded_spaces_are_nontrivial(self):
+        spaces = seeded_spaces()
+        assert [s.ground.n for s in spaces] == [7] * 4 + [8] * 4
+        assert len({(s.ground.n, s.topology) for s in spaces}) == 4
+        for space in spaces:
+            assert 2 < len(space.topology) < space.n_subsets
+            assert 0 < space.ideal_top < space.ground.universe
+
+    def test_every_table_matches_oracle(self):
+        names = ops.operator_names()[:-1]
+        names += tuple("clstar:" + name for name in names)
+        for space in seeded_spaces():
+            want = oracle_alias_tables(space)
+            for name in names:
+                assert ops.unary_table(space, name) == want[name], (space.ground.n, name)
+
+
+class TestPlainHitTable:
+    def test_is_the_kind_closure_up_to_four_points(self):
+        # Every kind-open neighbourhood of z meets b iff z lies in every
+        # kind-closed superset of b. With the ideal {{}} a local function
+        # is its hit table, so the oracle checks the identity by definition.
+        for n in range(1, 5):
+            ground = GroundSet(search.default_labels(n))
+            for topo in search.enumerate_topologies(n):
+                space = Space(ground, topo, Ideal(Family((0,))))
+                tp, ideal, points = oracle.space_to_oracle(space)
+                sets = [oracle.bits_to_set(ground, a) for a in range(space.n_subsets)]
+                for kind in ALL_KINDS:
+                    want = oracle.kind_closure_table(tp, points, kind.value)
+                    lf = oracle.local_function_table(tp, ideal, points, kind.value, None)
+                    assert lf == want
+                    got = ops.hit_table(space, ops.LocalFnSpec(kind))
+                    assert got == tuple(oracle.set_to_bits(ground, want[a]) for a in sets)

@@ -23,12 +23,16 @@ from idealtop.space import (
     Topology,
     TopologyAxiomError,
     UnknownLabelError,
+    dual,
     generate_ideal,
     generate_topology,
+    lanes,
+    nonzero,
     parse_space,
     serialize_space,
     space_from_document,
     space_to_document,
+    union_below,
     validate_ideal,
     validate_topology,
 )
@@ -267,6 +271,33 @@ class TestSpace:
         opens_at = kopen_at(space_a, OpenKind.OPEN)
         assert opens_at[0] == (1, 3, 15)
         assert opens_at[2] == (15,)
+
+
+class TestLanes:
+    def test_nonzero_on_every_byte_between_empty_and_full_lanes(self):
+        # A carry into a neighbouring lane, from either side, would flip
+        # that lane's answer or this one's.
+        ones = int.from_bytes(b"\1" * 3, "little")
+        for v in range(256):
+            want = int(v != 0)
+            for low, high in ((0x00, 0xFF), (0xFF, 0x00)):
+                x = int.from_bytes(bytes((low, v, high)), "little")
+                got = nonzero(x, ones).to_bytes(3, "little")
+                assert got == bytes((int(low != 0), want, int(high != 0))), (v, low)
+
+    def test_lanes_hold_ones_and_identity(self):
+        for n in range(1, 9):
+            ones, identity = lanes(n)
+            assert ones.to_bytes(1 << n, "little") == b"\1" * (1 << n)
+            assert identity.to_bytes(1 << n, "little") == bytes(range(1 << n))
+
+    def test_union_below_and_dual(self):
+        # {w1} and {w2} alone, not union-closed: lane {w1,w2} still holds
+        # the union of both
+        assert union_below([1, 2], 2).to_bytes(4, "little") == bytes((0, 1, 2, 3))
+        assert union_below([3], 2).to_bytes(4, "little") == bytes((0, 0, 0, 3))
+        # the dual of that interior is the closure of the indiscrete topology
+        assert dual(union_below([0, 3], 2), 2).to_bytes(4, "little") == bytes((0, 3, 3, 3))
 
 
 class TestDocuments:
