@@ -37,7 +37,6 @@ from .operators import (
 from .laws import (
     Law,
     StarTopologyRefused,
-    check_family_intersection_closed,
     check_family_is_topology,
     check_kuratowski,
     get_law,

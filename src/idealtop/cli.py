@@ -18,13 +18,15 @@ from .space import Space, SpaceDocumentError, UnknownLabelError, parse_space
 from .verdicts import Verdict, Witness
 
 
-def _load_space(path: str) -> Space:
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_space(paths: list[str]) -> Space:
+    if len(paths) > 1:
+        raise ValueError(f"--space takes one file, got {len(paths)}: {', '.join(paths)}")
+    with open(paths[0], "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         return parse_space(text)
     except SpaceDocumentError as exc:
-        raise SpaceDocumentError(f"{path}: {exc}") from exc
+        raise SpaceDocumentError(f"{paths[0]}: {exc}") from exc
 
 
 def _parse_bindings(space: Space, texts: list[str], names: tuple[str, ...]) -> dict[str, int]:
@@ -54,9 +56,7 @@ def _parse_bindings(space: Space, texts: list[str], names: tuple[str, ...]) -> d
 def _witness_text(space: Space, witness: Witness) -> str:
     fmt = space.ground.format
     parts = [f"{name}={fmt(bits)}" for name, bits in witness.bindings]
-    parts.append(f"lhs={fmt(witness.lhs)}")
-    if witness.rhs is not None:
-        parts.append(f"rhs={fmt(witness.rhs)}")
+    parts += [f"lhs={fmt(witness.lhs)}", f"rhs={fmt(witness.rhs)}"]
     if witness.operation is not None:
         parts.append(f"({witness.operation})")
     return " ".join(parts)
@@ -67,7 +67,7 @@ def _witness_json(space: Space, witness: Witness) -> dict:
     return {
         "bindings": {name: labels(bits) for name, bits in witness.bindings},
         "lhs": labels(witness.lhs),
-        "rhs": None if witness.rhs is None else labels(witness.rhs),
+        "rhs": labels(witness.rhs),
         "operation": witness.operation,
     }
 
@@ -111,8 +111,8 @@ def cmd_check(args) -> int:
     results = []
     for text in args.law:
         results.append((text, dsl.check_law(space, dsl.parse_law(text), var_cap=args.var_cap)))
-    if args.name:
-        results.append((args.name, laws.get_law(args.name).check(space)))
+    for name in args.name:
+        results.append((name, laws.get_law(name).check(space)))
     if args.laws_file:
         with open(args.laws_file, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a set expression on a space")
     p_eval.add_argument("expr", help="expression, e.g. 'sstar(union(A,B))'")
-    p_eval.add_argument("--space", required=True, help="space-document JSON file")
+    p_eval.add_argument("--space", action="append", required=True, help="space-document JSON file")
     p_eval.add_argument(
         "--bind",
         action="append",
@@ -237,14 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser("check", help="check laws on a space")
-    p_check.add_argument("--space", required=True)
+    p_check.add_argument("--space", action="append", required=True)
     p_check.add_argument(
         "--law",
         action="append",
         default=[],
         help="law text, e.g. 'sstar(union(A,B)) == union(sstar(A),sstar(B))' (repeatable)",
     )
-    p_check.add_argument("--name", help="registry law name, e.g. additivity:sstar")
+    p_check.add_argument(
+        "--name",
+        action="append",
+        default=[],
+        help="registry law name, e.g. additivity:sstar (repeatable)",
+    )
     p_check.add_argument("--laws-file", help="file with one law per line, # comments")
     p_check.add_argument("--var-cap", type=int, default=3)
     p_check.add_argument("--json", action="store_true")
@@ -252,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fam = sub.add_parser("families", help="print a generalized-open family")
     p_fam.add_argument("kind", choices=sorted(ops.KIND_BY_NAME))
-    p_fam.add_argument("--space", required=True)
+    p_fam.add_argument("--space", action="append", required=True)
     fam_format = p_fam.add_mutually_exclusive_group()
     fam_format.add_argument("--raw", action="store_true")
     fam_format.add_argument("--json", action="store_true")

@@ -2,7 +2,7 @@
 
 Grammar (whitespace insignificant, function-call syntax only):
 
-    law  := expr rel expr
+    law  := expr rel expr ["if" expr rel expr { "," expr rel expr }]
     rel  := "==" | "<="
     expr := name "(" expr { "," expr } ")" | var | "empty" | "X"
     var  := single uppercase letter other than X
@@ -10,6 +10,8 @@ Grammar (whitespace insignificant, function-call syntax only):
 ``union``, ``inter`` and ``diff`` are binary, ``compl`` is unary, and every
 operator alias from :mod:`idealtop.operators` (including ``clstar:<op>``)
 is unary. ``X`` denotes the whole ground set, ``empty`` the empty set.
+An assignment violates a law when its hypotheses (after ``if``) all hold
+there and its conclusion fails.
 
 A parsed expression is one ``Expr(name, args)`` node per production: a
 leaf (variable, ``empty`` or ``X``) has no ``args``, and a call holds its
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from . import operators as ops
-from .space import Space
+from .space import Space, nonzero
 from .verdicts import Verdict, Witness
 
 
@@ -84,10 +86,22 @@ _SET_OPS = {"union": (2, _UNION), "inter": (2, _INTER), "diff": (2, _DIFF), "com
 
 @dataclass(frozen=True)
 class LawAst:
+    """The conclusion ``lhs relation rhs`` and its hypotheses, which are
+    laws with no hypotheses of their own."""
+
     lhs: Expr
     relation: str  # "==" | "<="
     rhs: Expr
-    free_vars: tuple[str, ...]
+    hypotheses: tuple[LawAst, ...] = ()
+
+    @property
+    def sides(self) -> tuple[Expr, ...]:
+        """Both sides of the conclusion, then both sides of each hypothesis."""
+        return (self.lhs, self.rhs, *(side for h in self.hypotheses for side in h.sides))
+
+    @functools.cached_property
+    def free_vars(self) -> tuple[str, ...]:
+        return free_vars(*self.sides)
 
     @functools.cached_property
     def _program(self) -> "_Program":
@@ -184,14 +198,21 @@ class _Parser:
             raise ArityError(f"{name} takes {arity} argument{plural}, got {len(args)}", tok.pos)
         return Expr(name, tuple(args))
 
-    def parse_law(self) -> LawAst:
+    def parse_relation(self) -> LawAst:
         lhs = self.parse_expr()
         rel = self.expect("REL", "'==' or '<='").text
-        rhs = self.parse_expr()
+        return LawAst(lhs, rel, self.parse_expr())
+
+    def parse_law(self) -> LawAst:
+        law = self.parse_relation()
+        hypotheses = []  # the first follows "if", the others ","
+        while self.peek().text == ("," if hypotheses else "if"):
+            self.take()
+            hypotheses.append(self.parse_relation())
         end = self.peek()
         if end.kind != "END":
             raise DslSyntaxError("trailing input after law", end.pos)
-        return LawAst(lhs, rel, rhs, free_vars(lhs, rhs))
+        return LawAst(law.lhs, law.relation, law.rhs, tuple(hypotheses))
 
     def parse_only_expr(self) -> Expr:
         expr = self.parse_expr()
@@ -232,7 +253,10 @@ def format_expr(node: Expr) -> str:
 
 
 def format_law(law: LawAst) -> str:
-    return f"{format_expr(law.lhs)} {law.relation} {format_expr(law.rhs)}"
+    text = f"{format_expr(law.lhs)} {law.relation} {format_expr(law.rhs)}"
+    if law.hypotheses:
+        text += " if " + ", ".join(map(format_law, law.hypotheses))
+    return text
 
 
 def eval_expr(space: Space, bindings: Mapping[str, int], node: Expr) -> int:
@@ -262,11 +286,19 @@ def eval_expr(space: Space, bindings: Mapping[str, int], node: Expr) -> int:
     return table[vals[0]]
 
 
+def _fails(relation: str, lhs: int, rhs: int, full: int) -> int:
+    """Nonzero where ``lhs relation rhs`` fails: in a value, or in each lane."""
+    return lhs ^ rhs if relation == "==" else lhs & (full ^ rhs)
+
+
 def eval_law(space: Space, law: LawAst, bindings: Mapping[str, int]) -> tuple[int, int, bool]:
-    """Both sides of ``law`` at one assignment, and whether they violate it."""
+    """Both sides of the conclusion at one assignment, and whether they
+    violate the law there, every hypothesis holding."""
     lhs = eval_expr(space, bindings, law.lhs)
     rhs = eval_expr(space, bindings, law.rhs)
-    violated = lhs != rhs if law.relation == "==" else bool(lhs & ~rhs)
+    violated = bool(_fails(law.relation, lhs, rhs, space.ground.universe)) and not any(
+        eval_law(space, h, bindings)[2] for h in law.hypotheses
+    )
     return lhs, rhs, violated
 
 
@@ -292,6 +324,7 @@ class _Program:
     per_space: tuple[int, ...]
     lhs: int
     rhs: int
+    hypotheses: tuple[tuple[str, int, int], ...]  # (relation, lhs step, rhs step) each
     ops: tuple[str, ...]  # the operator of every operator node, repeats included
 
 
@@ -322,6 +355,7 @@ def _compile(law: LawAst) -> _Program:
         return slots[node]
 
     lhs, rhs = slot(law.lhs), slot(law.rhs)
+    hypotheses = tuple((h.relation, slot(h.lhs), slot(h.rhs)) for h in law.hypotheses)
     return _Program(
         k=len(law.free_vars),
         steps=tuple(steps),
@@ -329,9 +363,10 @@ def _compile(law: LawAst) -> _Program:
         per_space=tuple(i for i, f in enumerate(free) if not f),
         lhs=lhs,
         rhs=rhs,
+        hypotheses=hypotheses,
         ops=tuple(
             node.name
-            for node in itertools.chain(_walk(law.lhs), _walk(law.rhs))
+            for node in itertools.chain.from_iterable(map(_walk, law.sides))
             if node.args and node.name not in _SET_OPS
         ),
     )
@@ -435,7 +470,8 @@ def scan_law(
     violating lane, which is the serial lexicographic order (first
     variable outermost, masks ascending), and the count is what a serial
     scan would have evaluated: index + 1 on a violation, the budget when
-    it runs out first, otherwise every assignment.
+    it runs out first, otherwise every assignment. Lanes where a
+    hypothesis fails are cleared before the lowest is taken.
 
     The law is compiled once into straight-line code with one step per
     distinct subexpression, so a repeated subexpression is evaluated once.
@@ -455,7 +491,7 @@ def scan_law(
     # takes a 256-byte table; lanes only ever index its first 2**n bytes.
     tables = {op: bytes(ops.unary_table(space, op)).ljust(256, b"\0") for op in program.ops}
     n, k = space.ground.n, len(names)
-    width, block_bits, _, full = _block_shape(n, k)
+    width, block_bits, ones, full = _block_shape(n, k)
     total = 1 << width
     limit = total if budget is None else max(0, min(budget, total))
     size = 1 << block_bits
@@ -464,7 +500,9 @@ def scan_law(
         vals = list(fixed)
         _run(program, program.per_space, vals, None, tables, inputs, size, full)
         lhs, rhs = vals[program.lhs], vals[program.rhs]
-        mismatch = lhs ^ rhs if law.relation == "==" else lhs & (full ^ rhs)
+        mismatch = _fails(law.relation, lhs, rhs, full)
+        for rel, a, b in program.hypotheses:
+            mismatch &= (ones ^ nonzero(_fails(rel, vals[a], vals[b], full), ones)) * 0xFF
         if limit - start < size:
             mismatch &= (1 << 8 * (limit - start)) - 1
         if mismatch:

@@ -1,22 +1,21 @@
 """The named-law registry.
 
-Equation laws are DSL templates checked by the byte-lane scan of
-:mod:`idealtop.dsl`; violations carry the lexicographically first witness
-(first variable outermost, masks ascending). Only the two laws that
-quantify over family members are hand-coded. Registry names follow
-``<law>:<operator alias>``.
+Every registry law is a list of tagged DSL templates, checked in order by
+the byte-lane scan of :mod:`idealtop.dsl`; violations carry the
+lexicographically first witness (first variable outermost, masks
+ascending). Registry names follow ``<law>:<operator alias>``, or
+``family-cap-closed:<open-set kind>``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from . import dsl
 from . import operators as ops
 from .space import Family, GroundSet, Space, Topology, validate_topology
-from .verdicts import KURATOWSKI_AXIOMS, KuratowskiReport, Verdict, Witness
+from .verdicts import KuratowskiReport, Verdict, Witness
 
 __all__ = [
     "Law",
@@ -27,16 +26,17 @@ __all__ = [
     "StarTopologyRefused",
     "check_kuratowski",
     "check_family_is_topology",
-    "check_family_intersection_closed",
     "get_law",
     "law_name_templates",
     "star_topology",
 ]
 
-# Registry heads built from DSL templates, as witness tag -> template text.
-# ``{op}`` is a local-function alias and ``{psi}`` its dual. The Kuratowski
-# axioms are laws of the star closure ``clstar:{op}``, in KURATOWSKI_AXIOMS
-# order; a law holds iff all of its templates do.
+# Registry heads, as witness tag -> template text. ``{op}`` is a
+# local-function alias, ``{psi}`` its dual and ``{T:x}`` a kind test applied
+# to ``x``. A family law states membership as a hypothesis: ``A`` lies in the
+# psi-fix family iff ``A <= psi(A)``, and in the kind-open one iff
+# ``A <= T(A)``. The Kuratowski axioms are laws of the star closure
+# ``clstar:{op}``, in KURATOWSKI_AXIOMS order.
 LAW_TEMPLATES: dict[str, dict[str | None, str]] = {
     "additivity": {None: "{op}(union(A,B)) == union({op}(A),{op}(B))"},
     "diff-law": {None: "diff({op}(A),{op}(B)) == diff({op}(diff(A,B)),{op}(B))"},
@@ -48,11 +48,32 @@ LAW_TEMPLATES: dict[str, dict[str | None, str]] = {
         "idempotent": "clstar:{op}(clstar:{op}(A)) == clstar:{op}(A)",
         "additive": "clstar:{op}(union(A,B)) == union(clstar:{op}(A),clstar:{op}(B))",
     },
+    "eta-topology": {
+        "missing-empty": "empty <= {psi}(empty)",
+        "missing-universe": "X <= {psi}(X)",
+        "union": "union(A,B) <= {psi}(union(A,B)) if A <= {psi}(A), B <= {psi}(B)",
+        "inter": "inter(A,B) <= {psi}(inter(A,B)) if A <= {psi}(A), B <= {psi}(B)",
+    },
+    "family-cap-closed": {
+        "inter": "inter(A,B) <= {T:inter(A,B)} if A <= {T:A}, B <= {T:B}",
+    },
 }
 
-@functools.lru_cache(maxsize=None)  # one entry per template and alias at most
-def _parse(text: str, alias: str) -> dsl.LawAst:
-    return dsl.parse_law(text.format(op=alias, psi=ops.PSI_ALIAS[alias]))
+# Each open-set kind's test T, ``{}`` standing for its argument (``operators.kopen_family``).
+KIND_TESTS = {
+    "open": "int({})",
+    "semi": "cl(int({}))",
+    "pre": "int(cl({}))",
+    "b": "union(int(cl({})),cl(int({})))",
+    "beta": "cl(int(cl({})))",
+}
+
+
+class _KindTest(str):
+    """A kind test that a template field ``{T:x}`` formats as ``T(x)``."""
+
+    def __format__(self, arg: str) -> str:
+        return self.replace("{}", arg)
 
 
 def _scan(space: Space, tag: str | None, law: dsl.LawAst) -> Verdict:
@@ -68,11 +89,8 @@ def check_kuratowski(space: Space, spec: ops.LocalFnSpec) -> KuratowskiReport:
     ``spec`` must be one of ``operators.LOCAL_FN_ALIASES``, since the
     axioms are scanned as laws of its alias.
     """
-    alias = ops.SPEC_ALIAS[spec]
-    axioms = LAW_TEMPLATES["kuratowski"]
-    return KuratowskiReport(
-        *(_scan(space, axiom, _parse(axioms[axiom], alias)) for axiom in KURATOWSKI_AXIOMS)
-    )
+    law = get_law("kuratowski:" + ops.SPEC_ALIAS[spec])
+    return KuratowskiReport(*(_scan(space, axiom, ast) for axiom, ast in law.templates))
 
 
 class StarTopologyRefused(Exception):
@@ -117,87 +135,48 @@ def check_family_is_topology(family: Family, ground: GroundSet) -> Verdict:
     return Verdict.violated((("A", a), ("B", b)), issue.missing, operation=issue.kind)
 
 
-def check_family_intersection_closed(family: Family) -> Verdict:
-    """Pairwise intersection closure, first failing pair as witness."""
-    members, mask = family.members, family.mask
-    for i, a in enumerate(members):
-        for b in members[i:]:
-            if not mask >> (a & b) & 1:
-                return Verdict.violated((("A", a), ("B", b)), a & b, operation="inter")
-    return Verdict.ok()
-
-
 @dataclass(frozen=True)
 class Law:
-    """A named, space-quantified law with witness re-validation support."""
+    """A named law: its tagged templates, checked in order."""
 
     name: str
-    arity: int
-    _check: Callable[[Space], Verdict]
-    _recheck: Callable[[Space, Witness], bool]
+    templates: tuple[tuple[str | None, dsl.LawAst], ...]
+
+    @property
+    def arity(self) -> int:
+        return max(len(ast.free_vars) for _, ast in self.templates)
 
     def check(self, space: Space) -> Verdict:
-        return self._check(space)
+        """The first failing template's first witness, tagged."""
+        for tag, ast in self.templates:
+            verdict = _scan(space, tag, ast)
+            if not verdict.holds:
+                return verdict
+        return Verdict.ok()
 
     def witness_violates(self, space: Space, witness: Witness) -> bool:
-        """Re-validate a witness at its own bindings, without the law scan."""
-        return self._recheck(space, witness)
+        """Re-evaluate a witness at its own bindings, without the law scan:
+        on the template its tag names or, untagged, on every template whose
+        variables it binds (violated if any of them is)."""
+        bindings = dict(witness.bindings)
+        if witness.operation is None:
+            asts = [ast for _, ast in self.templates if set(ast.free_vars) <= bindings.keys()]
+        else:
+            asts = [ast for tag, ast in self.templates if tag == witness.operation]
+            if not asts:
+                raise ValueError(f"unknown witness tag {witness.operation!r} for {self.name}")
+        return any(dsl.eval_law(space, ast, bindings)[2] for ast in asts)
 
     def pair_violates(self, space: Space, a: int, b: int) -> bool:
         """Convenience for two-variable laws."""
         return self.witness_violates(space, Witness((("A", a), ("B", b)), 0))
 
 
-def _template_law(name: str, alias: str, templates: dict[str | None, str]) -> Law:
-    """A law from tagged templates: the first that fails gives the witness,
-    and a witness is re-evaluated on the template its tag names (on the
-    only template when there is one)."""
-    asts = {tag: _parse(text, alias) for tag, text in templates.items()}
-
-    def check(space: Space) -> Verdict:
-        for tag, ast in asts.items():
-            verdict = _scan(space, tag, ast)
-            if not verdict.holds:
-                return verdict
-        return Verdict.ok()
-
-    def recheck(space: Space, witness: Witness) -> bool:
-        if len(asts) == 1:
-            (ast,) = asts.values()
-        else:
-            ast = asts.get(witness.operation)
-            if ast is None:
-                raise ValueError(f"unknown closure axiom {witness.operation!r}")
-        return dsl.eval_law(space, ast, dict(witness.bindings))[2]
-
-    return Law(name, max(len(ast.free_vars) for ast in asts.values()), check, recheck)
-
-
-def _family_pair_recheck(producer):
-    def recheck(space: Space, witness: Witness) -> bool:
-        fam = producer(space)
-        if witness.operation in ("missing-empty", "missing-universe"):
-            missing = 0 if witness.operation == "missing-empty" else space.ground.universe
-            return missing not in fam
-        a, b = (bits for _, bits in witness.bindings)
-        combo = a | b if witness.operation == "union" else a & b
-        return a in fam and b in fam and combo not in fam
-
-    return recheck
-
-
 def law_name_templates() -> tuple[str, ...]:
-    return (
-        "additivity:<op>",
-        "diff-law:<op>",
-        "psi-cap:<op>",
-        "psi-cup:<op>",
-        "kuratowski:<op>",
-        "eta-topology:<op>",
-        "family-cap-closed:<kind>",
-    )
+    return tuple(f"{h}:{'<kind>' if h == 'family-cap-closed' else '<op>'}" for h in LAW_TEMPLATES)
 
 
+@functools.lru_cache(maxsize=None)  # one entry per registry name
 def get_law(name: str) -> Law:
     """Resolve a registry name like ``additivity:sstar``.
 
@@ -207,37 +186,15 @@ def get_law(name: str) -> Law:
     head, sep, arg = name.partition(":")
     if not sep:
         raise ValueError(f"law name needs an argument: {name!r}")
-
     if head == "family-cap-closed":
-        kind = ops.KIND_BY_NAME.get(arg)
-        if kind is None:
+        if arg not in KIND_TESTS:
             raise ValueError(f"unknown open-set kind {arg!r} in {name!r}")
-
-        def check_kind(space: Space, _kind=kind) -> Verdict:
-            return check_family_intersection_closed(ops.kopen_family(space, _kind))
-
-        return Law(
-            name,
-            2,
-            check_kind,
-            _family_pair_recheck(lambda sp, _kind=kind: ops.kopen_family(sp, _kind)),
-        )
-
-    spec = ops.LOCAL_FN_ALIASES.get(arg)
-    if spec is None:
+        fields = {"T": _KindTest(KIND_TESTS[arg])}
+    elif arg in ops.LOCAL_FN_ALIASES:
+        fields = {"op": arg, "psi": ops.PSI_ALIAS[arg]}
+    else:
         raise ValueError(f"unknown operator alias {arg!r} in {name!r}")
-
-    if head in LAW_TEMPLATES:
-        return _template_law(name, arg, LAW_TEMPLATES[head])
-
-    if head == "eta-topology":
-        def check_topology(space: Space, _s=spec) -> Verdict:
-            fam = ops.psi_fix_family(space, _s)
-            return check_family_is_topology(fam, space.ground)
-
-        return Law(
-            name, 2, check_topology,
-            _family_pair_recheck(lambda sp, _s=spec: ops.psi_fix_family(sp, _s)),
-        )
-
-    raise ValueError(f"unknown law {name!r}")
+    if head not in LAW_TEMPLATES:
+        raise ValueError(f"unknown law {name!r}")
+    templates = LAW_TEMPLATES[head].items()
+    return Law(name, tuple((tag, dsl.parse_law(text.format(**fields))) for tag, text in templates))

@@ -199,9 +199,36 @@ class TestCheckCommand:
         assert lines[1].startswith("Violated  sstar(union(A,B))")
 
     def test_registry_witness_with_operation_tag(self):
+        # rhs is psi of lhs: {w1} is not in its psi image, so the meet of
+        # two psi-fixed sets is not psi-fixed
         out = run_cli("check", "--space", SPACE_B_FILE, "--name", "eta-topology:pstar")
-        assert out.returncode == 1
-        assert "[A={w1,w3} B={w1,w4} lhs={w1} (inter)]" in out.stdout
+        assert (out.returncode, out.stderr) == (1, "")
+        assert out.stdout == (
+            "Violated  eta-topology:pstar  [A={w1,w3} B={w1,w4} lhs={w1} rhs={} (inter)]\n"
+        )
+
+    def test_repeated_name_checks_each_in_order(self):
+        out = run_cli("check", "--space", SPACE_A_FILE, "--name", "eta-topology:xis",
+                      "--name", "family-cap-closed:semi", "--name", "additivity:xis")
+        assert (out.returncode, out.stderr) == (1, "")
+        assert out.stdout == (
+            "Violated  eta-topology:xis  [A={w1,w3} B={w2,w3} lhs={w3} rhs={} (inter)]\n"
+            "Violated  family-cap-closed:semi  [A={w1,w3} B={w2,w3} lhs={w3} rhs={} (inter)]\n"
+            "Violated  additivity:xis  [A={w1} B={w2} lhs={w1,w2,w3,w4} rhs={w1,w2}]\n"
+        )
+
+    def test_laws_then_names_then_file(self, tmp_path):
+        laws_file = tmp_path / "laws.txt"
+        laws_file.write_text("inter(A,B)<=cl(int(inter(A,B))) if A<=cl(int(A)),B<=cl(int(B))\n")
+        out = run_cli("check", "--space", SPACE_A_FILE, "--laws-file", str(laws_file),
+                      "--name", "family-cap-closed:open", "--law", "A <= X if A <= B")
+        assert (out.returncode, out.stderr) == (1, "")
+        assert out.stdout == (
+            "Holds     A <= X if A <= B\n"
+            "Holds     family-cap-closed:open\n"
+            "Violated  inter(A,B) <= cl(int(inter(A,B))) if A <= cl(int(A)), B <= cl(int(B))  "
+            "[A={w1,w3} B={w2,w3} lhs={w3} rhs={}]\n"
+        )
 
     def test_nothing_to_check_exits_2(self):
         out = run_cli("check", "--space", SPACE_A_FILE)
@@ -253,6 +280,21 @@ class TestCheckCommand:
                 },
             }
         ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "star(A)", "--bind", "A="),
+        ("check", "--law", "A <= X"),
+        ("families", "semi"),
+    ],
+    ids=["eval", "check", "families"],
+)
+def test_second_space_is_refused(argv):
+    out = run_cli(*argv, "--space", SPACE_B_FILE, "--space", SPACE_A_FILE)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"error: --space takes one file, got 2: {SPACE_B_FILE}, {SPACE_A_FILE}\n"
 
 
 class TestFamiliesCommand:

@@ -102,6 +102,35 @@ class TestParsing:
         assert str(info.value) == f"{message} (offset {offset})"
         assert info.value.offset == offset
 
+    def test_conditional_round_trip(self):
+        text = "inter(A,B) <= psi(inter(A,B)) if A <= psi(A), B <= psi(B)"
+        law = dsl.parse_law(text)
+        assert dsl.format_law(law) == text
+        assert (law.lhs, law.relation) == (dsl.parse_expr("inter(A,B)"), "<=")
+        assert law.hypotheses == (dsl.parse_law("A <= psi(A)"), dsl.parse_law("B <= psi(B)"))
+        assert dsl.parse_law(" inter( A,B )<=psi(inter(A,B))if A<=psi(A) ,B<= psi(B)") == law
+        assert dsl.parse_law("A == B").hypotheses == ()
+
+    def test_free_vars_read_the_conclusion_first(self):
+        assert dsl.parse_law("B <= X if C <= A").free_vars == ("B", "C", "A")
+        assert dsl.parse_law("empty <= X if A == B").free_vars == ("A", "B")
+
+    @pytest.mark.parametrize(
+        "text,message,offset",
+        [
+            ("A <= B if", "expected an expression", 9),
+            ("A <= B if A <= B,", "expected an expression", 17),
+            ("A <= B if A <= B if B <= A", "trailing input after law", 17),
+            ("A <= B if A", "expected '==' or '<='", 11),
+            ("A <= B, B <= A", "trailing input after law", 6),
+        ],
+    )
+    def test_conditional_syntax_errors(self, text, message, offset):
+        with pytest.raises(dsl.DslSyntaxError) as info:
+            dsl.parse_law(text)
+        assert str(info.value) == f"{message} (offset {offset})"
+        assert info.value.offset == offset
+
     def test_x_is_reserved_not_a_variable(self):
         law = dsl.parse_law("X == union(A,compl(A))")
         assert law.free_vars == ("A",)
@@ -142,6 +171,18 @@ class TestEvaluation:
         subset = dsl.parse_law("cl(A) <= A")
         assert dsl.eval_law(space_a, subset, {"A": 1}) == (13, 1, True)
         assert dsl.eval_law(space_a, subset, {"A": 0}) == (0, 0, False)
+
+    def test_eval_law_with_hypotheses(self, space_a):
+        # {w1,w3} and {w2,w3} are semi-open, their meet {w3} is not
+        law = dsl.parse_law(
+            "inter(A,B) <= cl(int(inter(A,B))) if A <= cl(int(A)), B <= cl(int(B))"
+        )
+        assert dsl.eval_law(space_a, law, {"A": 5, "B": 6}) == (4, 0, True)
+        # the conclusion fails at ({w3}, {w3}) too, but {w3} is not semi-open
+        assert dsl.eval_law(space_a, law, {"A": 4, "B": 4}) == (4, 0, False)
+        assert dsl.eval_law(space_a, law, {"A": 5, "B": 4}) == (4, 0, False)
+        # hypotheses hold and so does the conclusion
+        assert dsl.eval_law(space_a, law, {"A": 1, "B": 3}) == (1, 13, False)
 
 
 class TestScanning:
@@ -225,6 +266,19 @@ KURATOWSKI_TEMPLATES = {
 }
 
 
+# The psi-fix family {a : a <= psi(a)} is a topology; the order is the
+# order of the witness tags, union before inter.
+ETA_TOPOLOGY_TEMPLATES = {
+    "missing-empty": "empty <= {psi}(empty)",
+    "missing-universe": "X <= {psi}(X)",
+    "union": "union(A,B) <= {psi}(union(A,B)) if A <= {psi}(A), B <= {psi}(B)",
+    "inter": "inter(A,B) <= {psi}(inter(A,B)) if A <= {psi}(A), B <= {psi}(B)",
+}
+
+# The kind-open family {a : a <= T(a)} is closed under intersection.
+FAMILY_CAP_CLOSED_TEMPLATE = "inter(A,B) <= {T:inter(A,B)} if A <= {T:A}, B <= {T:B}"
+
+
 def dsl_text(head: str, alias: str) -> str:
     return EQUATION_TEMPLATES[head].format(op=alias, psi=ops.PSI_ALIAS[alias])
 
@@ -249,6 +303,8 @@ class TestRegistryEquivalence:
             "psi-cap": {"inter": EQUATION_TEMPLATES["psi-cap"]},
             "psi-cup": {"union": EQUATION_TEMPLATES["psi-cup"]},
             "kuratowski": KURATOWSKI_TEMPLATES,
+            "eta-topology": ETA_TOPOLOGY_TEMPLATES,
+            "family-cap-closed": {"inter": FAMILY_CAP_CLOSED_TEMPLATE},
         }
         # the first failing axiom tags a kuratowski witness, so order matters
         assert tuple(laws.LAW_TEMPLATES["kuratowski"]) == KURATOWSKI_AXIOMS

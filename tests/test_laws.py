@@ -7,6 +7,8 @@ through the oracle end to end. Every equation law and Kuratowski axiom is
 also held to a brute-force scan over the oracle's tables.
 """
 
+import functools
+import random
 from itertools import permutations, product
 
 import pytest
@@ -14,8 +16,9 @@ import pytest
 import oracle
 from idealtop import laws
 from idealtop import operators as ops
-from idealtop.space import Family, GroundSet, Ideal, Space, Topology
-from idealtop.verdicts import Witness
+from idealtop.search import default_labels
+from idealtop.space import Family, GroundSet, Ideal, Space, Topology, space_from_document
+from idealtop.verdicts import Verdict, Witness
 
 # theorems for the plain open-neighborhood local function; each of these
 # holds on every ideal topological space
@@ -57,11 +60,11 @@ FROZEN_VIOLATIONS = (
     ("psi-cup:pstar", "b", (("A", 2), ("B", 4)), 7, 5, "union"),
     ("kuratowski:sstar", "a", (("A", 1), ("B", 2)), 15, 3, "additive"),
     ("kuratowski:pstar", "b", (("A", 4), ("B", 8)), 15, 12, "additive"),
-    ("eta-topology:xis", "a", (("A", 5), ("B", 6)), 4, None, "inter"),
-    ("eta-topology:pstar", "b", (("A", 5), ("B", 9)), 1, None, "inter"),
-    ("eta-topology:xibeta", "b", (("A", 5), ("B", 9)), 1, None, "inter"),
-    ("family-cap-closed:semi", "a", (("A", 5), ("B", 6)), 4, None, "inter"),
-    ("family-cap-closed:pre", "b", (("A", 5), ("B", 9)), 1, None, "inter"),
+    ("eta-topology:xis", "a", (("A", 5), ("B", 6)), 4, 0, "inter"),
+    ("eta-topology:pstar", "b", (("A", 5), ("B", 9)), 1, 0, "inter"),
+    ("eta-topology:xibeta", "b", (("A", 5), ("B", 9)), 1, 0, "inter"),
+    ("family-cap-closed:semi", "a", (("A", 5), ("B", 6)), 4, 0, "inter"),
+    ("family-cap-closed:pre", "b", (("A", 5), ("B", 9)), 1, 0, "inter"),
 )
 
 
@@ -107,8 +110,14 @@ class TestFrozenWitnesses:
 
     def test_kuratowski_recheck_needs_named_axiom(self, space_b):
         law = laws.get_law("kuratowski:pstar")
-        with pytest.raises(ValueError):
-            law.pair_violates(space_b, 4, 8)
+        with pytest.raises(ValueError, match="unknown witness tag 'inter'"):
+            law.witness_violates(space_b, Witness((("A", 4), ("B", 8)), 0, operation="inter"))
+        # untagged: every axiom whose variables the pair binds is rechecked,
+        # and additivity fails at ({w3}, {w4})
+        assert law.pair_violates(space_b, 4, 8)
+        assert not law.pair_violates(space_b, 0, 0)
+        # binding A alone leaves out the additive axiom, the only one of B
+        assert not law.witness_violates(space_b, Witness((("A", 4),), 0))
         assert law.witness_violates(
             space_b, Witness((("A", 4), ("B", 8)), 15, 12, operation="additive")
         )
@@ -178,9 +187,15 @@ class TestFamilyChecks:
             assert laws.check_family_is_topology(space.topology.family, space.ground).holds
 
     def test_intersection_check_first_pair(self):
-        v = laws.check_family_intersection_closed(Family((0, 3, 5, 7)))
-        assert (v.witness.bindings, v.witness.lhs) == ((("A", 3), ("B", 5)), 1)
-        assert laws.check_family_intersection_closed(Family((0, 1, 3))).holds
+        # opens {}, {w1}, {w2}, {w1,w2}, X: the semi-open sets add {w1,w3}
+        # and {w2,w3}, whose meet {w3} is not semi-open (cl(int({w3})) = {})
+        space = Space(
+            GroundSet(("w1", "w2", "w3")), Topology(Family((0, 1, 2, 3, 7))), Ideal(Family((0,)))
+        )
+        assert ops.kopen_family(space, ops.OpenKind.SEMI).members == (0, 1, 2, 3, 5, 6, 7)
+        v = laws.get_law("family-cap-closed:semi").check(space)
+        assert v == Verdict(False, Witness((("A", 5), ("B", 6)), 4, 0, "inter"))
+        assert laws.get_law("family-cap-closed:pre").check(space).holds
 
 
 # The registry's equation laws restated over the oracle's frozensets: name ->
@@ -262,6 +277,126 @@ class TestRegistryAgainstOracle:
                 assert outcome(report.verdict(axiom)) == want, (axiom, space)
                 first = first or want
             assert outcome(kuratowski.check(space)) == first, space
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_spaces() -> tuple[Space, ...]:
+    """Four- and five-point spaces from a seeded random subbase and ideal
+    generator, past the n <= 3 of ``small_spaces``."""
+    rng = random.Random(20241101)
+    out = []
+    for n in (4,) * 8 + (5,) * 8:
+        labels = default_labels(n)
+        subset = lambda: [lab for lab in labels if rng.random() < 0.5]
+        out.append(space_from_document({
+            "points": list(labels),
+            "topology_subbase": [subset() for _ in range(rng.randint(1, 4))],
+            "ideal_generators": [subset()],
+        }))
+    return tuple(out)
+
+
+def oracle_kind_test(topology, points, kind, a):
+    """T(a) for the kind's open-set test ``a <= T(a)``, as in
+    ``oracle.is_kind_open``."""
+    cl = lambda s: oracle.closure(topology, points, s)
+    inte = lambda s: oracle.interior(topology, s)
+    return {
+        oracle.OPEN: lambda: inte(a),
+        oracle.SEMI: lambda: cl(inte(a)),
+        oracle.PRE: lambda: inte(cl(a)),
+        oracle.B: lambda: inte(cl(a)) | cl(inte(a)),
+        oracle.BETA: lambda: cl(inte(cl(a))),
+    }[kind]()
+
+
+def oracle_family_violation(space, family, combinations):
+    """Brute-force pair scan of a family: the first (A, B), masks ascending
+    and A outermost, with both in the family and a combination outside it,
+    trying ``combinations`` in order at each pair; as (bindings, lhs, tag)."""
+    sets = [oracle.bits_to_set(space.ground, m) for m in range(space.n_subsets)]
+    members = set(family)
+    for a, b in product(range(space.n_subsets), repeat=2):
+        if sets[a] in members and sets[b] in members:
+            for tag, combine in combinations:
+                missing = combine(sets[a], sets[b])
+                if missing not in members:
+                    return (("A", a), ("B", b)), oracle.set_to_bits(space.ground, missing), tag
+    return None
+
+
+class TestFamilyLawsAgainstOracle:
+    """``eta-topology:<op>`` and ``family-cap-closed:<kind>`` against the
+    oracle's families; ``rhs`` is the psi or kind-test image of ``lhs``.
+    The psi-fix family is ``oracle.psi_fix_family`` read off the hoisted
+    ``OracleTables.psi``, and is checked to be the same on the reference
+    spaces."""
+
+    @staticmethod
+    def spaces(small_spaces, space_a, space_b):
+        return (*small_spaces, space_a, space_b, *seeded_spaces())
+
+    def test_psi_fix_family_from_tables(self, space_a, space_b):
+        for space in (space_a, space_b):
+            topo, ideal, points = oracle.space_to_oracle(space)
+            for alias, (nbhd, cl) in oracle.NAMED_LOCAL_FNS.items():
+                tables = OracleTables(space, alias)
+                assert {a for a in tables.sets if a <= tables.psi[a]} == set(
+                    oracle.psi_fix_family(topo, ideal, points, nbhd, cl)
+                )
+
+    def test_eta_topology(self, small_spaces, space_a, space_b):
+        violations = past_three = 0
+        for space in self.spaces(small_spaces, space_a, space_b):
+            points = space.ground.labels
+            X = frozenset(points)
+            for alias in oracle.NAMED_LOCAL_FNS:
+                tables = OracleTables(space, alias)
+                family = [a for a in tables.sets if a <= tables.psi[a]]
+                if frozenset() not in family:
+                    want = ((), 0, "missing-empty")
+                elif X not in family:
+                    want = ((), space.ground.universe, "missing-universe")
+                else:
+                    want = oracle_family_violation(
+                        space,
+                        family,
+                        (("union", frozenset.union), ("inter", frozenset.intersection)),
+                    )
+                verdict = laws.get_law(f"eta-topology:{alias}").check(space)
+                assert verdict.holds == oracle.is_topology(family, points), (alias, space)
+                assert verdict.holds == (want is None), (alias, space)
+                if want is None:
+                    continue
+                violations += 1
+                past_three += space.ground.n > 3
+                w = verdict.witness
+                assert (w.bindings, w.lhs, w.operation) == want, (alias, space)
+                psi = tables.psi[oracle.bits_to_set(space.ground, w.lhs)]
+                assert w.rhs == oracle.set_to_bits(space.ground, psi)
+        assert violations >= 20 and past_three >= 5
+
+    def test_family_cap_closed(self, small_spaces, space_a, space_b):
+        violations = past_three = 0
+        for space in self.spaces(small_spaces, space_a, space_b):
+            topo, _, points = oracle.space_to_oracle(space)
+            for kind in (oracle.OPEN, oracle.SEMI, oracle.PRE, oracle.B, oracle.BETA):
+                family = oracle.kind_open_family(topo, points, kind)
+                want = oracle_family_violation(
+                    space, family, (("inter", frozenset.intersection),)
+                )
+                verdict = laws.get_law(f"family-cap-closed:{kind}").check(space)
+                assert verdict.holds == (want is None), (kind, space)
+                if want is None:
+                    continue
+                violations += 1
+                past_three += space.ground.n > 3
+                w = verdict.witness
+                assert (w.bindings, w.lhs, w.operation) == want, (kind, space)
+                lhs = oracle.bits_to_set(space.ground, w.lhs)
+                test = oracle_kind_test(topo, points, kind, lhs)
+                assert w.rhs == oracle.set_to_bits(space.ground, test)
+        assert violations >= 20 and past_three >= 5
 
 
 class TestRegistry:

@@ -2,8 +2,9 @@
 
 The reference walks the assignments one at a time in lexicographic order
 (first variable outermost, masks ascending) with ``itertools.product`` and
-evaluates both sides with the definition-direct ``dsl.eval_expr``. Every
-case must agree on (outcome, bindings, lhs, rhs, count). Spaces and budgets
+evaluates both sides, and the sides of every hypothesis, with the
+definition-direct ``dsl.eval_expr``. Every case must agree on (outcome,
+bindings, lhs, rhs, count). Spaces and budgets
 are drawn from a seeded ``random.Random`` so the test is deterministic.
 Point counts run from 1 (a single lane when the law has no variable) to 8
 (every bit of a lane in use).
@@ -22,9 +23,12 @@ from idealtop.space import GroundSet, Space, generate_ideal, space_from_document
 SEED = 20241015
 
 # Hand-written laws covering both relations, compl, diff, the constants, a
-# star closure and a psi dual, with 0 to 3 free variables; the last three
-# repeat a subexpression, or apply an operator to a compound or a constant
-# with no operator below it (values the compiled scan shares across spaces).
+# star closure and a psi dual, with 0 to 3 free variables; three repeat a
+# subexpression, or apply an operator to a compound or a constant with no
+# operator below it (values the compiled scan shares across spaces). The
+# conditional ones close the list: a family law, hypotheses of both
+# relations, a variable only a hypothesis mentions, and a hypothesis that
+# never holds (so the law holds whatever its conclusion).
 LAWS = (
     "star(X) <= X",
     "psi(empty) == compl(star(X))",
@@ -39,6 +43,11 @@ LAWS = (
     "xis(xis(A)) == xis(A)",
     "star(union(A,compl(B))) <= cl(union(A,compl(B)))",
     "star(X) == star(diff(X,empty))",
+    "inter(A,B) <= psixis(inter(A,B)) if A <= psixis(A), B <= psixis(B)",
+    "cl(A) == A if int(compl(A)) == compl(A)",
+    "xis(A) <= A if cl(A) == A",
+    "inter(A,B) <= sstar(A) if C <= A, compl(C) <= B, int(C) == C",
+    "star(A) == B if A <= empty, X <= A",
 )
 
 _OPERATORS = ("star", "sstar", "xis", "psi", "psixis", "clstar:star", "clstar:xib", "cl", "int")
@@ -46,6 +55,10 @@ _OPERATORS = ("star", "sstar", "xis", "psi", "psixis", "clstar:star", "clstar:xi
 
 def reference_scan(space, law, budget=None):
     """Serial scan with definition-direct evaluation, one assignment at a time."""
+
+    def holds(relation, lhs, rhs):
+        return lhs == rhs if relation == "==" else lhs & ~rhs == 0
+
     count = 0
     for combo in itertools.product(range(space.n_subsets), repeat=len(law.free_vars)):
         if budget is not None and count >= budget:
@@ -54,8 +67,11 @@ def reference_scan(space, law, budget=None):
         env = dict(zip(law.free_vars, combo))
         lhs = dsl.eval_expr(space, env, law.lhs)
         rhs = dsl.eval_expr(space, env, law.rhs)
-        ok = lhs == rhs if law.relation == "==" else lhs & ~rhs == 0
-        if not ok:
+        hypotheses_hold = all(
+            holds(h.relation, dsl.eval_expr(space, env, h.lhs), dsl.eval_expr(space, env, h.rhs))
+            for h in law.hypotheses
+        )
+        if hypotheses_hold and not holds(law.relation, lhs, rhs):
             return "violated", (tuple(zip(law.free_vars, combo)), lhs, rhs), count
     return "holds", None, count
 
@@ -98,11 +114,18 @@ def random_expr(rng, names, depth):
     return f"{rng.choice(_OPERATORS)}({random_expr(rng, names, depth - 1)})"
 
 
-def random_law(rng, k):
+def random_law(rng, k, hypotheses=0):
     names = ("A", "B", "C")[:k]
-    while True:
+
+    def relation(depth):
         rel = rng.choice(("==", "<="))
-        law = dsl.parse_law(f"{random_expr(rng, names, 3)} {rel} {random_expr(rng, names, 3)}")
+        return f"{random_expr(rng, names, depth)} {rel} {random_expr(rng, names, depth)}"
+
+    while True:
+        text = relation(3)
+        if hypotheses:
+            text += " if " + ", ".join(relation(2) for _ in range(hypotheses))
+        law = dsl.parse_law(text)
         if len(law.free_vars) == k:
             return law
 
@@ -128,6 +151,11 @@ def cases():
         n = rng.randint(1, 8)
         k = rng.randint(0, 3)
         out.append((random_space(rng, n), random_law(rng, k), random_budget(rng, 1 << (n * k))))
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, 3)
+        law = random_law(rng, k, hypotheses=rng.randint(1, 2))
+        out.append((random_space(rng, n), law, random_budget(rng, 1 << (n * k))))
     return out
 
 
@@ -136,9 +164,11 @@ def test_random_scans_match_serial_reference():
     for space, law, budget in cases():
         expected = reference_scan(space, law, budget)
         assert byte_lane_scan(space, law, budget) == expected, (dsl.format_law(law), budget)
-        outcomes.append(expected[0])
-    # The cases exercise every outcome, not just early violations.
-    assert min(outcomes.count(o) for o in ("holds", "violated", "budget")) >= 5
+        outcomes.append((expected[0], bool(law.hypotheses)))
+    # The cases exercise every outcome, not just early violations, with and
+    # without hypotheses.
+    for outcome in ("holds", "violated", "budget"):
+        assert min(outcomes.count((outcome, conditional)) for conditional in (False, True)) >= 5
 
 
 # Six points and three variables: 2**18 assignments, four blocks of 2**16.
@@ -170,6 +200,25 @@ def test_multi_block_scans_match_serial_reference(
     got = byte_lane_scan(space, law, budget)
     assert got[0::2] == (expected_outcome, expected_count)
     assert got == reference_scan(space, law, budget)
+
+
+@functools.lru_cache(maxsize=None)
+def _conditional_six_point_case():
+    # The six-point space above with a conditional law: the hypothesis holds
+    # iff A contains w5 (cl({w5}) = X), so no lane of block 0 survives it.
+    space = space_from_document(
+        {"points": list(default_labels(6)), "topology_subbase": [["w5"]], "ideal": [[]]}
+    )
+    law = dsl.parse_law("inter(A,B) <= C if X <= cl(int(A))")
+    return space, law, reference_scan(space, law)
+
+
+@pytest.mark.parametrize("budget", [None, 65536, 66560, 66561])
+def test_conditional_multi_block_scan_matches_serial_reference(budget):
+    space, law, unbounded = _conditional_six_point_case()
+    assert unbounded == ("violated", ((("A", 16), ("B", 16), ("C", 0)), 16, 0), 65536 + 16 * 64 + 1)
+    expected = unbounded if budget is None or budget >= unbounded[2] else ("budget", None, budget)
+    assert byte_lane_scan(space, law, budget) == expected
 
 
 def test_budget_larger_than_scan_holds():
@@ -235,6 +284,17 @@ def test_eight_point_values_use_the_top_bit_of_a_lane(law_text, expected):
     # a budget that stops inside the first block, just before the witness
     count = expected[2]
     assert byte_lane_scan(space, law, count - 1) == reference_scan(space, law, count - 1)
+
+
+def test_hypothesis_mask_keeps_the_top_bit_of_a_lane():
+    # {w8} is the only nonempty proper open set, so the hypothesis first
+    # holds at A = {w8}, whose mismatch lane is bit 7 alone
+    labels = list(default_labels(8))
+    space = space_from_document({"points": labels, "topology_subbase": [["w8"]], "ideal": [[]]})
+    law = dsl.parse_law("A <= empty if X <= cl(A)")
+    expected = ("violated", ((("A", 128),), 128, 0), 129)
+    assert byte_lane_scan(space, law) == expected
+    assert reference_scan(space, law) == expected
 
 
 def test_tables_workload_law_on_eight_point_subbase_spaces():

@@ -192,6 +192,22 @@ class TestSearchFixtures:
         assert (w.topology, w.ideal) == ((0, 3, 15), (0,))
         assert (w.bindings, w.lhs, w.rhs) == ((("A", 1), ("B", 2)), 15, 3)
 
+    def test_conditional_laws_search_and_revalidate(self):
+        # intersection closure of the open sets holds everywhere; of the
+        # semi-open sets it first fails on {}, {w1}, {w2}, {w1,w2}, X, where
+        # {w1,w3} and {w2,w3} are semi-open and their meet {w3} is not
+        law = "inter(A,B) <= int(inter(A,B)) if A <= int(A), B <= int(B)"
+        result = search.run_search(search.SearchTask(law, 3))
+        assert result.status == search.STATUS_CERTIFIED
+        assert result.assignments_evaluated == 232 * 64
+        law = "inter(A,B) <= cl(int(inter(A,B))) if A <= cl(int(A)), B <= cl(int(B))"
+        result = search.run_search(search.SearchTask(law, 3))
+        assert result.status == search.STATUS_FOUND
+        assert result.spaces_scanned == 49
+        w, = result.witnesses
+        assert (w.topology, w.ideal) == ((0, 1, 2, 3, 7), (0,))
+        assert (w.bindings, w.lhs, w.rhs) == ((("A", 5), ("B", 6)), 4, 0)
+
     def test_open_star_additivity_certified_at_three_points(self):
         result = search.run_search(search.SearchTask(ADDITIVITY.format(op="star"), 3))
         assert result.status == search.STATUS_CERTIFIED
