@@ -31,7 +31,7 @@ from typing import Iterator, Mapping
 
 from . import operators as ops
 from .space import Space, nonzero
-from .verdicts import Verdict, Witness
+from .verdicts import HOLDS, Verdict, Witness
 
 
 class DslError(ValueError):
@@ -42,6 +42,7 @@ class DslError(ValueError):
             message = f"{message} (offset {offset})"
         super().__init__(message)
         self.offset = offset
+        self.line: int | None = None  # set by ``read_laws_file``
 
 
 class DslSyntaxError(DslError):
@@ -395,9 +396,13 @@ def _index_lanes(shift: int, n: int, block_bits: int) -> int:
 def _run(program: _Program, order, vals: list, env, tables, inputs, size: int, full: int) -> None:
     """Evaluate the steps in ``order`` into ``vals``: byte ``i`` of a value
     is its subset at assignment ``i``."""
+    steps = program.steps
     for i in order:
-        code, a, b = program.steps[i]
-        if code == _VAR:
+        code, a, b = steps[i]
+        if code == _APPLY:  # the per-space case, first
+            lanes = inputs[i] or vals[a].to_bytes(size, "little")
+            vals[i] = int.from_bytes(lanes.translate(tables[b]), "little")
+        elif code == _VAR:
             vals[i] = env[a]
         elif code == _CONST:
             vals[i] = full if a else 0
@@ -410,9 +415,6 @@ def _run(program: _Program, order, vals: list, env, tables, inputs, size: int, f
         elif code == _DIFF:
             # ``full ^ y`` rather than ``~y``: a negative int costs extra passes
             vals[i] = vals[a] & (full ^ vals[b])
-        else:
-            lanes = inputs[i] or vals[a].to_bytes(size, "little")
-            vals[i] = int.from_bytes(lanes.translate(tables[b]), "little")
 
 
 # Blocks of space-free values kept. A search whose law fits in one block
@@ -489,7 +491,7 @@ def scan_law(
     # One lookup per operator node, repeats included: the space's table
     # counts do not depend on how the law compiles. ``bytes.translate``
     # takes a 256-byte table; lanes only ever index its first 2**n bytes.
-    tables = {op: bytes(ops.unary_table(space, op)).ljust(256, b"\0") for op in program.ops}
+    tables = {op: ops.unary_table(space, op).ljust(256, b"\0") for op in program.ops}
     n, k = space.ground.n, len(names)
     width, block_bits, ones, full = _block_shape(n, k)
     total = 1 << width
@@ -515,7 +517,7 @@ def scan_law(
             return "violated", Verdict(False, witness), index + 1
     if limit < total:
         return "budget", None, limit
-    return "holds", Verdict.ok(), total
+    return "holds", HOLDS, total
 
 
 def check_law(space: Space, law: LawAst, *, var_cap: int = 3) -> Verdict:
@@ -526,10 +528,16 @@ def check_law(space: Space, law: LawAst, *, var_cap: int = 3) -> Verdict:
 
 
 def read_laws_file(text: str) -> list[LawAst]:
-    """One law per line; blank lines and '#' comments are skipped."""
+    """One law per line; blank lines and '#' comments are skipped. A law
+    that fails to parse raises its error with ``line`` set to its line
+    number, counted from 1, and its offset counted from the line's start."""
     out = []
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            out.append(parse_law(stripped))
+    for number, line in enumerate(text.splitlines(), 1):
+        code = line.split("#", 1)[0]
+        if code.strip():
+            try:
+                out.append(parse_law(code))
+            except DslError as exc:
+                exc.line = number
+                raise
     return out

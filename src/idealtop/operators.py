@@ -8,24 +8,25 @@ blown up by a generalized closure); the complement duals of all of these;
 the star-closure ``a | f(a)``; and the family of dual-expansive sets.
 
 ``unary_table(space, name)`` is the one producer of operator values: every
-alias, and ``clstar:`` of one, is a table over all subsets, memoized in the
-per-space ``space._cache`` under its name. Tables that depend on the
-topology alone (generalized-open families and closures, local-function hit
-tables) live in ``space.tables.cache`` and are shared by every ideal on
-that topology. The ideal is the power set of its top member, so a trace
-``t & a`` lies in it iff ``t & a & ~top`` is empty; hence
-``f(a) = H[a & ~top]`` for the ideal-free hit table ``H``. For a plain
-local function ``H`` is the kind closure table: every kind-open
-neighborhood of ``z`` meets ``b`` iff ``z`` lies in every kind-closed
-superset of ``b``.
+alias, and ``clstar:`` of one, is a table over all subsets, ``2**n`` bytes
+with byte ``a`` the value at subset ``a``, memoized in the per-space
+``space._cache`` under its name. Tables that depend on the topology alone
+(generalized-open families and closures, local-function hit tables) live
+in ``space.tables.cache`` and are shared by every ideal on that topology.
+The ideal is the power set of its top member, so a trace ``t & a`` lies
+in it iff ``t & a & ~top`` is empty; hence ``f(a) = H[a & ~top]`` for the
+ideal-free hit table ``H``. For a plain local function ``H`` is the kind
+closure table: every kind-open neighborhood of ``z`` meets ``b`` iff ``z``
+lies in every kind-closed superset of ``b``.
 
 Every table is built in byte lanes (see ``space``): lane ``a`` holds the
 value at subset ``a``, and a table is applied to all lanes at once with
 ``bytes.translate``. Builders loop over points, family members or tests,
 never over subsets: a kind closure is the dual of the union of the
 kind-open sets inside each subset, a local function is the lanes of
-``a & ~top`` translated through ``H``, a dual is the base table's lanes
-reversed and complemented, and ``clstar:`` ORs in the identity lanes.
+``a & ~top`` translated through ``H`` (the bytes ``translate`` returns are
+the table), a dual is the base table's lanes reversed and complemented,
+and ``clstar:`` ORs in the identity lanes.
 
 The string alias table at the bottom is the single naming surface shared
 by the law DSL and the command line.
@@ -69,22 +70,15 @@ def derived_set(space: Space, a: int) -> int:
     return _table(space, "der")[a]
 
 
-def _lanes(table: tuple[int, ...]) -> int:
+def _lanes(table: bytes) -> int:
     """A table as byte lanes: lane ``a`` holds ``table[a]``."""
-    return int.from_bytes(bytes(table), "little")
+    return int.from_bytes(table, "little")
 
 
-def _apply(table: tuple[int, ...], x: int) -> int:
-    """``table`` applied to every lane of ``x`` (``bytes.translate`` takes
-    a 256-byte table; lanes only index its first ``2**n`` bytes)."""
-    size = len(table)
-    return int.from_bytes(
-        x.to_bytes(size, "little").translate(bytes(table).ljust(256, b"\0")), "little"
-    )
-
-
-def _table_of(x: int, space: Space) -> tuple[int, ...]:
-    return tuple(x.to_bytes(space.n_subsets, "little"))
+def _translate(lanes: bytes, table: bytes) -> bytes:
+    """``table`` applied to every lane (``bytes.translate`` takes a 256-byte
+    table; lanes only index its first ``2**n`` bytes)."""
+    return lanes.translate(table.ljust(256, b"\0"))
 
 
 def _inside(x: int, space: Space) -> Family:
@@ -114,12 +108,12 @@ def kopen_family(space: Space, kind: OpenKind) -> Family:
             fam = space.topology.family
         else:
             it, cl = space.int_table, space.cl_table
-            cl_int, int_cl = _apply(cl, _lanes(it)), _apply(it, _lanes(cl))
+            cl_int, int_cl = _translate(it, cl), _translate(cl, it)
             fam = _inside({
-                OpenKind.SEMI: cl_int,
-                OpenKind.PRE: int_cl,
-                OpenKind.B: int_cl | cl_int,
-                OpenKind.BETA: _apply(cl, int_cl),
+                OpenKind.SEMI: _lanes(cl_int),
+                OpenKind.PRE: _lanes(int_cl),
+                OpenKind.B: _lanes(int_cl) | _lanes(cl_int),
+                OpenKind.BETA: _lanes(_translate(int_cl, cl)),
             }[kind], space)
         space.tables.cache[key] = fam
     return fam
@@ -138,7 +132,7 @@ def kopen_at(space: Space, kind: OpenKind) -> tuple[tuple[int, ...], ...]:
     return nbhds
 
 
-def kclosure_table(space: Space, kind: OpenKind) -> tuple[int, ...]:
+def kclosure_table(space: Space, kind: OpenKind) -> bytes:
     """The kind closure of every subset: the intersection of its
     kind-closed supersets, i.e. the complement of the union of the
     kind-open sets that miss it. That is the dual of the table of unions
@@ -147,12 +141,12 @@ def kclosure_table(space: Space, kind: OpenKind) -> tuple[int, ...]:
     table = space.tables.cache.get(key)
     if table is None:
         n = space.ground.n
-        table = _table_of(dual(union_below(kopen_family(space, kind), n), n), space)
+        table = dual(union_below(kopen_family(space, kind), n), n).to_bytes(1 << n, "little")
         space.tables.cache[key] = table
     return table
 
 
-def hit_table(space: Space, spec: LocalFnSpec) -> tuple[int, ...]:
+def hit_table(space: Space, spec: LocalFnSpec) -> bytes:
     """Ideal-free local-function table: bit ``z`` of entry ``b`` is set iff
     every test at ``z`` meets ``b``.
 
@@ -176,7 +170,7 @@ def hit_table(space: Space, spec: LocalFnSpec) -> tuple[int, ...]:
             for t in {kcl[u] for u in us}:
                 hit &= nonzero(identity & t * ones, ones)
             out |= hit << z
-        table = _table_of(out, space)
+        table = out.to_bytes(space.n_subsets, "little")
         space.tables.cache[key] = table
     return table
 
@@ -232,6 +226,8 @@ _CLSTAR = "clstar:"
 
 def is_operator(name: str) -> bool:
     """Whether ``name`` is an alias, or ``clstar:`` applied to one."""
+    if name in _ALIASES:
+        return True
     while name.startswith(_CLSTAR):
         name = name[len(_CLSTAR):]
     return name in _ALIASES
@@ -241,7 +237,7 @@ def operator_names() -> tuple[str, ...]:
     return tuple(sorted(_ALIASES)) + ("clstar:<op>",)
 
 
-def _table(space: Space, name: str) -> tuple[int, ...]:
+def _table(space: Space, name: str) -> bytes:
     table = space._cache.get(name)
     if table is None:
         table = _build(space, name)
@@ -249,10 +245,15 @@ def _table(space: Space, name: str) -> tuple[int, ...]:
     return table
 
 
-def _build(space: Space, name: str) -> tuple[int, ...]:
+def _build(space: Space, name: str) -> bytes:
     # Every table is computed on all subsets at once, in byte lanes.
-    ones, identity = lanes(space.ground.n)
+    n, size = space.ground.n, space.n_subsets
+    ones, identity = lanes(n)
     full = space.ground.universe
+    spec = LOCAL_FN_ALIASES.get(name)
+    if spec is not None:  # the hot case, first: f(a) = H[a & ~top]
+        outside = identity & (full & ~space.ideal_top) * ones
+        return _translate(outside.to_bytes(size, "little"), hit_table(space, spec))
     if name == "int":
         return space.int_table
     if name == "cl":
@@ -260,34 +261,35 @@ def _build(space: Space, name: str) -> tuple[int, ...]:
     if name == "der":
         # z is in der(a) iff it is in cl(a - {z})
         out = 0
-        for z in range(space.ground.n):
+        for z in range(n):
             bit = 1 << z
-            out |= _apply(space.cl_table, identity & (full ^ bit) * ones) & bit * ones
-        return _table_of(out, space)
+            without = (identity & (full ^ bit) * ones).to_bytes(size, "little")
+            out |= _lanes(_translate(without, space.cl_table)) & bit * ones
+        return out.to_bytes(size, "little")
     kind = _KCLOSURE_KIND.get(name)
     if kind is not None:
         return kclosure_table(space, kind)
-    spec = LOCAL_FN_ALIASES.get(name)
-    if spec is not None:
-        outside = full & ~space.ideal_top
-        return _table_of(_apply(hit_table(space, spec), identity & outside * ones), space)
     base = _DUAL_BASE.get(name)
     if base is not None:
-        return _table_of(dual(_lanes(_table(space, base)), space.ground.n), space)
-    return _table_of(_lanes(_table(space, name[len(_CLSTAR):])) | identity, space)
+        return dual(_lanes(_table(space, base)), n).to_bytes(size, "little")
+    return (_lanes(_table(space, name[len(_CLSTAR):])) | identity).to_bytes(size, "little")
 
 
-def unary_table(space: Space, name: str) -> tuple[int, ...]:
+def unary_table(space: Space, name: str) -> bytes:
     """The values of an operator alias, or ``clstar:`` of one, on every
-    subset, memoized per space.
+    subset, memoized per space: ``2**n`` bytes, byte ``a`` the value at
+    subset ``a``.
 
     This is the only producer of operator values: each alias has one table
     per space, kept in ``space._cache`` under its name. Unknown names raise
     ``KeyError``.
     """
-    if not is_operator(name):
-        raise KeyError(f"unknown operator alias {name!r}")
-    return _table(space, name)
+    table = space._cache.get(name)  # only operator names are ever cached
+    if table is None:
+        if not is_operator(name):
+            raise KeyError(f"unknown operator alias {name!r}")
+        table = _table(space, name)
+    return table
 
 
 def psi_fix_family(space: Space, spec: LocalFnSpec) -> Family:

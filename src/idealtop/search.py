@@ -258,11 +258,19 @@ def _scan_one(space_key, law, var_cap, cap):
     return outcome, packed, count
 
 
-def _scan_chunk(args):
-    labels_law_cap, chunk = args
-    law_text, var_cap, cap = labels_law_cap
-    law = dsl.parse_law(law_text)
-    return [_scan_one(space_key, law, var_cap, cap) for space_key in chunk]
+# A worker process's (law, var_cap, cap), set once by ``_start_worker``.
+_worker_scan: tuple = ()
+
+
+def _start_worker(law_text, var_cap, cap):
+    """Pool initializer: parse the law once per worker, so every chunk the
+    worker scans shares one compiled program and its space-free blocks."""
+    global _worker_scan
+    _worker_scan = (dsl.parse_law(law_text), var_cap, cap)
+
+
+def _scan_chunk(chunk):
+    return [_scan_one(space_key, *_worker_scan) for space_key in chunk]
 
 
 def _chunks(stream, size):
@@ -273,7 +281,7 @@ def _chunks(stream, size):
         yield block
 
 
-def _scan_results(task: SearchTask, stream, workers: int):
+def _scan_results(task: SearchTask, law: dsl.LawAst, stream, workers: int):
     """Yield (space_key, outcome, packed_witness, count) in stream order.
 
     Every space is scanned with the same per-space assignment cap (the whole
@@ -281,26 +289,28 @@ def _scan_results(task: SearchTask, stream, workers: int):
     the serial budget cut is applied later by the merge step.
     """
     cap = task.budget_assignments
-    law = dsl.parse_law(task.law_text)
     if workers <= 1:
         for space_key in stream:
             yield space_key, *_scan_one(space_key, law, task.var_cap, cap)
         return
     from concurrent.futures import ProcessPoolExecutor  # one-worker runs skip loading it
 
-    header = (task.law_text, task.var_cap, cap)
     pending = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_start_worker,
+        initargs=(task.law_text, task.var_cap, cap),
+    ) as pool:
         chunk_stream = _chunks(stream, _CHUNK_SIZE)
         try:
             for chunk in itertools.islice(chunk_stream, workers + 2):
-                pending.append((chunk, pool.submit(_scan_chunk, (header, chunk))))
+                pending.append((chunk, pool.submit(_scan_chunk, chunk)))
             while pending:
                 chunk, future = pending.pop(0)
                 results = future.result()
                 nxt = next(chunk_stream, None)
                 if nxt is not None:
-                    pending.append((nxt, pool.submit(_scan_chunk, (header, nxt))))
+                    pending.append((nxt, pool.submit(_scan_chunk, nxt)))
                 for space_key, (outcome, packed, count) in zip(chunk, results):
                     yield space_key, outcome, packed, count
         finally:
@@ -321,7 +331,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
     used = 0
     cut = False
     completed = True
-    for space_key, outcome, packed, count in _scan_results(task, stream, workers):
+    for space_key, outcome, packed, count in _scan_results(task, law, stream, workers):
         if task.budget_spaces is not None and scanned >= task.budget_spaces:
             cut, completed = True, False
             break

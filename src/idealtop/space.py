@@ -22,10 +22,12 @@ those two included, is read through ``operators.unary_table``, which
 memoizes one table per alias on the space. Tables are built in byte lanes:
 lane ``a`` of a ``2**n``-byte int holds the value at subset ``a`` (a subset
 fits in a byte, as ``MAX_POINTS`` is 8), so a per-subset loop becomes a
-few big-int operations per point or family member. The table builders
-share ``lanes`` and ``nonzero``, plus ``union_below`` (the union of a
-family's members inside each subset: the interior, for the opens) and
-``dual`` (lanes reversed and complemented: the closure, from it).
+few big-int operations per point or family member. A finished table is
+stored as the ``2**n`` bytes of its lanes, so ``table[a]`` is an ``int``.
+The table builders share ``lanes`` and ``nonzero``, plus ``union_below``
+(the union of a family's members inside each subset: the interior, for
+the opens) and ``dual`` (lanes reversed and complemented: the closure,
+from it).
 """
 
 from __future__ import annotations
@@ -250,21 +252,29 @@ def validate_topology(family: Family, ground: GroundSet) -> TopologyIssue | None
     return None
 
 
+@functools.lru_cache(maxsize=1 << MAX_POINTS)
+def _power_set_mask(top: int) -> int:
+    """The membership mask of the power set of ``top``."""
+    mask, s = 1, top
+    while s:
+        mask |= 1 << s
+        s = (s - 1) & top
+    return mask
+
+
 def validate_ideal(family: Family, ground: GroundSet) -> IdealIssue | None:
     """Return None when the family is an ideal, else the first failure.
 
-    A family that is exactly the power set of its largest member passes at
-    once. Otherwise checks the empty set, then heredity (members ascending,
-    missing subsets ascending), then pairwise unions in lexicographic pair
-    order.
+    A family that is exactly the power set of its largest member passes
+    with one comparison of membership masks. Otherwise checks the empty
+    set, then heredity (members ascending, missing subsets ascending), then
+    pairwise unions in lexicographic pair order.
     """
     _check_members_in_range(family, ground)
     members, mask = family.members, family.mask
     # Fast path: a finite ideal is the power set of its largest member.
-    if members:
-        top = members[-1]
-        if len(members) == 1 << top.bit_count() and all(m & ~top == 0 for m in members):
-            return None
+    if members and mask == _power_set_mask(members[-1]):
+        return None
     if 0 not in family:
         return IdealIssue("missing-empty")
     for b in members:
@@ -328,8 +338,8 @@ class TopologyTables:
     same topology shares one instance.
     """
 
-    int_table: tuple[int, ...]
-    cl_table: tuple[int, ...]
+    int_table: bytes
+    cl_table: bytes
     cache: dict = field(default_factory=dict)
 
 
@@ -391,8 +401,7 @@ def topology_tables(ground: GroundSet, topology: Topology) -> TopologyTables:
     n = ground.n
     int_lanes = union_below(topology.family, n)
     return TopologyTables(
-        tuple(int_lanes.to_bytes(1 << n, "little")),
-        tuple(dual(int_lanes, n).to_bytes(1 << n, "little")),
+        int_lanes.to_bytes(1 << n, "little"), dual(int_lanes, n).to_bytes(1 << n, "little")
     )
 
 
@@ -427,11 +436,11 @@ class Space:
         return 1 << self.ground.n
 
     @property
-    def int_table(self) -> tuple[int, ...]:
+    def int_table(self) -> bytes:
         return self.tables.int_table
 
     @property
-    def cl_table(self) -> tuple[int, ...]:
+    def cl_table(self) -> bytes:
         return self.tables.cl_table
 
     @property

@@ -30,12 +30,15 @@ class Verdict:
 
     @classmethod
     def ok(cls) -> "Verdict":
-        return cls(True)
+        return HOLDS
 
     @classmethod
     def violated(cls, bindings, lhs, rhs=None, operation=None) -> "Verdict":
         return cls(False, Witness(tuple(bindings), lhs, rhs, operation))
 
+
+# The one verdict of a law that holds; frozen, so every check shares it.
+HOLDS = Verdict(True)
 
 KURATOWSKI_AXIOMS = ("fixes-empty", "extensive", "idempotent", "additive")
 

@@ -242,6 +242,18 @@ class TestCheckCommand:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == f"error: {empty}: no law in the file\n"
 
+    def test_laws_file_syntax_error_names_file_and_line(self, tmp_path):
+        laws_file = tmp_path / "laws.txt"
+        laws_file.write_text("star(A) == A\nbad((\n")
+        out = run_cli("check", "--space", SPACE_A_FILE, "--laws-file", str(laws_file))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {laws_file}:2: expected an expression (offset 4)\n"
+        # the offset is the column in the file's line, indentation included
+        laws_file.write_text("# a comment\n\n   star(A) <= A\n   bad((  # trailing comment\n")
+        out = run_cli("check", "--space", SPACE_A_FILE, "--laws-file", str(laws_file))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {laws_file}:4: expected an expression (offset 7)\n"
+
     def test_malformed_space_file_is_named(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"points": ["a"], x}')
@@ -367,6 +379,15 @@ class TestSearchCommand:
         out = run_cli("search", "star(A) == star(A)", "--points", "2", "--seed", "1")
         assert (out.returncode, out.stdout) == (2, "")
         assert "unrecognized arguments: --seed 1" in out.stderr
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "documents"])
+    def test_max_subbase_size_outside_subbase_mode_exits_2(self, mode):
+        where = ("--space", SPACE_A_FILE) if mode == "documents" else ("--points", "3")
+        out = run_cli("search", "star(A) == A", *where, "--max-subbase-size", "2")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            f"error: --max-subbase-size applies only to --mode subbase, not {mode}\n"
+        )
 
     def test_subbase_sizes_past_the_pool_add_nothing(self):
         # two points have two proper nonempty subsets to combine

@@ -32,7 +32,7 @@ def oracle_table(space, alias):
     topo, ideal, points = oracle.space_to_oracle(space)
     nbhd, cl = oracle.NAMED_LOCAL_FNS[alias]
     table = oracle.local_function_table(topo, ideal, points, nbhd, cl)
-    return tuple(
+    return bytes(
         oracle.set_to_bits(space.ground, table[oracle.bits_to_set(space.ground, a)])
         for a in range(space.n_subsets)
     )
@@ -140,12 +140,12 @@ class TestLocalFunctions:
                 assert ops.unary_table(space, alias) == oracle_table(space, alias)
 
     def test_frozen_closure_style_semi_table(self, space_a):
-        assert ops.unary_table(space_a, "xis") == (
+        assert ops.unary_table(space_a, "xis") == bytes((
             0, 1, 2, 15, 0, 1, 2, 15, 8, 9, 10, 15, 8, 9, 10, 15,
-        )
+        ))
 
     def test_frozen_plain_pre_table(self, space_b):
-        want = (0, 0, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10, 15, 15, 15, 15)
+        want = bytes((0, 0, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10, 15, 15, 15, 15))
         assert ops.unary_table(space_b, "pstar") == want
         # the beta-expanded beta function coincides with it on this space
         assert ops.unary_table(space_b, "xibeta") == want
@@ -232,12 +232,12 @@ class TestDualsAndFixFamilies:
                     assert dual[a] == full ^ base[full ^ a]
 
     def test_frozen_dual_tables(self, space_a, space_b):
-        assert ops.unary_table(space_a, "psixis") == (
+        assert ops.unary_table(space_a, "psixis") == bytes((
             0, 5, 6, 7, 0, 5, 6, 7, 0, 13, 14, 15, 0, 13, 14, 15,
-        )
-        assert ops.unary_table(space_b, "psixibeta") == (
+        ))
+        assert ops.unary_table(space_b, "psixibeta") == bytes((
             0, 0, 0, 0, 5, 5, 7, 7, 9, 9, 11, 11, 13, 13, 15, 15,
-        )
+        ))
 
     def test_fix_family_matches_oracle(self, small_spaces, space_a, space_b):
         for space in small_spaces[::7] + [space_a, space_b]:
@@ -355,7 +355,7 @@ def oracle_alias_tables(space):
     topo, ideal, points = oracle.space_to_oracle(space)
     ground, full = space.ground, space.ground.universe
     sets = [oracle.bits_to_set(ground, a) for a in range(space.n_subsets)]
-    bits = lambda values: tuple(oracle.set_to_bits(ground, v) for v in values)
+    bits = lambda values: bytes(oracle.set_to_bits(ground, v) for v in values)
     out = {
         "int": bits(oracle.interior(topo, a) for a in sets),
         "cl": bits(oracle.closure(topo, points, a) for a in sets),
@@ -368,9 +368,9 @@ def oracle_alias_tables(space):
     for alias, (nbhd, cl) in oracle.NAMED_LOCAL_FNS.items():
         table = oracle.local_function_table(topo, ideal, points, nbhd, cl)
         out[alias] = bits(table[a] for a in sets)
-        out[ops.PSI_ALIAS[alias]] = tuple(full ^ out[alias][full ^ a] for a in range(full + 1))
+        out[ops.PSI_ALIAS[alias]] = bytes(full ^ out[alias][full ^ a] for a in range(full + 1))
     for name in list(out):
-        out["clstar:" + name] = tuple(a | out[name][a] for a in range(full + 1))
+        out["clstar:" + name] = bytes(a | out[name][a] for a in range(full + 1))
     return out
 
 
@@ -474,4 +474,4 @@ class TestPlainHitTable:
                     lf = oracle.local_function_table(tp, ideal, points, kind.value, None)
                     assert lf == want
                     got = ops.hit_table(space, ops.LocalFnSpec(kind))
-                    assert got == tuple(oracle.set_to_bits(ground, want[a]) for a in sets)
+                    assert got == bytes(oracle.set_to_bits(ground, want[a]) for a in sets)

@@ -8,6 +8,11 @@ bindings, lhs, rhs, count). Spaces and budgets
 are drawn from a seeded ``random.Random`` so the test is deterministic.
 Point counts run from 1 (a single lane when the law has no variable) to 8
 (every bit of a lane in use).
+
+``eval_expr`` reads the same operator tables as the scan, so a wrong table
+would pass that comparison. ``oracle_scan`` closes the gap: the same serial
+scan over ``tests/oracle.py``'s frozensets, every operator evaluated by its
+defining quantifier, on random laws over random 1-4-point spaces.
 """
 
 import functools
@@ -16,9 +21,18 @@ import random
 
 import pytest
 
+import oracle
 from idealtop import dsl
 from idealtop.search import default_labels, enumerate_topologies
-from idealtop.space import GroundSet, Space, generate_ideal, space_from_document
+from idealtop.space import (
+    Family,
+    GroundSet,
+    Ideal,
+    Space,
+    Topology,
+    generate_ideal,
+    space_from_document,
+)
 
 SEED = 20241015
 
@@ -337,3 +351,110 @@ def test_seven_point_multi_block_scan_matches_serial_reference(budget):
     # A budget cuts the serial scan short exactly when it ends before the witness.
     expected = unbounded if budget is None or budget >= unbounded[2] else ("budget", None, budget)
     assert byte_lane_scan(space, law, budget) == expected
+
+
+# ---------------------------------------------------------------------------
+# random laws against the definition-literal oracle
+
+
+def oracle_operators(topology, ideal, points):
+    """Every operator of ``_OPERATORS`` on frozensets, straight from
+    ``tests/oracle.py``: no table of the package is read."""
+    lf = lambda alias: oracle.NAMED_LOCAL_FNS[alias]
+    return {
+        "int": lambda a: oracle.interior(topology, a),
+        "cl": lambda a: oracle.closure(topology, points, a),
+        "star": lambda a: oracle.local_function(topology, ideal, points, *lf("star"), a),
+        "sstar": lambda a: oracle.local_function(topology, ideal, points, *lf("sstar"), a),
+        "xis": lambda a: oracle.local_function(topology, ideal, points, *lf("xis"), a),
+        "psi": lambda a: oracle.psi_dual(topology, ideal, points, *lf("star"), a),
+        "psixis": lambda a: oracle.psi_dual(topology, ideal, points, *lf("xis"), a),
+        "clstar:star": lambda a: oracle.cl_star(topology, ideal, points, *lf("star"), a),
+        "clstar:xib": lambda a: oracle.cl_star(topology, ideal, points, *lf("xib"), a),
+    }
+
+
+def oracle_scan(space, topology, ideal, law, budget=None):
+    """The serial scan of ``reference_scan`` over the oracle's frozensets.
+
+    Each operator value is memoized per argument within this one scan, so
+    an operator runs its defining quantifier once per subset.
+    """
+    ground, points = space.ground, list(space.ground.labels)
+    operators = oracle_operators(topology, ideal, points)
+    memo = {}
+
+    def value(node, env):
+        if not node.args:
+            constants = {"X": frozenset(points), "empty": frozenset()}
+            return constants[node.name] if node.name in constants else env[node.name]
+        args = [value(arg, env) for arg in node.args]
+        if node.name == "union":
+            return args[0] | args[1]
+        if node.name == "inter":
+            return args[0] & args[1]
+        if node.name == "diff":
+            return args[0] - args[1]
+        if node.name == "compl":
+            return frozenset(points) - args[0]
+        key = node.name, args[0]
+        if key not in memo:
+            memo[key] = operators[node.name](args[0])
+        return memo[key]
+
+    def holds(relation, lhs, rhs):
+        return lhs == rhs if relation == "==" else lhs <= rhs
+
+    count = 0
+    for combo in itertools.product(range(space.n_subsets), repeat=len(law.free_vars)):
+        if budget is not None and count >= budget:
+            return "budget", None, count
+        count += 1
+        bindings = tuple(zip(law.free_vars, combo))
+        env = {name: oracle.bits_to_set(ground, bits) for name, bits in bindings}
+        lhs, rhs = value(law.lhs, env), value(law.rhs, env)
+        hypotheses_hold = all(
+            holds(h.relation, value(h.lhs, env), value(h.rhs, env)) for h in law.hypotheses
+        )
+        if hypotheses_hold and not holds(law.relation, lhs, rhs):
+            witness = bindings, oracle.set_to_bits(ground, lhs), oracle.set_to_bits(ground, rhs)
+            return "violated", witness, count
+    return "holds", None, count
+
+
+def oracle_space(rng, n):
+    """A random space on n points, built on the oracle's side: the topology
+    generated from a random subbase, the ideal the power set of a random top.
+    Returns the package's ``Space`` of the same families and the oracle's."""
+    labels = default_labels(n)
+    subbase = [
+        frozenset(lab for lab in labels if rng.random() < 0.5) for _ in range(rng.randrange(5))
+    ]
+    topology = oracle.generated_topology(subbase, labels)
+    top = frozenset(lab for lab in labels if rng.random() < 0.4)
+    ideal = frozenset(oracle.powerset(top))
+    ground = GroundSet(labels)
+    family = lambda sets: Family(tuple(oracle.set_to_bits(ground, s) for s in sets))
+    space = Space(ground, Topology(family(topology)), Ideal(family(ideal)))
+    return space, topology, ideal
+
+
+def test_random_laws_match_the_oracle():
+    rng = random.Random(SEED + 3)
+    outcomes, used = [], set()
+    for i in range(200):
+        n, k = rng.randint(1, 4), rng.randint(0, 3)
+        hypotheses = rng.randint(1, 2) if i % 3 == 0 and k else 0
+        law = random_law(rng, k, hypotheses)
+        space, topology, ideal = oracle_space(rng, n)
+        budget = random_budget(rng, 1 << (n * k))
+        expected = oracle_scan(space, topology, ideal, law, budget)
+        assert byte_lane_scan(space, law, budget) == expected, (dsl.format_law(law), budget)
+        outcomes.append((expected[0], bool(law.hypotheses), n == 4 and expected[2] > 1))
+        used |= {node.name for side in law.sides for node in dsl._walk(side) if node.args}
+    assert set(_OPERATORS) <= used
+    # every outcome, with and without hypotheses, and violations found past
+    # the first assignment of a four-point space
+    for outcome in ("holds", "violated", "budget"):
+        assert min(sum(o[:2] == (outcome, c) for o in outcomes) for c in (False, True)) >= 5
+    assert outcomes.count(("violated", False, True)) + outcomes.count(("violated", True, True)) >= 5

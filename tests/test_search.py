@@ -5,6 +5,7 @@ fixtures (status, spaces scanned, witness) are frozen from the deterministic
 serial scan and must stay byte-identical under parallelism.
 """
 
+import itertools
 import json
 import subprocess
 import sys
@@ -326,6 +327,23 @@ class TestDeterminismAndReports:
             serial = search.report_json(search.run_search(task, workers=1))
             parallel = search.report_json(search.run_search(task, workers=3))
             assert serial == parallel
+
+    def test_worker_parses_the_law_once_for_all_its_chunks(self):
+        # A worker's chunks share one compiled program, so the second chunk
+        # finds every space-free block the first one computed.
+        task = search.SearchTask(ADDITIVITY.format(op="star"), 3)
+        stream, _ = search._space_stream(task)
+        first, second = itertools.islice(search._chunks(stream, search._CHUNK_SIZE), 2)
+        search._start_worker(task.law_text, task.var_cap, None)
+        try:
+            dsl._space_free_block.cache_clear()
+            search._scan_chunk(first)
+            misses = dsl._space_free_block.cache_info().misses
+            results = search._scan_chunk(second)
+            assert dsl._space_free_block.cache_info().misses == misses == 1
+        finally:
+            search._worker_scan = ()
+        assert [r[0] for r in results] == ["holds"] * search._CHUNK_SIZE
 
     def test_report_shape(self):
         task = search.SearchTask(ADDITIVITY.format(op="pstar"), 3)

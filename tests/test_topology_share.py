@@ -50,15 +50,15 @@ def random_spaces():
 
 
 def oracle_tables(space, nbhd, cl):
-    """Oracle local-function table and its dual, as bitmask tuples."""
+    """Oracle local-function table and its dual, as ``bytes`` of bitmasks."""
     topo, ideal, points = oracle.space_to_oracle(space)
     table = oracle.local_function_table(topo, ideal, points, nbhd, cl)
     ground, full = space.ground, space.ground.universe
-    lf = tuple(
+    lf = bytes(
         oracle.set_to_bits(ground, table[oracle.bits_to_set(ground, a)])
         for a in range(space.n_subsets)
     )
-    return lf, tuple(full ^ lf[full ^ a] for a in range(space.n_subsets))
+    return lf, bytes(full ^ lf[full ^ a] for a in range(space.n_subsets))
 
 
 def test_random_spaces_match_oracle():
@@ -126,7 +126,7 @@ def test_ideal_tables_stay_per_space():
     large = Space(G3, topology, generate_ideal([7], G3))
     assert small.tables is large.tables
     assert ops.unary_table(small, "star") == ops.hit_table(small, spec)
-    assert ops.unary_table(large, "star") == (0,) * 8
+    assert ops.unary_table(large, "star") == bytes(8)
     assert ops.unary_table(small, "star") != ops.unary_table(large, "star")
 
 
