@@ -18,11 +18,19 @@ from .space import Space, SpaceDocumentError, UnknownLabelError, parse_space
 from .verdicts import Verdict, Witness
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 text file; a file that does not decode is named in the error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_space(paths: list[str]) -> Space:
     if len(paths) > 1:
         raise ValueError(f"--space takes one file, got {len(paths)}: {', '.join(paths)}")
-    with open(paths[0], "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(paths[0])
     try:
         return parse_space(text)
     except SpaceDocumentError as exc:
@@ -114,8 +122,7 @@ def cmd_check(args) -> int:
     for name in args.name:
         results.append((name, laws.get_law(name).check(space)))
     if args.laws_file:
-        with open(args.laws_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(args.laws_file)
         try:
             file_laws = dsl.read_laws_file(text)
         except dsl.DslError as exc:
@@ -155,10 +162,7 @@ def cmd_search(args) -> int:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     if args.space and args.points is not None:
         raise ValueError("--points conflicts with --space files")
-    documents = []
-    for path in args.space or ():
-        with open(path, "r", encoding="utf-8") as fh:
-            documents.append(fh.read())
+    documents = [_read_text(path) for path in args.space or ()]
     mode = args.mode
     if mode is None:
         mode = "documents" if documents else "exhaustive"

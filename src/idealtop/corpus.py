@@ -9,7 +9,7 @@ reports any mismatch with expected vs got.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import dsl, laws
 from . import operators as ops
@@ -41,8 +41,7 @@ def _fmt_bindings(space: Space, bindings) -> str:
     return ", ".join(f"{name}={space.ground.format(bits)}" for name, bits in bindings)
 
 
-@dataclass(frozen=True)
-class EvalCheck:
+class EvalCheck(NamedTuple):
     """An expression evaluates to an exact subset under fixed bindings."""
 
     expr: str
@@ -59,8 +58,7 @@ class EvalCheck:
         )
 
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(NamedTuple):
     """A registry law holds (or is violated) on the entry space."""
 
     law: str
@@ -75,8 +73,7 @@ class LawCheck:
         return f"{self.law}: expected {want}, got {got}"
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     """A specific pair is a genuine violating instance of a two-variable law."""
 
     law: str
@@ -90,8 +87,7 @@ class PairCheck:
         return f"{self.law}: expected [{pair}] to violate, but it does not"
 
 
-@dataclass(frozen=True)
-class FamilyCheck:
+class FamilyCheck(NamedTuple):
     """A generalized-open family equals an exact frozen list."""
 
     kind: str
@@ -105,8 +101,7 @@ class FamilyCheck:
         return f"{self.kind}-open family: expected {fmt(self.expected)}, got {fmt(got)}"
 
 
-@dataclass(frozen=True)
-class MemberCheck:
+class MemberCheck(NamedTuple):
     """Membership fact about the family of sets below their psi image."""
 
     op: str
@@ -124,8 +119,7 @@ class MemberCheck:
         )
 
 
-@dataclass(frozen=True)
-class KuratowskiCheck:
+class KuratowskiCheck(NamedTuple):
     """One closure axiom's verdict for a | f(a), with an optional known pair."""
 
     op: str
@@ -148,8 +142,7 @@ class KuratowskiCheck:
         return None
 
 
-@dataclass(frozen=True)
-class StarRefusalCheck:
+class StarRefusalCheck(NamedTuple):
     """Building the star topology must be refused, blaming a known axiom."""
 
     op: str
@@ -168,8 +161,7 @@ class StarRefusalCheck:
         return f"star topology for {self.op}: expected a refusal, got a topology"
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     id: str
     title: str
     document: dict
@@ -179,8 +171,7 @@ class CorpusEntry:
         return space_from_document(self.document)
 
 
-@dataclass(frozen=True)
-class EntryReport:
+class EntryReport(NamedTuple):
     entry_id: str
     title: str
     checks: int

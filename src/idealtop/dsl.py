@@ -26,11 +26,10 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from . import operators as ops
-from .space import Space, nonzero
+from .space import Frozen, Space, _set, nonzero
 from .verdicts import HOLDS, Verdict, Witness
 
 
@@ -65,8 +64,7 @@ class VariableCapError(DslError):
     pass
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(NamedTuple):
     """One node of a parsed expression, shaped like the grammar: a leaf (a
     variable, ``empty`` or ``X``) has no ``args``; ``union``, ``inter``,
     ``diff``, ``compl`` and an operator alias apply to their ``args``."""
@@ -85,36 +83,45 @@ _VAR, _CONST, _UNION, _INTER, _DIFF, _COMPL, _APPLY = range(7)
 _SET_OPS = {"union": (2, _UNION), "inter": (2, _INTER), "diff": (2, _DIFF), "compl": (1, _COMPL)}
 
 
-@dataclass(frozen=True)
-class LawAst:
+class LawAst(Frozen):
     """The conclusion ``lhs relation rhs`` and its hypotheses, which are
-    laws with no hypotheses of their own."""
+    laws with no hypotheses of their own. ``free_vars`` lists the law's
+    variables in order of first occurrence."""
 
-    lhs: Expr
-    relation: str  # "==" | "<="
-    rhs: Expr
-    hypotheses: tuple[LawAst, ...] = ()
+    __slots__ = ("lhs", "relation", "rhs", "hypotheses", "free_vars", "_compiled")
+    _fields = ("lhs", "relation", "rhs", "hypotheses")
+
+    def __init__(
+        self,
+        lhs: Expr,
+        relation: str,  # "==" | "<="
+        rhs: Expr,
+        hypotheses: tuple[LawAst, ...] = (),
+    ):
+        _set(self, "lhs", lhs)
+        _set(self, "relation", relation)
+        _set(self, "rhs", rhs)
+        _set(self, "hypotheses", hypotheses)
+        _set(self, "free_vars", free_vars(*self.sides))
+        _set(self, "_compiled", None)
 
     @property
     def sides(self) -> tuple[Expr, ...]:
         """Both sides of the conclusion, then both sides of each hypothesis."""
         return (self.lhs, self.rhs, *(side for h in self.hypotheses for side in h.sides))
 
-    @functools.cached_property
-    def free_vars(self) -> tuple[str, ...]:
-        return free_vars(*self.sides)
-
-    @functools.cached_property
+    @property
     def _program(self) -> "_Program":
         """This law compiled for ``scan_law``, once, on first use."""
-        return _compile(self)
+        if self._compiled is None:
+            _set(self, "_compiled", _compile(self))
+        return self._compiled
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*(?::[A-Za-z][A-Za-z0-9]*)*")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME LPAREN RPAREN COMMA REL END
     text: str
     pos: int
@@ -307,8 +314,7 @@ def eval_law(space: Space, law: LawAst, bindings: Mapping[str, int]) -> tuple[in
 _BLOCK_BITS = 16
 
 
-@dataclass(frozen=True, eq=False)
-class _Program:
+class _Program(Frozen):
     """A law as straight-line code: one step per distinct subexpression.
 
     Step ``i`` is ``(code, a, b)``: a variable index, a constant (``a`` true
@@ -316,17 +322,35 @@ class _Program:
     ``_APPLY``, ``b`` is the operator name). A step is space-free when no
     operator lies below it; its lanes depend only on the point count and
     the block, and ``space_free`` lists those steps, ``per_space`` the rest,
-    each in evaluation order.
+    each in evaluation order. It compares by identity, which is all the
+    ``_space_free_block`` memo needs of its key.
     """
 
-    k: int  # free variables
-    steps: tuple[tuple, ...]
-    space_free: tuple[int, ...]
-    per_space: tuple[int, ...]
-    lhs: int
-    rhs: int
-    hypotheses: tuple[tuple[str, int, int], ...]  # (relation, lhs step, rhs step) each
-    ops: tuple[str, ...]  # the operator of every operator node, repeats included
+    __slots__ = _fields = (
+        "k", "steps", "space_free", "per_space", "lhs", "rhs", "hypotheses", "ops"
+    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        k: int,  # free variables
+        steps: tuple[tuple, ...],
+        space_free: tuple[int, ...],
+        per_space: tuple[int, ...],
+        lhs: int,
+        rhs: int,
+        hypotheses: tuple[tuple[str, int, int], ...],  # (relation, lhs step, rhs step) each
+        ops: tuple[str, ...],  # the operator of every operator node, repeats included
+    ):
+        _set(self, "k", k)
+        _set(self, "steps", steps)
+        _set(self, "space_free", space_free)
+        _set(self, "per_space", per_space)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "hypotheses", hypotheses)
+        _set(self, "ops", ops)
 
 
 def _compile(law: LawAst) -> _Program:

@@ -10,7 +10,7 @@ ascending). Registry names follow ``<law>:<operator alias>``, or
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import dsl
 from . import operators as ops
@@ -80,7 +80,7 @@ def _scan(space: Space, tag: str | None, law: dsl.LawAst) -> Verdict:
     verdict = dsl.check_law(space, law)
     if verdict.holds:
         return verdict
-    return Verdict(False, replace(verdict.witness, operation=tag))
+    return Verdict(False, verdict.witness._replace(operation=tag))
 
 
 def check_kuratowski(space: Space, spec: ops.LocalFnSpec) -> KuratowskiReport:
@@ -135,8 +135,7 @@ def check_family_is_topology(family: Family, ground: GroundSet) -> Verdict:
     return Verdict.violated((("A", a), ("B", b)), issue.missing, operation=issue.kind)
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(NamedTuple):
     """A named law: its tagged templates, checked in order."""
 
     name: str

@@ -35,8 +35,8 @@ by the law DSL and the command line.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .space import Family, Space, dual, lanes, nonzero, union_below
 
@@ -52,8 +52,7 @@ class OpenKind(Enum):
 KIND_BY_NAME = {k.value: k for k in OpenKind}
 
 
-@dataclass(frozen=True)
-class LocalFnSpec:
+class LocalFnSpec(NamedTuple):
     """Which local function: neighborhood kind, plus an optional closure
     kind that expands each neighborhood before testing it."""
 

@@ -24,17 +24,18 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import dsl
 from .space import (
     MAX_POINTS,
     Family,
+    Frozen,
     GroundSet,
     Ideal,
     Space,
     Topology,
+    _set,
     generate_ideal,
     generate_topology,
     space_from_document,
@@ -147,19 +148,35 @@ def count_topologies(n: int) -> int:
 # search
 
 
-@dataclass(frozen=True)
-class SearchTask:
-    law_text: str
-    n: int
-    mode: str = "exhaustive"  # "exhaustive" | "subbase" | "documents"
-    want: str = "first"  # "first" | "all-minimal"
-    budget_spaces: int | None = None
-    budget_assignments: int | None = None
-    max_subbase_size: int = 3
-    var_cap: int = 3
-    documents: tuple[str, ...] = ()  # JSON space documents, "documents" mode
+class SearchTask(Frozen):
+    """One search, validated when built."""
 
-    def __post_init__(self):
+    __slots__ = _fields = (
+        "law_text", "n", "mode", "want", "budget_spaces", "budget_assignments",
+        "max_subbase_size", "var_cap", "documents",
+    )
+
+    def __init__(
+        self,
+        law_text: str,
+        n: int,
+        mode: str = "exhaustive",  # "exhaustive" | "subbase" | "documents"
+        want: str = "first",  # "first" | "all-minimal"
+        budget_spaces: int | None = None,
+        budget_assignments: int | None = None,
+        max_subbase_size: int = 3,
+        var_cap: int = 3,
+        documents: tuple[str, ...] = (),  # JSON space documents, "documents" mode
+    ):
+        _set(self, "law_text", law_text)
+        _set(self, "n", n)
+        _set(self, "mode", mode)
+        _set(self, "want", want)
+        _set(self, "budget_spaces", budget_spaces)
+        _set(self, "budget_assignments", budget_assignments)
+        _set(self, "max_subbase_size", max_subbase_size)
+        _set(self, "var_cap", var_cap)
+        _set(self, "documents", documents)
         if self.mode not in ("exhaustive", "subbase", "documents"):
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.want not in ("first", "all-minimal"):
@@ -184,8 +201,7 @@ class DocumentError(ValueError):
         self.error = error
 
 
-@dataclass(frozen=True)
-class SpaceWitness:
+class SpaceWitness(NamedTuple):
     """One violating space with the first violating assignment found in it."""
 
     labels: tuple[str, ...]
@@ -211,8 +227,7 @@ class SpaceWitness:
         )
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     task: SearchTask
     status: str
     witnesses: tuple[SpaceWitness, ...]

@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_POINTS = 8
 
@@ -67,25 +66,74 @@ class IdealAxiomError(SpaceDocumentError):
         self.issue = issue
 
 
-@dataclass(frozen=True)
-class GroundSet:
+# Assigns a field of a ``Frozen`` value, whose own ``__setattr__`` refuses.
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the slotted value types: fields are read-only, and equality,
+    hashing, ``repr`` and pickling go by the fields named in ``_fields``.
+
+    Constructors assign fields with ``object.__setattr__``; other slots
+    hold what a constructor derives or caches. Unpickling calls the
+    constructor on the fields, so it validates and derives them again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+def _stored_hash(self) -> int:
+    """``__hash__`` of the types in the ``topology_tables`` memo key: the
+    hash that the constructor computed once."""
+    return self._hash
+
+
+class GroundSet(Frozen):
     """Ordered point labels; bit ``i`` of a subset mask is ``labels[i]``."""
 
-    labels: tuple[str, ...]
+    __slots__ = ("labels", "_hash")
+    _fields = ("labels",)
+    __hash__ = _stored_hash
 
-    def __post_init__(self):
-        if not isinstance(self.labels, tuple):
-            object.__setattr__(self, "labels", tuple(self.labels))
-        n = len(self.labels)
+    def __init__(self, labels: Iterable[str]):
+        labels = tuple(labels)
+        n = len(labels)
         if not 1 <= n <= MAX_POINTS:
             raise ValueError(f"ground set needs 1..{MAX_POINTS} points, got {n}")
         seen = set()
-        for lab in self.labels:
+        for lab in labels:
             if not isinstance(lab, str) or not lab or any(c in _LABEL_FORBIDDEN for c in lab):
                 raise ValueError(f"bad point label {lab!r}")
             if lab in seen:
                 raise ValueError(f"duplicate point label {lab!r}")
             seen.add(lab)
+        _set(self, "labels", labels)
+        _set(self, "_hash", hash(labels))
 
     @property
     def n(self) -> int:
@@ -124,22 +172,23 @@ class GroundSet:
         return self.subset(part.strip() for part in text.split(","))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Frozen):
     """Canonical family of subsets: sorted, deduplicated masks."""
 
-    members: tuple[int, ...]
-    mask: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("members", "mask", "_hash")
+    _fields = ("members",)
+    __hash__ = _stored_hash
 
-    def __post_init__(self):
-        members = tuple(sorted(set(self.members)))
+    def __init__(self, members: Iterable[int]):
+        members = tuple(sorted(set(members)))
         if members and members[0] < 0:
             raise ValueError("subset masks must be non-negative")
-        object.__setattr__(self, "members", members)
         mask = 0
         for s in members:
             mask |= 1 << s
-        object.__setattr__(self, "mask", mask)
+        _set(self, "members", members)
+        _set(self, "mask", mask)
+        _set(self, "_hash", hash(members))
 
     def __contains__(self, bits: int) -> bool:
         return bits >= 0 and bool(self.mask >> bits & 1)
@@ -151,12 +200,17 @@ class Family:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Frozen):
     """Open-set family. Axioms are enforced wherever a ground set is in
     scope (``validate_topology``, ``parse_space``, ``Space``)."""
 
-    family: Family
+    __slots__ = ("family", "_hash")
+    _fields = ("family",)
+    __hash__ = _stored_hash
+
+    def __init__(self, family: Family):
+        _set(self, "family", family)
+        _set(self, "_hash", hash(family))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.family)
@@ -165,12 +219,15 @@ class Topology:
         return len(self.family)
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Frozen):
     """Hereditary, finitely-union-closed family containing the empty set.
     Axioms are enforced wherever a ground set is in scope."""
 
-    family: Family
+    __slots__ = ("family",)
+    _fields = ("family",)
+
+    def __init__(self, family: Family):
+        _set(self, "family", family)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.family)
@@ -179,8 +236,7 @@ class Ideal:
         return len(self.family)
 
 
-@dataclass(frozen=True)
-class TopologyIssue:
+class TopologyIssue(NamedTuple):
     """First axiom failure found in a candidate open-set family."""
 
     kind: str  # "missing-empty" | "missing-universe" | "union" | "inter"
@@ -200,8 +256,7 @@ class TopologyIssue:
         )
 
 
-@dataclass(frozen=True)
-class IdealIssue:
+class IdealIssue(NamedTuple):
     """First axiom failure found in a candidate ideal family."""
 
     kind: str  # "missing-empty" | "heredity" | "union"
@@ -328,19 +383,24 @@ def generate_ideal(generators: Iterable[int], ground: GroundSet) -> Ideal:
     return Ideal(Family(tuple(members)))
 
 
-@dataclass(frozen=True, eq=False)
-class TopologyTables:
+class TopologyTables(Frozen):
     """What a space derives from its ground set and topology alone.
 
     Interior/closure tables are built eagerly; ``cache`` holds the operator
     layer's ideal-free tables (generalized-open families and neighborhoods,
     generalized closures, local-function hit tables). Every ideal on the
-    same topology shares one instance.
+    same topology shares one instance, so it compares by identity.
     """
 
-    int_table: bytes
-    cl_table: bytes
-    cache: dict = field(default_factory=dict)
+    __slots__ = ("int_table", "cl_table", "cache")
+    _fields = ("int_table", "cl_table")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, int_table: bytes, cl_table: bytes):
+        _set(self, "int_table", int_table)
+        _set(self, "cl_table", cl_table)
+        _set(self, "cache", {})
 
 
 @functools.lru_cache(maxsize=None)
@@ -405,8 +465,7 @@ def topology_tables(ground: GroundSet, topology: Topology) -> TopologyTables:
     )
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Frozen):
     """A validated (ground set, topology, ideal) triple.
 
     Topology-only tables live in a shared :class:`TopologyTables` taken from
@@ -418,18 +477,22 @@ class Space:
     recomputation.
     """
 
-    ground: GroundSet
-    topology: Topology
-    ideal: Ideal
-    tables: TopologyTables = field(init=False, repr=False, compare=False)
-    _cache: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("ground", "topology", "ideal", "tables", "_cache")
+    _fields = ("ground", "topology", "ideal")
+
+    def __init__(self, ground: GroundSet, topology: Topology, ideal: Ideal):
+        _set(self, "ground", ground)
+        _set(self, "topology", topology)
+        _set(self, "ideal", ideal)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "tables", topology_tables(self.ground, self.topology))
+        # Validation and tables; a method of its own, so it can be traced.
+        _set(self, "tables", topology_tables(self.ground, self.topology))
         issue = validate_ideal(self.ideal.family, self.ground)
         if issue is not None:
             raise IdealAxiomError(issue.describe(self.ground), issue)
-        object.__setattr__(self, "_cache", {})
+        _set(self, "_cache", {})
 
     @property
     def n_subsets(self) -> int:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A concrete refutation: variable bindings plus the evaluated sides.
 
     ``bindings`` pairs variable names with subset bitmasks, in scan order.
@@ -21,8 +20,7 @@ class Witness:
     operation: str | None = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one law check: holds, or violated with a witness."""
 
     holds: bool
@@ -37,14 +35,13 @@ class Verdict:
         return cls(False, Witness(tuple(bindings), lhs, rhs, operation))
 
 
-# The one verdict of a law that holds; frozen, so every check shares it.
+# The one verdict of a law that holds; immutable, so every check shares it.
 HOLDS = Verdict(True)
 
 KURATOWSKI_AXIOMS = ("fixes-empty", "extensive", "idempotent", "additive")
 
 
-@dataclass(frozen=True)
-class KuratowskiReport:
+class KuratowskiReport(NamedTuple):
     """Per-axiom verdicts for a candidate closure operator."""
 
     fixes_empty: Verdict

@@ -309,6 +309,28 @@ def test_second_space_is_refused(argv):
     assert out.stderr == f"error: --space takes one file, got 2: {SPACE_B_FILE}, {SPACE_A_FILE}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "star(A)", "--bind", "A=", "--space", "{bad}"),
+        ("check", "--law", "A <= X", "--space", "{bad}"),
+        ("families", "semi", "--space", "{bad}"),
+        ("search", "star(A) == A", "--space", SPACE_A_FILE, "--space", "{bad}"),
+        ("check", "--space", SPACE_A_FILE, "--laws-file", "{bad}"),
+    ],
+    ids=["eval", "check", "families", "search", "laws-file"],
+)
+def test_file_that_is_not_utf8_is_named(tmp_path, argv):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff{}")
+    out = run_cli(*(str(bad) if arg == "{bad}" else arg for arg in argv))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+
+
 class TestFamiliesCommand:
     def test_semi_family_listing(self):
         out = run_cli("families", "semi", "--space", SPACE_A_FILE)
@@ -509,3 +531,39 @@ class TestUsageErrors:
     def test_unknown_family_kind(self):
         out = run_cli("families", "clopen", "--space", SPACE_A_FILE)
         assert out.returncode == 2
+
+
+# Modules a launch should import only when it needs them.
+LAZY = ("dataclasses", "inspect", "concurrent.futures", "idealtop.corpus")
+# Runs one command in a fresh interpreter (``-S``: no site hooks, so only
+# idealtop's own imports count), then prints its exit code and which of
+# ``LAZY`` are loaded.
+STARTUP_PROBE = f"""
+import sys
+import idealtop.cli as cli
+code = cli.main(sys.argv[1:])
+print(code, sorted(m for m in {LAZY!r} if m in sys.modules))
+"""
+
+
+class TestStartup:
+    """What a launch imports: the search path needs neither ``dataclasses``
+    (nor the ``inspect`` it pulls in), the process pool, nor the corpus."""
+
+    def probe(self, *argv):
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", STARTUP_PROBE, *argv],
+            capture_output=True, text=True, cwd=REPO, timeout=120,
+        )
+        assert out.stderr == ""
+        return out.stdout.splitlines()[-1]
+
+    def test_one_worker_search_loads_none_of_them(self):
+        law = "star(union(A,B)) == union(star(A),star(B))"
+        assert self.probe("search", law, "--points", "2") == "0 []"
+
+    def test_two_worker_search_loads_the_pool(self):
+        law = "star(union(A,B)) == union(star(A),star(B))"
+        assert self.probe("search", law, "--points", "2", "--workers", "2") == (
+            "0 ['concurrent.futures']"
+        )
