@@ -15,7 +15,7 @@ from . import dsl, laws
 from . import operators as ops
 from . import search as search_mod
 from .space import Space, SpaceDocumentError, UnknownLabelError, parse_space
-from .verdicts import Verdict, Witness
+from .verdicts import Verdict
 
 
 def _read_text(path: str) -> str:
@@ -61,29 +61,10 @@ def _parse_bindings(space: Space, texts: list[str], names: tuple[str, ...]) -> d
     return bindings
 
 
-def _witness_text(space: Space, witness: Witness) -> str:
-    fmt = space.ground.format
-    parts = [f"{name}={fmt(bits)}" for name, bits in witness.bindings]
-    parts += [f"lhs={fmt(witness.lhs)}", f"rhs={fmt(witness.rhs)}"]
-    if witness.operation is not None:
-        parts.append(f"({witness.operation})")
-    return " ".join(parts)
-
-
-def _witness_json(space: Space, witness: Witness) -> dict:
-    labels = space.ground.labels_of
-    return {
-        "bindings": {name: labels(bits) for name, bits in witness.bindings},
-        "lhs": labels(witness.lhs),
-        "rhs": labels(witness.rhs),
-        "operation": witness.operation,
-    }
-
-
 def _verdict_json(space: Space, verdict: Verdict) -> dict:
     return {
         "status": "Holds" if verdict.holds else "Violated",
-        "witness": None if verdict.witness is None else _witness_json(space, verdict.witness),
+        "witness": None if verdict.witness is None else verdict.witness.by_label(space.ground),
     }
 
 
@@ -142,7 +123,7 @@ def cmd_check(args) -> int:
             if verdict.holds:
                 print(f"Holds     {text}")
             else:
-                print(f"Violated  {text}  [{_witness_text(space, verdict.witness)}]")
+                print(f"Violated  {text}  [{verdict.witness.line(space.ground)}]")
     return 0 if all(v.holds for _, v in results) else 1
 
 

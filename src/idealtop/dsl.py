@@ -476,6 +476,12 @@ def _space_free_block(program: _Program, n: int, start: int) -> tuple[tuple, tup
     return tuple(vals), tuple(inputs)
 
 
+def _check_var_cap(law: LawAst, var_cap: int) -> None:
+    """Refuse a law with more free variables than ``var_cap``."""
+    if len(law.free_vars) > var_cap:
+        raise VariableCapError(f"law has {len(law.free_vars)} free variables, cap is {var_cap}")
+
+
 def scan_law(
     space: Space,
     law: LawAst,
@@ -507,10 +513,7 @@ def scan_law(
     translates those bytes through its own operator tables.
     """
     names = law.free_vars
-    if len(names) > var_cap:
-        raise VariableCapError(
-            f"law has {len(names)} free variables, cap is {var_cap}"
-        )
+    _check_var_cap(law, var_cap)
     program = law._program
     # One lookup per operator node, repeats included: the space's table
     # counts do not depend on how the law compiles. ``bytes.translate``

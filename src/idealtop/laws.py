@@ -15,7 +15,7 @@ from typing import NamedTuple
 from . import dsl
 from . import operators as ops
 from .space import Family, GroundSet, Space, Topology, validate_topology
-from .verdicts import KuratowskiReport, Verdict, Witness
+from .verdicts import KURATOWSKI_AXIOMS, KuratowskiReport, Verdict, Witness
 
 __all__ = [
     "Law",
@@ -42,12 +42,12 @@ LAW_TEMPLATES: dict[str, dict[str | None, str]] = {
     "diff-law": {None: "diff({op}(A),{op}(B)) == diff({op}(diff(A,B)),{op}(B))"},
     "psi-cap": {"inter": "{psi}(inter(A,B)) == inter({psi}(A),{psi}(B))"},
     "psi-cup": {"union": "{psi}(union(A,B)) == union({psi}(A),{psi}(B))"},
-    "kuratowski": {
-        "fixes-empty": "clstar:{op}(empty) == empty",
-        "extensive": "A <= clstar:{op}(A)",
-        "idempotent": "clstar:{op}(clstar:{op}(A)) == clstar:{op}(A)",
-        "additive": "clstar:{op}(union(A,B)) == union(clstar:{op}(A),clstar:{op}(B))",
-    },
+    "kuratowski": dict(zip(KURATOWSKI_AXIOMS, (
+        "clstar:{op}(empty) == empty",
+        "A <= clstar:{op}(A)",
+        "clstar:{op}(clstar:{op}(A)) == clstar:{op}(A)",
+        "clstar:{op}(union(A,B)) == union(clstar:{op}(A),clstar:{op}(B))",
+    ))),
     "eta-topology": {
         "missing-empty": "empty <= {psi}(empty)",
         "missing-universe": "X <= {psi}(X)",
@@ -106,13 +106,15 @@ def star_topology(space: Space, spec: ops.LocalFnSpec) -> Topology:
     """Topology whose closed sets are the star-closure fixed points.
 
     Refuses with :class:`StarTopologyRefused` unless all four Kuratowski
-    axioms hold for the star closure ``clstar:<alias>`` on this space.
+    axioms hold for the star closure ``clstar:<alias>`` on this space; the
+    refusal names the first axiom that fails and carries its witness.
     """
-    failure = check_kuratowski(space, spec).first_violation
-    if failure is not None:
-        raise StarTopologyRefused(*failure)
+    alias = ops.SPEC_ALIAS[spec]
+    verdict = get_law("kuratowski:" + alias).check(space)
+    if not verdict.holds:
+        raise StarTopologyRefused(verdict.witness.operation, verdict)
     full = space.ground.universe
-    star = ops.unary_table(space, "clstar:" + ops.SPEC_ALIAS[spec])
+    star = ops.unary_table(space, "clstar:" + alias)
     opens = tuple(a for a in range(space.n_subsets) if star[full ^ a] == full ^ a)
     topo = Topology(Family(opens))
     issue = validate_topology(topo.family, space.ground)

@@ -12,7 +12,7 @@ alias, and ``clstar:`` of one, is a table over all subsets, ``2**n`` bytes
 with byte ``a`` the value at subset ``a``, memoized in the per-space
 ``space._cache`` under its name. Tables that depend on the topology alone
 (generalized-open families and closures, local-function hit tables) live
-in ``space.tables.cache`` and are shared by every ideal on that topology.
+in ``space.tables`` and are shared by every ideal on that topology.
 The ideal is the power set of its top member, so a trace ``t & a`` lies
 in it iff ``t & a & ~top`` is empty; hence ``f(a) = H[a & ~top]`` for the
 ideal-free hit table ``H``. For a plain local function ``H`` is the kind
@@ -65,7 +65,8 @@ class LocalFnSpec(NamedTuple):
 
 
 def derived_set(space: Space, a: int) -> int:
-    """Points whose every open neighborhood meets ``a`` elsewhere."""
+    """Points whose every open neighborhood meets ``a`` elsewhere: entry
+    ``a`` of the space's ``der`` table."""
     return _table(space, "der")[a]
 
 
@@ -101,7 +102,7 @@ def kopen_family(space: Space, kind: OpenKind) -> Family:
     lanes through a table applies it to each.
     """
     key = ("kopen", kind)
-    fam = space.tables.cache.get(key)
+    fam = space.tables.get(key)
     if fam is None:
         if kind is OpenKind.OPEN:
             fam = space.topology.family
@@ -114,20 +115,20 @@ def kopen_family(space: Space, kind: OpenKind) -> Family:
                 OpenKind.B: _lanes(int_cl) | _lanes(cl_int),
                 OpenKind.BETA: _lanes(_translate(int_cl, cl)),
             }[kind], space)
-        space.tables.cache[key] = fam
+        space.tables[key] = fam
     return fam
 
 
 def kopen_at(space: Space, kind: OpenKind) -> tuple[tuple[int, ...], ...]:
     """Per point, the kind-open sets containing it."""
     key = ("kopen-at", kind)
-    nbhds = space.tables.cache.get(key)
+    nbhds = space.tables.get(key)
     if nbhds is None:
         members = kopen_family(space, kind).members
         nbhds = tuple(
             tuple(u for u in members if u >> z & 1) for z in range(space.ground.n)
         )
-        space.tables.cache[key] = nbhds
+        space.tables[key] = nbhds
     return nbhds
 
 
@@ -137,11 +138,11 @@ def kclosure_table(space: Space, kind: OpenKind) -> bytes:
     kind-open sets that miss it. That is the dual of the table of unions
     of the kind-open sets inside each subset."""
     key = ("kclosure", kind)
-    table = space.tables.cache.get(key)
+    table = space.tables.get(key)
     if table is None:
         n = space.ground.n
         table = dual(union_below(kopen_family(space, kind), n), n).to_bytes(1 << n, "little")
-        space.tables.cache[key] = table
+        space.tables[key] = table
     return table
 
 
@@ -159,7 +160,7 @@ def hit_table(space: Space, spec: LocalFnSpec) -> bytes:
     if spec.is_plain:
         return kclosure_table(space, spec.nbhd)
     key = ("lf-hits", spec)
-    table = space.tables.cache.get(key)
+    table = space.tables.get(key)
     if table is None:
         ones, identity = lanes(space.ground.n)
         kcl = kclosure_table(space, spec.cl)
@@ -170,7 +171,7 @@ def hit_table(space: Space, spec: LocalFnSpec) -> bytes:
                 hit &= nonzero(identity & t * ones, ones)
             out |= hit << z
         table = out.to_bytes(space.n_subsets, "little")
-        space.tables.cache[key] = table
+        space.tables[key] = table
     return table
 
 
@@ -253,10 +254,8 @@ def _build(space: Space, name: str) -> bytes:
     if spec is not None:  # the hot case, first: f(a) = H[a & ~top]
         outside = identity & (full & ~space.ideal_top) * ones
         return _translate(outside.to_bytes(size, "little"), hit_table(space, spec))
-    if name == "int":
-        return space.int_table
-    if name == "cl":
-        return space.cl_table
+    if name in ("int", "cl"):
+        return space.tables[name]
     if name == "der":
         # z is in der(a) iff it is in cl(a - {z})
         out = 0

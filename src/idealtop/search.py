@@ -35,12 +35,14 @@ from .space import (
     Ideal,
     Space,
     Topology,
+    _json_document,
     _set,
     generate_ideal,
     generate_topology,
     space_from_document,
     space_to_document,
 )
+from .verdicts import Witness
 
 EXHAUSTIVE_MAX_POINTS = 4
 
@@ -246,8 +248,8 @@ def _space_stream(task: SearchTask) -> tuple[Iterator[tuple], int | None]:
         spaces = []
         for index, text in enumerate(task.documents):
             try:
-                spaces.append(space_from_document(json.loads(text)))
-            except ValueError as exc:  # bad JSON or a SpaceDocumentError
+                spaces.append(space_from_document(_json_document(text)))
+            except ValueError as exc:  # a SpaceDocumentError, bad JSON included
                 raise DocumentError(index, exc) from exc
         return iter([(sp.ground, sp.topology, sp.ideal) for sp in spaces]), len(spaces)
     ground = GroundSet(default_labels(task.n))
@@ -264,13 +266,9 @@ def _space_stream(task: SearchTask) -> tuple[Iterator[tuple], int | None]:
 
 
 def _scan_one(space_key, law, var_cap, cap):
-    space = Space(*space_key)
-    outcome, verdict, count = dsl.scan_law(space, law, var_cap=var_cap, budget=cap)
-    packed = None
-    if outcome == "violated":
-        w = verdict.witness
-        packed = (w.bindings, w.lhs, w.rhs)
-    return outcome, packed, count
+    """(outcome, witness or None, count) of one space's scan."""
+    outcome, verdict, count = dsl.scan_law(Space(*space_key), law, var_cap=var_cap, budget=cap)
+    return outcome, None if verdict is None else verdict.witness, count
 
 
 # A worker process's (law, var_cap, cap), set once by ``_start_worker``.
@@ -297,7 +295,7 @@ def _chunks(stream, size):
 
 
 def _scan_results(task: SearchTask, law: dsl.LawAst, stream, workers: int):
-    """Yield (space_key, outcome, packed_witness, count) in stream order.
+    """Yield (space_key, outcome, witness, count) in stream order.
 
     Every space is scanned with the same per-space assignment cap (the whole
     budget), so a worker's answer never depends on what other spaces did;
@@ -326,8 +324,8 @@ def _scan_results(task: SearchTask, law: dsl.LawAst, stream, workers: int):
                 nxt = next(chunk_stream, None)
                 if nxt is not None:
                     pending.append((nxt, pool.submit(_scan_chunk, nxt)))
-                for space_key, (outcome, packed, count) in zip(chunk, results):
-                    yield space_key, outcome, packed, count
+                for space_key, result in zip(chunk, results):
+                    yield space_key, *result
         finally:
             for _, future in pending:
                 future.cancel()
@@ -336,35 +334,29 @@ def _scan_results(task: SearchTask, law: dsl.LawAst, stream, workers: int):
 def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
     stream, total = _space_stream(task)
     law = dsl.parse_law(task.law_text)  # fail fast on bad law text
-    if len(law.free_vars) > task.var_cap:
-        raise dsl.VariableCapError(
-            f"law has {len(law.free_vars)} free variables, cap is {task.var_cap}"
-        )
+    dsl._check_var_cap(law, task.var_cap)  # and on too many variables
 
     witnesses: list[SpaceWitness] = []
     scanned = 0
     used = 0
     cut = False
-    completed = True
-    for space_key, outcome, packed, count in _scan_results(task, law, stream, workers):
+    for space_key, outcome, witness, count in _scan_results(task, law, stream, workers):
         if task.budget_spaces is not None and scanned >= task.budget_spaces:
-            cut, completed = True, False
+            cut = True
             break
         remaining = None if task.budget_assignments is None else task.budget_assignments - used
         if remaining is not None and remaining <= 0:
-            cut, completed = True, False
+            cut = True
             break
         scanned += 1
         if outcome == "violated" and (remaining is None or count <= remaining):
             used += count
             ground, topology, ideal = space_key
-            witnesses.append(
-                SpaceWitness(
-                    ground.labels, topology.family.members, ideal.family.members, *packed
-                )
-            )
+            witnesses.append(SpaceWitness(
+                ground.labels, topology.family.members, ideal.family.members,
+                witness.bindings, witness.lhs, witness.rhs,
+            ))
             if task.want == "first":
-                completed = False
                 break
             continue
         if outcome == "holds" and (remaining is None or count <= remaining):
@@ -373,7 +365,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
         # worker hit the per-space cap, or the serial budget runs out inside
         # this space before reaching its verdict
         used += count if remaining is None else min(count, remaining)
-        cut, completed = True, False
+        cut = True
         break
 
     if witnesses:
@@ -382,7 +374,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
             best = min(w.sort_key()[:2] for w in witnesses)
             witnesses = [w for w in witnesses if w.sort_key()[:2] == best]
             witnesses.sort(key=SpaceWitness.sort_key)
-    elif completed and task.mode == "exhaustive":
+    elif not cut and task.mode == "exhaustive":
         status = STATUS_CERTIFIED
     else:
         status = STATUS_BUDGET
@@ -408,15 +400,9 @@ def result_to_report(result: SearchResult) -> dict:
     witnesses = []
     for w in result.witnesses:
         space = w.space()
-        ground = space.ground
-        witnesses.append(
-            {
-                "space": space_to_document(space),
-                "bindings": {name: ground.labels_of(bits) for name, bits in w.bindings},
-                "lhs": ground.labels_of(w.lhs),
-                "rhs": ground.labels_of(w.rhs),
-            }
-        )
+        fields = Witness(w.bindings, w.lhs, w.rhs).by_label(space.ground)
+        del fields["operation"]  # search witnesses are untagged
+        witnesses.append({"space": space_to_document(space), **fields})
     return {
         "status": result.status,
         "law": task.law_text,

@@ -383,26 +383,6 @@ def generate_ideal(generators: Iterable[int], ground: GroundSet) -> Ideal:
     return Ideal(Family(tuple(members)))
 
 
-class TopologyTables(Frozen):
-    """What a space derives from its ground set and topology alone.
-
-    Interior/closure tables are built eagerly; ``cache`` holds the operator
-    layer's ideal-free tables (generalized-open families and neighborhoods,
-    generalized closures, local-function hit tables). Every ideal on the
-    same topology shares one instance, so it compares by identity.
-    """
-
-    __slots__ = ("int_table", "cl_table", "cache")
-    _fields = ("int_table", "cl_table")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, int_table: bytes, cl_table: bytes):
-        _set(self, "int_table", int_table)
-        _set(self, "cl_table", cl_table)
-        _set(self, "cache", {})
-
-
 @functools.lru_cache(maxsize=None)
 def lanes(n: int) -> tuple[int, int]:
     """Byte lanes over the ``2**n`` subsets of n points: ``0x01`` in every
@@ -446,11 +426,15 @@ def dual(x: int, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def topology_tables(ground: GroundSet, topology: Topology) -> TopologyTables:
-    """Validate ``topology`` on ``ground`` and build its tables.
+def topology_tables(ground: GroundSet, topology: Topology) -> dict:
+    """Validate ``topology`` on ``ground``; return the dict every space on
+    it shares.
 
-    Both are built in byte lanes: the interior of ``a`` is the union of
-    the opens inside it, and the closure is the interior's dual.
+    The dict holds the interior and closure tables under ``"int"`` and
+    ``"cl"``, both built in byte lanes: the interior of ``a`` is the union
+    of the opens inside it, and the closure is the interior's dual. The
+    operator layer adds its ideal-free tables (generalized-open families
+    and neighborhoods, generalized closures, local-function hit tables).
 
     One entry: search streams yield every ideal of a topology in a row, so
     the last topology is the only one worth keeping.
@@ -460,21 +444,22 @@ def topology_tables(ground: GroundSet, topology: Topology) -> TopologyTables:
         raise TopologyAxiomError(issue.describe(ground), issue)
     n = ground.n
     int_lanes = union_below(topology.family, n)
-    return TopologyTables(
-        int_lanes.to_bytes(1 << n, "little"), dual(int_lanes, n).to_bytes(1 << n, "little")
-    )
+    return {
+        "int": int_lanes.to_bytes(1 << n, "little"),
+        "cl": dual(int_lanes, n).to_bytes(1 << n, "little"),
+    }
 
 
 class Space(Frozen):
     """A validated (ground set, topology, ideal) triple.
 
-    Topology-only tables live in a shared :class:`TopologyTables` taken from
-    a one-entry memo, so consecutive spaces on one topology validate it and
-    build its tables once. The ideal is the power set of ``ideal_top``; the
-    operator layer reads it only through that mask. Operator tables, one
-    per alias, are memoized into ``_cache`` by ``operators.unary_table``.
-    Caches never feed back into equality and always equal fresh
-    recomputation.
+    ``tables`` is the dict that every space on the topology shares, taken
+    from the one-entry ``topology_tables`` memo, so consecutive spaces on
+    one topology validate it and build its tables once. The ideal is the
+    power set of ``ideal_top``; the operator layer reads it only through
+    that mask. Operator tables, one per alias, are memoized into
+    ``_cache`` by ``operators.unary_table``. Caches never feed back into
+    equality and always equal fresh recomputation.
     """
 
     __slots__ = ("ground", "topology", "ideal", "tables", "_cache")
@@ -500,11 +485,11 @@ class Space(Frozen):
 
     @property
     def int_table(self) -> bytes:
-        return self.tables.int_table
+        return self.tables["int"]
 
     @property
     def cl_table(self) -> bytes:
-        return self.tables.cl_table
+        return self.tables["cl"]
 
     @property
     def ideal_top(self) -> int:
@@ -551,37 +536,35 @@ def space_from_document(doc) -> Space:
         raise SchemaError("give exactly one of 'ideal' or 'ideal_generators'")
 
     if "topology" in doc:
-        fam = Family(tuple(_subset_list(ground, doc["topology"], "topology")))
-        issue = validate_topology(fam, ground)
-        if issue is not None:
-            raise TopologyAxiomError(issue.describe(ground), issue)
-        topology = Topology(fam)
+        topology = Topology(Family(_subset_list(ground, doc["topology"], "topology")))
     else:
         topology = generate_topology(
             _subset_list(ground, doc["topology_subbase"], "topology_subbase"), ground
         )
+    # Validated here, before the ideal's labels are read: a topology error
+    # is reported first. ``Space`` finds the tables in the memo.
+    topology_tables(ground, topology)
 
     if "ideal" in doc:
-        fam = Family(tuple(_subset_list(ground, doc["ideal"], "ideal")))
-        issue = validate_ideal(fam, ground)
-        if issue is not None:
-            raise IdealAxiomError(issue.describe(ground), issue)
-        ideal = Ideal(fam)
+        ideal = Ideal(Family(_subset_list(ground, doc["ideal"], "ideal")))
     else:
         ideal = generate_ideal(
             _subset_list(ground, doc["ideal_generators"], "ideal_generators"), ground
         )
-
     return Space(ground, topology, ideal)
+
+
+def _json_document(text: str):
+    """Decode the JSON of a space document; the one decoder of documents."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from None
 
 
 def parse_space(text: str) -> Space:
     """Parse and validate a JSON space document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None
-    return space_from_document(doc)
+    return space_from_document(_json_document(text))
 
 
 def space_to_document(space: Space, name: str | None = None) -> dict:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from .space import GroundSet
 
 
 class Witness(NamedTuple):
@@ -10,14 +13,33 @@ class Witness(NamedTuple):
 
     ``bindings`` pairs variable names with subset bitmasks, in scan order.
     ``operation`` tags witnesses whose meaning is not a bare equation, such
-    as family-closure failures ("union", "inter") or a failed closure-axiom
-    name ("idempotent", "additive", ...).
+    as family-closure failures ("union", "inter") or a failed closure axiom
+    (one of ``KURATOWSKI_AXIOMS``).
     """
 
     bindings: tuple[tuple[str, int], ...]
     lhs: int
     rhs: int | None = None
     operation: str | None = None
+
+    def by_label(self, ground: GroundSet) -> dict:
+        """The witness in point labels, as reports print it: ``bindings``
+        maps each variable to its subset, ``lhs`` and ``rhs`` are subsets,
+        and ``operation`` is the tag."""
+        labels = ground.labels_of
+        return {
+            "bindings": {name: labels(bits) for name, bits in self.bindings},
+            "lhs": labels(self.lhs),
+            "rhs": labels(self.rhs),
+            "operation": self.operation,
+        }
+
+    def line(self, ground: GroundSet) -> str:
+        """``by_label`` on one line: ``A={w1} lhs={w1,w2} rhs={w2} (tag)``."""
+        fields = self.by_label(ground)
+        subsets = {**fields["bindings"], "lhs": fields["lhs"], "rhs": fields["rhs"]}
+        line = " ".join(f"{name}={{{','.join(subset)}}}" for name, subset in subsets.items())
+        return line if self.operation is None else f"{line} ({self.operation})"
 
 
 class Verdict(NamedTuple):
@@ -38,11 +60,10 @@ class Verdict(NamedTuple):
 # The one verdict of a law that holds; immutable, so every check shares it.
 HOLDS = Verdict(True)
 
-KURATOWSKI_AXIOMS = ("fixes-empty", "extensive", "idempotent", "additive")
-
 
 class KuratowskiReport(NamedTuple):
-    """Per-axiom verdicts for a candidate closure operator."""
+    """Per-axiom verdicts for a candidate closure operator, one field per
+    axiom in ``KURATOWSKI_AXIOMS`` order."""
 
     fixes_empty: Verdict
     extensive: Verdict
@@ -50,21 +71,17 @@ class KuratowskiReport(NamedTuple):
     additive: Verdict
 
     def verdict(self, axiom: str) -> Verdict:
-        table = {
-            "fixes-empty": self.fixes_empty,
-            "extensive": self.extensive,
-            "idempotent": self.idempotent,
-            "additive": self.additive,
-        }
-        try:
-            return table[axiom]
-        except KeyError:
-            raise ValueError(f"unknown closure axiom {axiom!r}") from None
+        if axiom not in KURATOWSKI_AXIOMS:
+            raise ValueError(f"unknown closure axiom {axiom!r}")
+        return self[KURATOWSKI_AXIOMS.index(axiom)]
 
     @property
     def first_violation(self) -> tuple[str, Verdict] | None:
-        for axiom in KURATOWSKI_AXIOMS:
-            v = self.verdict(axiom)
+        for axiom, v in zip(KURATOWSKI_AXIOMS, self):
             if not v.holds:
                 return axiom, v
         return None
+
+
+# The axiom names, spelled once: the report's fields, in order, hyphenated.
+KURATOWSKI_AXIOMS = tuple(name.replace("_", "-") for name in KuratowskiReport._fields)

@@ -55,6 +55,33 @@ class TestCorpusLibrary:
         assert len(report.failures) == 1
         assert "sstar(A)" in report.failures[0]
 
+    def test_failing_law_check_prints_its_witness_by_label(self):
+        entry = corpus.CorpusEntry(
+            "fake",
+            "deliberately wrong expectations",
+            corpus.SPACE_B_DOC,
+            (
+                corpus.LawCheck("additivity:pstar", holds=True),
+                corpus.LawCheck("psi-cap:pstar", holds=True),
+            ),
+        )
+        assert corpus.run_entry(entry).failures == (
+            "additivity:pstar: expected Holds, got Violated at "
+            "A={w3} B={w4} lhs={w1,w2,w3,w4} rhs={w3,w4}",
+            "psi-cap:pstar: expected Holds, got Violated at A={w3} B={w4} lhs={} rhs={w1} (inter)",
+        )
+
+    def test_kuratowski_pair_that_does_not_violate_is_caught(self):
+        entry = corpus.CorpusEntry(
+            "fake",
+            "a pair that satisfies the additive axiom",
+            corpus.SPACE_B_DOC,
+            (corpus.KuratowskiCheck("pstar", "additive", holds=False, pair=(corpus.W1, corpus.W2)),),
+        )
+        assert corpus.run_entry(entry).failures == (
+            "kuratowski additive for pstar: [A={w1}, B={w2}] does not violate",
+        )
+
     def test_documents_are_only_the_two_reference_spaces(self):
         docs = {json.dumps(e.document, sort_keys=True) for e in corpus.ENTRIES}
         assert docs == {
@@ -425,8 +452,8 @@ class TestSearchCommand:
         out = run_cli("search", "star(A) == A", "--space", SPACE_A_FILE, "--space", str(bad))
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == (
-            f"error: {bad}: Expecting property name enclosed in double quotes: "
-            "line 1 column 19 (char 18)\n"
+            f"error: {bad}: invalid JSON: Expecting property name enclosed in "
+            "double quotes: line 1 column 19 (char 18)\n"
         )
 
     def test_non_string_name_is_named(self, tmp_path):

@@ -7,6 +7,7 @@ frozen value and a wrong engine disagree loudly.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -341,13 +342,28 @@ class TestStarTopology:
         topo = laws.star_topology(space, ops.LOCAL_FN_ALIASES["star"])
         assert len(topo.family) == space.n_subsets
 
-    def test_refusal_carries_axiom_and_witness(self, space_b):
+    def test_refusal_carries_axiom_and_witness(self, space_b, small_spaces):
         for alias in ("pstar", "betastar"):
             with pytest.raises(laws.StarTopologyRefused) as exc:
                 laws.star_topology(space_b, ops.LOCAL_FN_ALIASES[alias])
             assert exc.value.axiom == "additive"
             assert exc.value.verdict.witness.bindings == (("A", 4), ("B", 8))
             assert "additive" in str(exc.value)
+        # The refusal is the registry law's first failure, and the report's.
+        refused = Counter()
+        for space in small_spaces:
+            for alias, spec in ops.LOCAL_FN_ALIASES.items():
+                verdict = laws.get_law("kuratowski:" + alias).check(space)
+                failure = laws.check_kuratowski(space, spec).first_violation
+                try:
+                    laws.star_topology(space, spec)
+                except laws.StarTopologyRefused as refusal:
+                    refused[refusal.axiom] += 1
+                    assert refusal.axiom == verdict.witness.operation == failure[0]
+                    assert refusal.verdict.witness == verdict.witness == failure[1].witness
+                else:
+                    assert verdict.holds and failure is None
+        assert set(refused) == {"idempotent", "additive"}, refused
 
 
 def oracle_alias_tables(space):

@@ -14,7 +14,7 @@ import pytest
 
 import oracle
 from idealtop import dsl, search
-from idealtop.space import GroundSet, serialize_space
+from idealtop.space import GroundSet, SchemaError, serialize_space
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"
 
@@ -128,7 +128,9 @@ class TestTaskValidation:
         with pytest.raises(search.DocumentError, match="^document 2: ") as info:
             search.run_search(task)
         assert info.value.index == 1
-        assert isinstance(info.value.error, json.JSONDecodeError)
+        # the decoder ``parse_space`` uses: bad JSON is a schema error
+        assert isinstance(info.value.error, SchemaError)
+        assert str(info.value.error).startswith("invalid JSON: Expecting property name")
 
     def test_run_rejects_bad_law_and_scale(self):
         with pytest.raises(dsl.DslError):

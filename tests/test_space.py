@@ -7,11 +7,13 @@ deterministic scan order stays part of the contract.
 
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
 
 import oracle
+from idealtop import search
 from idealtop.operators import OpenKind, kopen_at
 from idealtop.space import (
     Family,
@@ -377,6 +379,19 @@ class TestDocuments:
             space_from_document(
                 {"points": ["w1"], "topology": [[], ["w2"]], "ideal": [[]]}
             )
+
+    def test_topology_error_outranks_unknown_ideal_label(self):
+        doc = {
+            "points": ["a", "b", "c"],
+            "topology": [[], ["a"], ["b"], ["a", "b", "c"]],
+            "ideal": [["zz"]],
+        }
+        message = re.escape("topology not closed under union: {a} ∪ {b} = {a,b} is missing")
+        with pytest.raises(TopologyAxiomError, match=f"^{message}$"):
+            space_from_document(doc)
+        task = search.SearchTask("A <= X", 0, mode="documents", documents=(json.dumps(doc),))
+        with pytest.raises(search.DocumentError, match=f"^document 1: {message}$"):
+            search.run_search(task)
 
     def test_invalid_json_reports_schema_error(self):
         with pytest.raises(SchemaError):

@@ -20,7 +20,6 @@ from idealtop.space import (
     Space,
     Topology,
     TopologyIssue,
-    TopologyTables,
     generate_ideal,
     generate_topology,
 )
@@ -148,7 +147,6 @@ def test_derived_slots_are_read_only():
         (G2, "_hash"),
         (space, "tables"),
         (space, "_cache"),
-        (space.tables, "cache"),
         (LAW, "free_vars"),
         (LAW._program, "steps"),
         (G2, "not_a_field"),
@@ -159,12 +157,8 @@ def test_derived_slots_are_read_only():
 
 def test_identity_types_compare_by_identity():
     # Every ideal on a topology shares its tables, and the space-free memo
-    # keys on a compiled program: neither compares by value.
-    tables = _space(1).tables
-    assert tables is _space(2).tables
-    twin = TopologyTables(tables.int_table, tables.cl_table)
-    assert twin != tables and twin == twin and hash(twin) != hash(tables)
-    assert repr(twin) == f"TopologyTables(int_table={tables.int_table!r}, cl_table={tables.cl_table!r})"
+    # keys on a compiled program, which does not compare by value.
+    assert _space(1).tables is _space(2).tables
     first, second = dsl.parse_law("A <= X"), dsl.parse_law("A <= X")
     assert first == second
     assert first._program is first._program
