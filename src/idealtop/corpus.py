@@ -1,10 +1,11 @@
 """Embedded regression corpus: small spaces with frozen expected outputs.
 
 Each entry pins down one way a closure-like operator misbehaves (or
-behaves) on a concrete four-point space: exact operator values, family
-listings, law verdicts, known violating pairs, and refused topology
-constructions. ``run_corpus`` re-derives everything from the engine and
-reports any mismatch with expected vs got.
+behaves) on a concrete four-point space, through three kinds of check: an
+expression's exact value at fixed bindings, an exact generalized-open
+family, and a law's verdict, over every assignment or at known bindings.
+``run_corpus`` re-derives everything from the engine and reports any
+mismatch with expected vs got.
 """
 
 from __future__ import annotations
@@ -59,32 +60,46 @@ class EvalCheck(NamedTuple):
 
 
 class LawCheck(NamedTuple):
-    """A registry law holds (or is violated) on the entry space."""
+    """A law's verdict on the entry space, over every assignment or, with
+    ``at``, at those bindings only.
+
+    ``law`` is a registry name or DSL law text. Without ``at``, a given
+    ``tag`` must be the tag of the first failing template; with ``at``, it
+    picks the template to evaluate.
+    """
 
     law: str
     holds: bool
+    at: tuple[tuple[str, int], ...] | None = None
+    tag: str | None = None
 
     def run(self, space: Space) -> str | None:
-        verdict = laws.get_law(self.law).check(space)
-        if verdict.holds == self.holds:
+        law = _resolve_law(self.law)
+        want = ("Holds" if self.holds else "Violated") + (f" ({self.tag})" if self.tag else "")
+        if self.at is None:
+            verdict = law.check(space)
+            tag = None if verdict.holds else verdict.witness.operation
+            if verdict.holds == self.holds and self.tag in (None, tag):
+                return None
+            got = "Holds" if verdict.holds else f"Violated at {verdict.witness.line(space.ground)}"
+            return f"{self.law}: expected {want}, got {got}"
+        violated = law.witness_violates(space, laws.Witness(self.at, 0, operation=self.tag))
+        if violated != self.holds:
             return None
-        want = "Holds" if self.holds else "Violated"
-        got = "Holds" if verdict.holds else f"Violated at {verdict.witness.line(space.ground)}"
-        return f"{self.law}: expected {want}, got {got}"
+        got = "Violated" if violated else "Holds"
+        return f"{self.law} [{_fmt_bindings(space, self.at)}]: expected {want}, got {got}"
 
 
-class PairCheck(NamedTuple):
-    """A specific pair is a genuine violating instance of a two-variable law."""
+def _resolve_law(text: str) -> laws.Law:
+    """A registry name, or DSL law text as an untagged one-template law;
+    only law text holds a relation such as ``==`` or ``<=``."""
+    if "=" in text:
+        return laws.Law(text, ((None, dsl.parse_law(text)),))
+    return laws.get_law(text)
 
-    law: str
-    a: int
-    b: int
 
-    def run(self, space: Space) -> str | None:
-        if laws.get_law(self.law).pair_violates(space, self.a, self.b):
-            return None
-        pair = _fmt_bindings(space, (("A", self.a), ("B", self.b)))
-        return f"{self.law}: expected [{pair}] to violate, but it does not"
+def _pair(a: int, b: int) -> tuple[tuple[str, int], ...]:
+    return (("A", a), ("B", b))
 
 
 class FamilyCheck(NamedTuple):
@@ -99,67 +114,6 @@ class FamilyCheck(NamedTuple):
             return None
         fmt = lambda fam: "[" + ", ".join(space.ground.format(s) for s in fam) + "]"
         return f"{self.kind}-open family: expected {fmt(self.expected)}, got {fmt(got)}"
-
-
-class MemberCheck(NamedTuple):
-    """Membership fact about the family of sets below their psi image."""
-
-    op: str
-    subset: int
-    present: bool
-
-    def run(self, space: Space) -> str | None:
-        fam = ops.psi_fix_family(space, ops.LOCAL_FN_ALIASES[self.op])
-        if (self.subset in fam) == self.present:
-            return None
-        where = "in" if self.present else "not in"
-        return (
-            f"expected {space.ground.format(self.subset)} {where} "
-            f"the psi-fix family of {self.op}"
-        )
-
-
-class KuratowskiCheck(NamedTuple):
-    """One closure axiom's verdict for a | f(a), with an optional known pair
-    that violates it."""
-
-    op: str
-    axiom: str
-    holds: bool
-    pair: tuple[int, int] | None = None
-
-    def run(self, space: Space) -> str | None:
-        spec = ops.LOCAL_FN_ALIASES[self.op]
-        verdict = laws.check_kuratowski(space, spec).verdict(self.axiom)
-        if verdict.holds != self.holds:
-            want = "Holds" if self.holds else "Violated"
-            return f"kuratowski {self.axiom} for {self.op}: expected {want}"
-        if self.pair is not None:
-            pair = (("A", self.pair[0]), ("B", self.pair[1]))
-            law = laws.get_law("kuratowski:" + self.op)
-            if not law.witness_violates(space, laws.Witness(pair, 0, operation=self.axiom)):
-                pair_text = _fmt_bindings(space, pair)
-                return f"kuratowski {self.axiom} for {self.op}: [{pair_text}] does not violate"
-        return None
-
-
-class StarRefusalCheck(NamedTuple):
-    """Building the star topology must be refused, blaming a known axiom."""
-
-    op: str
-    axiom: str
-
-    def run(self, space: Space) -> str | None:
-        try:
-            laws.star_topology(space, ops.LOCAL_FN_ALIASES[self.op])
-        except laws.StarTopologyRefused as refusal:
-            if refusal.axiom == self.axiom:
-                return None
-            return (
-                f"star topology for {self.op}: refused for {refusal.axiom!r}, "
-                f"expected {self.axiom!r}"
-            )
-        return f"star topology for {self.op}: expected a refusal, got a topology"
 
 
 class CorpusEntry(NamedTuple):
@@ -210,7 +164,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
             EvalCheck("sstar(union(E,F))", (("E", W1 | W3), ("F", W2 | W3)), ALL),
             LawCheck("additivity:star", holds=True),
             LawCheck("additivity:sstar", holds=False),
-            PairCheck("additivity:sstar", W1 | W3, W2 | W3),
+            LawCheck("additivity:sstar", False, _pair(W1 | W3, W2 | W3)),
         ),
     ),
     CorpusEntry(
@@ -228,12 +182,12 @@ ENTRIES: tuple[CorpusEntry, ...] = (
             EvalCheck("betastar(union(A,B))", (("A", W1 | W3), ("B", W1 | W4)), ALL),
             LawCheck("additivity:pstar", holds=False),
             LawCheck("additivity:betastar", holds=False),
-            PairCheck("additivity:pstar", W1 | W3, W1 | W4),
-            PairCheck("additivity:betastar", W1 | W3, W1 | W4),
-            KuratowskiCheck("pstar", "additive", holds=False, pair=(W1 | W3, W1 | W4)),
-            KuratowskiCheck("betastar", "additive", holds=False, pair=(W1 | W3, W1 | W4)),
-            StarRefusalCheck("pstar", "additive"),
-            StarRefusalCheck("betastar", "additive"),
+            LawCheck("additivity:pstar", False, _pair(W1 | W3, W1 | W4)),
+            LawCheck("additivity:betastar", False, _pair(W1 | W3, W1 | W4)),
+            LawCheck("kuratowski:pstar", False, _pair(W1 | W3, W1 | W4), "additive"),
+            LawCheck("kuratowski:betastar", False, _pair(W1 | W3, W1 | W4), "additive"),
+            LawCheck("kuratowski:pstar", False, tag="additive"),
+            LawCheck("kuratowski:betastar", False, tag="additive"),
         ),
     ),
     CorpusEntry(
@@ -252,7 +206,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
                 W2,
             ),
             LawCheck("diff-law:sstar", holds=False),
-            PairCheck("diff-law:sstar", W1 | W2 | W3, W1 | W3),
+            LawCheck("diff-law:sstar", False, _pair(W1 | W2 | W3, W1 | W3)),
         ),
     ),
     CorpusEntry(
@@ -271,7 +225,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
                 W4,
             ),
             LawCheck("diff-law:pstar", holds=False),
-            PairCheck("diff-law:pstar", W1 | W3 | W4, W1 | W3),
+            LawCheck("diff-law:pstar", False, _pair(W1 | W3 | W4, W1 | W3)),
         ),
     ),
     CorpusEntry(
@@ -287,8 +241,8 @@ ENTRIES: tuple[CorpusEntry, ...] = (
             EvalCheck("psip(union(E,F))", (("E", W3), ("F", W1 | W2)), W1 | W2 | W3),
             LawCheck("psi-cap:pstar", holds=False),
             LawCheck("psi-cup:pstar", holds=False),
-            PairCheck("psi-cap:pstar", W2 | W4, W2 | W3),
-            PairCheck("psi-cup:pstar", W3, W1 | W2),
+            LawCheck("psi-cap:pstar", False, _pair(W2 | W4, W2 | W3)),
+            LawCheck("psi-cup:pstar", False, _pair(W3, W1 | W2)),
         ),
     ),
     CorpusEntry(
@@ -296,11 +250,11 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         "sets below their psi-pre image do not form a topology",
         SPACE_B_DOC,
         (
-            MemberCheck("pstar", W2 | W4, present=True),
-            MemberCheck("pstar", W2 | W3, present=True),
-            MemberCheck("pstar", W2, present=False),
+            LawCheck("A <= psip(A)", True, (("A", W2 | W4),)),
+            LawCheck("A <= psip(A)", True, (("A", W2 | W3),)),
+            LawCheck("A <= psip(A)", False, (("A", W2),)),
             LawCheck("eta-topology:pstar", holds=False),
-            PairCheck("eta-topology:pstar", W2 | W4, W2 | W3),
+            LawCheck("eta-topology:pstar", False, _pair(W2 | W4, W2 | W3)),
         ),
     ),
     CorpusEntry(
@@ -312,8 +266,8 @@ ENTRIES: tuple[CorpusEntry, ...] = (
             EvalCheck("xis(B)", (("B", W1 | W3),), W1),
             EvalCheck("xis(union(A,B))", (("A", W2 | W3), ("B", W1 | W3)), ALL),
             LawCheck("additivity:xis", holds=False),
-            PairCheck("additivity:xis", W2 | W3, W1 | W3),
-            PairCheck("additivity:xis", W2 | W4, W1 | W4),
+            LawCheck("additivity:xis", False, _pair(W2 | W3, W1 | W3)),
+            LawCheck("additivity:xis", False, _pair(W2 | W4, W1 | W4)),
         ),
     ),
     CorpusEntry(
@@ -325,7 +279,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
             EvalCheck("xibeta(B)", (("B", W1 | W4),), W4),
             EvalCheck("xibeta(union(A,B))", (("A", W1 | W3), ("B", W1 | W4)), ALL),
             LawCheck("additivity:xibeta", holds=False),
-            PairCheck("additivity:xibeta", W1 | W3, W1 | W4),
+            LawCheck("additivity:xibeta", False, _pair(W1 | W3, W1 | W4)),
         ),
     ),
     CorpusEntry(
@@ -337,7 +291,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
             EvalCheck("xip(F)", (("F", W1 | W4),), W4),
             EvalCheck("xip(union(E,F))", (("E", W1 | W3), ("F", W1 | W4)), ALL),
             LawCheck("additivity:xip", holds=False),
-            PairCheck("additivity:xip", W1 | W3, W1 | W4),
+            LawCheck("additivity:xip", False, _pair(W1 | W3, W1 | W4)),
         ),
     ),
     CorpusEntry(
@@ -349,12 +303,12 @@ ENTRIES: tuple[CorpusEntry, ...] = (
             EvalCheck("psixis(B)", (("B", W1 | W4),), W1 | W3 | W4),
             EvalCheck("psixis(inter(A,B))", (("A", W2 | W4), ("B", W1 | W4)), 0),
             LawCheck("psi-cap:xis", holds=False),
-            PairCheck("psi-cap:xis", W2 | W4, W1 | W4),
-            MemberCheck("xis", W2 | W4, present=True),
-            MemberCheck("xis", W1 | W4, present=True),
-            MemberCheck("xis", W4, present=False),
+            LawCheck("psi-cap:xis", False, _pair(W2 | W4, W1 | W4)),
+            LawCheck("A <= psixis(A)", True, (("A", W2 | W4),)),
+            LawCheck("A <= psixis(A)", True, (("A", W1 | W4),)),
+            LawCheck("A <= psixis(A)", False, (("A", W4),)),
             LawCheck("eta-topology:xis", holds=False),
-            PairCheck("eta-topology:xis", W2 | W4, W1 | W4),
+            LawCheck("eta-topology:xis", False, _pair(W2 | W4, W1 | W4)),
         ),
     ),
     CorpusEntry(
@@ -366,12 +320,12 @@ ENTRIES: tuple[CorpusEntry, ...] = (
             EvalCheck("psixibeta(B)", (("B", W2 | W3),), W1 | W2 | W3),
             EvalCheck("psixibeta(inter(A,B))", (("A", W2 | W4), ("B", W2 | W3)), 0),
             LawCheck("psi-cap:xibeta", holds=False),
-            PairCheck("psi-cap:xibeta", W2 | W4, W2 | W3),
-            MemberCheck("xibeta", W2 | W4, present=True),
-            MemberCheck("xibeta", W2 | W3, present=True),
-            MemberCheck("xibeta", W2, present=False),
+            LawCheck("psi-cap:xibeta", False, _pair(W2 | W4, W2 | W3)),
+            LawCheck("A <= psixibeta(A)", True, (("A", W2 | W4),)),
+            LawCheck("A <= psixibeta(A)", True, (("A", W2 | W3),)),
+            LawCheck("A <= psixibeta(A)", False, (("A", W2),)),
             LawCheck("eta-topology:xibeta", holds=False),
-            PairCheck("eta-topology:xibeta", W2 | W4, W2 | W3),
+            LawCheck("eta-topology:xibeta", False, _pair(W2 | W4, W2 | W3)),
         ),
     ),
 )

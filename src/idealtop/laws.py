@@ -168,10 +168,6 @@ class Law(NamedTuple):
                 raise ValueError(f"unknown witness tag {witness.operation!r} for {self.name}")
         return any(dsl.eval_law(space, ast, bindings)[2] for ast in asts)
 
-    def pair_violates(self, space: Space, a: int, b: int) -> bool:
-        """Convenience for two-variable laws."""
-        return self.witness_violates(space, Witness((("A", a), ("B", b)), 0))
-
 
 def law_name_templates() -> tuple[str, ...]:
     return tuple(f"{h}:{'<kind>' if h == 'family-cap-closed' else '<op>'}" for h in LAW_TEMPLATES)

@@ -24,20 +24,24 @@ class Witness(NamedTuple):
 
     def by_label(self, ground: GroundSet) -> dict:
         """The witness in point labels, as reports print it: ``bindings``
-        maps each variable to its subset, ``lhs`` and ``rhs`` are subsets,
-        and ``operation`` is the tag."""
+        maps each variable to its subset, ``lhs`` and ``rhs`` are subsets
+        (``rhs`` None when the witness has none), and ``operation`` is the
+        tag."""
         labels = ground.labels_of
         return {
             "bindings": {name: labels(bits) for name, bits in self.bindings},
             "lhs": labels(self.lhs),
-            "rhs": labels(self.rhs),
+            "rhs": None if self.rhs is None else labels(self.rhs),
             "operation": self.operation,
         }
 
     def line(self, ground: GroundSet) -> str:
-        """``by_label`` on one line: ``A={w1} lhs={w1,w2} rhs={w2} (tag)``."""
+        """``by_label`` on one line: ``A={w1} lhs={w1,w2} rhs={w2} (tag)``,
+        without ``rhs=`` when the witness has none."""
         fields = self.by_label(ground)
-        subsets = {**fields["bindings"], "lhs": fields["lhs"], "rhs": fields["rhs"]}
+        subsets = {**fields["bindings"], "lhs": fields["lhs"]}
+        if fields["rhs"] is not None:
+            subsets["rhs"] = fields["rhs"]
         line = " ".join(f"{name}={{{','.join(subset)}}}" for name, subset in subsets.items())
         return line if self.operation is None else f"{line} ({self.operation})"
 

@@ -68,7 +68,7 @@ def test_criterion_3_four_point_refutation(space_a):
     # pinned pair A={w1,w3}, B={w2,w3}
     law = laws.get_law("additivity:sstar")
     assert not law.check(space_a).holds
-    assert law.pair_violates(space_a, 5, 6)
+    assert law.witness_violates(space_a, laws.Witness((("A", 5), ("B", 6)), 0))
     assert elapsed < 600.0
     report(
         "PASS criterion 3: semi-star additivity refuted at n=4 "

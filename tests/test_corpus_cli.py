@@ -18,6 +18,11 @@ REPO = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
 
 
+def sabotage(document: dict, *checks) -> tuple[str, ...]:
+    """The failures of a corpus entry made of deliberately wrong checks."""
+    return corpus.run_entry(corpus.CorpusEntry("fake", "sabotage", document, checks)).failures
+
+
 class TestCorpusLibrary:
     def test_all_entries_pass(self):
         reports = corpus.run_corpus()
@@ -71,15 +76,37 @@ class TestCorpusLibrary:
             "psi-cap:pstar: expected Holds, got Violated at A={w3} B={w4} lhs={} rhs={w1} (inter)",
         )
 
-    def test_kuratowski_pair_that_does_not_violate_is_caught(self):
-        entry = corpus.CorpusEntry(
-            "fake",
-            "a pair that satisfies the additive axiom",
-            corpus.SPACE_B_DOC,
-            (corpus.KuratowskiCheck("pstar", "additive", holds=False, pair=(corpus.W1, corpus.W2)),),
+    # One sabotaged LawCheck per form: the whole law, the whole law with the
+    # first failing template's tag, bindings alone, and bindings on a tagged
+    # template.
+    def test_law_that_holds_is_caught(self):
+        law = "star(union(A,B)) == union(star(A),star(B))"
+        assert sabotage(corpus.SPACE_A_DOC, corpus.LawCheck(law, holds=False)) == (
+            f"{law}: expected Violated, got Holds",
         )
-        assert corpus.run_entry(entry).failures == (
-            "kuratowski additive for pstar: [A={w1}, B={w2}] does not violate",
+
+    def test_other_first_failing_axiom_is_caught(self):
+        check = corpus.LawCheck("kuratowski:pstar", False, tag="idempotent")
+        assert sabotage(corpus.SPACE_B_DOC, check) == (
+            "kuratowski:pstar: expected Violated (idempotent), got Violated at "
+            "A={w3} B={w4} lhs={w1,w2,w3,w4} rhs={w3,w4} (additive)",
+        )
+
+    def test_bindings_with_the_other_verdict_are_caught(self):
+        checks = (
+            corpus.LawCheck("additivity:pstar", False, (("A", corpus.W1), ("B", corpus.W2))),
+            corpus.LawCheck("A <= psip(A)", True, (("A", corpus.W2),)),
+        )
+        assert sabotage(corpus.SPACE_B_DOC, *checks) == (
+            "additivity:pstar [A={w1}, B={w2}]: expected Violated, got Holds",
+            "A <= psip(A) [A={w2}]: expected Holds, got Violated",
+        )
+
+    def test_kuratowski_pair_that_does_not_violate_is_caught(self):
+        pair = (("A", corpus.W1), ("B", corpus.W2))
+        check = corpus.LawCheck("kuratowski:pstar", False, pair, "additive")
+        assert sabotage(corpus.SPACE_B_DOC, check) == (
+            "kuratowski:pstar [A={w1}, B={w2}]: expected Violated (additive), got Holds",
         )
 
     def test_documents_are_only_the_two_reference_spaces(self):
@@ -519,11 +546,26 @@ class TestSearchCommand:
 class TestReproCommand:
     def test_full_run_passes(self):
         out = run_cli("repro")
-        lines = out.stdout.splitlines()
         assert out.returncode == 0
-        assert len(lines) == 12
-        assert all(line.startswith("PASS ex-") for line in lines[:-1])
-        assert lines[-1] == "11/11 entries passed"
+        assert out.stdout.splitlines() == [
+            "PASS ex-3.3-1 (7 checks) semi-star additivity fails where open-star additivity holds",
+            "PASS ex-3.3-2 (16 checks) pre-star and beta-star additivity fail; "
+            "their star closures are not Kuratowski",
+            "PASS ex-3.6 (4 checks) the difference law fails for the semi local function",
+            "PASS ex-3.7 (4 checks) the difference law fails for the pre local function",
+            "PASS ex-3.8 (10 checks) psi of the pre local function distributes over "
+            "neither meet nor join",
+            "PASS ex-3.10 (5 checks) sets below their psi-pre image do not form a topology",
+            "PASS ex-4.2 (6 checks) the closure-expanded semi local function is not additive",
+            "PASS ex-4.3 (5 checks) the closure-expanded beta local function is not additive",
+            "PASS ex-4.4 (5 checks) the closure-expanded pre local function is not additive",
+            "PASS ex-4.7 (10 checks) psi of the closure-expanded semi operator breaks meets "
+            "and its fix family",
+            "PASS ex-4.8 (10 checks) psi of the closure-expanded beta operator breaks meets "
+            "and its fix family",
+            "11/11 entries passed",
+        ]
+        assert out.stderr == ""
 
     def test_single_entry(self):
         out = run_cli("repro", "--only", "ex-3.6")

@@ -68,6 +68,11 @@ FROZEN_VIOLATIONS = (
 )
 
 
+def pair(a: int, b: int) -> Witness:
+    """An untagged witness binding A and B, rechecked on every template."""
+    return Witness((("A", a), ("B", b)), 0)
+
+
 class TestFrozenWitnesses:
     @pytest.mark.parametrize(
         "name,which,bindings,lhs,rhs,operation",
@@ -99,14 +104,14 @@ class TestFrozenWitnesses:
         assert oracle.set_to_bits(space_a.ground, rhs) == 3
 
     def test_rechecks_reject_non_witnesses(self, space_a, space_b):
-        assert not laws.get_law("additivity:sstar").pair_violates(space_a, 0, 0)
-        assert not laws.get_law("eta-topology:pstar").pair_violates(space_b, 4, 8)
-        assert not laws.get_law("diff-law:pstar").pair_violates(space_b, 1, 1)
+        assert not laws.get_law("additivity:sstar").witness_violates(space_a, pair(0, 0))
+        assert not laws.get_law("eta-topology:pstar").witness_violates(space_b, pair(4, 8))
+        assert not laws.get_law("diff-law:pstar").witness_violates(space_b, pair(1, 1))
 
-    def test_pair_violates_convenience(self, space_a, space_b):
-        assert laws.get_law("additivity:sstar").pair_violates(space_a, 5, 6)
-        assert laws.get_law("family-cap-closed:semi").pair_violates(space_a, 5, 6)
-        assert laws.get_law("eta-topology:pstar").pair_violates(space_b, 5, 9)
+    def test_untagged_pair_rechecks(self, space_a, space_b):
+        assert laws.get_law("additivity:sstar").witness_violates(space_a, pair(5, 6))
+        assert laws.get_law("family-cap-closed:semi").witness_violates(space_a, pair(5, 6))
+        assert laws.get_law("eta-topology:pstar").witness_violates(space_b, pair(5, 9))
 
     def test_kuratowski_recheck_needs_named_axiom(self, space_b):
         law = laws.get_law("kuratowski:pstar")
@@ -114,8 +119,8 @@ class TestFrozenWitnesses:
             law.witness_violates(space_b, Witness((("A", 4), ("B", 8)), 0, operation="inter"))
         # untagged: every axiom whose variables the pair binds is rechecked,
         # and additivity fails at ({w3}, {w4})
-        assert law.pair_violates(space_b, 4, 8)
-        assert not law.pair_violates(space_b, 0, 0)
+        assert law.witness_violates(space_b, pair(4, 8))
+        assert not law.witness_violates(space_b, pair(0, 0))
         # binding A alone leaves out the additive axiom, the only one of B
         assert not law.witness_violates(space_b, Witness((("A", 4),), 0))
         assert law.witness_violates(
@@ -181,6 +186,25 @@ class TestFamilyChecks:
         assert (v.witness.bindings, v.witness.lhs, v.witness.operation) == ((), 0, "missing-empty")
         v = laws.check_family_is_topology(Family((0, 1)), g)
         assert (v.witness.lhs, v.witness.operation) == (7, "missing-universe")
+
+    def test_topology_witnesses_render_without_rhs(self):
+        # a validator witness has no right-hand side: by_label prints it as
+        # null and line leaves it out
+        g = GroundSet(("w1", "w2", "w3"))
+        w = laws.check_family_is_topology(Family((1, 7)), g).witness
+        assert w.rhs is None
+        assert w.by_label(g) == {
+            "bindings": {}, "lhs": (), "rhs": None, "operation": "missing-empty"
+        }
+        assert w.line(g) == "lhs={} (missing-empty)"
+        w = laws.check_family_is_topology(Family((0, 1, 2, 7)), g).witness
+        assert w.by_label(g) == {
+            "bindings": {"A": ("w1",), "B": ("w2",)},
+            "lhs": ("w1", "w2"),
+            "rhs": None,
+            "operation": "union",
+        }
+        assert w.line(g) == "A={w1} B={w2} lhs={w1,w2} (union)"
 
     def test_topology_check_passes_real_topologies(self, small_spaces):
         for space in small_spaces[::11]:

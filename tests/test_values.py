@@ -65,17 +65,13 @@ CASES = [
         None,
     ),
     (corpus.EvalCheck, dict(expr="star(A)", bindings=(("A", 1),), expected=1), "expected", 0),
-    (corpus.LawCheck, dict(law="additivity:star", holds=True), "holds", False),
-    (corpus.PairCheck, dict(law="additivity:xis", a=1, b=2), "b", 3),
-    (corpus.FamilyCheck, dict(kind="semi", expected=(0, 1)), "kind", "pre"),
-    (corpus.MemberCheck, dict(op="pstar", subset=2, present=True), "present", False),
     (
-        corpus.KuratowskiCheck,
-        dict(op="pstar", axiom="additive", holds=False, pair=(5, 9)),
-        "pair",
-        None,
+        corpus.LawCheck,
+        dict(law="kuratowski:pstar", holds=False, at=(("A", 5), ("B", 9)), tag="additive"),
+        "tag",
+        "idempotent",
     ),
-    (corpus.StarRefusalCheck, dict(op="pstar", axiom="additive"), "axiom", "idempotent"),
+    (corpus.FamilyCheck, dict(kind="semi", expected=(0, 1)), "kind", "pre"),
     (
         corpus.CorpusEntry,
         dict(id="e", title="t", document=corpus.SPACE_A_DOC, checks=()),
