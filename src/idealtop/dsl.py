@@ -442,11 +442,12 @@ def _run(program: _Program, order, vals: list, env, tables, inputs, size: int, f
 
 
 # Blocks of space-free values kept. A search whose law fits in one block
-# (n * variables <= 16) needs one per point count it scans, and a 6-point
-# 3-variable law needs its four; a law of more blocks recomputes them
+# (n * variables <= 16) needs one per point count it scans, and a 7-point
+# 3-variable law needs its 32, so each is computed once per search; an
+# 8-point 3-variable law (256 blocks) recomputes them on every space
 # rather than hold them all. A block holds at most 64 KiB per step, and
 # as much again for the bytes of an operator input.
-_SPACE_FREE_BLOCKS = 4
+_SPACE_FREE_BLOCKS = 32
 
 
 @functools.lru_cache(maxsize=_SPACE_FREE_BLOCKS)

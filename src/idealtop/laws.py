@@ -158,10 +158,16 @@ class Law(NamedTuple):
     def witness_violates(self, space: Space, witness: Witness) -> bool:
         """Re-evaluate a witness at its own bindings, without the law scan:
         on the template its tag names or, untagged, on every template whose
-        variables it binds (violated if any of them is)."""
+        variables it binds (violated if any of them is). Untagged bindings
+        that cover no template raise ValueError."""
         bindings = dict(witness.bindings)
         if witness.operation is None:
             asts = [ast for _, ast in self.templates if set(ast.free_vars) <= bindings.keys()]
+            if not asts:
+                raise ValueError(
+                    f"{self.name}: bindings of {', '.join(bindings) or 'no variable'} "
+                    "cover the variables of no template"
+                )
         else:
             asts = [ast for tag, ast in self.templates if tag == witness.operation]
             if not asts:

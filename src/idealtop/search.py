@@ -12,6 +12,11 @@ reports "BudgetExhausted" because it proves nothing about other spaces.
 Results are deterministic: the space stream has a fixed order, budgets
 are applied as if the scan were strictly serial, and parallel workers
 only precompute per-space answers that are then merged in stream order.
+With w workers the calling process scans every w-th space itself, and
+w - 1 forked children, each holding its own copy of the parsed law and
+the stream, scan the others and send their answers back over a pipe; no
+child outlives the search. Where ``os.fork`` is missing the calling
+process scans alone, so the report never depends on the worker count.
 
 Every topology and ideal in the stream comes from the generators of
 :mod:`idealtop.space`. The exhaustive stream picks each point's minimal
@@ -22,8 +27,10 @@ sets of the 2^n subsets.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
 from typing import Iterable, Iterator, NamedTuple
 
 from . import dsl
@@ -49,10 +56,6 @@ EXHAUSTIVE_MAX_POINTS = 4
 STATUS_FOUND = "CounterexampleFound"
 STATUS_CERTIFIED = "LawCertified"
 STATUS_BUDGET = "BudgetExhausted"
-
-# Spaces handed to workers per task; fixed so the stream partition (and
-# therefore the merged result) does not depend on the worker count.
-_CHUNK_SIZE = 64
 
 
 def _check_points(n: int) -> None:
@@ -271,64 +274,94 @@ def _scan_one(space_key, law, var_cap, cap):
     return outcome, None if verdict is None else verdict.witness, count
 
 
-# A worker process's (law, var_cap, cap), set once by ``_start_worker``.
-_worker_scan: tuple = ()
-
-
-def _start_worker(law_text, var_cap, cap):
-    """Pool initializer: parse the law once per worker, so every chunk the
-    worker scans shares one compiled program and its space-free blocks."""
-    global _worker_scan
-    _worker_scan = (dsl.parse_law(law_text), var_cap, cap)
-
-
-def _scan_chunk(chunk):
-    return [_scan_one(space_key, *_worker_scan) for space_key in chunk]
-
-
-def _chunks(stream, size):
-    while True:
-        block = list(itertools.islice(stream, size))
-        if not block:
-            return
-        yield block
-
-
 def _scan_results(task: SearchTask, law: dsl.LawAst, stream, workers: int):
     """Yield (space_key, outcome, witness, count) in stream order.
 
-    Every space is scanned with the same per-space assignment cap (the whole
-    budget), so a worker's answer never depends on what other spaces did;
-    the serial budget cut is applied later by the merge step.
+    The calling process is worker 0. Workers 1..w-1 are children forked
+    before the first scan, so they inherit the parsed law and the unstarted
+    stream; worker j scans every space i with i mod w = j, and space i's
+    answer is read from worker i mod w. Every space is scanned with the same
+    per-space assignment cap (the whole budget), so an answer never depends
+    on what other spaces did; the serial budget cut is applied later by the
+    merge step. Closing the generator kills and reaps every child. Where
+    ``os.fork`` is missing the calling process scans alone.
     """
-    cap = task.budget_assignments
-    if workers <= 1:
-        for space_key in stream:
-            yield space_key, *_scan_one(space_key, law, task.var_cap, cap)
-        return
-    from concurrent.futures import ProcessPoolExecutor  # one-worker runs skip loading it
+    if not hasattr(os, "fork"):
+        workers = 1
+    elif workers > 1:
+        import signal  # one-worker runs skip loading it
+    children = []  # (pid, reader) of workers 1..w-1
+    try:
+        for j in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                for _, reader in children:
+                    reader.close()
+                _scan_child(task, law, stream, workers, j, write_end)  # never returns
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        for i, space_key in enumerate(stream):
+            j = i % workers
+            if j:
+                result = _read_record(children[j - 1][1], j, i)
+            else:
+                result = _scan_one(space_key, law, task.var_cap, task.budget_assignments)
+            yield space_key, *result
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
-    pending = []
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_start_worker,
-        initargs=(task.law_text, task.var_cap, cap),
-    ) as pool:
-        chunk_stream = _chunks(stream, _CHUNK_SIZE)
-        try:
-            for chunk in itertools.islice(chunk_stream, workers + 2):
-                pending.append((chunk, pool.submit(_scan_chunk, chunk)))
-            while pending:
-                chunk, future = pending.pop(0)
-                results = future.result()
-                nxt = next(chunk_stream, None)
-                if nxt is not None:
-                    pending.append((nxt, pool.submit(_scan_chunk, nxt)))
-                for space_key, result in zip(chunk, results):
-                    yield space_key, *result
-        finally:
-            for _, future in pending:
-                future.cancel()
+
+def _scan_child(task: SearchTask, law: dsl.LawAst, stream, workers: int, j: int, write_end):
+    """Worker j in a forked child: one JSON line per space of its share,
+    ``[outcome, bindings, lhs, rhs, count]``, or ``["error", message]``.
+
+    It stops after a ``budget`` outcome, and after a ``violated`` one when
+    only the first witness is wanted, because the merge stops there;
+    otherwise the pipe's capacity bounds how far it runs ahead. It ends in
+    ``os._exit``, so it never flushes the parent's copied buffers or runs
+    its exit handlers.
+    """
+    code = 1
+    try:
+        with open(write_end, "w", buffering=1) as out:
+            try:
+                for i, space_key in enumerate(stream):
+                    if i % workers != j:
+                        continue
+                    outcome, witness, count = _scan_one(
+                        space_key, law, task.var_cap, task.budget_assignments
+                    )
+                    # bindings, lhs, rhs
+                    found = (None, None, None) if witness is None else witness[:3]
+                    out.write(json.dumps([outcome, *found, count]) + "\n")
+                    if outcome == "budget" or (outcome == "violated" and task.want == "first"):
+                        break
+                code = 0
+            except Exception as exc:  # reported to the parent, which raises
+                out.write(json.dumps(["error", f"{type(exc).__name__}: {exc}"]) + "\n")
+    finally:
+        os._exit(code)
+
+
+def _read_record(reader, j: int, i: int):
+    """Worker j's (outcome, witness or None, count) for space i."""
+    line = reader.readline()
+    record = json.loads(line) if line else ["error", "exited before sending its answer"]
+    if record[0] == "error":
+        raise RuntimeError(f"scan worker {j} failed at space {i}: {record[1]}")
+    outcome, bindings, lhs, rhs, count = record
+    witness = None if bindings is None else Witness(tuple(map(tuple, bindings)), lhs, rhs)
+    return outcome, witness, count
 
 
 def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
@@ -340,33 +373,35 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
     scanned = 0
     used = 0
     cut = False
-    for space_key, outcome, witness, count in _scan_results(task, law, stream, workers):
-        if task.budget_spaces is not None and scanned >= task.budget_spaces:
-            cut = True
-            break
-        remaining = None if task.budget_assignments is None else task.budget_assignments - used
-        if remaining is not None and remaining <= 0:
-            cut = True
-            break
-        scanned += 1
-        if outcome == "violated" and (remaining is None or count <= remaining):
-            used += count
-            ground, topology, ideal = space_key
-            witnesses.append(SpaceWitness(
-                ground.labels, topology.family.members, ideal.family.members,
-                witness.bindings, witness.lhs, witness.rhs,
-            ))
-            if task.want == "first":
+    # closed before revalidation, so every forked worker is reaped by then
+    with contextlib.closing(_scan_results(task, law, stream, workers)) as results:
+        for space_key, outcome, witness, count in results:
+            if task.budget_spaces is not None and scanned >= task.budget_spaces:
+                cut = True
                 break
-            continue
-        if outcome == "holds" and (remaining is None or count <= remaining):
-            used += count
-            continue
-        # worker hit the per-space cap, or the serial budget runs out inside
-        # this space before reaching its verdict
-        used += count if remaining is None else min(count, remaining)
-        cut = True
-        break
+            remaining = None if task.budget_assignments is None else task.budget_assignments - used
+            if remaining is not None and remaining <= 0:
+                cut = True
+                break
+            scanned += 1
+            if outcome == "violated" and (remaining is None or count <= remaining):
+                used += count
+                ground, topology, ideal = space_key
+                witnesses.append(SpaceWitness(
+                    ground.labels, topology.family.members, ideal.family.members,
+                    witness.bindings, witness.lhs, witness.rhs,
+                ))
+                if task.want == "first":
+                    break
+                continue
+            if outcome == "holds" and (remaining is None or count <= remaining):
+                used += count
+                continue
+            # worker hit the per-space cap, or the serial budget runs out inside
+            # this space before reaching its verdict
+            used += count if remaining is None else min(count, remaining)
+            cut = True
+            break
 
     if witnesses:
         status = STATUS_BUDGET if cut else STATUS_FOUND

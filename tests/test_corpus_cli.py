@@ -102,6 +102,12 @@ class TestCorpusLibrary:
             "A <= psip(A) [A={w2}]: expected Holds, got Violated",
         )
 
+    def test_bindings_that_cover_no_template_are_refused(self):
+        space = space_from_document(corpus.SPACE_A_DOC)
+        for at in ((("A", 5),), (("A", 5), ("C", 6))):
+            with pytest.raises(ValueError, match="^additivity:sstar: bindings of A"):
+                corpus.LawCheck("additivity:sstar", True, at).run(space)
+
     def test_kuratowski_pair_that_does_not_violate_is_caught(self):
         pair = (("A", corpus.W1), ("B", corpus.W2))
         check = corpus.LawCheck("kuratowski:pstar", False, pair, "additive")
@@ -603,7 +609,7 @@ class TestUsageErrors:
 
 
 # Modules a launch should import only when it needs them.
-LAZY = ("dataclasses", "inspect", "concurrent.futures", "idealtop.corpus")
+LAZY = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "idealtop.corpus")
 # Runs one command in a fresh interpreter (``-S``: no site hooks, so only
 # idealtop's own imports count), then prints its exit code and which of
 # ``LAZY`` are loaded.
@@ -617,7 +623,8 @@ print(code, sorted(m for m in {LAZY!r} if m in sys.modules))
 
 class TestStartup:
     """What a launch imports: the search path needs neither ``dataclasses``
-    (nor the ``inspect`` it pulls in), the process pool, nor the corpus."""
+    (nor the ``inspect`` it pulls in), a process pool, nor the corpus, and
+    forked scan workers need no pool."""
 
     def probe(self, *argv):
         out = subprocess.run(
@@ -631,8 +638,6 @@ class TestStartup:
         law = "star(union(A,B)) == union(star(A),star(B))"
         assert self.probe("search", law, "--points", "2") == "0 []"
 
-    def test_two_worker_search_loads_the_pool(self):
+    def test_two_worker_search_loads_none_of_them(self):
         law = "star(union(A,B)) == union(star(A),star(B))"
-        assert self.probe("search", law, "--points", "2", "--workers", "2") == (
-            "0 ['concurrent.futures']"
-        )
+        assert self.probe("search", law, "--points", "2", "--workers", "2") == "0 []"

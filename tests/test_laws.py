@@ -113,6 +113,15 @@ class TestFrozenWitnesses:
         assert laws.get_law("family-cap-closed:semi").witness_violates(space_a, pair(5, 6))
         assert laws.get_law("eta-topology:pstar").witness_violates(space_b, pair(5, 9))
 
+    def test_untagged_recheck_refuses_bindings_that_cover_no_template(self, space_a):
+        # Binding no template's variables checks nothing, so it is refused
+        # rather than read as "not violated".
+        law = laws.get_law("additivity:sstar")
+        with pytest.raises(ValueError, match="^additivity:sstar: bindings of A cover the"):
+            law.witness_violates(space_a, Witness((("A", 5),), 0))
+        with pytest.raises(ValueError, match="^additivity:sstar: bindings of A, C cover the"):
+            law.witness_violates(space_a, Witness((("A", 5), ("C", 6)), 0))
+
     def test_kuratowski_recheck_needs_named_axiom(self, space_b):
         law = laws.get_law("kuratowski:pstar")
         with pytest.raises(ValueError, match="unknown witness tag 'inter'"):

@@ -268,6 +268,25 @@ def test_space_free_memo_keeps_spaces_and_block_sizes_apart():
     assert results[-1] == results[0]
 
 
+def test_seven_point_three_variable_law_computes_its_blocks_once():
+    # 2**21 assignments in 32 blocks, all kept: the second space of a search
+    # finds every space-free block the first one computed.
+    law = dsl.parse_law("star(union(A,inter(B,C))) == union(star(A),star(inter(B,C)))")
+    spaces = [
+        space_from_document(
+            {"points": list(default_labels(7)), "topology_subbase": [subbase], "ideal": [[]]}
+        )
+        for subbase in (["w1"], ["w1", "w2"])
+    ]
+    dsl._space_free_block.cache_clear()
+    try:
+        for space in spaces:
+            assert dsl.scan_law(space, law)[0] == "holds"
+        assert dsl._space_free_block.cache_info().misses == 32
+    finally:
+        dsl._space_free_block.cache_clear()
+
+
 @pytest.mark.parametrize("law_text", ["star(X) <= X", "psi(empty) == compl(star(X))", "cl(X) == empty"])
 @pytest.mark.parametrize("ideal", [[[]], [[], ["w1"]]])
 def test_one_point_law_without_variables_is_a_single_lane(law_text, ideal):

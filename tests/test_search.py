@@ -5,10 +5,11 @@ fixtures (status, spaces scanned, witness) are frozen from the deterministic
 serial scan and must stay byte-identical under parallelism.
 """
 
-import itertools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from idealtop import dsl, search
 from idealtop.space import GroundSet, SchemaError, serialize_space
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def bits_family(ground, family):
@@ -319,33 +321,35 @@ class TestNonExhaustiveModes:
 
 class TestDeterminismAndReports:
     def test_parallel_report_is_byte_identical(self):
+        documents = tuple(path.read_text() for path in sorted(CORPUS.glob("*.json")))
         for kwargs in (
             dict(law_text=ADDITIVITY.format(op="xis"), n=3),
             dict(law_text=ADDITIVITY.format(op="xis"), n=3, want="all-minimal"),
             dict(law_text=ADDITIVITY.format(op="star"), n=2),
             dict(law_text=ADDITIVITY.format(op="sstar"), n=3, budget_assignments=3082),
+            dict(law_text=ADDITIVITY.format(op="pstar"), n=0, mode="documents",
+                 want="all-minimal", documents=documents),
+            dict(law_text=ADDITIVITY.format(op="star"), n=5, mode="subbase", budget_spaces=70),
         ):
             task = search.SearchTask(**kwargs)
             serial = search.report_json(search.run_search(task, workers=1))
-            parallel = search.report_json(search.run_search(task, workers=3))
-            assert serial == parallel
+            for workers in (2, 3):
+                assert search.report_json(search.run_search(task, workers=workers)) == serial
 
-    def test_worker_parses_the_law_once_for_all_its_chunks(self):
-        # A worker's chunks share one compiled program, so the second chunk
-        # finds every space-free block the first one computed.
-        task = search.SearchTask(ADDITIVITY.format(op="star"), 3)
-        stream, _ = search._space_stream(task)
-        first, second = itertools.islice(search._chunks(stream, search._CHUNK_SIZE), 2)
-        search._start_worker(task.law_text, task.var_cap, None)
-        try:
-            dsl._space_free_block.cache_clear()
-            search._scan_chunk(first)
-            misses = dsl._space_free_block.cache_info().misses
-            results = search._scan_chunk(second)
-            assert dsl._space_free_block.cache_info().misses == misses == 1
-        finally:
-            search._worker_scan = ()
-        assert [r[0] for r in results] == ["holds"] * search._CHUNK_SIZE
+    def test_workers_inherit_the_parsed_law(self, monkeypatch):
+        # Forked workers scan with the caller's parsed law: a parse in any
+        # other process fails the scan.
+        parse_law, caller = dsl.parse_law, os.getpid()
+
+        def parse_here_only(text):
+            if os.getpid() != caller:
+                raise RuntimeError("a worker parsed the law")
+            return parse_law(text)
+
+        task = search.SearchTask(ADDITIVITY.format(op="xis"), 3, want="all-minimal")
+        serial = search.report_json(search.run_search(task))
+        monkeypatch.setattr(dsl, "parse_law", parse_here_only)
+        assert search.report_json(search.run_search(task, workers=3)) == serial
 
     def test_report_shape(self):
         task = search.SearchTask(ADDITIVITY.format(op="pstar"), 3)
@@ -380,3 +384,70 @@ class TestDeterminismAndReports:
         assert text.endswith("\n")
         assert json.loads(text)["status"] == "LawCertified"
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestForkedWorkers:
+    """Workers 1..w-1 are forked children; none may outlive a search."""
+
+    def assert_no_child_left(self):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def failing_in_children(self, monkeypatch, fail):
+        scan_one, caller = search._scan_one, os.getpid()
+
+        def scan(*args):
+            if os.getpid() != caller:
+                fail()
+            return scan_one(*args)
+
+        monkeypatch.setattr(search, "_scan_one", scan)
+
+    def test_early_witness_reaps_the_workers(self):
+        task = search.SearchTask(ADDITIVITY.format(op="pstar"), 3)
+        result = search.run_search(task, workers=2)
+        assert (result.status, result.spaces_scanned) == (search.STATUS_FOUND, 25)
+        self.assert_no_child_left()
+
+    def test_space_budget_on_a_long_stream_reaps_the_workers(self):
+        # The worker runs ahead of the merge on an 8-point subbase stream of
+        # millions of spaces; the cut after 50 kills it.
+        task = search.SearchTask("A == A", 8, mode="subbase", budget_spaces=50)
+        result = search.run_search(task, workers=2)
+        assert (result.status, result.spaces_scanned) == (search.STATUS_BUDGET, 50)
+        self.assert_no_child_left()
+
+    def test_worker_error_is_raised_with_its_message(self, monkeypatch):
+        def fail():
+            raise ValueError("scan broke")
+
+        self.failing_in_children(monkeypatch, fail)
+        task = search.SearchTask(ADDITIVITY.format(op="star"), 3)
+        with pytest.raises(RuntimeError, match="^scan worker 1 failed at space 1: "
+                                               "ValueError: scan broke$"):
+            search.run_search(task, workers=2)
+        self.assert_no_child_left()
+
+    def test_worker_that_exits_without_answering_is_an_error(self, monkeypatch):
+        self.failing_in_children(monkeypatch, lambda: os._exit(0))
+        task = search.SearchTask(ADDITIVITY.format(op="star"), 3)
+        with pytest.raises(RuntimeError, match="^scan worker 1 failed at space 1: exited"):
+            search.run_search(task, workers=3)
+        self.assert_no_child_left()
+
+    def test_workers_never_flush_the_callers_output(self):
+        # A child ends in os._exit: text the caller had buffered before the
+        # fork, and its exit handlers, appear once.
+        script = (
+            "import atexit, sys\n"
+            "from idealtop import search\n"
+            "atexit.register(print, 'exit handler')\n"
+            "sys.stdout.write('buffered\\n')\n"
+            f"task = search.SearchTask({ADDITIVITY.format(op='star')!r}, 3)\n"
+            "print(search.run_search(task, workers=3).status)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == "buffered\nLawCertified\nexit handler\n"

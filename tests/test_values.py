@@ -1,6 +1,6 @@
 """The value types: immutable, compared by their fields, printed as
-``Type(field=value, ...)`` in declaration order, and picklable where
-worker processes need them.
+``Type(field=value, ...)`` in declaration order, and picklable by their
+fields, as the README promises library users.
 
 Plain records are named tuples; the types that validate, derive or cache
 something are slotted classes over ``space.Frozen``.
