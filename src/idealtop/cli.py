@@ -2,7 +2,8 @@
 
 Subcommands: eval, check, families, search, repro. Exit codes are part of
 the interface: 0 = holds / all passed / certified, 1 = violated / failed /
-counterexample found, 2 = usage or parse error, 3 = search budget exhausted.
+counterexample found, 2 = usage or parse error or a failed scan, 3 = search
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpaceDocumentError, dsl.DslError, ValueError, OSError) as exc:
+    except (SpaceDocumentError, dsl.DslError, ValueError, OSError, search_mod.ScanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

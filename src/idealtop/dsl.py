@@ -443,10 +443,13 @@ def _run(program: _Program, order, vals: list, env, tables, inputs, size: int, f
 
 # Blocks of space-free values kept. A search whose law fits in one block
 # (n * variables <= 16) needs one per point count it scans, and a 7-point
-# 3-variable law needs its 32, so each is computed once per search; an
-# 8-point 3-variable law (256 blocks) recomputes them on every space
-# rather than hold them all. A block holds at most 64 KiB per step, and
-# as much again for the bytes of an operator input.
+# 3-variable law needs its 32, so each is computed once per search. A block
+# holds at most 64 KiB per step, and as much again for the bytes of an
+# operator input: the 32 blocks of a 7-point three-variable additivity
+# law are about 14 MiB, held once per scan worker. A scan walks a law's
+# blocks in the same order on every space, so a law with more blocks than
+# this, like an 8-point 3-variable law (256 blocks), would miss on every
+# one; it skips the memo and holds none.
 _SPACE_FREE_BLOCKS = 32
 
 
@@ -525,8 +528,11 @@ def scan_law(
     total = 1 << width
     limit = total if budget is None else max(0, min(budget, total))
     size = 1 << block_bits
+    free_block = _space_free_block
+    if limit > size * _SPACE_FREE_BLOCKS:
+        free_block = _space_free_block.__wrapped__
     for start in range(0, limit, size):
-        fixed, inputs = _space_free_block(program, n, start)
+        fixed, inputs = free_block(program, n, start)
         vals = list(fixed)
         _run(program, program.per_space, vals, None, tables, inputs, size, full)
         lhs, rhs = vals[program.lhs], vals[program.rhs]

@@ -12,11 +12,13 @@ reports "BudgetExhausted" because it proves nothing about other spaces.
 Results are deterministic: the space stream has a fixed order, budgets
 are applied as if the scan were strictly serial, and parallel workers
 only precompute per-space answers that are then merged in stream order.
-With w workers the calling process scans every w-th space itself, and
-w - 1 forked children, each holding its own copy of the parsed law and
-the stream, scan the others and send their answers back over a pipe; no
-child outlives the search. Where ``os.fork`` is missing the calling
-process scans alone, so the report never depends on the worker count.
+With w workers the stream is cut into runs of the spaces that share a
+topology, dealt to the workers in turn: the calling process scans every
+w-th run itself, and w - 1 forked children, each holding its own copy of
+the parsed law and the stream, scan the others and send their answers
+back over a pipe; no child outlives the search. Where ``os.fork`` is
+missing the calling process scans alone, so the report never depends on
+the worker count.
 
 Every topology and ideal in the stream comes from the generators of
 :mod:`idealtop.space`. The exhaustive stream picks each point's minimal
@@ -206,6 +208,16 @@ class DocumentError(ValueError):
         self.error = error
 
 
+class ScanError(RuntimeError):
+    """Scan worker ``worker`` failed at space ``index`` of the stream.
+
+    Raised alike whichever worker failed, the calling process included.
+    """
+
+    def __init__(self, worker: int, index: int, reason: str):
+        super().__init__(f"scan worker {worker} failed at space {index}: {reason}")
+
+
 class SpaceWitness(NamedTuple):
     """One violating space with the first violating assignment found in it."""
 
@@ -279,13 +291,17 @@ def _scan_results(task: SearchTask, law: dsl.LawAst, stream, workers: int):
 
     The calling process is worker 0. Workers 1..w-1 are children forked
     before the first scan, so they inherit the parsed law and the unstarted
-    stream; worker j scans every space i with i mod w = j, and space i's
-    answer is read from worker i mod w. Every space is scanned with the same
-    per-space assignment cap (the whole budget), so an answer never depends
-    on what other spaces did; the serial budget cut is applied later by the
-    merge step. Closing the generator kills and reaps every child. Where
-    ``os.fork`` is missing the calling process scans alone.
+    stream. The stream is cut into runs of ``block`` spaces, every ideal of
+    one topology (one space in documents mode), and run r goes to worker
+    r mod w, so a topology's tables are built in one worker only; space i's
+    answer is read from the worker that owns its run. Every space is scanned
+    with the same per-space assignment cap (the whole budget), so an answer
+    never depends on what other spaces did; the serial budget cut is applied
+    later by the merge step. A scan that raises in any worker is raised as
+    :class:`ScanError`. Closing the generator kills and reaps every child.
+    Where ``os.fork`` is missing the calling process scans alone.
     """
+    block = 1 if task.mode == "documents" else 1 << task.n
     if not hasattr(os, "fork"):
         workers = 1
     elif workers > 1:
@@ -304,15 +320,18 @@ def _scan_results(task: SearchTask, law: dsl.LawAst, stream, workers: int):
                 os.close(read_end)
                 for _, reader in children:
                     reader.close()
-                _scan_child(task, law, stream, workers, j, write_end)  # never returns
+                _scan_child(task, law, stream, workers, block, j, write_end)  # never returns
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
         for i, space_key in enumerate(stream):
-            j = i % workers
+            j = i // block % workers
             if j:
                 result = _read_record(children[j - 1][1], j, i)
             else:
-                result = _scan_one(space_key, law, task.var_cap, task.budget_assignments)
+                try:
+                    result = _scan_one(space_key, law, task.var_cap, task.budget_assignments)
+                except Exception as exc:
+                    raise ScanError(0, i, _reason(exc)) from exc
             yield space_key, *result
     finally:
         for pid, reader in children:
@@ -321,9 +340,16 @@ def _scan_results(task: SearchTask, law: dsl.LawAst, stream, workers: int):
             os.waitpid(pid, 0)
 
 
-def _scan_child(task: SearchTask, law: dsl.LawAst, stream, workers: int, j: int, write_end):
-    """Worker j in a forked child: one JSON line per space of its share,
-    ``[outcome, bindings, lhs, rhs, count]``, or ``["error", message]``.
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _scan_child(
+    task: SearchTask, law: dsl.LawAst, stream, workers: int, block: int, j: int, write_end
+):
+    """Worker j in a forked child: one JSON line per space of its runs,
+    ``[outcome, bindings, lhs, rhs, count]``, or ``["error", reason]``,
+    flushed at the end of each run.
 
     It stops after a ``budget`` outcome, and after a ``violated`` one when
     only the first witness is wanted, because the merge stops there;
@@ -333,10 +359,10 @@ def _scan_child(task: SearchTask, law: dsl.LawAst, stream, workers: int, j: int,
     """
     code = 1
     try:
-        with open(write_end, "w", buffering=1) as out:
+        with open(write_end, "w") as out:
             try:
                 for i, space_key in enumerate(stream):
-                    if i % workers != j:
+                    if i // block % workers != j:
                         continue
                     outcome, witness, count = _scan_one(
                         space_key, law, task.var_cap, task.budget_assignments
@@ -346,9 +372,11 @@ def _scan_child(task: SearchTask, law: dsl.LawAst, stream, workers: int, j: int,
                     out.write(json.dumps([outcome, *found, count]) + "\n")
                     if outcome == "budget" or (outcome == "violated" and task.want == "first"):
                         break
+                    if (i + 1) % block == 0:  # the end of a run
+                        out.flush()
                 code = 0
             except Exception as exc:  # reported to the parent, which raises
-                out.write(json.dumps(["error", f"{type(exc).__name__}: {exc}"]) + "\n")
+                out.write(json.dumps(["error", _reason(exc)]) + "\n")
     finally:
         os._exit(code)
 
@@ -358,7 +386,7 @@ def _read_record(reader, j: int, i: int):
     line = reader.readline()
     record = json.loads(line) if line else ["error", "exited before sending its answer"]
     if record[0] == "error":
-        raise RuntimeError(f"scan worker {j} failed at space {i}: {record[1]}")
+        raise ScanError(j, i, record[1])
     outcome, bindings, lhs, rhs, count = record
     witness = None if bindings is None else Witness(tuple(map(tuple, bindings)), lhs, rhs)
     return outcome, witness, count
@@ -373,6 +401,10 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
     scanned = 0
     used = 0
     cut = False
+    if task.budget_spaces is not None:
+        # the merge reads one space past the budget to see the cut; no
+        # worker scans further
+        stream = itertools.islice(stream, task.budget_spaces + 1)
     # closed before revalidation, so every forked worker is reaped by then
     with contextlib.closing(_scan_results(task, law, stream, workers)) as results:
         for space_key, outcome, witness, count in results:

@@ -287,6 +287,23 @@ def test_seven_point_three_variable_law_computes_its_blocks_once():
         dsl._space_free_block.cache_clear()
 
 
+def test_law_with_more_blocks_than_the_memo_keeps_skips_it():
+    # 2**24 assignments in 256 blocks: kept blocks would never be read
+    # again, so none is kept; a budget that stops within 32 blocks uses it.
+    law = dsl.parse_law("star(union(A,inter(B,C))) == union(star(A),star(inter(B,C)))")
+    space = space_from_document(
+        {"points": list(default_labels(8)), "topology_subbase": [["w1"]], "ideal": [[]]}
+    )
+    dsl._space_free_block.cache_clear()
+    try:
+        assert dsl.scan_law(space, law)[0] == "holds"
+        assert dsl._space_free_block.cache_info().currsize == 0
+        assert dsl.scan_law(space, law, budget=32 << 16)[0] == "budget"
+        assert dsl._space_free_block.cache_info().currsize == 32
+    finally:
+        dsl._space_free_block.cache_clear()
+
+
 @pytest.mark.parametrize("law_text", ["star(X) <= X", "psi(empty) == compl(star(X))", "cl(X) == empty"])
 @pytest.mark.parametrize("ideal", [[[]], [[], ["w1"]]])
 def test_one_point_law_without_variables_is_a_single_lane(law_text, ideal):

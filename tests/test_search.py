@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import oracle
-from idealtop import dsl, search
+from idealtop import cli, dsl, search
 from idealtop.space import GroundSet, SchemaError, serialize_space
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"
@@ -409,21 +409,63 @@ class TestForkedWorkers:
         assert (result.status, result.spaces_scanned) == (search.STATUS_FOUND, 25)
         self.assert_no_child_left()
 
-    def test_space_budget_on_a_long_stream_reaps_the_workers(self):
-        # The worker runs ahead of the merge on an 8-point subbase stream of
-        # millions of spaces; the cut after 50 kills it.
-        task = search.SearchTask("A == A", 8, mode="subbase", budget_spaces=50)
+    @pytest.mark.parametrize("budget", [dict(budget_spaces=300),
+                                        dict(budget_assignments=300 * 256)])
+    def test_budget_on_a_long_stream_reaps_the_workers(self, budget):
+        # An 8-point subbase stream has millions of spaces of 256 assignments.
+        # The worker stops after the space budget by itself; under an assignment
+        # budget it runs ahead of the merge until the cut after space 300 kills it.
+        task = search.SearchTask("A == A", 8, mode="subbase", **budget)
         result = search.run_search(task, workers=2)
-        assert (result.status, result.spaces_scanned) == (search.STATUS_BUDGET, 50)
+        assert (result.status, result.spaces_scanned) == (search.STATUS_BUDGET, 300)
         self.assert_no_child_left()
 
+    def logging_scans(self, monkeypatch, log):
+        """Make every worker append "pid topology-mask" to ``log`` per scan."""
+        scan_one = search._scan_one
+
+        def scan(space_key, *args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {space_key[1].family.mask}\n")
+            return scan_one(space_key, *args)
+
+        monkeypatch.setattr(search, "_scan_one", scan)
+        return lambda: [line.split() for line in log.read_text().splitlines()]
+
+    def test_each_topology_is_scanned_by_one_worker(self, monkeypatch, tmp_path):
+        # Runs of a topology's 8 ideals go to the workers in turn, so no
+        # worker builds the tables of another's topology.
+        read_scans = self.logging_scans(monkeypatch, tmp_path / "scans")
+        task = search.SearchTask(ADDITIVITY.format(op="star"), 3)
+        assert search.run_search(task, workers=3).spaces_scanned == 29 * 8
+        self.assert_no_child_left()
+        scans = read_scans()
+        assert len(scans) == 29 * 8
+        owners = {mask: {pid for pid, m in scans if m == mask} for _, mask in scans}
+        assert len(owners) == 29
+        assert all(len(pids) == 1 for pids in owners.values())
+        assert len({pid for pid, _ in scans}) == 3
+
+    def test_no_worker_scans_past_the_space_budget(self, monkeypatch, tmp_path):
+        # Every worker stops where the serial scan does: at space 70, which
+        # the merge reads to see the cut.
+        task = search.SearchTask("A == A", 5, mode="subbase", budget_spaces=70)
+        for workers in (1, 3):
+            read_scans = self.logging_scans(monkeypatch, tmp_path / f"scans{workers}")
+            result = search.run_search(task, workers=workers)
+            assert (result.status, result.spaces_scanned) == (search.STATUS_BUDGET, 70)
+            self.assert_no_child_left()
+            assert len(read_scans()) == 71
+            monkeypatch.undo()
+
     def test_worker_error_is_raised_with_its_message(self, monkeypatch):
+        # At three points worker 1 owns the second topology's spaces, 8-15.
         def fail():
             raise ValueError("scan broke")
 
         self.failing_in_children(monkeypatch, fail)
         task = search.SearchTask(ADDITIVITY.format(op="star"), 3)
-        with pytest.raises(RuntimeError, match="^scan worker 1 failed at space 1: "
+        with pytest.raises(RuntimeError, match="^scan worker 1 failed at space 8: "
                                                "ValueError: scan broke$"):
             search.run_search(task, workers=2)
         self.assert_no_child_left()
@@ -431,8 +473,28 @@ class TestForkedWorkers:
     def test_worker_that_exits_without_answering_is_an_error(self, monkeypatch):
         self.failing_in_children(monkeypatch, lambda: os._exit(0))
         task = search.SearchTask(ADDITIVITY.format(op="star"), 3)
-        with pytest.raises(RuntimeError, match="^scan worker 1 failed at space 1: exited"):
+        with pytest.raises(RuntimeError, match="^scan worker 1 failed at space 8: exited"):
             search.run_search(task, workers=3)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_scan_exits_2_whichever_worker_fails(self, monkeypatch, capsys, workers):
+        # The second topology's spaces, 8-15 at three points, are worker 0's
+        # at one worker and worker 1's at two; both fail the same way.
+        first = next(search.enumerate_topologies(3)).family.mask
+        scan_one = search._scan_one
+
+        def scan(space_key, *args):
+            if space_key[1].family.mask != first:
+                raise ValueError("scan broke")
+            return scan_one(space_key, *args)
+
+        monkeypatch.setattr(search, "_scan_one", scan)
+        argv = ["search", ADDITIVITY.format(op="star"), "--points", "3"]
+        assert cli.main([*argv, "--workers", str(workers)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: scan worker {workers - 1} failed at space 8: ValueError: scan broke\n"
         self.assert_no_child_left()
 
     def test_workers_never_flush_the_callers_output(self):
