@@ -3,7 +3,8 @@
 Subcommands: eval, check, families, search, repro. Exit codes are part of
 the interface: 0 = holds / all passed / certified, 1 = violated / failed /
 counterexample found, 2 = usage or parse error or a failed scan, 3 = search
-budget exhausted.
+budget exhausted. ``search --workers N`` is still parsed and checked, but
+changes nothing: every scan runs in the calling process.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def cmd_search(args) -> int:
     if args.max_subbase_size is not None and mode != "subbase":
         raise ValueError(f"--max-subbase-size applies only to --mode subbase, not {mode}")
     try:
-        result = search_mod.run_search(task, workers=args.workers)
+        result = search_mod.run_search(task)
     except search_mod.DocumentError as exc:
         raise ValueError(f"{args.space[exc.index]}: {exc.error}") from exc
     sys.stdout.write(search_mod.report_json(result))
@@ -276,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-subbase-size", type=int, default=None, help="subbase mode only (default 3)"
     )
     p_search.add_argument("--var-cap", type=int, default=3)
-    p_search.add_argument("--workers", type=int, default=1)
+    p_search.add_argument(
+        "--workers", type=int, default=1, help="accepted and ignored; scans run in this process"
+    )
     p_search.set_defaults(func=cmd_search)
 
     p_repro = sub.add_parser("repro", help="re-run the embedded corpus")

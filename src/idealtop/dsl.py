@@ -446,7 +446,7 @@ def _run(program: _Program, order, vals: list, env, tables, inputs, size: int, f
 # 3-variable law needs its 32, so each is computed once per search. A block
 # holds at most 64 KiB per step, and as much again for the bytes of an
 # operator input: the 32 blocks of a 7-point three-variable additivity
-# law are about 14 MiB, held once per scan worker. A scan walks a law's
+# law are about 14 MiB, held once per process. A scan walks a law's
 # blocks in the same order on every space, so a law with more blocks than
 # this, like an 8-point 3-variable law (256 blocks), would miss on every
 # one; it skips the memo and holds none.

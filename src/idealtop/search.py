@@ -9,16 +9,9 @@ stream was provably the complete enumeration for the given point count;
 a finished subbase-generated or user-supplied scan that found nothing
 reports "BudgetExhausted" because it proves nothing about other spaces.
 
-Results are deterministic: the space stream has a fixed order, budgets
-are applied as if the scan were strictly serial, and parallel workers
-only precompute per-space answers that are then merged in stream order.
-With w workers the stream is cut into runs of the spaces that share a
-topology, dealt to the workers in turn: the calling process scans every
-w-th run itself, and w - 1 forked children, each holding its own copy of
-the parsed law and the stream, scan the others and send their answers
-back over a pipe; no child outlives the search. Where ``os.fork`` is
-missing the calling process scans alone, so the report never depends on
-the worker count.
+Results are deterministic: the space stream has a fixed order and one
+loop in the calling process scans it, each space with the assignments
+that remain of the budget.
 
 Every topology and ideal in the stream comes from the generators of
 :mod:`idealtop.space`. The exhaustive stream picks each point's minimal
@@ -29,10 +22,8 @@ sets of the 2^n subsets.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
-import os
 from typing import Iterable, Iterator, NamedTuple
 
 from . import dsl
@@ -209,13 +200,7 @@ class DocumentError(ValueError):
 
 
 class ScanError(RuntimeError):
-    """Scan worker ``worker`` failed at space ``index`` of the stream.
-
-    Raised alike whichever worker failed, the calling process included.
-    """
-
-    def __init__(self, worker: int, index: int, reason: str):
-        super().__init__(f"scan worker {worker} failed at space {index}: {reason}")
+    """A law scan raised; the message names the space's index in the stream."""
 
 
 class SpaceWitness(NamedTuple):
@@ -280,160 +265,44 @@ def _space_stream(task: SearchTask) -> tuple[Iterator[tuple], int | None]:
     return stream, total
 
 
-def _scan_one(space_key, law, var_cap, cap):
-    """(outcome, witness or None, count) of one space's scan."""
-    outcome, verdict, count = dsl.scan_law(Space(*space_key), law, var_cap=var_cap, budget=cap)
-    return outcome, None if verdict is None else verdict.witness, count
-
-
-def _scan_results(task: SearchTask, law: dsl.LawAst, stream, workers: int):
-    """Yield (space_key, outcome, witness, count) in stream order.
-
-    The calling process is worker 0. Workers 1..w-1 are children forked
-    before the first scan, so they inherit the parsed law and the unstarted
-    stream. The stream is cut into runs of ``block`` spaces, every ideal of
-    one topology (one space in documents mode), and run r goes to worker
-    r mod w, so a topology's tables are built in one worker only; space i's
-    answer is read from the worker that owns its run. Every space is scanned
-    with the same per-space assignment cap (the whole budget), so an answer
-    never depends on what other spaces did; the serial budget cut is applied
-    later by the merge step. A scan that raises in any worker is raised as
-    :class:`ScanError`. Closing the generator kills and reaps every child.
-    Where ``os.fork`` is missing the calling process scans alone.
-    """
-    block = 1 if task.mode == "documents" else 1 << task.n
-    if not hasattr(os, "fork"):
-        workers = 1
-    elif workers > 1:
-        import signal  # one-worker runs skip loading it
-    children = []  # (pid, reader) of workers 1..w-1
-    try:
-        for j in range(1, workers):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                os.close(read_end)
-                for _, reader in children:
-                    reader.close()
-                _scan_child(task, law, stream, workers, block, j, write_end)  # never returns
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb")))
-        for i, space_key in enumerate(stream):
-            j = i // block % workers
-            if j:
-                result = _read_record(children[j - 1][1], j, i)
-            else:
-                try:
-                    result = _scan_one(space_key, law, task.var_cap, task.budget_assignments)
-                except Exception as exc:
-                    raise ScanError(0, i, _reason(exc)) from exc
-            yield space_key, *result
-    finally:
-        for pid, reader in children:
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _reason(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _scan_child(
-    task: SearchTask, law: dsl.LawAst, stream, workers: int, block: int, j: int, write_end
-):
-    """Worker j in a forked child: one JSON line per space of its runs,
-    ``[outcome, bindings, lhs, rhs, count]``, or ``["error", reason]``,
-    flushed at the end of each run.
-
-    It stops after a ``budget`` outcome, and after a ``violated`` one when
-    only the first witness is wanted, because the merge stops there;
-    otherwise the pipe's capacity bounds how far it runs ahead. It ends in
-    ``os._exit``, so it never flushes the parent's copied buffers or runs
-    its exit handlers.
-    """
-    code = 1
-    try:
-        with open(write_end, "w") as out:
-            try:
-                for i, space_key in enumerate(stream):
-                    if i // block % workers != j:
-                        continue
-                    outcome, witness, count = _scan_one(
-                        space_key, law, task.var_cap, task.budget_assignments
-                    )
-                    # bindings, lhs, rhs
-                    found = (None, None, None) if witness is None else witness[:3]
-                    out.write(json.dumps([outcome, *found, count]) + "\n")
-                    if outcome == "budget" or (outcome == "violated" and task.want == "first"):
-                        break
-                    if (i + 1) % block == 0:  # the end of a run
-                        out.flush()
-                code = 0
-            except Exception as exc:  # reported to the parent, which raises
-                out.write(json.dumps(["error", _reason(exc)]) + "\n")
-    finally:
-        os._exit(code)
-
-
-def _read_record(reader, j: int, i: int):
-    """Worker j's (outcome, witness or None, count) for space i."""
-    line = reader.readline()
-    record = json.loads(line) if line else ["error", "exited before sending its answer"]
-    if record[0] == "error":
-        raise ScanError(j, i, record[1])
-    outcome, bindings, lhs, rhs, count = record
-    witness = None if bindings is None else Witness(tuple(map(tuple, bindings)), lhs, rhs)
-    return outcome, witness, count
-
-
-def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
-    stream, total = _space_stream(task)
+def run_search(task: SearchTask) -> SearchResult:
     law = dsl.parse_law(task.law_text)  # fail fast on bad law text
     dsl._check_var_cap(law, task.var_cap)  # and on too many variables
+    stream, total = _space_stream(task)
 
     witnesses: list[SpaceWitness] = []
     scanned = 0
     used = 0
     cut = False
-    if task.budget_spaces is not None:
-        # the merge reads one space past the budget to see the cut; no
-        # worker scans further
-        stream = itertools.islice(stream, task.budget_spaces + 1)
-    # closed before revalidation, so every forked worker is reaped by then
-    with contextlib.closing(_scan_results(task, law, stream, workers)) as results:
-        for space_key, outcome, witness, count in results:
-            if task.budget_spaces is not None and scanned >= task.budget_spaces:
-                cut = True
-                break
-            remaining = None if task.budget_assignments is None else task.budget_assignments - used
-            if remaining is not None and remaining <= 0:
-                cut = True
-                break
-            scanned += 1
-            if outcome == "violated" and (remaining is None or count <= remaining):
-                used += count
-                ground, topology, ideal = space_key
-                witnesses.append(SpaceWitness(
-                    ground.labels, topology.family.members, ideal.family.members,
-                    witness.bindings, witness.lhs, witness.rhs,
-                ))
-                if task.want == "first":
-                    break
-                continue
-            if outcome == "holds" and (remaining is None or count <= remaining):
-                used += count
-                continue
-            # worker hit the per-space cap, or the serial budget runs out inside
-            # this space before reaching its verdict
-            used += count if remaining is None else min(count, remaining)
+    for space_key in stream:
+        remaining = None if task.budget_assignments is None else task.budget_assignments - used
+        try:
+            outcome, verdict, count = dsl.scan_law(
+                Space(*space_key), law, var_cap=task.var_cap, budget=remaining
+            )
+        except Exception as exc:
+            raise ScanError(
+                f"scan failed at space {scanned}: {type(exc).__name__}: {exc}"
+            ) from exc
+        # the space past either budget is scanned before the cut is seen, as
+        # the benchmark's counters pin (513 scans for 512 spaces on tables-n8)
+        if scanned == task.budget_spaces or remaining == 0:
             cut = True
             break
+        scanned += 1
+        used += count
+        if outcome == "budget":  # the budget ran out inside this space
+            cut = True
+            break
+        if outcome == "violated":
+            ground, topology, ideal = space_key
+            witness = verdict.witness
+            witnesses.append(SpaceWitness(
+                ground.labels, topology.family.members, ideal.family.members,
+                witness.bindings, witness.lhs, witness.rhs,
+            ))
+            if task.want == "first":
+                break
 
     if witnesses:
         status = STATUS_BUDGET if cut else STATUS_FOUND
@@ -452,7 +321,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
 
 
 def _revalidate(witness: SpaceWitness, law: dsl.LawAst) -> None:
-    """Definition-direct recheck of a reported witness; guards the merge path."""
+    """Definition-direct recheck of a reported witness; guards the byte-lane scan."""
     lhs, rhs, violated = dsl.eval_law(witness.space(), law, dict(witness.bindings))
     if not violated or lhs != witness.lhs or rhs != witness.rhs:
         raise AssertionError(f"search produced a witness that does not re-validate: {witness}")

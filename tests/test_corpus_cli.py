@@ -508,6 +508,15 @@ class TestSearchCommand:
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
 
+    def test_bad_law_is_reported_before_the_space_files_are_read(self, tmp_path):
+        # the law is parsed before the stream is built, so a space file
+        # that is not JSON is never decoded
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json\n")
+        out = run_cli("search", "bad(", "--space", str(bad))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: expected an expression (offset 4)\n"
+
     def test_space_files_imply_documents_mode(self):
         out = run_cli("search", "xis(union(A,B)) == union(xis(A),xis(B))",
                       "--space", SPACE_A_FILE)
@@ -624,7 +633,7 @@ print(code, sorted(m for m in {LAZY!r} if m in sys.modules))
 class TestStartup:
     """What a launch imports: the search path needs neither ``dataclasses``
     (nor the ``inspect`` it pulls in), a process pool, nor the corpus, and
-    forked scan workers need no pool."""
+    ``--workers 2`` changes none of that."""
 
     def probe(self, *argv):
         out = subprocess.run(

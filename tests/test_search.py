@@ -2,11 +2,10 @@
 
 Enumeration counts are checked against the oracle's validator scan; search
 fixtures (status, spaces scanned, witness) are frozen from the deterministic
-serial scan and must stay byte-identical under parallelism.
+scan, and ``--workers`` must not change a report's bytes.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +144,19 @@ class TestTaskValidation:
             )
 
 
+    @pytest.mark.parametrize("law, error", [
+        ("bad(", dsl.DslError),
+        ("union(union(A,B),union(C,D)) == X", dsl.VariableCapError),
+    ])
+    def test_bad_law_fails_before_the_stream_is_built(self, monkeypatch, law, error):
+        def no_stream(task):
+            raise AssertionError("the space stream was built")
+
+        monkeypatch.setattr(search, "_space_stream", no_stream)
+        with pytest.raises(error):
+            search.run_search(search.SearchTask(law, 4))
+
+
 # (op, n=3 spaces_scanned): ops whose additivity first fails on the chain
 # {{}, {w1,w2}, X} scan position 25, vs. those needing {{},{w1},{w2},{w1,w2},X}
 MINIMAL_N3 = {
@@ -279,6 +291,12 @@ class TestBudgets:
         assert short.witnesses == ()
         assert short.assignments_evaluated == 3082
 
+    def test_budget_spent_on_a_space_boundary(self):
+        # the sixth space finds no assignment left, so it is not counted
+        result = search.run_search(search.SearchTask(self.LAW, 3, budget_assignments=5 * 64))
+        assert result.status == search.STATUS_BUDGET
+        assert (result.spaces_scanned, result.assignments_evaluated) == (5, 5 * 64)
+
     def test_zero_space_budget(self):
         result = search.run_search(search.SearchTask(self.LAW, 3, budget_spaces=0))
         assert (result.status, result.spaces_scanned) == (search.STATUS_BUDGET, 0)
@@ -320,36 +338,23 @@ class TestNonExhaustiveModes:
 
 
 class TestDeterminismAndReports:
-    def test_parallel_report_is_byte_identical(self):
-        documents = tuple(path.read_text() for path in sorted(CORPUS.glob("*.json")))
-        for kwargs in (
-            dict(law_text=ADDITIVITY.format(op="xis"), n=3),
-            dict(law_text=ADDITIVITY.format(op="xis"), n=3, want="all-minimal"),
-            dict(law_text=ADDITIVITY.format(op="star"), n=2),
-            dict(law_text=ADDITIVITY.format(op="sstar"), n=3, budget_assignments=3082),
-            dict(law_text=ADDITIVITY.format(op="pstar"), n=0, mode="documents",
-                 want="all-minimal", documents=documents),
-            dict(law_text=ADDITIVITY.format(op="star"), n=5, mode="subbase", budget_spaces=70),
+    def test_parallel_report_is_byte_identical(self, capsys):
+        # --workers is accepted and ignored: every mode prints the same bytes
+        documents = [f"--space={path}" for path in sorted(CORPUS.glob("*.json"))]
+        for argv in (
+            [ADDITIVITY.format(op="xis"), "--points", "3"],
+            [ADDITIVITY.format(op="xis"), "--points", "3", "--all-minimal"],
+            [ADDITIVITY.format(op="star"), "--points", "2"],
+            [ADDITIVITY.format(op="sstar"), "--points", "3", "--budget-assignments", "3082"],
+            [ADDITIVITY.format(op="pstar"), "--all-minimal", *documents],
+            [ADDITIVITY.format(op="star"), "--points", "5", "--mode", "subbase",
+             "--budget-spaces", "70"],
         ):
-            task = search.SearchTask(**kwargs)
-            serial = search.report_json(search.run_search(task, workers=1))
-            for workers in (2, 3):
-                assert search.report_json(search.run_search(task, workers=workers)) == serial
-
-    def test_workers_inherit_the_parsed_law(self, monkeypatch):
-        # Forked workers scan with the caller's parsed law: a parse in any
-        # other process fails the scan.
-        parse_law, caller = dsl.parse_law, os.getpid()
-
-        def parse_here_only(text):
-            if os.getpid() != caller:
-                raise RuntimeError("a worker parsed the law")
-            return parse_law(text)
-
-        task = search.SearchTask(ADDITIVITY.format(op="xis"), 3, want="all-minimal")
-        serial = search.report_json(search.run_search(task))
-        monkeypatch.setattr(dsl, "parse_law", parse_here_only)
-        assert search.report_json(search.run_search(task, workers=3)) == serial
+            outputs = set()
+            for workers in ("1", "2", "3"):
+                code = cli.main(["search", *argv, "--workers", workers])
+                outputs.add((code, capsys.readouterr()))
+            assert len(outputs) == 1
 
     def test_report_shape(self):
         task = search.SearchTask(ADDITIVITY.format(op="pstar"), 3)
@@ -386,130 +391,51 @@ class TestDeterminismAndReports:
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-class TestForkedWorkers:
-    """Workers 1..w-1 are forked children; none may outlive a search."""
+class TestScanLoop:
+    """The one serial loop, seen through the scans it asks ``dsl.scan_law`` for."""
 
-    def assert_no_child_left(self):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    def logging_scans(self, monkeypatch, fail_past=None):
+        """Record each scan's (topology mask, count); raise on topologies
+        other than ``fail_past`` when it is given."""
+        scan_law, scans = dsl.scan_law, []
 
-    def failing_in_children(self, monkeypatch, fail):
-        scan_one, caller = search._scan_one, os.getpid()
+        def scan(space, *args, **kwargs):
+            mask = space.topology.family.mask
+            if fail_past is not None and mask != fail_past:
+                raise ValueError("scan broke")
+            outcome, verdict, count = scan_law(space, *args, **kwargs)
+            scans.append((mask, count))
+            return outcome, verdict, count
 
-        def scan(*args):
-            if os.getpid() != caller:
-                fail()
-            return scan_one(*args)
+        monkeypatch.setattr(dsl, "scan_law", scan)
+        return scans
 
-        monkeypatch.setattr(search, "_scan_one", scan)
-
-    def test_early_witness_reaps_the_workers(self):
-        task = search.SearchTask(ADDITIVITY.format(op="pstar"), 3)
-        result = search.run_search(task, workers=2)
-        assert (result.status, result.spaces_scanned) == (search.STATUS_FOUND, 25)
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize("budget", [dict(budget_spaces=300),
-                                        dict(budget_assignments=300 * 256)])
-    def test_budget_on_a_long_stream_reaps_the_workers(self, budget):
-        # An 8-point subbase stream has millions of spaces of 256 assignments.
-        # The worker stops after the space budget by itself; under an assignment
-        # budget it runs ahead of the merge until the cut after space 300 kills it.
-        task = search.SearchTask("A == A", 8, mode="subbase", **budget)
-        result = search.run_search(task, workers=2)
-        assert (result.status, result.spaces_scanned) == (search.STATUS_BUDGET, 300)
-        self.assert_no_child_left()
-
-    def logging_scans(self, monkeypatch, log):
-        """Make every worker append "pid topology-mask" to ``log`` per scan."""
-        scan_one = search._scan_one
-
-        def scan(space_key, *args):
-            with open(log, "a") as f:
-                f.write(f"{os.getpid()} {space_key[1].family.mask}\n")
-            return scan_one(space_key, *args)
-
-        monkeypatch.setattr(search, "_scan_one", scan)
-        return lambda: [line.split() for line in log.read_text().splitlines()]
-
-    def test_each_topology_is_scanned_by_one_worker(self, monkeypatch, tmp_path):
-        # Runs of a topology's 8 ideals go to the workers in turn, so no
-        # worker builds the tables of another's topology.
-        read_scans = self.logging_scans(monkeypatch, tmp_path / "scans")
-        task = search.SearchTask(ADDITIVITY.format(op="star"), 3)
-        assert search.run_search(task, workers=3).spaces_scanned == 29 * 8
-        self.assert_no_child_left()
-        scans = read_scans()
-        assert len(scans) == 29 * 8
-        owners = {mask: {pid for pid, m in scans if m == mask} for _, mask in scans}
-        assert len(owners) == 29
-        assert all(len(pids) == 1 for pids in owners.values())
-        assert len({pid for pid, _ in scans}) == 3
-
-    def test_no_worker_scans_past_the_space_budget(self, monkeypatch, tmp_path):
-        # Every worker stops where the serial scan does: at space 70, which
-        # the merge reads to see the cut.
+    def test_space_past_the_budget_is_scanned(self, monkeypatch):
+        # the loop scans space 71 before it sees that 70 are spent; the
+        # benchmark's tables-n8 counters pin the same rule at 513
+        scans = self.logging_scans(monkeypatch)
         task = search.SearchTask("A == A", 5, mode="subbase", budget_spaces=70)
-        for workers in (1, 3):
-            read_scans = self.logging_scans(monkeypatch, tmp_path / f"scans{workers}")
-            result = search.run_search(task, workers=workers)
-            assert (result.status, result.spaces_scanned) == (search.STATUS_BUDGET, 70)
-            self.assert_no_child_left()
-            assert len(read_scans()) == 71
-            monkeypatch.undo()
+        result = search.run_search(task)
+        assert (result.status, result.spaces_scanned) == (search.STATUS_BUDGET, 70)
+        assert len(scans) == 71
 
-    def test_worker_error_is_raised_with_its_message(self, monkeypatch):
-        # At three points worker 1 owns the second topology's spaces, 8-15.
-        def fail():
-            raise ValueError("scan broke")
-
-        self.failing_in_children(monkeypatch, fail)
-        task = search.SearchTask(ADDITIVITY.format(op="star"), 3)
-        with pytest.raises(RuntimeError, match="^scan worker 1 failed at space 8: "
-                                               "ValueError: scan broke$"):
-            search.run_search(task, workers=2)
-        self.assert_no_child_left()
-
-    def test_worker_that_exits_without_answering_is_an_error(self, monkeypatch):
-        self.failing_in_children(monkeypatch, lambda: os._exit(0))
-        task = search.SearchTask(ADDITIVITY.format(op="star"), 3)
-        with pytest.raises(RuntimeError, match="^scan worker 1 failed at space 8: exited"):
-            search.run_search(task, workers=3)
-        self.assert_no_child_left()
+    def test_last_space_is_scanned_with_what_remains(self, monkeypatch):
+        # 300 whole spaces of 256 assignments, then 5 of space 301: no scan
+        # evaluates past the budget
+        scans = self.logging_scans(monkeypatch)
+        budget = 300 * 256 + 5
+        task = search.SearchTask("A == A", 8, mode="subbase", budget_assignments=budget)
+        result = search.run_search(task)
+        assert result.status == search.STATUS_BUDGET
+        assert (result.spaces_scanned, result.assignments_evaluated) == (301, budget)
+        assert sum(count for _, count in scans) == budget == 76_805
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_scan_exits_2_whichever_worker_fails(self, monkeypatch, capsys, workers):
-        # The second topology's spaces, 8-15 at three points, are worker 0's
-        # at one worker and worker 1's at two; both fail the same way.
-        first = next(search.enumerate_topologies(3)).family.mask
-        scan_one = search._scan_one
-
-        def scan(space_key, *args):
-            if space_key[1].family.mask != first:
-                raise ValueError("scan broke")
-            return scan_one(space_key, *args)
-
-        monkeypatch.setattr(search, "_scan_one", scan)
+    def test_failed_scan_exits_2(self, monkeypatch, capsys, workers):
+        # at three points the second topology's spaces are 8-15
+        self.logging_scans(monkeypatch, fail_past=next(search.enumerate_topologies(3)).family.mask)
         argv = ["search", ADDITIVITY.format(op="star"), "--points", "3"]
         assert cli.main([*argv, "--workers", str(workers)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: scan worker {workers - 1} failed at space 8: ValueError: scan broke\n"
-        self.assert_no_child_left()
-
-    def test_workers_never_flush_the_callers_output(self):
-        # A child ends in os._exit: text the caller had buffered before the
-        # fork, and its exit handlers, appear once.
-        script = (
-            "import atexit, sys\n"
-            "from idealtop import search\n"
-            "atexit.register(print, 'exit handler')\n"
-            "sys.stdout.write('buffered\\n')\n"
-            f"task = search.SearchTask({ADDITIVITY.format(op='star')!r}, 3)\n"
-            "print(search.run_search(task, workers=3).status)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
-        )
-        assert (out.returncode, out.stderr) == (0, "")
-        assert out.stdout == "buffered\nLawCertified\nexit handler\n"
+        assert err == "error: scan failed at space 8: ValueError: scan broke\n"
