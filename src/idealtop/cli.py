@@ -160,12 +160,9 @@ def cmd_search(args) -> int:
         want="all-minimal" if args.all_minimal else "first",
         budget_spaces=args.budget_spaces,
         budget_assignments=args.budget_assignments,
-        max_subbase_size=3 if args.max_subbase_size is None else args.max_subbase_size,
         var_cap=args.var_cap,
         documents=tuple(documents),
     )
-    if args.max_subbase_size is not None and mode != "subbase":
-        raise ValueError(f"--max-subbase-size applies only to --mode subbase, not {mode}")
     try:
         result = search_mod.run_search(task)
     except search_mod.DocumentError as exc:
@@ -273,9 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--all-minimal", action="store_true", help="collect all minimal violating spaces")
     p_search.add_argument("--budget-spaces", type=int, default=None)
     p_search.add_argument("--budget-assignments", type=int, default=None)
-    p_search.add_argument(
-        "--max-subbase-size", type=int, default=None, help="subbase mode only (default 3)"
-    )
     p_search.add_argument("--var-cap", type=int, default=3)
     p_search.add_argument(
         "--workers", type=int, default=1, help="accepted and ignored; scans run in this process"

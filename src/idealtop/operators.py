@@ -252,7 +252,7 @@ def _build(space: Space, name: str) -> bytes:
     full = space.ground.universe
     spec = LOCAL_FN_ALIASES.get(name)
     if spec is not None:  # the hot case, first: f(a) = H[a & ~top]
-        outside = identity & (full & ~space.ideal_top) * ones
+        outside = identity & (full & ~space.ideal.top) * ones
         return _translate(outside.to_bytes(size, "little"), hit_table(space, spec))
     if name in ("int", "cl"):
         return space.tables[name]

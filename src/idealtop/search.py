@@ -37,7 +37,6 @@ from .space import (
     Topology,
     _json_document,
     _set,
-    generate_ideal,
     generate_topology,
     space_from_document,
     space_to_document,
@@ -45,6 +44,7 @@ from .space import (
 from .verdicts import Witness
 
 EXHAUSTIVE_MAX_POINTS = 4
+MAX_SUBBASE_SIZE = 3
 
 STATUS_FOUND = "CounterexampleFound"
 STATUS_CERTIFIED = "LawCertified"
@@ -83,17 +83,17 @@ def _topology_members(n: int) -> tuple[Topology, ...]:
     return tuple(found)
 
 
-def _subbase_topology_members(n: int, max_subbase_size: int) -> Iterator[Topology]:
+def _subbase_topology_members(n: int) -> Iterator[Topology]:
     """Topologies generated from small subbases, first-seen order, deduplicated.
 
-    Covers sizes 0..max_subbase_size with subbase members drawn from the
+    Covers sizes 0..MAX_SUBBASE_SIZE with subbase members drawn from the
     nonempty proper subsets in ascending order; sizes past the number of
     those subsets have no subbases and are skipped. Incomplete by design.
     """
     ground = GroundSet(default_labels(n))
     pool = range(1, ground.universe)
     seen: set[int] = set()
-    for size in range(min(max_subbase_size, len(pool)) + 1):
+    for size in range(min(MAX_SUBBASE_SIZE, len(pool)) + 1):
         for subbase in itertools.combinations(pool, size):
             topo = generate_topology(subbase, ground)
             if topo.family.mask not in seen:
@@ -101,19 +101,15 @@ def _subbase_topology_members(n: int, max_subbase_size: int) -> Iterator[Topolog
                 yield topo
 
 
-def enumerate_topologies(
-    n: int, mode: str | None = None, *, max_subbase_size: int = 3
-) -> Iterator[Topology]:
+def enumerate_topologies(n: int, mode: str = "exhaustive") -> Iterator[Topology]:
     """Stream topologies on n points.
 
     mode "exhaustive" (n <= 4) yields every topology in ascending order of
     the family membership mask; mode "subbase" yields a deduplicated but
-    incomplete stream for any n. Default picks exhaustive when possible.
-    Arguments are checked when this is called, before the first topology.
+    incomplete stream for any n. Arguments are checked when this is
+    called, before the first topology.
     """
     _check_points(n)
-    if mode is None:
-        mode = "exhaustive" if n <= EXHAUSTIVE_MAX_POINTS else "subbase"
     if mode == "exhaustive":
         if n > EXHAUSTIVE_MAX_POINTS:
             raise ValueError(
@@ -121,21 +117,15 @@ def enumerate_topologies(
             )
         return iter(_topology_members(n))
     if mode == "subbase":
-        return _subbase_topology_members(n, max_subbase_size)
+        return _subbase_topology_members(n)
     raise ValueError(f"unknown enumeration mode {mode!r}")
 
 
 def enumerate_ideals(n: int) -> Iterator[Ideal]:
-    """Stream every ideal on n points.
-
-    A finite family closed under subsets and pairwise unions is exactly the
-    powerset of its largest member, so the ideals are the powersets of the
-    2^n subsets; ascending generator order is ascending membership-mask order.
-    """
+    """Stream every ideal on n points: ``Ideal(m)`` for the 2^n tops ``m``
+    ascending, which is ascending membership-mask order."""
     _check_points(n)
-    ground = GroundSet(default_labels(n))
-    for m in range(1 << n):
-        yield generate_ideal((m,), ground)
+    return map(Ideal, range(1 << n))
 
 
 def count_topologies(n: int) -> int:
@@ -151,7 +141,7 @@ class SearchTask(Frozen):
 
     __slots__ = _fields = (
         "law_text", "n", "mode", "want", "budget_spaces", "budget_assignments",
-        "max_subbase_size", "var_cap", "documents",
+        "var_cap", "documents",
     )
 
     def __init__(
@@ -162,7 +152,6 @@ class SearchTask(Frozen):
         want: str = "first",  # "first" | "all-minimal"
         budget_spaces: int | None = None,
         budget_assignments: int | None = None,
-        max_subbase_size: int = 3,
         var_cap: int = 3,
         documents: tuple[str, ...] = (),  # JSON space documents, "documents" mode
     ):
@@ -172,14 +161,13 @@ class SearchTask(Frozen):
         _set(self, "want", want)
         _set(self, "budget_spaces", budget_spaces)
         _set(self, "budget_assignments", budget_assignments)
-        _set(self, "max_subbase_size", max_subbase_size)
         _set(self, "var_cap", var_cap)
         _set(self, "documents", documents)
         if self.mode not in ("exhaustive", "subbase", "documents"):
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.want not in ("first", "all-minimal"):
             raise ValueError(f"unknown want {self.want!r}")
-        for name in ("budget_spaces", "budget_assignments", "max_subbase_size", "var_cap"):
+        for name in ("budget_spaces", "budget_assignments", "var_cap"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
@@ -217,7 +205,7 @@ class SpaceWitness(NamedTuple):
         return Space(
             GroundSet(self.labels),
             Topology(Family(self.topology)),
-            Ideal(Family(self.ideal)),
+            Ideal(self.ideal[-1]),
         )
 
     def sort_key(self):
@@ -225,7 +213,8 @@ class SpaceWitness(NamedTuple):
             len(self.topology),
             len(self.ideal),
             Family(self.topology).mask,
-            Family(self.ideal).mask,
+            # a power set's membership mask orders as its top, its highest bit
+            self.ideal[-1],
         )
 
 
@@ -254,9 +243,7 @@ def _space_stream(task: SearchTask) -> tuple[Iterator[tuple], int | None]:
         return iter([(sp.ground, sp.topology, sp.ideal) for sp in spaces]), len(spaces)
     ground = GroundSet(default_labels(task.n))
     ideals = list(enumerate_ideals(task.n))
-    topologies: Iterable[Topology] = enumerate_topologies(
-        task.n, task.mode, max_subbase_size=task.max_subbase_size
-    )
+    topologies: Iterable[Topology] = enumerate_topologies(task.n, task.mode)
     total = None
     if task.mode == "exhaustive":
         topologies = list(topologies)
@@ -298,7 +285,7 @@ def run_search(task: SearchTask) -> SearchResult:
             ground, topology, ideal = space_key
             witness = verdict.witness
             witnesses.append(SpaceWitness(
-                ground.labels, topology.family.members, ideal.family.members,
+                ground.labels, topology.family.members, tuple(ideal),
                 witness.bindings, witness.lhs, witness.rhs,
             ))
             if task.want == "first":

@@ -11,6 +11,11 @@ Space documents are JSON objects with keys ``points``, ``topology`` or
 written as arrays of point labels. ``parse_space`` validates the axioms and
 reports the first offending pair on failure.
 
+A finite ideal is the power set of its largest member, so an ``Ideal``
+is that one mask, ``top``, and cannot hold a family that is not an
+ideal. Only a document's listed ``ideal`` is checked member by member
+(``validate_ideal``) before it becomes the ``Ideal`` of its top.
+
 The generators build every topology and ideal the package uses apart
 from listed documents: ``generate_topology`` unions the minimal
 neighbourhoods U(x) of a subbase (a finite topology is the same thing as
@@ -220,20 +225,25 @@ class Topology(Frozen):
 
 
 class Ideal(Frozen):
-    """Hereditary, finitely-union-closed family containing the empty set.
-    Axioms are enforced wherever a ground set is in scope."""
+    """The power set of ``top``. A finite family that is hereditary and
+    closed under unions is exactly the power set of its largest member, so
+    the top mask is the whole ideal. Members iterate in ascending order."""
 
-    __slots__ = ("family",)
-    _fields = ("family",)
+    __slots__ = _fields = ("top",)
 
-    def __init__(self, family: Family):
-        _set(self, "family", family)
+    def __init__(self, top: int):
+        _set(self, "top", top)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.family)
+        top, s = self.top, 0
+        while True:
+            yield s
+            if s == top:
+                return
+            s = (s - top) & top  # the next submask of top, ascending
 
     def __len__(self) -> int:
-        return len(self.family)
+        return 1 << bin(self.top).count("1")
 
 
 class TopologyIssue(NamedTuple):
@@ -279,11 +289,9 @@ class IdealIssue(NamedTuple):
         )
 
 
-def _check_members_in_range(family: Family, ground: GroundSet) -> None:
-    if family.members and family.members[-1] > ground.universe:
-        raise ValueError(
-            f"subset mask {family.members[-1]} out of range for {ground.n} points"
-        )
+def _check_in_range(largest: int, ground: GroundSet) -> None:
+    if not 0 <= largest <= ground.universe:
+        raise ValueError(f"subset mask {largest} out of range for {ground.n} points")
 
 
 def validate_topology(family: Family, ground: GroundSet) -> TopologyIssue | None:
@@ -292,7 +300,8 @@ def validate_topology(family: Family, ground: GroundSet) -> TopologyIssue | None
     Pairs are scanned in lexicographic order of (first mask, second mask);
     for each pair the union is checked before the intersection.
     """
-    _check_members_in_range(family, ground)
+    if family.members:
+        _check_in_range(family.members[-1], ground)
     if 0 not in family:
         return TopologyIssue("missing-empty")
     if ground.universe not in family:
@@ -307,29 +316,16 @@ def validate_topology(family: Family, ground: GroundSet) -> TopologyIssue | None
     return None
 
 
-@functools.lru_cache(maxsize=1 << MAX_POINTS)
-def _power_set_mask(top: int) -> int:
-    """The membership mask of the power set of ``top``."""
-    mask, s = 1, top
-    while s:
-        mask |= 1 << s
-        s = (s - 1) & top
-    return mask
-
-
 def validate_ideal(family: Family, ground: GroundSet) -> IdealIssue | None:
     """Return None when the family is an ideal, else the first failure.
 
-    A family that is exactly the power set of its largest member passes
-    with one comparison of membership masks. Otherwise checks the empty
-    set, then heredity (members ascending, missing subsets ascending), then
-    pairwise unions in lexicographic pair order.
+    Checks the empty set, then heredity (members ascending, missing subsets
+    ascending), then pairwise unions in lexicographic pair order. A family
+    that passes is ``Ideal(family.members[-1])``.
     """
-    _check_members_in_range(family, ground)
+    if family.members:
+        _check_in_range(family.members[-1], ground)
     members, mask = family.members, family.mask
-    # Fast path: a finite ideal is the power set of its largest member.
-    if members and mask == _power_set_mask(members[-1]):
-        return None
     if 0 not in family:
         return IdealIssue("missing-empty")
     for b in members:
@@ -373,14 +369,7 @@ def generate_ideal(generators: Iterable[int], ground: GroundSet) -> Ideal:
         if not 0 <= g <= full:
             raise ValueError(f"generator mask {g} out of range")
         top |= g
-    members = []
-    s = top
-    while True:
-        members.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & top
-    return Ideal(Family(tuple(members)))
+    return Ideal(top)
 
 
 @functools.lru_cache(maxsize=None)
@@ -455,10 +444,10 @@ class Space(Frozen):
 
     ``tables`` is the dict that every space on the topology shares, taken
     from the one-entry ``topology_tables`` memo, so consecutive spaces on
-    one topology validate it and build its tables once. The ideal is the
-    power set of ``ideal_top``; the operator layer reads it only through
-    that mask. Operator tables, one per alias, are memoized into
-    ``_cache`` by ``operators.unary_table``. Caches never feed back into
+    one topology validate it and build its tables once. An ``Ideal`` is
+    an ideal by construction, so only its top is checked against the
+    ground set; the operator layer reads that mask. Operator tables, one
+    per alias, are memoized into ``_cache`` by ``operators.unary_table``. Caches never feed back into
     equality and always equal fresh recomputation.
     """
 
@@ -474,9 +463,7 @@ class Space(Frozen):
     def __post_init__(self):
         # Validation and tables; a method of its own, so it can be traced.
         _set(self, "tables", topology_tables(self.ground, self.topology))
-        issue = validate_ideal(self.ideal.family, self.ground)
-        if issue is not None:
-            raise IdealAxiomError(issue.describe(self.ground), issue)
+        _check_in_range(self.ideal.top, self.ground)
         _set(self, "_cache", {})
 
     @property
@@ -490,11 +477,6 @@ class Space(Frozen):
     @property
     def cl_table(self) -> bytes:
         return self.tables["cl"]
-
-    @property
-    def ideal_top(self) -> int:
-        """Largest ideal member; the ideal is its power set."""
-        return self.ideal.family.members[-1]
 
 
 _DOCUMENT_KEYS = {"points", "topology", "topology_subbase", "ideal", "ideal_generators", "name"}
@@ -546,7 +528,11 @@ def space_from_document(doc) -> Space:
     topology_tables(ground, topology)
 
     if "ideal" in doc:
-        ideal = Ideal(Family(_subset_list(ground, doc["ideal"], "ideal")))
+        family = Family(_subset_list(ground, doc["ideal"], "ideal"))
+        issue = validate_ideal(family, ground)
+        if issue is not None:
+            raise IdealAxiomError(issue.describe(ground), issue)
+        ideal = Ideal(family.members[-1])
     else:
         ideal = generate_ideal(
             _subset_list(ground, doc["ideal_generators"], "ideal_generators"), ground
@@ -554,10 +540,21 @@ def space_from_document(doc) -> Space:
     return Space(ground, topology, ideal)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` that refuses a key written twice in one object,
+    where ``json`` would keep the last value without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _json_document(text: str):
     """Decode the JSON of a space document; the one decoder of documents."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
 

@@ -212,7 +212,7 @@ def space_to_oracle(space):
     """(topology, ideal, points) triple in oracle representation."""
     ground = space.ground
     topology = frozenset(family_to_sets(ground, space.topology.family))
-    ideal = frozenset(family_to_sets(ground, space.ideal.family))
+    ideal = frozenset(family_to_sets(ground, space.ideal))
     return topology, ideal, list(ground.labels)
 
 

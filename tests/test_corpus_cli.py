@@ -151,6 +151,8 @@ SPACE_A_FILE = str(CORPUS_DIR / "ex-3.3-1.json")
 SPACE_B_FILE = str(CORPUS_DIR / "ex-3.3-2.json")
 NOT_A_VARIABLE = "is not a variable (single uppercase letter other than X)"
 NON_STRING_NAME_DOC = '{"name": [1, 2], "points": ["a"], "topology": [[], ["a"]], "ideal": [[]]}'
+# read as the second "points" list if a repeated key were let through
+DUPLICATE_KEY_DOC = '{"points": ["a"], "points": ["b"], "topology": [[], ["b"]], "ideal": [[]]}'
 
 
 class TestEvalCommand:
@@ -324,6 +326,13 @@ class TestCheckCommand:
             "double quotes: line 1 column 19 (char 18)\n"
         )
 
+    def test_duplicate_key_is_named(self, tmp_path):
+        doc = tmp_path / "twice.json"
+        doc.write_text(DUPLICATE_KEY_DOC)
+        out = run_cli("check", "--space", str(doc), "--law", "A <= X")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {doc}: duplicate key 'points'\n"
+
     def test_non_string_name_is_named(self, tmp_path):
         doc = tmp_path / "named.json"
         doc.write_text(NON_STRING_NAME_DOC)
@@ -448,7 +457,6 @@ class TestSearchCommand:
             ("--budget-assignments", "-5", "budget_assignments must be >= 0, got -5"),
             ("--workers", "-4", "--workers must be >= 1, got -4"),
             ("--workers", "0", "--workers must be >= 1, got 0"),
-            ("--max-subbase-size", "-1", "max_subbase_size must be >= 0, got -1"),
             ("--var-cap", "-1", "var_cap must be >= 0, got -1"),
         ],
     )
@@ -462,23 +470,6 @@ class TestSearchCommand:
         assert (out.returncode, out.stdout) == (2, "")
         assert "unrecognized arguments: --seed 1" in out.stderr
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "documents"])
-    def test_max_subbase_size_outside_subbase_mode_exits_2(self, mode):
-        where = ("--space", SPACE_A_FILE) if mode == "documents" else ("--points", "3")
-        out = run_cli("search", "star(A) == A", *where, "--max-subbase-size", "2")
-        assert (out.returncode, out.stdout) == (2, "")
-        assert out.stderr == (
-            f"error: --max-subbase-size applies only to --mode subbase, not {mode}\n"
-        )
-
-    def test_subbase_sizes_past_the_pool_add_nothing(self):
-        # two points have two proper nonempty subsets to combine
-        argv = ("search", "A == A", "--points", "2", "--mode", "subbase")
-        two = run_cli(*argv, "--max-subbase-size", "2")
-        huge = run_cli(*argv, "--max-subbase-size", "1000000000", timeout=30)
-        assert two.returncode == huge.returncode == 3
-        assert huge.stdout == two.stdout
-
     def test_malformed_space_file_is_named(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"points": ["a"], x}')
@@ -488,6 +479,13 @@ class TestSearchCommand:
             f"error: {bad}: invalid JSON: Expecting property name enclosed in "
             "double quotes: line 1 column 19 (char 18)\n"
         )
+
+    def test_duplicate_key_is_named(self, tmp_path):
+        doc = tmp_path / "twice.json"
+        doc.write_text(DUPLICATE_KEY_DOC)
+        out = run_cli("search", "A <= X", "--space", SPACE_A_FILE, "--space", str(doc))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: {doc}: duplicate key 'points'\n"
 
     def test_non_string_name_is_named(self, tmp_path):
         doc = tmp_path / "named.json"

@@ -152,7 +152,7 @@ def permute_space(space: Space, perm: tuple[int, ...]) -> Space:
     return Space(
         space.ground,
         Topology(Family(tuple(permute_mask(m, perm) for m in space.topology))),
-        Ideal(Family(tuple(permute_mask(m, perm) for m in space.ideal))),
+        Ideal(permute_mask(space.ideal.top, perm)),
     )
 
 
@@ -223,7 +223,7 @@ class TestFamilyChecks:
         # opens {}, {w1}, {w2}, {w1,w2}, X: the semi-open sets add {w1,w3}
         # and {w2,w3}, whose meet {w3} is not semi-open (cl(int({w3})) = {})
         space = Space(
-            GroundSet(("w1", "w2", "w3")), Topology(Family((0, 1, 2, 3, 7))), Ideal(Family((0,)))
+            GroundSet(("w1", "w2", "w3")), Topology(Family((0, 1, 2, 3, 7))), Ideal(0)
         )
         assert ops.kopen_family(space, ops.OpenKind.SEMI).members == (0, 1, 2, 3, 5, 6, 7)
         v = laws.get_law("family-cap-closed:semi").check(space)
@@ -286,7 +286,7 @@ def outcome(verdict):
 TWO_AXIOMS_FAIL = Space(
     GroundSet(("w1", "w2", "w3", "w4")),
     Topology(Family((0, 3, 4, 7, 15))),
-    Ideal(Family((0,))),
+    Ideal(0),
 )
 
 

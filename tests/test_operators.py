@@ -190,7 +190,7 @@ class TestLocalFunctions:
             g = GroundSet(tuple(f"w{i + 1}" for i in range(n)))
             for topo in oracle.all_topologies(list(g.labels)):
                 masks = tuple(sorted(oracle.set_to_bits(g, s) for s in topo))
-                space = Space(g, Topology(Family(masks)), Ideal(Family((0,))))
+                space = Space(g, Topology(Family(masks)), Ideal(0))
                 assert ops.unary_table(space, "star") == space.cl_table
 
     def test_discrete_ideal_kills_every_local_function(self, space_a):
@@ -463,7 +463,7 @@ class TestSevenAndEightPoints:
         assert len({(s.ground.n, s.topology) for s in spaces}) == 4
         for space in spaces:
             assert 2 < len(space.topology) < space.n_subsets
-            assert 0 < space.ideal_top < space.ground.universe
+            assert 0 < space.ideal.top < space.ground.universe
 
     def test_every_table_matches_oracle(self):
         names = ops.operator_names()[:-1]
@@ -482,7 +482,7 @@ class TestPlainHitTable:
         for n in range(1, 5):
             ground = GroundSet(search.default_labels(n))
             for topo in search.enumerate_topologies(n):
-                space = Space(ground, topo, Ideal(Family((0,))))
+                space = Space(ground, topo, Ideal(0))
                 tp, ideal, points = oracle.space_to_oracle(space)
                 sets = [oracle.bits_to_set(ground, a) for a in range(space.n_subsets)]
                 for kind in ALL_KINDS:

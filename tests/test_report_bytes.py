@@ -1,0 +1,61 @@
+"""The bytes of ``search`` reports over a fixed grid of tasks, pinned by hash.
+
+One sha256 covers every report in the grid, so a change anywhere in the
+stream order, the scan, the budget accounting, witness choice or the JSON
+layout shows up here. The grid crosses laws (one with an ``if`` clause) with
+n = 1-3, both ``want`` values and several space and assignment budgets, and
+adds the corpus documents and a budgeted 5-point subbase run.
+"""
+
+import hashlib
+from pathlib import Path
+
+from idealtop import search
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+LAWS = (
+    "sstar(union(A,B)) == union(sstar(A),sstar(B))",
+    "star(union(A,B)) == union(star(A),star(B))",
+    "pstar(A) <= cl(A)",
+    "int(star(A)) == star(int(A))",
+    "star(A) == A if A <= int(A)",
+    "inter(A,B) <= cl(int(inter(A,B))) if A <= cl(int(A)), B <= cl(int(B))",
+)
+BUDGETS = (  # (budget_spaces, budget_assignments)
+    (None, None), (0, None), (1, None), (7, None),
+    (None, 0), (None, 1), (None, 5), (None, 100), (100, None), (30, 1000),
+    (None, 3082),
+)
+
+# sha256 of the reports below, joined in order; unchanged since before
+# ``Ideal`` held only its top
+REPORTS_SHA256 = "684abe38f729d43dcecb523743bba177727e7b4b107756e5380bd40cdb627d76"
+
+
+def grid_tasks():
+    for law in LAWS:
+        for n in (1, 2, 3):
+            for want in ("first", "all-minimal"):
+                for spaces, assignments in BUDGETS:
+                    yield search.SearchTask(
+                        law, n, want=want,
+                        budget_spaces=spaces, budget_assignments=assignments,
+                    )
+    documents = tuple(path.read_text() for path in sorted(CORPUS.glob("*.json")))
+    for law in LAWS[:2]:
+        for want in ("first", "all-minimal"):
+            for assignments in (None, 50, 700):
+                yield search.SearchTask(
+                    law, 0, mode="documents", want=want,
+                    budget_assignments=assignments, documents=documents,
+                )
+    yield search.SearchTask(LAWS[1], 5, mode="subbase", budget_spaces=40)
+    yield search.SearchTask(LAWS[0], 5, mode="subbase", budget_assignments=20_000)
+
+
+def test_report_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for task in grid_tasks():
+        digest.update(search.report_json(search.run_search(task)).encode("utf-8"))
+    assert digest.hexdigest() == REPORTS_SHA256

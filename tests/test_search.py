@@ -14,7 +14,7 @@ import pytest
 
 import oracle
 from idealtop import cli, dsl, search
-from idealtop.space import GroundSet, SchemaError, serialize_space
+from idealtop.space import GroundSet, Ideal, SchemaError, serialize_space
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -52,7 +52,7 @@ class TestEnumeration:
     def test_ideal_counts_and_sets_match_oracle(self):
         for n in (1, 2, 3):
             g = GroundSet(search.default_labels(n))
-            mine = [i.family.members for i in search.enumerate_ideals(n)]
+            mine = [tuple(i) for i in search.enumerate_ideals(n)]
             assert len(mine) == 2 ** n
             theirs = {frozenset(i) for i in oracle.all_ideals(list(g.labels))}
             assert {bits_family(g, m) for m in mine} == theirs
@@ -61,15 +61,13 @@ class TestEnumeration:
         assert [t.family.members for t in search.enumerate_topologies(2)] == [
             (0, 3), (0, 1, 3), (0, 2, 3), (0, 1, 2, 3),
         ]
-        assert [i.family.members for i in search.enumerate_ideals(2)] == [
+        assert [tuple(i) for i in search.enumerate_ideals(2)] == [
             (0,), (0, 1), (0, 2), (0, 1, 2, 3),
         ]
 
     def test_every_ideal_is_a_powerset(self):
         for n in (1, 2, 3, 4):
-            for ideal in search.enumerate_ideals(n):
-                members = ideal.family.members
-                assert len(members) == 1 << bin(members[-1]).count("1")
+            assert list(search.enumerate_ideals(n)) == [Ideal(top) for top in range(1 << n)]
 
     def test_exhaustive_mode_bounds(self):
         # Arguments are checked by the call itself, before any iteration,
@@ -87,8 +85,10 @@ class TestEnumeration:
         )
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == "error: exhaustive enumeration needs n <= 4, got 5\n"
-        # past the exhaustive bound the default falls back to subbases
-        first = next(search.enumerate_topologies(5))
+        # the default mode is exhaustive at every n; subbases are asked for
+        with pytest.raises(ValueError, match="needs n <= 4, got 5"):
+            search.enumerate_topologies(5)
+        first = next(search.enumerate_topologies(5, "subbase"))
         assert first.family.members == (0, 31)
 
     def test_subbase_mode_covers_everything_at_three_points(self):
@@ -96,11 +96,6 @@ class TestEnumeration:
         sub = [t.family.members for t in search.enumerate_topologies(3, "subbase")]
         assert len(sub) == len(set(sub))  # deduplicated
         assert set(sub) == exhaustive
-
-    def test_subbase_size_limits_reach(self):
-        small = {t.family.members for t in search.enumerate_topologies(3, "subbase", max_subbase_size=1)}
-        assert (0, 7) in small
-        assert len(small) < 29
 
 
 class TestTaskValidation:
@@ -115,7 +110,7 @@ class TestTaskValidation:
             search.SearchTask("star(A) == A", 2, mode="documents")
 
     @pytest.mark.parametrize(
-        "field", ["budget_spaces", "budget_assignments", "max_subbase_size", "var_cap"]
+        "field", ["budget_spaces", "budget_assignments", "var_cap"]
     )
     def test_negative_budgets_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):

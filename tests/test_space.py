@@ -180,6 +180,23 @@ class TestValidateIdeal:
         assert (issue.kind, issue.pair, issue.missing) == ("union", (1, 2), 3)
 
 
+class TestIdeal:
+    def test_members_are_the_submasks_of_top_ascending(self):
+        for top in range(1 << 8):
+            members = tuple(Ideal(top))
+            assert members == tuple(s for s in range(top + 1) if s & ~top == 0)
+            assert len(Ideal(top)) == len(members) == 1 << bin(top).count("1")
+
+    def test_the_ideals_are_the_families_that_pass_validation(self):
+        passing = {
+            members
+            for mask in range(1 << 8)
+            for members in [tuple(s for s in range(8) if mask >> s & 1)]
+            if validate_ideal(Family(members), G3) is None
+        }
+        assert passing == {tuple(Ideal(top)) for top in range(8)}
+
+
 class TestGenerators:
     def test_topology_from_subbase_example(self):
         topo = generate_topology([3, 5], G3)
@@ -225,8 +242,9 @@ class TestGenerators:
 
     def test_ideal_from_generators_is_powerset_of_union(self):
         ideal = generate_ideal([1, 4], G3)
-        assert ideal.family.members == (0, 1, 4, 5)
-        assert generate_ideal([], G3).family.members == (0,)
+        assert ideal == Ideal(5)
+        assert tuple(ideal) == (0, 1, 4, 5)
+        assert generate_ideal([], G3) == Ideal(0)
 
     def test_generated_ideals_are_minimal(self):
         labels = ["w1", "w2", "w3"]
@@ -238,7 +256,7 @@ class TestGenerators:
                     *(frozenset(i) for i in every if set(gens) <= i)
                 )
                 got = generate_ideal([oracle.set_to_bits(G3, s) for s in gens], G3)
-                assert {oracle.bits_to_set(G3, m) for m in got.family} == want
+                assert {oracle.bits_to_set(G3, m) for m in got} == want
 
     def test_generator_range_checks(self):
         with pytest.raises(ValueError):
@@ -250,9 +268,9 @@ class TestGenerators:
 class TestSpace:
     def test_constructor_revalidates(self):
         with pytest.raises(TopologyAxiomError):
-            Space(G3, Topology(Family((0, 1, 2, 7))), Ideal(Family((0,))))
-        with pytest.raises(IdealAxiomError):
-            Space(G3, Topology(Family((0, 7))), Ideal(Family((0, 3))))
+            Space(G3, Topology(Family((0, 1, 2, 7))), Ideal(0))
+        with pytest.raises(ValueError, match="^subset mask 8 out of range for 3 points$"):
+            Space(G3, Topology(Family((0, 7))), Ideal(8))
 
     def test_interior_closure_tables_match_oracle(self, small_spaces):
         for space in small_spaces:
@@ -320,7 +338,7 @@ class TestDocuments:
             }
         )
         assert space.topology.family.members == (0, 1, 3, 5, 7)
-        assert space.ideal.family.members == (0, 2)
+        assert space.ideal == Ideal(2)
 
     def test_document_round_trip_for_all_small_spaces(self, small_spaces):
         for space in small_spaces[::7]:
@@ -396,6 +414,12 @@ class TestDocuments:
     def test_invalid_json_reports_schema_error(self):
         with pytest.raises(SchemaError):
             parse_space("{not json")
+
+    def test_duplicate_key_is_a_schema_error(self):
+        # json would keep the second "points" list without a word
+        text = '{"points": ["a"], "points": ["w1", "w2"], "topology": [[]], "ideal": [[]]}'
+        with pytest.raises(SchemaError, match="^duplicate key 'points'$"):
+            parse_space(text)
 
     def test_document_key_order_is_stable(self, space_b):
         assert list(space_to_document(space_b, name="x")) == ["name", "points", "topology", "ideal"]

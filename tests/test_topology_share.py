@@ -26,6 +26,7 @@ from idealtop.space import (
     TopologyAxiomError,
     generate_ideal,
     generate_topology,
+    space_from_document,
 )
 
 SEED = 20240605
@@ -132,21 +133,26 @@ def test_ideal_tables_stay_per_space():
 
 def test_invalid_topology_after_memoized_valid_one_still_raises():
     valid = Topology(Family((0, 1, 3, 7)))
-    Space(G3, valid, Ideal(Family((0,))))
+    Space(G3, valid, Ideal(0))
     with pytest.raises(TopologyAxiomError) as exc:
-        Space(G3, Topology(Family((0, 1, 2, 7))), Ideal(Family((0,))))
+        Space(G3, Topology(Family((0, 1, 2, 7))), Ideal(0))
     assert exc.value.issue.kind == "union"
     # the same open sets are a topology on two points but not on three
     indiscrete = Topology(Family((0, 3)))
-    Space(G2, indiscrete, Ideal(Family((0,))))
+    Space(G2, indiscrete, Ideal(0))
     with pytest.raises(TopologyAxiomError) as exc:
-        Space(G3, indiscrete, Ideal(Family((0,))))
+        Space(G3, indiscrete, Ideal(0))
     assert exc.value.issue.kind == "missing-universe"
 
 
 def test_ideal_is_validated_on_a_memo_hit():
+    # an ``Ideal`` is one by construction: a space checks its top's range,
+    # and a document's listed ideal is checked member by member
     topology = Topology(Family((0, 1, 7)))
-    Space(G3, topology, Ideal(Family((0, 2))))
+    Space(G3, topology, Ideal(2))
+    with pytest.raises(ValueError, match="^subset mask 8 out of range for 3 points$"):
+        Space(G3, topology, Ideal(8))
+    doc = {"points": list(G3.labels), "topology": [[], ["w1"], ["w1", "w2", "w3"]]}
     with pytest.raises(IdealAxiomError) as exc:
-        Space(G3, topology, Ideal(Family((0, 3))))
+        space_from_document({**doc, "ideal": [[], ["w1", "w2"]]})
     assert (exc.value.issue.kind, exc.value.issue.missing) == ("heredity", 1)

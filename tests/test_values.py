@@ -31,8 +31,8 @@ LAW = dsl.parse_law("star(A) == A")
 TASK = search.SearchTask("star(A) == A", 2)
 
 
-def _space(ideal_top: int) -> Space:
-    return Space(G2, generate_topology((1,), G2), generate_ideal((ideal_top,), G2))
+def _space(top: int) -> Space:
+    return Space(G2, generate_topology((1,), G2), generate_ideal((top,), G2))
 
 
 # (type, fields in declaration order, one field name, another value for it)
@@ -82,7 +82,7 @@ CASES = [
     (GroundSet, dict(labels=("w1", "w2")), "labels", ("w1", "w3")),
     (Family, dict(members=(0, 1, 3)), "members", (0, 3)),
     (Topology, dict(family=Family((0, 1, 3))), "family", Family((0, 3))),
-    (Ideal, dict(family=Family((0, 1))), "family", Family((0,))),
+    (Ideal, dict(top=1), "top", 0),
     (
         Space,
         dict(ground=G2, topology=generate_topology((1,), G2), ideal=generate_ideal((1,), G2)),
@@ -98,7 +98,7 @@ CASES = [
     (
         search.SearchTask,
         dict(law_text="A == A", n=3, mode="subbase", want="all-minimal", budget_spaces=5,
-             budget_assignments=None, max_subbase_size=2, var_cap=1, documents=()),
+             budget_assignments=None, var_cap=1, documents=()),
         "budget_spaces",
         6,
     ),
