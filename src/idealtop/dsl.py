@@ -323,34 +323,27 @@ class _Program(Frozen):
     operator lies below it; its lanes depend only on the point count and
     the block, and ``space_free`` lists those steps, ``per_space`` the rest,
     each in evaluation order. It compares by identity, which is all the
-    ``_space_free_block`` memo needs of its key.
+    ``_space_free_block`` and ``_scan_lanes`` memos need of their keys.
     """
 
     __slots__ = _fields = (
-        "k", "steps", "space_free", "per_space", "lhs", "rhs", "hypotheses", "ops"
+        "names",  # the free variables, in order
+        "relation",  # of the conclusion
+        "steps",
+        "space_free",
+        "per_space",
+        "lhs",  # the conclusion's sides, as steps
+        "rhs",
+        "hypotheses",  # (relation, lhs step, rhs step) each
+        "ops",  # the operator of every operator node, repeats included
+        "operators",  # the distinct ones, in order of first occurrence
     )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        k: int,  # free variables
-        steps: tuple[tuple, ...],
-        space_free: tuple[int, ...],
-        per_space: tuple[int, ...],
-        lhs: int,
-        rhs: int,
-        hypotheses: tuple[tuple[str, int, int], ...],  # (relation, lhs step, rhs step) each
-        ops: tuple[str, ...],  # the operator of every operator node, repeats included
-    ):
-        _set(self, "k", k)
-        _set(self, "steps", steps)
-        _set(self, "space_free", space_free)
-        _set(self, "per_space", per_space)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "hypotheses", hypotheses)
-        _set(self, "ops", ops)
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
 
 
 def _compile(law: LawAst) -> _Program:
@@ -381,19 +374,22 @@ def _compile(law: LawAst) -> _Program:
 
     lhs, rhs = slot(law.lhs), slot(law.rhs)
     hypotheses = tuple((h.relation, slot(h.lhs), slot(h.rhs)) for h in law.hypotheses)
+    ops = tuple(
+        node.name
+        for node in itertools.chain.from_iterable(map(_walk, law.sides))
+        if node.args and node.name not in _SET_OPS
+    )
     return _Program(
-        k=len(law.free_vars),
-        steps=tuple(steps),
-        space_free=tuple(i for i, f in enumerate(free) if f),
-        per_space=tuple(i for i, f in enumerate(free) if not f),
-        lhs=lhs,
-        rhs=rhs,
-        hypotheses=hypotheses,
-        ops=tuple(
-            node.name
-            for node in itertools.chain.from_iterable(map(_walk, law.sides))
-            if node.args and node.name not in _SET_OPS
-        ),
+        law.free_vars,
+        law.relation,
+        tuple(steps),
+        tuple(i for i, f in enumerate(free) if f),
+        tuple(i for i, f in enumerate(free) if not f),
+        lhs,
+        rhs,
+        hypotheses,
+        ops,
+        tuple(dict.fromkeys(ops)),
     )
 
 
@@ -441,7 +437,10 @@ def _run(program: _Program, order, vals: list, env, tables, inputs, size: int, f
             vals[i] = vals[a] & (full ^ vals[b])
 
 
-# Blocks of space-free values kept. A search whose law fits in one block
+# Blocks of space-free values kept, each keyed on the compiled law, the
+# point count and the block's first assignment; this constant bounds the
+# count. A scan that ``_scan_lanes`` answers from its memo reads none.
+# A search whose law fits in one block
 # (n * variables <= 16) needs one per point count it scans, and a 7-point
 # 3-variable law needs its 32, so each is computed once per search. A block
 # holds at most 64 KiB per step, and as much again for the bytes of an
@@ -462,7 +461,7 @@ def _space_free_block(program: _Program, n: int, start: int) -> tuple[tuple, tup
     computes them once and each space only translates those bytes through
     its operator tables.
     """
-    k = program.k
+    k = len(program.names)
     _, block_bits, ones, full = _block_shape(n, k)
     point_mask = (1 << n) - 1
     env = [
@@ -515,28 +514,56 @@ def scan_law(
     bytes of operator inputs among them, come from a small memo keyed by
     point count and block and shared by every space, so a space only
     translates those bytes through its own operator tables.
+
+    A space enters the scan only through its point count and its operator
+    tables, so the lane scan itself, ``_scan_lanes``, is memoized on the
+    compiled law, the point count, the assignments to scan and the law's
+    distinct operator tables: a space whose tables repeat an earlier
+    space's gets that scan's result without scanning.
     """
-    names = law.free_vars
     _check_var_cap(law, var_cap)
     program = law._program
     # One lookup per operator node, repeats included: the space's table
-    # counts do not depend on how the law compiles. ``bytes.translate``
-    # takes a 256-byte table; lanes only ever index its first 2**n bytes.
-    tables = {op: ops.unary_table(space, op).ljust(256, b"\0") for op in program.ops}
-    n, k = space.ground.n, len(names)
+    # counts do not depend on how the law compiles or on the memo. The
+    # dict keeps each distinct operator once, in ``program.operators``
+    # order.
+    tables = {op: ops.unary_table(space, op) for op in program.ops}
+    n = space.ground.n
+    total = 1 << n * len(program.names)
+    limit = total if budget is None else max(0, min(budget, total))
+    return _scan_lanes(program, n, limit, *tables.values())
+
+
+# Lane scans kept by ``_scan_lanes``. A key holds the compiled law and
+# the law's distinct operator tables (``2**n`` bytes each, so at most
+# 256), and a result is one small verdict, so a full memo is a few MiB
+# at most. An exhaustive 4-point search has 1,136 distinct ``star``
+# tables over its 5,680 spaces, and every one stays in the memo.
+_SCAN_MEMO_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=_SCAN_MEMO_SIZE)
+def _scan_lanes(
+    program: _Program, n: int, limit: int, *tables: bytes
+) -> tuple[str, Verdict | None, int]:
+    """The first ``limit`` assignments of ``program`` on n points, with
+    ``tables[j]`` the table of ``program.operators[j]``; see ``scan_law``."""
+    k = len(program.names)
     width, block_bits, ones, full = _block_shape(n, k)
     total = 1 << width
-    limit = total if budget is None else max(0, min(budget, total))
     size = 1 << block_bits
+    # ``bytes.translate`` takes a 256-byte table; lanes only ever index
+    # its first 2**n bytes.
+    padded = {op: table.ljust(256, b"\0") for op, table in zip(program.operators, tables)}
     free_block = _space_free_block
     if limit > size * _SPACE_FREE_BLOCKS:
         free_block = _space_free_block.__wrapped__
     for start in range(0, limit, size):
         fixed, inputs = free_block(program, n, start)
         vals = list(fixed)
-        _run(program, program.per_space, vals, None, tables, inputs, size, full)
+        _run(program, program.per_space, vals, None, padded, inputs, size, full)
         lhs, rhs = vals[program.lhs], vals[program.rhs]
-        mismatch = _fails(law.relation, lhs, rhs, full)
+        mismatch = _fails(program.relation, lhs, rhs, full)
         for rel, a, b in program.hypotheses:
             mismatch &= (ones ^ nonzero(_fails(rel, vals[a], vals[b], full), ones)) * 0xFF
         if limit - start < size:
@@ -546,7 +573,9 @@ def scan_law(
             index = start + offset
             point_mask = (1 << n) - 1
             shifts = [n * (k - 1 - j) for j in range(k)]
-            bindings = tuple((name, index >> sh & point_mask) for name, sh in zip(names, shifts))
+            bindings = tuple(
+                (name, index >> sh & point_mask) for name, sh in zip(program.names, shifts)
+            )
             witness = Witness(bindings, lhs >> 8 * offset & 0xFF, rhs >> 8 * offset & 0xFF)
             return "violated", Verdict(False, witness), index + 1
     if limit < total:

@@ -26,7 +26,11 @@ never over subsets: a kind closure is the dual of the union of the
 kind-open sets inside each subset, a local function is the lanes of
 ``a & ~top`` translated through ``H`` (the bytes ``translate`` returns are
 the table), a dual is the base table's lanes reversed and complemented,
-and ``clstar:`` ORs in the identity lanes.
+and ``clstar:`` ORs in the identity lanes. The bytes of ``a & ~top`` are
+kept once per (n, top), and ``H`` padded to the 256 bytes ``translate``
+takes is kept with the topology's tables, so a local-function table costs
+each space one ``translate``; ``hit_table`` itself still returns ``2**n``
+bytes.
 
 The string alias table at the bottom is the single naming surface shared
 by the law DSL and the command line.
@@ -34,6 +38,7 @@ by the law DSL and the command line.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import Enum
 from typing import NamedTuple
@@ -175,6 +180,25 @@ def hit_table(space: Space, spec: LocalFnSpec) -> bytes:
     return table
 
 
+@functools.lru_cache(maxsize=None)  # at most 2**n entries per point count
+def _outside(n: int, top: int) -> bytes:
+    """The lanes of ``a & ~top``, as bytes: what a local function under the
+    ideal of ``top`` translates through its hit table."""
+    ones, identity = lanes(n)
+    return (identity & ((1 << n) - 1 & ~top) * ones).to_bytes(1 << n, "little")
+
+
+def _padded_hits(space: Space, alias: str) -> bytes:
+    """The hit table of a local-function alias, padded to the 256 bytes
+    ``bytes.translate`` takes, once per topology."""
+    key = ("lf-hits-256", alias)
+    table = space.tables.get(key)
+    if table is None:
+        table = hit_table(space, LOCAL_FN_ALIASES[alias]).ljust(256, b"\0")
+        space.tables[key] = table
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Alias table: the naming surface shared by the DSL and the CLI.
 
@@ -247,13 +271,12 @@ def _table(space: Space, name: str) -> bytes:
 
 def _build(space: Space, name: str) -> bytes:
     # Every table is computed on all subsets at once, in byte lanes.
-    n, size = space.ground.n, space.n_subsets
+    n = space.ground.n
+    if name in LOCAL_FN_ALIASES:  # the hot case, first: f(a) = H[a & ~top]
+        return _outside(n, space.ideal.top).translate(_padded_hits(space, name))
+    size = space.n_subsets
     ones, identity = lanes(n)
     full = space.ground.universe
-    spec = LOCAL_FN_ALIASES.get(name)
-    if spec is not None:  # the hot case, first: f(a) = H[a & ~top]
-        outside = identity & (full & ~space.ideal.top) * ones
-        return _translate(outside.to_bytes(size, "little"), hit_table(space, spec))
     if name in ("int", "cl"):
         return space.tables[name]
     if name == "der":

@@ -14,10 +14,11 @@ loop in the calling process scans it, each space with the assignments
 that remain of the budget.
 
 Every topology and ideal in the stream comes from the generators of
-:mod:`idealtop.space`. The exhaustive stream picks each point's minimal
-neighbourhood U(x) and keeps the choices that form a preorder; the
-subbase stream generates from small subbases; the ideals are the power
-sets of the 2^n subsets.
+:mod:`idealtop.space`. The exhaustive stream grows every preorder of
+minimal neighbourhoods U(x) one point at a time (each way a new point can
+join the old ones and keep a preorder) and sorts the topologies they
+generate by family mask; the subbase stream generates from small
+subbases; the ideals are the power sets of the 2^n subsets.
 """
 
 from __future__ import annotations
@@ -69,16 +70,26 @@ def _topology_members(n: int) -> tuple[Topology, ...]:
 
     A finite topology is fixed by its minimal neighbourhoods U(x), and a
     tuple (U(0), ..., U(n-1)) with x in U(x) is one exactly when
-    y in U(x) implies U(y) ⊆ U(x) (a preorder; Alexandrov 1937).
+    y in U(x) implies U(y) ⊆ U(x) (a preorder; Alexandrov 1937). Each
+    preorder on points 0..p-1 grows by a point p in every way that keeps
+    it one: p takes U(p) = S ∪ {p} for a set S of old points that holds
+    U(y) for each of its y, and p joins U(x) for the x in a set P of old
+    points; the result is a preorder iff S ⊆ U(x) for every x in P and
+    U(x) misses P for every old x outside P.
     """
     ground = GroundSet(default_labels(n))
-    points = range(n)
-    choices = [[u for u in range(ground.universe + 1) if u >> x & 1] for x in points]
-    found = [
-        generate_topology(nbhd, ground)
-        for nbhd in itertools.product(*choices)
-        if all(nbhd[y] & ~u == 0 for u in nbhd for y in points if u >> y & 1)
-    ]
+    grown = [()]  # the U tuples of the preorders on points 0..p-1
+    for p in range(n):
+        old, bit = range(p), 1 << p
+        grown = [
+            tuple(u | bit if joins >> x & 1 else u for x, u in enumerate(nbhd)) + (below | bit,)
+            for nbhd in grown
+            for below in range(bit)  # S
+            if all(nbhd[y] & ~below == 0 for y in old if below >> y & 1)
+            for joins in range(bit)  # P
+            if all(below & ~nbhd[x] == 0 if joins >> x & 1 else nbhd[x] & joins == 0 for x in old)
+        ]
+    found = [generate_topology(nbhd, ground) for nbhd in grown]
     found.sort(key=lambda topology: topology.family.mask)
     return tuple(found)
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_POINTS = 8
@@ -329,9 +330,15 @@ def validate_ideal(family: Family, ground: GroundSet) -> IdealIssue | None:
     if 0 not in family:
         return IdealIssue("missing-empty")
     for b in members:
-        for t in range(b):
-            if t & b == t and not mask >> t & 1:
+        t = 0
+        while t != b:  # the proper subsets of b, ascending
+            if not mask >> t & 1:
                 return IdealIssue("heredity", member=b, missing=t)
+            t = (t - b) & b
+    # a hereditary family that holds the union of its members is the power
+    # set of that union, so no pair can fail
+    if mask >> functools.reduce(operator.or_, members) & 1:
+        return None
     for i, a in enumerate(members):
         for b in members[i:]:
             if not mask >> (a | b) & 1:

@@ -4,7 +4,9 @@ One sha256 covers every report in the grid, so a change anywhere in the
 stream order, the scan, the budget accounting, witness choice or the JSON
 layout shows up here. The grid crosses laws (one with an ``if`` clause) with
 n = 1-3, both ``want`` values and several space and assignment budgets, and
-adds the corpus documents and a budgeted 5-point subbase run.
+adds the corpus documents and a budgeted 5-point subbase run. A second
+hash pins three exhaustive 4-point reports: two ``--all-minimal``
+refutations that scan every space and one certification.
 """
 
 import hashlib
@@ -59,3 +61,28 @@ def test_report_bytes_are_pinned():
     for task in grid_tasks():
         digest.update(search.report_json(search.run_search(task)).encode("utf-8"))
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+FOUR_POINT_TASKS = (  # (task, status, witnesses)
+    (search.SearchTask("sstar(union(A,B)) == union(sstar(A),sstar(B))", 4, want="all-minimal"),
+     search.STATUS_FOUND, 18),
+    (search.SearchTask("xis(union(A,B)) == union(xis(A),xis(B))", 4, want="all-minimal"),
+     search.STATUS_FOUND, 18),
+    (search.SearchTask("pstar(inter(A,B)) <= inter(pstar(A),pstar(B))", 4),
+     search.STATUS_CERTIFIED, 0),
+)
+
+# sha256 of the three reports, joined in order; computed on the code from
+# before scans were memoized by operator table and topologies were grown
+FOUR_POINT_SHA256 = "63f5a3e78412d26a0d2224ac3d50a2a48b4d66e487353a55e8e5a5d104e91e72"
+
+
+def test_four_point_report_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for task, status, witnesses in FOUR_POINT_TASKS:
+        result = search.run_search(task)
+        assert (result.status, len(result.witnesses), result.spaces_scanned) == (
+            status, witnesses, 5680
+        )
+        digest.update(search.report_json(result).encode("utf-8"))
+    assert digest.hexdigest() == FOUR_POINT_SHA256

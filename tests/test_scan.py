@@ -22,7 +22,7 @@ import random
 import pytest
 
 import oracle
-from idealtop import dsl
+from idealtop import dsl, search
 from idealtop.search import default_labels, enumerate_topologies
 from idealtop.space import (
     Family,
@@ -302,6 +302,66 @@ def test_law_with_more_blocks_than_the_memo_keeps_skips_it():
         assert dsl._space_free_block.cache_info().currsize == 32
     finally:
         dsl._space_free_block.cache_clear()
+
+
+def test_certify_law_scans_each_distinct_table_once():
+    # The 5,680 spaces on 4 points carry 1,136 distinct star tables; a
+    # space whose table repeats an earlier space's is a memo hit.
+    dsl._scan_lanes.cache_clear()
+    try:
+        result = search.run_search(
+            search.SearchTask("star(union(A,B)) == union(star(A),star(B))", 4)
+        )
+        info = dsl._scan_lanes.cache_info()
+    finally:
+        dsl._scan_lanes.cache_clear()
+    assert (result.status, result.spaces_scanned) == (search.STATUS_CERTIFIED, 5680)
+    assert (info.hits, info.misses) == (4544, 1136)
+
+
+def test_scan_memo_matches_the_scan_without_it(monkeypatch):
+    # Seeded laws (hypotheses included) on random 1-4-point spaces, each
+    # law on several spaces and point counts, with and without a budget:
+    # a cold memo, a warm one and the unmemoized ``__wrapped__`` give the
+    # same (outcome, verdict, count), and a budgeted scan after the
+    # unbudgeted one is cached returns its own result.
+    rng = random.Random(SEED + 3)
+    laws = [random_law(rng, rng.randint(0, 3), hypotheses=rng.randint(0, 2)) for _ in range(40)]
+    cases = []
+    for _ in range(240):
+        space, law = random_space(rng, rng.randint(1, 4)), rng.choice(laws)
+        total = 1 << space.ground.n * len(law.free_vars)
+        budget = rng.choice([0, 1, rng.randrange(1, total + 1), total - 1, total, total + 1])
+        cases.append((space, law, budget))
+    # no operator, so no table tells these laws' point counts apart
+    for text in ("X <= empty", "union(A,X) <= A"):
+        law = dsl.parse_law(text)
+        cases += [(random_space(rng, n), law, 1) for n in (1, 2, 3, 4)]
+    memo = dsl._scan_lanes
+    with monkeypatch.context() as patched:
+        patched.setattr(dsl, "_scan_lanes", memo.__wrapped__)
+        expected = [(dsl.scan_law(s, law, budget=b), dsl.scan_law(s, law)) for s, law, b in cases]
+    cut_short = 0
+    memo.cache_clear()
+    try:
+        for (space, law, budget), (want, want_all) in zip(cases, expected):
+            assert dsl.scan_law(space, law) == want_all
+            hits = memo.cache_info().hits
+            assert dsl.scan_law(space, law) == want_all
+            assert memo.cache_info().hits == hits + 1
+            assert dsl.scan_law(space, law, budget=budget) == want
+            cut_short += want[0] == "budget" and want_all[0] == "holds"
+        assert memo.cache_info().hits > len(cases)  # spaces shared entries
+        for (space, law, budget), (want, _) in zip(cases, expected):
+            memo.cache_clear()
+            assert dsl.scan_law(space, law, budget=budget) == want
+            assert dsl.scan_law(space, law, budget=budget) == want
+            assert memo.cache_info()[:2] == (1, 1)
+    finally:
+        memo.cache_clear()
+    assert cut_short >= 20
+    outcomes = {want[0] for want, _ in expected} | {want_all[0] for _, want_all in expected}
+    assert outcomes == {"holds", "violated", "budget"}
 
 
 @pytest.mark.parametrize("law_text", ["star(X) <= X", "psi(empty) == compl(star(X))", "cl(X) == empty"])

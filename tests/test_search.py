@@ -5,6 +5,7 @@ fixtures (status, spaces scanned, witness) are frozen from the deterministic
 scan, and ``--workers`` must not change a report's bytes.
 """
 
+import itertools
 import json
 import subprocess
 import sys
@@ -14,7 +15,14 @@ import pytest
 
 import oracle
 from idealtop import cli, dsl, search
-from idealtop.space import GroundSet, Ideal, SchemaError, serialize_space
+from idealtop.space import (
+    GroundSet,
+    Ideal,
+    SchemaError,
+    generate_topology,
+    serialize_space,
+    validate_topology,
+)
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -90,6 +98,34 @@ class TestEnumeration:
             search.enumerate_topologies(5)
         first = next(search.enumerate_topologies(5, "subbase"))
         assert first.family.members == (0, 31)
+
+    def test_grown_topology_counts(self):
+        # labelled topologies on n points: OEIS A000798
+        counts = [len(search._topology_members(n)) for n in range(1, 6)]
+        assert counts == [1, 4, 29, 355, 6942]
+
+    def test_five_point_topologies_are_distinct_and_valid(self):
+        ground = GroundSet(search.default_labels(5))
+        members = search._topology_members(5)
+        assert len({t.family.members for t in members}) == len(members) == 6942
+        assert all(validate_topology(t.family, ground) is None for t in members)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_growth_equals_the_product_filter(self, n):
+        # Every choice of U(x) containing x, kept where it is a preorder,
+        # then sorted: the exhaustive stream must be this, item for item.
+        ground = GroundSet(search.default_labels(n))
+        points = range(n)
+        choices = [[u for u in range(ground.universe + 1) if u >> x & 1] for x in points]
+        filtered = [
+            generate_topology(nbhd, ground)
+            for nbhd in itertools.product(*choices)
+            if all(nbhd[y] & ~u == 0 for u in nbhd for y in points if u >> y & 1)
+        ]
+        filtered.sort(key=lambda topology: topology.family.mask)
+        grown = search._topology_members(n)
+        assert [t.family.members for t in grown] == [t.family.members for t in filtered]
+        assert grown == tuple(filtered)
 
     def test_subbase_mode_covers_everything_at_three_points(self):
         exhaustive = {t.family.members for t in search.enumerate_topologies(3)}

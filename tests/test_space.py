@@ -20,6 +20,7 @@ from idealtop.space import (
     GroundSet,
     Ideal,
     IdealAxiomError,
+    IdealIssue,
     SchemaError,
     Space,
     Topology,
@@ -178,6 +179,35 @@ class TestValidateIdeal:
     def test_union_failure(self):
         issue = validate_ideal(Family((0, 1, 2)), G3)
         assert (issue.kind, issue.pair, issue.missing) == ("union", (1, 2), 3)
+
+    def test_same_first_issue_as_a_scan_of_every_smaller_mask(self):
+        # heredity walks the submasks of each member; checking every mask
+        # below it instead must report the same first issue and message
+        def every_mask_scan(family):
+            members, mask = family.members, family.mask
+            if 0 not in family:
+                return IdealIssue("missing-empty")
+            for b in members:
+                for t in range(b):
+                    if t & b == t and not mask >> t & 1:
+                        return IdealIssue("heredity", member=b, missing=t)
+            for i, a in enumerate(members):
+                for b in members[i:]:
+                    if not mask >> (a | b) & 1:
+                        return IdealIssue("union", pair=(a, b), missing=a | b)
+            return None
+
+        kinds = set()
+        for n in (1, 2, 3):
+            ground = GroundSet(tuple(f"w{i + 1}" for i in range(n)))
+            for mask in range(1 << (1 << n)):
+                family = Family(s for s in range(1 << n) if mask >> s & 1)
+                issue = validate_ideal(family, ground)
+                assert issue == every_mask_scan(family), family
+                if issue is not None:
+                    assert issue.describe(ground) == every_mask_scan(family).describe(ground)
+                kinds.add(None if issue is None else issue.kind)
+        assert kinds == {None, "missing-empty", "heredity", "union"}
 
 
 class TestIdeal:
