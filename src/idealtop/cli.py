@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import dsl, laws
+from . import dsl
 from . import operators as ops
 from . import search as search_mod
 from .space import Space, SpaceDocumentError, UnknownLabelError, parse_space
@@ -96,6 +96,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import laws  # only check needs the registry; other commands start without it
+
     if args.var_cap < 0:
         raise ValueError(f"--var-cap must be >= 0, got {args.var_cap}")
     space = _load_space(args.space)

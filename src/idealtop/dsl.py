@@ -319,10 +319,10 @@ class _Program(Frozen):
 
     Step ``i`` is ``(code, a, b)``: a variable index, a constant (``a`` true
     for ``X``), or an operation on earlier steps ``a`` and ``b`` (for
-    ``_APPLY``, ``b`` is the operator name). A step is space-free when no
-    operator lies below it; its lanes depend only on the point count and
-    the block, and ``space_free`` lists those steps, ``per_space`` the rest,
-    each in evaluation order. It compares by identity, which is all the
+    ``_APPLY``, ``b`` numbers the operator among the distinct ones). A step
+    is space-free when no operator lies below it; its lanes depend only on
+    the point count and the block, and ``space_free`` lists those steps,
+    ``per_space`` the rest, each in evaluation order. It compares by identity, which is all the
     ``_space_free_block`` and ``_scan_lanes`` memos need of their keys.
     """
 
@@ -336,7 +336,7 @@ class _Program(Frozen):
         "rhs",
         "hypotheses",  # (relation, lhs step, rhs step) each
         "ops",  # the operator of every operator node, repeats included
-        "operators",  # the distinct ones, in order of first occurrence
+        "firsts",  # where in ``ops`` each distinct operator first occurs
     )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -347,6 +347,12 @@ class _Program(Frozen):
 
 
 def _compile(law: LawAst) -> _Program:
+    ops = tuple(
+        node.name
+        for node in itertools.chain.from_iterable(map(_walk, law.sides))
+        if node.args and node.name not in _SET_OPS
+    )
+    firsts = {op: ops.index(op) for op in ops}
     slots: dict[Expr, int] = {}
     steps: list[tuple] = []
     free: list[bool] = []
@@ -366,7 +372,7 @@ def _compile(law: LawAst) -> _Program:
             step = (_SET_OPS[name][1], args[0], args[1] if len(args) > 1 else None)
             is_free = all(free[a] for a in args)
         else:
-            step, is_free = (_APPLY, args[0], name), False
+            step, is_free = (_APPLY, args[0], list(firsts).index(name)), False
         slots[node] = len(steps)
         steps.append(step)
         free.append(is_free)
@@ -374,11 +380,6 @@ def _compile(law: LawAst) -> _Program:
 
     lhs, rhs = slot(law.lhs), slot(law.rhs)
     hypotheses = tuple((h.relation, slot(h.lhs), slot(h.rhs)) for h in law.hypotheses)
-    ops = tuple(
-        node.name
-        for node in itertools.chain.from_iterable(map(_walk, law.sides))
-        if node.args and node.name not in _SET_OPS
-    )
     return _Program(
         law.free_vars,
         law.relation,
@@ -389,7 +390,7 @@ def _compile(law: LawAst) -> _Program:
         rhs,
         hypotheses,
         ops,
-        tuple(dict.fromkeys(ops)),
+        tuple(firsts.values()),
     )
 
 
@@ -517,28 +518,29 @@ def scan_law(
 
     A space enters the scan only through its point count and its operator
     tables, so the lane scan itself, ``_scan_lanes``, is memoized on the
-    compiled law, the point count, the assignments to scan and the law's
-    distinct operator tables: a space whose tables repeat an earlier
-    space's gets that scan's result without scanning.
+    compiled law, the point count, the assignments to scan and the table
+    of each operator node: a space whose tables repeat an earlier space's
+    gets that scan's result without scanning. Nodes of one operator carry
+    one table, so two keys are equal exactly when the law's distinct
+    operator tables are.
     """
-    _check_var_cap(law, var_cap)
     program = law._program
-    # One lookup per operator node, repeats included: the space's table
-    # counts do not depend on how the law compiles or on the memo. The
-    # dict keeps each distinct operator once, in ``program.operators``
-    # order.
-    tables = {op: ops.unary_table(space, op) for op in program.ops}
+    if len(program.names) > var_cap:
+        _check_var_cap(law, var_cap)
     n = space.ground.n
     total = 1 << n * len(program.names)
     limit = total if budget is None else max(0, min(budget, total))
-    return _scan_lanes(program, n, limit, *tables.values())
+    # One lookup per operator node, repeats included: the space's table
+    # counts do not depend on how the law compiles or on the memo.
+    return _scan_lanes(program, n, limit, *[ops.unary_table(space, op) for op in program.ops])
 
 
 # Lane scans kept by ``_scan_lanes``. A key holds the compiled law and
-# the law's distinct operator tables (``2**n`` bytes each, so at most
-# 256), and a result is one small verdict, so a full memo is a few MiB
-# at most. An exhaustive 4-point search has 1,136 distinct ``star``
-# tables over its 5,680 spaces, and every one stays in the memo.
+# its operator nodes' tables (``2**n`` bytes each, so at most 256, and
+# the nodes of one operator share one), and a result is one small
+# verdict, so a full memo is a few MiB at most. An exhaustive 4-point
+# search has 1,136 distinct ``star`` tables over its 5,680 spaces, and
+# every one stays in the memo.
 _SCAN_MEMO_SIZE = 2048
 
 
@@ -547,14 +549,14 @@ def _scan_lanes(
     program: _Program, n: int, limit: int, *tables: bytes
 ) -> tuple[str, Verdict | None, int]:
     """The first ``limit`` assignments of ``program`` on n points, with
-    ``tables[j]`` the table of ``program.operators[j]``; see ``scan_law``."""
+    ``tables[j]`` the table of ``program.ops[j]``; see ``scan_law``."""
     k = len(program.names)
     width, block_bits, ones, full = _block_shape(n, k)
     total = 1 << width
     size = 1 << block_bits
     # ``bytes.translate`` takes a 256-byte table; lanes only ever index
     # its first 2**n bytes.
-    padded = {op: table.ljust(256, b"\0") for op, table in zip(program.operators, tables)}
+    padded = [tables[j].ljust(256, b"\0") for j in program.firsts]
     free_block = _space_free_block
     if limit > size * _SPACE_FREE_BLOCKS:
         free_block = _space_free_block.__wrapped__

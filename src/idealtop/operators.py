@@ -12,12 +12,14 @@ alias, and ``clstar:`` of one, is a table over all subsets, ``2**n`` bytes
 with byte ``a`` the value at subset ``a``, memoized in the per-space
 ``space._cache`` under its name. Tables that depend on the topology alone
 (generalized-open families and closures, local-function hit tables) live
-in ``space.tables`` and are shared by every ideal on that topology.
+in ``space.tables``, the dict the topology holds, and are shared by every
+space on that topology.
 The ideal is the power set of its top member, so a trace ``t & a`` lies
 in it iff ``t & a & ~top`` is empty; hence ``f(a) = H[a & ~top]`` for the
 ideal-free hit table ``H``. For a plain local function ``H`` is the kind
 closure table: every kind-open neighborhood of ``z`` meets ``b`` iff ``z``
-lies in every kind-closed superset of ``b``.
+lies in every kind-closed superset of ``b``; for open neighborhoods that
+is the closure table itself.
 
 Every table is built in byte lanes (see ``space``): lane ``a`` holds the
 value at subset ``a``, and a table is applied to all lanes at once with
@@ -29,8 +31,8 @@ the table), a dual is the base table's lanes reversed and complemented,
 and ``clstar:`` ORs in the identity lanes. The bytes of ``a & ~top`` are
 kept once per (n, top), and ``H`` padded to the 256 bytes ``translate``
 takes is kept with the topology's tables, so a local-function table costs
-each space one ``translate``; ``hit_table`` itself still returns ``2**n``
-bytes.
+each space one ``translate``, which ``unary_table`` does in one step on a
+cache miss; ``hit_table`` itself still returns ``2**n`` bytes.
 
 The string alias table at the bottom is the single naming surface shared
 by the law DSL and the command line.
@@ -141,7 +143,10 @@ def kclosure_table(space: Space, kind: OpenKind) -> bytes:
     """The kind closure of every subset: the intersection of its
     kind-closed supersets, i.e. the complement of the union of the
     kind-open sets that miss it. That is the dual of the table of unions
-    of the kind-open sets inside each subset."""
+    of the kind-open sets inside each subset; for the opens, the closure
+    table the topology already holds."""
+    if kind is OpenKind.OPEN:
+        return space.cl_table
     key = ("kclosure", kind)
     table = space.tables.get(key)
     if table is None:
@@ -188,15 +193,16 @@ def _outside(n: int, top: int) -> bytes:
     return (identity & ((1 << n) - 1 & ~top) * ones).to_bytes(1 << n, "little")
 
 
-def _padded_hits(space: Space, alias: str) -> bytes:
-    """The hit table of a local-function alias, padded to the 256 bytes
-    ``bytes.translate`` takes, once per topology."""
+def _local_fn(space: Space, alias: str) -> bytes:
+    """The table of a local-function alias, ``f(a) = H[a & ~top]``: the
+    lanes of ``a & ~top`` translated through the hit table ``H``, padded
+    to the 256 bytes ``bytes.translate`` takes once per topology."""
     key = ("lf-hits-256", alias)
-    table = space.tables.get(key)
-    if table is None:
-        table = hit_table(space, LOCAL_FN_ALIASES[alias]).ljust(256, b"\0")
-        space.tables[key] = table
-    return table
+    hits = space.tables.get(key)
+    if hits is None:
+        hits = hit_table(space, LOCAL_FN_ALIASES[alias]).ljust(256, b"\0")
+        space.tables[key] = hits
+    return _outside(space.ground.n, space.ideal.top).translate(hits)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +277,9 @@ def _table(space: Space, name: str) -> bytes:
 
 def _build(space: Space, name: str) -> bytes:
     # Every table is computed on all subsets at once, in byte lanes.
+    if name in LOCAL_FN_ALIASES:
+        return _local_fn(space, name)
     n = space.ground.n
-    if name in LOCAL_FN_ALIASES:  # the hot case, first: f(a) = H[a & ~top]
-        return _outside(n, space.ideal.top).translate(_padded_hits(space, name))
     size = space.n_subsets
     ones, identity = lanes(n)
     full = space.ground.universe
@@ -302,14 +308,18 @@ def unary_table(space: Space, name: str) -> bytes:
     subset ``a``.
 
     This is the only producer of operator values: each alias has one table
-    per space, kept in ``space._cache`` under its name. Unknown names raise
-    ``KeyError``.
+    per space, kept in ``space._cache`` under its name. A local function,
+    the hot case, is built here in one step; every other name goes
+    through ``_table``. Unknown names raise ``KeyError``.
     """
     table = space._cache.get(name)  # only operator names are ever cached
     if table is None:
-        if not is_operator(name):
+        if name in LOCAL_FN_ALIASES:
+            table = space._cache[name] = _local_fn(space, name)
+        elif is_operator(name):
+            table = _table(space, name)
+        else:
             raise KeyError(f"unknown operator alias {name!r}")
-        table = _table(space, name)
     return table
 
 

@@ -16,8 +16,8 @@ that remain of the budget.
 Every topology and ideal in the stream comes from the generators of
 :mod:`idealtop.space`. The exhaustive stream grows every preorder of
 minimal neighbourhoods U(x) one point at a time (each way a new point can
-join the old ones and keep a preorder) and sorts the topologies they
-generate by family mask; the subbase stream generates from small
+join the old ones and keep a preorder) and sorts the topologies of their
+unions by family mask; the subbase stream generates from small
 subbases; the ideals are the power sets of the 2^n subsets.
 """
 
@@ -41,6 +41,7 @@ from .space import (
     generate_topology,
     space_from_document,
     space_to_document,
+    topology_of_neighbourhoods,
 )
 from .verdicts import Witness
 
@@ -72,24 +73,26 @@ def _topology_members(n: int) -> tuple[Topology, ...]:
     tuple (U(0), ..., U(n-1)) with x in U(x) is one exactly when
     y in U(x) implies U(y) ⊆ U(x) (a preorder; Alexandrov 1937). Each
     preorder on points 0..p-1 grows by a point p in every way that keeps
-    it one: p takes U(p) = S ∪ {p} for a set S of old points that holds
-    U(y) for each of its y, and p joins U(x) for the x in a set P of old
-    points; the result is a preorder iff S ⊆ U(x) for every x in P and
-    U(x) misses P for every old x outside P.
+    it one: p takes U(p) = S ∪ {p}, and p joins U(x) for the x in a set
+    P of old points. The result is a preorder iff S holds U(y) for each
+    of its y, U(x) misses P for every old x outside P, and S ⊆ U(x) for
+    every x in P: iff S is open, the old points outside P form an open
+    set, and P lies within the hosts of S, the x with S ⊆ U(x).
     """
-    ground = GroundSet(default_labels(n))
     grown = [()]  # the U tuples of the preorders on points 0..p-1
     for p in range(n):
-        old, bit = range(p), 1 << p
-        grown = [
-            tuple(u | bit if joins >> x & 1 else u for x, u in enumerate(nbhd)) + (below | bit,)
-            for nbhd in grown
-            for below in range(bit)  # S
-            if all(nbhd[y] & ~below == 0 for y in old if below >> y & 1)
-            for joins in range(bit)  # P
-            if all(below & ~nbhd[x] == 0 if joins >> x & 1 else nbhd[x] & joins == 0 for x in old)
-        ]
-    found = [generate_topology(nbhd, ground) for nbhd in grown]
+        bit, grown_by_p = 1 << p, []
+        for nbhd in grown:
+            opens = topology_of_neighbourhoods(nbhd).family.members
+            for below in opens:  # S
+                hosts = sum(1 << x for x, u in enumerate(nbhd) if below & ~u == 0)
+                for joins in ((bit - 1) ^ rest for rest in opens):  # P
+                    if joins & ~hosts == 0:
+                        grown_by_p.append(tuple(
+                            u | bit if joins >> x & 1 else u for x, u in enumerate(nbhd)
+                        ) + (below | bit,))
+        grown = grown_by_p
+    found = [topology_of_neighbourhoods(nbhd) for nbhd in grown]
     found.sort(key=lambda topology: topology.family.mask)
     return tuple(found)
 

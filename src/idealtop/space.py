@@ -19,12 +19,15 @@ ideal. Only a document's listed ``ideal`` is checked member by member
 The generators build every topology and ideal the package uses apart
 from listed documents: ``generate_topology`` unions the minimal
 neighbourhoods U(x) of a subbase (a finite topology is the same thing as
-its preorder y ∈ U(x)), and ``generate_ideal`` takes the power set of the
-union of its generators.
+its preorder y ∈ U(x)), ``topology_of_neighbourhoods`` unions given
+U(x), and ``generate_ideal`` takes the power set of the union of its
+generators.
 
-A ``Space`` builds its interior and closure tables; every operator value,
-those two included, is read through ``operators.unary_table``, which
-memoizes one table per alias on the space. Tables are built in byte lanes:
+A ``Space`` reads its interior and closure tables from its topology,
+which validates and builds them on first use (``topology_tables``);
+every operator value, those two included, is read through
+``operators.unary_table``, which memoizes one table per alias on the
+space. Tables are built in byte lanes:
 lane ``a`` of a ``2**n``-byte int holds the value at subset ``a`` (a subset
 fits in a byte, as ``MAX_POINTS`` is 8), so a per-subset loop becomes a
 few big-int operations per point or family member. A finished table is
@@ -81,8 +84,10 @@ class Frozen:
     hashing, ``repr`` and pickling go by the fields named in ``_fields``.
 
     Constructors assign fields with ``object.__setattr__``; other slots
-    hold what a constructor derives or caches. Unpickling calls the
-    constructor on the fields, so it validates and derives them again.
+    hold what a constructor derives, or what is cached on the value later
+    (a topology's tables, a law's compiled program), which never feeds
+    back into equality. Unpickling calls the constructor on the fields, so
+    it validates and derives them again and starts with empty caches.
     """
 
     __slots__ = ()
@@ -113,18 +118,12 @@ class Frozen:
         return self.__class__, self._values()
 
 
-def _stored_hash(self) -> int:
-    """``__hash__`` of the types in the ``topology_tables`` memo key: the
-    hash that the constructor computed once."""
-    return self._hash
-
-
 class GroundSet(Frozen):
-    """Ordered point labels; bit ``i`` of a subset mask is ``labels[i]``."""
+    """Ordered point labels; bit ``i`` of a subset mask is ``labels[i]``.
+    ``n`` is the point count and ``universe`` the mask of all points."""
 
-    __slots__ = ("labels", "_hash")
+    __slots__ = ("labels", "n", "universe")
     _fields = ("labels",)
-    __hash__ = _stored_hash
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -139,15 +138,8 @@ class GroundSet(Frozen):
                 raise ValueError(f"duplicate point label {lab!r}")
             seen.add(lab)
         _set(self, "labels", labels)
-        _set(self, "_hash", hash(labels))
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def universe(self) -> int:
-        return (1 << len(self.labels)) - 1
+        _set(self, "n", n)
+        _set(self, "universe", (1 << n) - 1)
 
     def bit(self, label: str) -> int:
         try:
@@ -181,9 +173,8 @@ class GroundSet(Frozen):
 class Family(Frozen):
     """Canonical family of subsets: sorted, deduplicated masks."""
 
-    __slots__ = ("members", "mask", "_hash")
+    __slots__ = ("members", "mask")
     _fields = ("members",)
-    __hash__ = _stored_hash
 
     def __init__(self, members: Iterable[int]):
         members = tuple(sorted(set(members)))
@@ -194,7 +185,6 @@ class Family(Frozen):
             mask |= 1 << s
         _set(self, "members", members)
         _set(self, "mask", mask)
-        _set(self, "_hash", hash(members))
 
     def __contains__(self, bits: int) -> bool:
         return bits >= 0 and bool(self.mask >> bits & 1)
@@ -208,15 +198,19 @@ class Family(Frozen):
 
 class Topology(Frozen):
     """Open-set family. Axioms are enforced wherever a ground set is in
-    scope (``validate_topology``, ``parse_space``, ``Space``)."""
+    scope (``validate_topology``, ``parse_space``, ``Space``).
 
-    __slots__ = ("family", "_hash")
+    ``_tables`` is None until ``topology_tables`` validates the family on
+    n points; then it holds ``(n, tables)``, the tables every space on
+    this topology with n points shares.
+    """
+
+    __slots__ = ("family", "_tables")
     _fields = ("family",)
-    __hash__ = _stored_hash
 
     def __init__(self, family: Family):
         _set(self, "family", family)
-        _set(self, "_hash", hash(family))
+        _set(self, "_tables", None)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.family)
@@ -361,10 +355,18 @@ def generate_topology(subbase: Iterable[int], ground: GroundSet) -> Topology:
         for x in range(ground.n):
             if s >> x & 1:
                 nbhd[x] &= s
+    return topology_of_neighbourhoods(nbhd)
+
+
+def topology_of_neighbourhoods(nbhd: Iterable[int]) -> Topology:
+    """The topology whose minimal neighbourhoods are ``nbhd``: all unions
+    of its members. ``nbhd`` must be the U(x) of a preorder (x in U(x),
+    and y in U(x) implies U(y) ⊆ U(x)); then U(x) is the least open set
+    holding x."""
     opens = {0}
     for u in set(nbhd):
         opens |= {o | u for o in opens}
-    return Topology(Family(tuple(opens)))
+    return Topology(Family(opens))
 
 
 def generate_ideal(generators: Iterable[int], ground: GroundSet) -> Ideal:
@@ -421,41 +423,46 @@ def dual(x: int, n: int) -> int:
     return int.from_bytes(x.to_bytes(1 << n, "little"), "big") ^ ((1 << n) - 1) * ones
 
 
-@functools.lru_cache(maxsize=1)
 def topology_tables(ground: GroundSet, topology: Topology) -> dict:
-    """Validate ``topology`` on ``ground``; return the dict every space on
-    it shares.
+    """The dict every space on ``topology`` with ``ground``'s point count
+    shares, held by the topology.
 
-    The dict holds the interior and closure tables under ``"int"`` and
-    ``"cl"``, both built in byte lanes: the interior of ``a`` is the union
-    of the opens inside it, and the closure is the interior's dual. The
-    operator layer adds its ideal-free tables (generalized-open families
-    and neighborhoods, generalized closures, local-function hit tables).
-
-    One entry: search streams yield every ideal of a topology in a row, so
-    the last topology is the only one worth keeping.
+    On first use for a point count, the topology is validated on
+    ``ground`` and its interior and closure tables are built in byte
+    lanes, under ``"int"`` and ``"cl"``: the interior of ``a`` is the
+    union of the opens inside it, and the closure is the interior's dual.
+    The operator layer adds its ideal-free tables (generalized-open
+    families and neighborhoods, generalized closures, local-function hit
+    tables). A family is a topology on at most one point count (it must
+    hold that count's universe and nothing above it), so the topology
+    holds at most one dict, and on any other count it fails validation.
     """
+    n = ground.n
+    held = topology._tables
+    if held is not None and held[0] == n:
+        return held[1]
     issue = validate_topology(topology.family, ground)
     if issue is not None:
         raise TopologyAxiomError(issue.describe(ground), issue)
-    n = ground.n
     int_lanes = union_below(topology.family, n)
-    return {
+    tables = {
         "int": int_lanes.to_bytes(1 << n, "little"),
         "cl": dual(int_lanes, n).to_bytes(1 << n, "little"),
     }
+    _set(topology, "_tables", (n, tables))
+    return tables
 
 
 class Space(Frozen):
     """A validated (ground set, topology, ideal) triple.
 
-    ``tables`` is the dict that every space on the topology shares, taken
-    from the one-entry ``topology_tables`` memo, so consecutive spaces on
-    one topology validate it and build its tables once. An ``Ideal`` is
-    an ideal by construction, so only its top is checked against the
-    ground set; the operator layer reads that mask. Operator tables, one
-    per alias, are memoized into ``_cache`` by ``operators.unary_table``. Caches never feed back into
-    equality and always equal fresh recomputation.
+    ``tables`` is the dict held by the topology (``topology_tables``), so
+    every space on one ``Topology`` object validates it and builds its
+    tables once. An ``Ideal`` is an ideal by construction, so only its top
+    is checked against the ground set; the operator layer reads that mask.
+    Operator tables, one per alias, are memoized into ``_cache`` by
+    ``operators.unary_table``. Caches never feed back into equality and
+    always equal fresh recomputation.
     """
 
     __slots__ = ("ground", "topology", "ideal", "tables", "_cache")
@@ -531,7 +538,7 @@ def space_from_document(doc) -> Space:
             _subset_list(ground, doc["topology_subbase"], "topology_subbase"), ground
         )
     # Validated here, before the ideal's labels are read: a topology error
-    # is reported first. ``Space`` finds the tables in the memo.
+    # is reported first. ``Space`` finds the tables held by the topology.
     topology_tables(ground, topology)
 
     if "ideal" in doc:

@@ -616,7 +616,10 @@ class TestUsageErrors:
 
 
 # Modules a launch should import only when it needs them.
-LAZY = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "idealtop.corpus")
+LAZY = (
+    "dataclasses", "inspect", "concurrent.futures", "multiprocessing", "idealtop.corpus",
+    "idealtop.laws",
+)
 # Runs one command in a fresh interpreter (``-S``: no site hooks, so only
 # idealtop's own imports count), then prints its exit code and which of
 # ``LAZY`` are loaded.
@@ -630,8 +633,8 @@ print(code, sorted(m for m in {LAZY!r} if m in sys.modules))
 
 class TestStartup:
     """What a launch imports: the search path needs neither ``dataclasses``
-    (nor the ``inspect`` it pulls in), a process pool, nor the corpus, and
-    ``--workers 2`` changes none of that."""
+    (nor the ``inspect`` it pulls in), a process pool, the law registry nor
+    the corpus, and ``--workers 2`` changes none of that."""
 
     def probe(self, *argv):
         out = subprocess.run(
@@ -648,3 +651,22 @@ class TestStartup:
     def test_two_worker_search_loads_none_of_them(self):
         law = "star(union(A,B)) == union(star(A),star(B))"
         assert self.probe("search", law, "--points", "2", "--workers", "2") == "0 []"
+
+    def test_check_loads_the_registry(self):
+        probe = self.probe("check", "--space", SPACE_A_FILE, "--name", "additivity:star")
+        assert probe == "0 ['idealtop.laws']"
+
+    def test_package_resolves_registry_names_on_first_use(self):
+        code = (
+            "import sys, idealtop; loaded = 'idealtop.laws' in sys.modules; "
+            "from idealtop import Law, get_law; "
+            "from idealtop.laws import Law as L; "
+            "print(loaded, Law is L is idealtop.Law, get_law is idealtop.get_law, "
+            "all(hasattr(idealtop, name) for name in idealtop.__all__), "
+            "hasattr(idealtop, 'no_such_name'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, text=True, cwd=REPO, timeout=120,
+        )
+        assert (out.stderr, out.stdout) == ("", "False True True True False\n")

@@ -15,6 +15,7 @@ import pytest
 
 import oracle
 from idealtop import cli, dsl, search
+from idealtop import space as space_mod
 from idealtop.space import (
     GroundSet,
     Ideal,
@@ -366,6 +367,29 @@ class TestNonExhaustiveModes:
         )
         assert miss.status == search.STATUS_BUDGET
         assert miss.spaces_total == 1
+
+    @pytest.mark.parametrize("op, witnesses", [("star", 0), ("pstar", 7)])
+    def test_documents_mode_validates_each_topology_once(self, monkeypatch, op, witnesses):
+        # A document's topology is validated when it is parsed; the space
+        # that is scanned reuses the tables it holds. A witness is rebuilt
+        # from its masks for the definition-direct recheck, and validated
+        # there again.
+        calls = []
+
+        def counting(family, ground):
+            calls.append(family)
+            return validate_topology(family, ground)
+
+        monkeypatch.setattr(space_mod, "validate_topology", counting)
+        documents = tuple(path.read_text() for path in sorted(CORPUS.glob("*.json")))
+        task = search.SearchTask(
+            ADDITIVITY.format(op=op), 0, mode="documents", want="all-minimal",
+            documents=documents,
+        )
+        result = search.run_search(task)
+        assert result.spaces_scanned == len(documents) == 11
+        assert len(result.witnesses) == witnesses
+        assert len(calls) == len(documents) + witnesses
 
 
 class TestDeterminismAndReports:

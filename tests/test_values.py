@@ -31,8 +31,11 @@ LAW = dsl.parse_law("star(A) == A")
 TASK = search.SearchTask("star(A) == A", 2)
 
 
-def _space(top: int) -> Space:
-    return Space(G2, generate_topology((1,), G2), generate_ideal((top,), G2))
+TOPOLOGY = generate_topology((1,), G2)
+
+
+def _space(top: int, topology: Topology = TOPOLOGY) -> Space:
+    return Space(G2, topology, generate_ideal((top,), G2))
 
 
 # (type, fields in declaration order, one field name, another value for it)
@@ -140,7 +143,9 @@ def test_derived_slots_are_read_only():
     space = _space(1)
     for value, name in [
         (Family((0, 1)), "mask"),
-        (G2, "_hash"),
+        (G2, "n"),
+        (G2, "universe"),
+        (TOPOLOGY, "_tables"),
         (space, "tables"),
         (space, "_cache"),
         (LAW, "free_vars"),
@@ -152,9 +157,15 @@ def test_derived_slots_are_read_only():
 
 
 def test_identity_types_compare_by_identity():
-    # Every ideal on a topology shares its tables, and the space-free memo
-    # keys on a compiled program, which does not compare by value.
-    assert _space(1).tables is _space(2).tables
+    # Every ideal on one topology object shares the tables it holds; an
+    # equal topology object holds its own. The space-free memo keys on a
+    # compiled program, which does not compare by value.
+    assert _space(1).tables is _space(2).tables is TOPOLOGY._tables[1]
+    twin = generate_topology((1,), G2)
+    assert twin == TOPOLOGY and hash(twin) == hash(TOPOLOGY)
+    on_twin = _space(1, twin)
+    assert on_twin.tables is not _space(1).tables
+    assert (on_twin.int_table, on_twin.cl_table) == (_space(1).int_table, _space(1).cl_table)
     first, second = dsl.parse_law("A <= X"), dsl.parse_law("A <= X")
     assert first == second
     assert first._program is first._program
@@ -187,6 +198,9 @@ def test_unpickled_space_keys_build_the_same_space():
     space = Space(*pickle.loads(pickle.dumps(key)))
     assert space == Space(*key)
     assert space.int_table == Space(*key).int_table
+    # the tables the topology holds are a cache, not pickled with it
+    assert key[1]._tables is not None
+    assert pickle.loads(pickle.dumps(key[1]))._tables is None
 
 
 def test_holds_is_one_shared_immutable_verdict(space_a):
