@@ -26,9 +26,6 @@ from .space import (
     validate_topology,
 )
 from .operators import (
-    LocalFnSpec,
-    OpenKind,
-    derived_set,
     kopen_family,
     operator_names,
     psi_fix_family,
@@ -71,9 +68,6 @@ __all__ = [
     "space_to_document",
     "validate_ideal",
     "validate_topology",
-    "LocalFnSpec",
-    "OpenKind",
-    "derived_set",
     "kopen_family",
     "operator_names",
     "psi_fix_family",

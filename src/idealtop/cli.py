@@ -133,7 +133,7 @@ def cmd_check(args) -> int:
 
 def cmd_families(args) -> int:
     space = _load_space(args.space)
-    family = ops.kopen_family(space, ops.KIND_BY_NAME[args.kind])
+    family = ops.kopen_family(space, args.kind)
     if args.json:
         _emit_json([space.ground.labels_of(s) for s in family])
     else:
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_fam = sub.add_parser("families", help="print a generalized-open family")
-    p_fam.add_argument("kind", choices=sorted(ops.KIND_BY_NAME))
+    p_fam.add_argument("kind", choices=sorted(ops.KINDS))
     p_fam.add_argument("--space", action="append", required=True)
     fam_format = p_fam.add_mutually_exclusive_group()
     fam_format.add_argument("--raw", action="store_true")

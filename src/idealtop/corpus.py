@@ -109,7 +109,7 @@ class FamilyCheck(NamedTuple):
     expected: tuple[int, ...]
 
     def run(self, space: Space) -> str | None:
-        got = ops.kopen_family(space, ops.KIND_BY_NAME[self.kind]).members
+        got = ops.kopen_family(space, self.kind).members
         if got == self.expected:
             return None
         fmt = lambda fam: "[" + ", ".join(space.ground.format(s) for s in fam) + "]"

@@ -4,7 +4,10 @@ Every registry law is a list of tagged DSL templates, checked in order by
 the byte-lane scan of :mod:`idealtop.dsl`; violations carry the
 lexicographically first witness (first variable outermost, masks
 ascending). Registry names follow ``<law>:<operator alias>``, or
-``family-cap-closed:<open-set kind>``.
+``family-cap-closed:<open-set kind>``; both are the strings the operator
+layer uses, a key of ``operators.LOCAL_FN_ALIASES`` and one of
+``operators.KINDS``. ``check_kuratowski`` and ``star_topology`` take the
+alias as well.
 """
 
 from __future__ import annotations
@@ -83,13 +86,13 @@ def _scan(space: Space, tag: str | None, law: dsl.LawAst) -> Verdict:
     return Verdict(False, verdict.witness._replace(operation=tag))
 
 
-def check_kuratowski(space: Space, spec: ops.LocalFnSpec) -> KuratowskiReport:
-    """Per-axiom verdicts for the star closure ``a | f(a)``.
-
-    ``spec`` must be one of ``operators.LOCAL_FN_ALIASES``, since the
-    axioms are scanned as laws of its alias.
+def check_kuratowski(space: Space, alias: str) -> KuratowskiReport:
+    """Per-axiom verdicts for the star closure ``a | f(a)`` of a
+    local-function alias (a key of ``operators.LOCAL_FN_ALIASES``): the
+    four axioms are scanned as the registry law ``kuratowski:<alias>``,
+    which raises ValueError for any other name.
     """
-    law = get_law("kuratowski:" + ops.SPEC_ALIAS[spec])
+    law = get_law("kuratowski:" + alias)
     return KuratowskiReport(*(_scan(space, axiom, ast) for axiom, ast in law.templates))
 
 
@@ -102,14 +105,14 @@ class StarTopologyRefused(Exception):
         self.verdict = verdict
 
 
-def star_topology(space: Space, spec: ops.LocalFnSpec) -> Topology:
-    """Topology whose closed sets are the star-closure fixed points.
+def star_topology(space: Space, alias: str) -> Topology:
+    """Topology whose closed sets are the fixed points of the star closure
+    of a local-function alias.
 
     Refuses with :class:`StarTopologyRefused` unless all four Kuratowski
     axioms hold for the star closure ``clstar:<alias>`` on this space; the
     refusal names the first axiom that fails and carries its witness.
     """
-    alias = ops.SPEC_ALIAS[spec]
     verdict = get_law("kuratowski:" + alias).check(space)
     if not verdict.holds:
         raise StarTopologyRefused(verdict.witness.operation, verdict)

@@ -29,52 +29,26 @@ kind-open sets inside each subset, a local function is the lanes of
 ``a & ~top`` translated through ``H`` (the bytes ``translate`` returns are
 the table), a dual is the base table's lanes reversed and complemented,
 and ``clstar:`` ORs in the identity lanes. The bytes of ``a & ~top`` are
-kept once per (n, top), and ``H`` padded to the 256 bytes ``translate``
-takes is kept with the topology's tables, so a local-function table costs
-each space one ``translate``, which ``unary_table`` does in one step on a
-cache miss; ``hit_table`` itself still returns ``2**n`` bytes.
+kept once per (n, top), and each alias's ``H``, padded to the 256 bytes
+``translate`` takes, is the one hit table stored with the topology's
+tables, so a local-function table costs each space one ``translate``,
+which ``unary_table`` does in one step on a cache miss. ``hit_table``
+computes the ``2**n`` bytes of any kind pair, aliased or not, and stores
+nothing of its own.
 
-The string alias table at the bottom is the single naming surface shared
-by the law DSL and the command line.
+Open-set kinds and local functions are named by strings, as in the law
+DSL, the command line and the corpus: a kind is one of ``KINDS``, and
+``LOCAL_FN_ALIASES`` maps each alias to its ``(nbhd, cl)`` kind names.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from enum import Enum
-from typing import NamedTuple
 
 from .space import Family, Space, dual, lanes, nonzero, union_below
 
-
-class OpenKind(Enum):
-    OPEN = "open"
-    SEMI = "semi"
-    PRE = "pre"
-    B = "b"
-    BETA = "beta"
-
-
-KIND_BY_NAME = {k.value: k for k in OpenKind}
-
-
-class LocalFnSpec(NamedTuple):
-    """Which local function: neighborhood kind, plus an optional closure
-    kind that expands each neighborhood before testing it."""
-
-    nbhd: OpenKind
-    cl: OpenKind | None = None
-
-    @property
-    def is_plain(self) -> bool:
-        return self.cl is None
-
-
-def derived_set(space: Space, a: int) -> int:
-    """Points whose every open neighborhood meets ``a`` elsewhere: entry
-    ``a`` of the space's ``der`` table."""
-    return _table(space, "der")[a]
+KINDS = ("open", "semi", "pre", "b", "beta")
 
 
 def _lanes(table: bytes) -> int:
@@ -97,7 +71,18 @@ def _inside(x: int, space: Space) -> Family:
     )))
 
 
-def kopen_family(space: Space, kind: OpenKind) -> Family:
+# The test of each kind but open, as the lanes of its right-hand side
+# computed from the int and cl tables: ``_translate(x, t)`` applies ``t``
+# after ``x``.
+_KIND_TEST_LANES = {
+    "semi": lambda it, cl: _lanes(_translate(it, cl)),
+    "pre": lambda it, cl: _lanes(_translate(cl, it)),
+    "b": lambda it, cl: _lanes(_translate(cl, it)) | _lanes(_translate(it, cl)),
+    "beta": lambda it, cl: _lanes(_translate(_translate(cl, it), cl)),
+}
+
+
+def kopen_family(space: Space, kind: str) -> Family:
     """All kind-open subsets, canonically ordered.
 
     open: members of the topology      semi: a <= cl(int(a))
@@ -106,27 +91,23 @@ def kopen_family(space: Space, kind: OpenKind) -> Family:
 
     The test runs on every subset at once, in byte lanes: the int/cl
     tables are the lanes of ``int(a)`` and ``cl(a)``, and translating
-    lanes through a table applies it to each.
+    lanes through a table applies it to each. A kind not in ``KINDS``
+    raises ``KeyError``.
     """
     key = ("kopen", kind)
     fam = space.tables.get(key)
     if fam is None:
-        if kind is OpenKind.OPEN:
+        if kind == "open":
             fam = space.topology.family
+        elif kind in _KIND_TEST_LANES:
+            fam = _inside(_KIND_TEST_LANES[kind](space.int_table, space.cl_table), space)
         else:
-            it, cl = space.int_table, space.cl_table
-            cl_int, int_cl = _translate(it, cl), _translate(cl, it)
-            fam = _inside({
-                OpenKind.SEMI: _lanes(cl_int),
-                OpenKind.PRE: _lanes(int_cl),
-                OpenKind.B: _lanes(int_cl) | _lanes(cl_int),
-                OpenKind.BETA: _lanes(_translate(int_cl, cl)),
-            }[kind], space)
+            raise KeyError(f"unknown open-set kind {kind!r}")
         space.tables[key] = fam
     return fam
 
 
-def kopen_at(space: Space, kind: OpenKind) -> tuple[tuple[int, ...], ...]:
+def kopen_at(space: Space, kind: str) -> tuple[tuple[int, ...], ...]:
     """Per point, the kind-open sets containing it."""
     key = ("kopen-at", kind)
     nbhds = space.tables.get(key)
@@ -139,13 +120,13 @@ def kopen_at(space: Space, kind: OpenKind) -> tuple[tuple[int, ...], ...]:
     return nbhds
 
 
-def kclosure_table(space: Space, kind: OpenKind) -> bytes:
+def kclosure_table(space: Space, kind: str) -> bytes:
     """The kind closure of every subset: the intersection of its
     kind-closed supersets, i.e. the complement of the union of the
     kind-open sets that miss it. That is the dual of the table of unions
     of the kind-open sets inside each subset; for the opens, the closure
     table the topology already holds."""
-    if kind is OpenKind.OPEN:
+    if kind == "open":
         return space.cl_table
     key = ("kclosure", kind)
     table = space.tables.get(key)
@@ -156,33 +137,28 @@ def kclosure_table(space: Space, kind: OpenKind) -> bytes:
     return table
 
 
-def hit_table(space: Space, spec: LocalFnSpec) -> bytes:
+def hit_table(space: Space, nbhd: str, cl: str | None = None) -> bytes:
     """Ideal-free local-function table: bit ``z`` of entry ``b`` is set iff
     every test at ``z`` meets ``b``.
 
-    The tests at ``z`` are its kind-open neighborhoods for a plain spec,
-    their generalized closures otherwise. Every kind-open neighborhood of
-    ``z`` meets ``b`` iff ``z`` lies in every kind-closed superset of
-    ``b``, so a plain spec's table is the kind closure table. For an
-    expanded spec each point ANDs, over its tests, the lanes that meet
-    the test.
+    The tests at ``z`` are its ``nbhd``-open neighborhoods, expanded by
+    the ``cl`` kind closure when ``cl`` is given. Every kind-open
+    neighborhood of ``z`` meets ``b`` iff ``z`` lies in every kind-closed
+    superset of ``b``, so a plain table is the kind closure table. For an
+    expanded one each point ANDs, over its tests, the lanes that meet the
+    test.
     """
-    if spec.is_plain:
-        return kclosure_table(space, spec.nbhd)
-    key = ("lf-hits", spec)
-    table = space.tables.get(key)
-    if table is None:
-        ones, identity = lanes(space.ground.n)
-        kcl = kclosure_table(space, spec.cl)
-        out = 0
-        for z, us in enumerate(kopen_at(space, spec.nbhd)):
-            hit = ones
-            for t in {kcl[u] for u in us}:
-                hit &= nonzero(identity & t * ones, ones)
-            out |= hit << z
-        table = out.to_bytes(space.n_subsets, "little")
-        space.tables[key] = table
-    return table
+    if cl is None:
+        return kclosure_table(space, nbhd)
+    ones, identity = lanes(space.ground.n)
+    kcl = kclosure_table(space, cl)
+    out = 0
+    for z, us in enumerate(kopen_at(space, nbhd)):
+        hit = ones
+        for t in {kcl[u] for u in us}:
+            hit &= nonzero(identity & t * ones, ones)
+        out |= hit << z
+    return out.to_bytes(space.n_subsets, "little")
 
 
 @functools.lru_cache(maxsize=None)  # at most 2**n entries per point count
@@ -200,7 +176,7 @@ def _local_fn(space: Space, alias: str) -> bytes:
     key = ("lf-hits-256", alias)
     hits = space.tables.get(key)
     if hits is None:
-        hits = hit_table(space, LOCAL_FN_ALIASES[alias]).ljust(256, b"\0")
+        hits = hit_table(space, *LOCAL_FN_ALIASES[alias]).ljust(256, b"\0")
         space.tables[key] = hits
     return _outside(space.ground.n, space.ideal.top).translate(hits)
 
@@ -208,18 +184,20 @@ def _local_fn(space: Space, alias: str) -> bytes:
 # ---------------------------------------------------------------------------
 # Alias table: the naming surface shared by the DSL and the CLI.
 
-LOCAL_FN_ALIASES: dict[str, LocalFnSpec] = {
-    "star": LocalFnSpec(OpenKind.OPEN),
-    "sstar": LocalFnSpec(OpenKind.SEMI),
-    "pstar": LocalFnSpec(OpenKind.PRE),
-    "bstar": LocalFnSpec(OpenKind.B),
-    "betastar": LocalFnSpec(OpenKind.BETA),
-    "G": LocalFnSpec(OpenKind.OPEN, OpenKind.OPEN),
-    "g": LocalFnSpec(OpenKind.OPEN, OpenKind.SEMI),
-    "xis": LocalFnSpec(OpenKind.SEMI, OpenKind.SEMI),
-    "xip": LocalFnSpec(OpenKind.PRE, OpenKind.PRE),
-    "xib": LocalFnSpec(OpenKind.B, OpenKind.B),
-    "xibeta": LocalFnSpec(OpenKind.BETA, OpenKind.BETA),
+# Each local-function alias as its neighborhood kind and the optional
+# closure kind that expands each neighborhood before it is tested.
+LOCAL_FN_ALIASES: dict[str, tuple[str, str | None]] = {
+    "star": ("open", None),
+    "sstar": ("semi", None),
+    "pstar": ("pre", None),
+    "bstar": ("b", None),
+    "betastar": ("beta", None),
+    "G": ("open", "open"),
+    "g": ("open", "semi"),
+    "xis": ("semi", "semi"),
+    "xip": ("pre", "pre"),
+    "xib": ("b", "b"),
+    "xibeta": ("beta", "beta"),
 }
 
 # Dual alias for each local-function alias.
@@ -237,16 +215,15 @@ PSI_ALIAS: dict[str, str] = {
     "xibeta": "psixibeta",
 }
 
-# The alias of each local function, and the local function behind each dual.
-SPEC_ALIAS: dict[LocalFnSpec, str] = {spec: alias for alias, spec in LOCAL_FN_ALIASES.items()}
+# The local function behind each dual.
 _DUAL_BASE: dict[str, str] = {psi: alias for alias, psi in PSI_ALIAS.items()}
 
 # Generalized closure alias for each kind but open.
-_KCLOSURE_KIND: dict[str, OpenKind] = {
-    "scl": OpenKind.SEMI,
-    "pcl": OpenKind.PRE,
-    "bcl": OpenKind.B,
-    "betacl": OpenKind.BETA,
+_KCLOSURE_KIND: dict[str, str] = {
+    "scl": "semi",
+    "pcl": "pre",
+    "bcl": "b",
+    "betacl": "beta",
 }
 
 _ALIASES = frozenset(("int", "cl", "der", *_KCLOSURE_KIND, *LOCAL_FN_ALIASES, *_DUAL_BASE))
@@ -323,6 +300,7 @@ def unary_table(space: Space, name: str) -> bytes:
     return table
 
 
-def psi_fix_family(space: Space, spec: LocalFnSpec) -> Family:
-    """All subsets contained in their own dual image; ``spec`` must be aliased."""
-    return _inside(_lanes(unary_table(space, PSI_ALIAS[SPEC_ALIAS[spec]])), space)
+def psi_fix_family(space: Space, alias: str) -> Family:
+    """All subsets contained in their own dual image under a local-function
+    alias."""
+    return _inside(_lanes(unary_table(space, PSI_ALIAS[alias])), space)

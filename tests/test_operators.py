@@ -25,8 +25,6 @@ from idealtop.space import (
 )
 from idealtop.verdicts import KURATOWSKI_AXIOMS
 
-ALL_KINDS = tuple(ops.OpenKind)
-ALL_SPECS = tuple(ops.LOCAL_FN_ALIASES.items())
 
 
 def oracle_table(space, alias):
@@ -47,13 +45,14 @@ class TestPointSetOperators:
                 want = oracle.derived_set(
                     topo, points, oracle.bits_to_set(space.ground, a)
                 )
-                assert oracle.bits_to_set(space.ground, ops.derived_set(space, a)) == want
+                got = ops.unary_table(space, "der")[a]
+                assert oracle.bits_to_set(space.ground, got) == want
 
     def test_closure_is_union_with_derived_set(self, small_spaces, space_a, space_b):
         for space in small_spaces + [space_a, space_b]:
-            cl = ops.unary_table(space, "cl")
+            cl, der = ops.unary_table(space, "cl"), ops.unary_table(space, "der")
             for a in range(space.n_subsets):
-                assert cl[a] == a | ops.derived_set(space, a)
+                assert cl[a] == a | der[a]
 
     def test_interior_closure_duality(self, space_a):
         full = space_a.ground.universe
@@ -66,27 +65,27 @@ class TestGeneralizedOpenSets:
     def test_families_match_oracle(self, small_spaces, space_a, space_b):
         for space in small_spaces[::3] + [space_a, space_b]:
             topo, _, points = oracle.space_to_oracle(space)
-            for kind in ALL_KINDS:
+            for kind in ops.KINDS:
                 want = {
                     oracle.set_to_bits(space.ground, s)
-                    for s in oracle.kind_open_family(topo, points, kind.value)
+                    for s in oracle.kind_open_family(topo, points, kind)
                 }
                 assert set(ops.kopen_family(space, kind)) == want
 
     def test_family_inclusion_chain(self, small_spaces):
         # open <= semi <= b <= beta and open <= pre <= b
         for space in small_spaces:
-            fams = {k: set(ops.kopen_family(space, k)) for k in ALL_KINDS}
-            assert fams[ops.OpenKind.OPEN] <= fams[ops.OpenKind.SEMI]
-            assert fams[ops.OpenKind.OPEN] <= fams[ops.OpenKind.PRE]
-            assert fams[ops.OpenKind.SEMI] <= fams[ops.OpenKind.B]
-            assert fams[ops.OpenKind.PRE] <= fams[ops.OpenKind.B]
-            assert fams[ops.OpenKind.B] <= fams[ops.OpenKind.BETA]
+            fams = {k: set(ops.kopen_family(space, k)) for k in ops.KINDS}
+            assert fams["open"] <= fams["semi"]
+            assert fams["open"] <= fams["pre"]
+            assert fams["semi"] <= fams["b"]
+            assert fams["pre"] <= fams["b"]
+            assert fams["b"] <= fams["beta"]
 
     def test_families_contain_bounds_and_unions(self, small_spaces):
         for space in small_spaces:
             full = space.ground.universe
-            for kind in ALL_KINDS:
+            for kind in ops.KINDS:
                 fam = ops.kopen_family(space, kind)
                 assert 0 in fam and full in fam
                 members = fam.members
@@ -95,30 +94,30 @@ class TestGeneralizedOpenSets:
                         assert (a | b) in fam
 
     def test_frozen_semi_family(self, space_a):
-        assert ops.kopen_family(space_a, ops.OpenKind.SEMI).members == (
+        assert ops.kopen_family(space_a, "semi").members == (
             0, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15,
         )
 
     def test_frozen_pre_and_beta_family(self, space_b):
         want = (0, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
-        assert ops.kopen_family(space_b, ops.OpenKind.PRE).members == want
-        assert ops.kopen_family(space_b, ops.OpenKind.BETA).members == want
+        assert ops.kopen_family(space_b, "pre").members == want
+        assert ops.kopen_family(space_b, "beta").members == want
 
     def test_kclosure_matches_oracle(self, small_spaces, space_a, space_b):
         for space in small_spaces[::5] + [space_a, space_b]:
             topo, _, points = oracle.space_to_oracle(space)
-            for kind in ALL_KINDS:
+            for kind in ops.KINDS:
                 table = ops.kclosure_table(space, kind)
                 for a in range(space.n_subsets):
                     want = oracle.kind_closure(
-                        topo, points, kind.value, oracle.bits_to_set(space.ground, a)
+                        topo, points, kind, oracle.bits_to_set(space.ground, a)
                     )
                     assert oracle.bits_to_set(space.ground, table[a]) == want
 
     def test_kclosure_is_a_closure_operator(self, small_spaces):
         for space in small_spaces:
             full = space.ground.universe
-            for kind in ALL_KINDS:
+            for kind in ops.KINDS:
                 table = ops.kclosure_table(space, kind)
                 assert table[0] == 0 and table[full] == full
                 for a in range(space.n_subsets):
@@ -226,7 +225,7 @@ class TestDualsAndFixFamilies:
     def test_psi_alias_is_complement_dual(self, space_a, space_b):
         for space in (space_a, space_b):
             full = space.ground.universe
-            for alias, spec in ALL_SPECS:
+            for alias in ops.LOCAL_FN_ALIASES:
                 dual = ops.unary_table(space, ops.PSI_ALIAS[alias])
                 base = ops.unary_table(space, alias)
                 for a in range(space.n_subsets):
@@ -243,27 +242,26 @@ class TestDualsAndFixFamilies:
     def test_fix_family_matches_oracle(self, small_spaces, space_a, space_b):
         for space in small_spaces[::7] + [space_a, space_b]:
             topo, ideal, points = oracle.space_to_oracle(space)
-            for alias, spec in ALL_SPECS:
-                nbhd, cl = oracle.NAMED_LOCAL_FNS[alias]
+            for alias, (nbhd, cl) in oracle.NAMED_LOCAL_FNS.items():
                 want = {
                     oracle.set_to_bits(space.ground, s)
                     for s in oracle.psi_fix_family(topo, ideal, points, nbhd, cl)
                 }
-                assert set(ops.psi_fix_family(space, spec)) == want
+                assert set(ops.psi_fix_family(space, alias)) == want
 
     def test_frozen_fix_families(self, space_a, space_b):
-        assert ops.psi_fix_family(
-            space_a, ops.LOCAL_FN_ALIASES["xis"]
-        ).members == (0, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15)
-        assert ops.psi_fix_family(
-            space_b, ops.LOCAL_FN_ALIASES["xibeta"]
-        ).members == (0, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+        assert ops.psi_fix_family(space_a, "xis").members == (
+            0, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15,
+        )
+        assert ops.psi_fix_family(space_b, "xibeta").members == (
+            0, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+        )
 
     def test_fix_families_contain_bounds_and_unions(self, small_spaces):
         for space in small_spaces:
             full = space.ground.universe
-            for _, spec in ALL_SPECS:
-                fam = ops.psi_fix_family(space, spec)
+            for alias in ops.LOCAL_FN_ALIASES:
+                fam = ops.psi_fix_family(space, alias)
                 assert 0 in fam and full in fam
                 for a in fam.members:
                     for b in fam.members:
@@ -273,16 +271,15 @@ class TestDualsAndFixFamilies:
 class TestStarClosure:
     def test_always_extensive_and_empty_fixing(self, small_spaces):
         for space in small_spaces:
-            for _, spec in ALL_SPECS:
-                report = laws.check_kuratowski(space, spec)
+            for alias in ops.LOCAL_FN_ALIASES:
+                report = laws.check_kuratowski(space, alias)
                 assert report.fixes_empty.holds
                 assert report.extensive.holds
 
     def test_axiom_report_matches_oracle_star(self, space_a, space_b):
         for space in (space_a, space_b):
             topo, ideal, points = oracle.space_to_oracle(space)
-            for alias, spec in ALL_SPECS:
-                nbhd, cl = oracle.NAMED_LOCAL_FNS[alias]
+            for alias, (nbhd, cl) in oracle.NAMED_LOCAL_FNS.items():
                 star = {
                     a: oracle.cl_star(topo, ideal, points, nbhd, cl, a)
                     for a in oracle.powerset(points)
@@ -291,12 +288,12 @@ class TestStarClosure:
                 addv = all(
                     star[a | b] == star[a] | star[b] for a in star for b in star
                 )
-                report = laws.check_kuratowski(space, spec)
+                report = laws.check_kuratowski(space, alias)
                 assert report.idempotent.holds == idem
                 assert report.additive.holds == addv
 
     def test_frozen_pre_star_axioms(self, space_b):
-        report = laws.check_kuratowski(space_b, ops.LOCAL_FN_ALIASES["pstar"])
+        report = laws.check_kuratowski(space_b, "pstar")
         assert report.idempotent.holds
         w = report.additive.witness
         assert (w.bindings, w.lhs, w.rhs, w.operation) == (
@@ -318,14 +315,12 @@ class TestStarClosure:
 
 class TestStarTopology:
     def test_plain_open_star_topology_refines_base(self, small_spaces):
-        spec = ops.LOCAL_FN_ALIASES["star"]
         for space in small_spaces:
-            topo = laws.star_topology(space, spec)
+            topo = laws.star_topology(space, "star")
             assert set(space.topology.family) <= set(topo.family)
 
     def test_opens_are_complements_of_star_fixed_sets(self, space_a):
-        spec = ops.LOCAL_FN_ALIASES["star"]
-        topo = laws.star_topology(space_a, spec)
+        topo = laws.star_topology(space_a, "star")
         full = space_a.ground.universe
         star = ops.unary_table(space_a, "clstar:star")
         for a in range(space_a.n_subsets):
@@ -339,24 +334,24 @@ class TestStarTopology:
             space_a.topology,
             generate_ideal([space_a.ground.universe], space_a.ground),
         )
-        topo = laws.star_topology(space, ops.LOCAL_FN_ALIASES["star"])
+        topo = laws.star_topology(space, "star")
         assert len(topo.family) == space.n_subsets
 
     def test_refusal_carries_axiom_and_witness(self, space_b, small_spaces):
         for alias in ("pstar", "betastar"):
             with pytest.raises(laws.StarTopologyRefused) as exc:
-                laws.star_topology(space_b, ops.LOCAL_FN_ALIASES[alias])
+                laws.star_topology(space_b, alias)
             assert exc.value.axiom == "additive"
             assert exc.value.verdict.witness.bindings == (("A", 4), ("B", 8))
             assert "additive" in str(exc.value)
         # The refusal is the registry law's first failure, and the report's.
         refused = Counter()
         for space in small_spaces:
-            for alias, spec in ops.LOCAL_FN_ALIASES.items():
+            for alias in ops.LOCAL_FN_ALIASES:
                 verdict = laws.get_law("kuratowski:" + alias).check(space)
-                failure = laws.check_kuratowski(space, spec).first_violation
+                failure = laws.check_kuratowski(space, alias).first_violation
                 try:
-                    laws.star_topology(space, spec)
+                    laws.star_topology(space, alias)
                 except laws.StarTopologyRefused as refusal:
                     refused[refusal.axiom] += 1
                     assert refusal.axiom == verdict.witness.operation == failure[0]
@@ -388,6 +383,17 @@ def oracle_alias_tables(space):
     for name in list(out):
         out["clstar:" + name] = bytes(a | out[name][a] for a in range(full + 1))
     return out
+
+
+# Every entry point that takes an open-set kind name, by the argument it names.
+KIND_TAKERS = {
+    "kopen_family": ops.kopen_family,
+    "kopen_at": ops.kopen_at,
+    "kclosure_table": ops.kclosure_table,
+    "hit_table-nbhd": lambda space, kind: ops.hit_table(space, kind),
+    "hit_table-expanded-nbhd": lambda space, kind: ops.hit_table(space, kind, "open"),
+    "hit_table-cl": lambda space, kind: ops.hit_table(space, "open", kind),
+}
 
 
 class TestAliasSurface:
@@ -430,14 +436,18 @@ class TestAliasSurface:
         assert all(ops.is_operator(n) and ops.is_operator("clstar:" + n) for n in names[:-1])
 
     def test_alias_and_oracle_key_tables_agree(self):
-        assert set(ops.LOCAL_FN_ALIASES) == set(oracle.NAMED_LOCAL_FNS)
-        for alias, spec in ALL_SPECS:
-            nbhd, cl = oracle.NAMED_LOCAL_FNS[alias]
-            assert spec.nbhd.value == nbhd
-            assert (spec.cl.value if spec.cl else None) == cl
+        assert ops.LOCAL_FN_ALIASES == oracle.NAMED_LOCAL_FNS
+        assert ops.KINDS == (oracle.OPEN, oracle.SEMI, oracle.PRE, oracle.B, oracle.BETA)
+
+    @pytest.mark.parametrize("call", sorted(KIND_TAKERS))
+    def test_unknown_kind_raises_key_error_naming_it(self, call, space_a):
+        space = Space(space_a.ground, space_a.topology, space_a.ideal)
+        for kind in ("bogus", "OPEN", "star"):
+            with pytest.raises(KeyError, match=repr(kind)):
+                KIND_TAKERS[call](space, kind)
 
     def test_generalized_closure_aliases(self, space_a):
-        for alias, kind in (("scl", ops.OpenKind.SEMI), ("betacl", ops.OpenKind.BETA)):
+        for alias, kind in (("scl", "semi"), ("betacl", "beta")):
             assert ops.unary_table(space_a, alias) == ops.kclosure_table(space_a, kind)
 
 
@@ -485,9 +495,28 @@ class TestPlainHitTable:
                 space = Space(ground, topo, Ideal(0))
                 tp, ideal, points = oracle.space_to_oracle(space)
                 sets = [oracle.bits_to_set(ground, a) for a in range(space.n_subsets)]
-                for kind in ALL_KINDS:
-                    want = oracle.kind_closure_table(tp, points, kind.value)
-                    lf = oracle.local_function_table(tp, ideal, points, kind.value, None)
+                for kind in ops.KINDS:
+                    want = oracle.kind_closure_table(tp, points, kind)
+                    lf = oracle.local_function_table(tp, ideal, points, kind, None)
                     assert lf == want
-                    got = ops.hit_table(space, ops.LocalFnSpec(kind))
+                    got = ops.hit_table(space, kind)
                     assert got == bytes(oracle.set_to_bits(ground, want[a]) for a in sets)
+
+    def test_every_kind_pair_matches_oracle_up_to_three_points(self):
+        # With the ideal {{}} a local function is its hit table: the 5
+        # plain kinds and all 25 (nbhd, cl) pairs, aliased or not.
+        pairs = [(nbhd, None) for nbhd in ops.KINDS]
+        pairs += [(nbhd, cl) for nbhd in ops.KINDS for cl in ops.KINDS]
+        assert len(pairs) == 30
+        for n in range(1, 4):
+            ground = GroundSet(search.default_labels(n))
+            for topo in search.enumerate_topologies(n):
+                space = Space(ground, topo, Ideal(0))
+                tp, ideal, points = oracle.space_to_oracle(space)
+                sets = [oracle.bits_to_set(ground, a) for a in range(space.n_subsets)]
+                for nbhd, cl in pairs:
+                    want = oracle.local_function_table(tp, ideal, points, nbhd, cl)
+                    got = ops.hit_table(space, nbhd, cl)
+                    assert got == bytes(oracle.set_to_bits(ground, want[a]) for a in sets), (
+                        n, topo, nbhd, cl,
+                    )

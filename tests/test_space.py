@@ -14,7 +14,7 @@ import pytest
 
 import oracle
 from idealtop import search
-from idealtop.operators import OpenKind, kopen_at
+from idealtop.operators import kopen_at
 from idealtop.space import (
     Family,
     GroundSet,
@@ -318,7 +318,7 @@ class TestSpace:
 
     def test_opens_at_lists_open_neighborhoods(self, space_a):
         # point w1 is bit 0: opens containing it are {w1}, {w1,w2}, X
-        opens_at = kopen_at(space_a, OpenKind.OPEN)
+        opens_at = kopen_at(space_a, "open")
         assert opens_at[0] == (1, 3, 15)
         assert opens_at[2] == (15,)
 

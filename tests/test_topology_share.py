@@ -85,12 +85,12 @@ def every_table(space):
         "int": space.int_table,
         "cl": space.cl_table,
     }
-    for kind in ops.OpenKind:
+    for kind in ops.KINDS:
         out["kopen", kind] = ops.kopen_family(space, kind)
         out["kopen-at", kind] = ops.kopen_at(space, kind)
         out["kclosure", kind] = ops.kclosure_table(space, kind)
-    for spec in ops.LOCAL_FN_ALIASES.values():
-        out["hits", spec] = ops.hit_table(space, spec)
+    for nbhd, cl in ops.LOCAL_FN_ALIASES.values():
+        out["hits", nbhd, cl] = ops.hit_table(space, nbhd, cl)
     for name in ops.operator_names()[:-1]:
         out["alias", name] = ops.unary_table(space, name)
         out["alias", "clstar:" + name] = ops.unary_table(space, "clstar:" + name)
@@ -170,11 +170,10 @@ def test_held_alias_tables_equal_fresh_recomputation_up_to_four_points():
 
 def test_ideal_tables_stay_per_space():
     topology = generate_topology([1, 3], G3)
-    spec = ops.LOCAL_FN_ALIASES["star"]
     small = Space(G3, topology, generate_ideal([], G3))
     large = Space(G3, topology, generate_ideal([7], G3))
     assert small.tables is large.tables
-    assert ops.unary_table(small, "star") == ops.hit_table(small, spec)
+    assert ops.unary_table(small, "star") == ops.hit_table(small, "open")
     assert ops.unary_table(large, "star") == bytes(8)
     assert ops.unary_table(small, "star") != ops.unary_table(large, "star")
 

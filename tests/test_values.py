@@ -11,7 +11,6 @@ import pickle
 import pytest
 
 from idealtop import corpus, dsl, laws, search
-from idealtop.operators import LocalFnSpec, OpenKind
 from idealtop.space import (
     Family,
     GroundSet,
@@ -48,7 +47,6 @@ CASES = [
         "additive",
         Verdict(False, WITNESS),
     ),
-    (LocalFnSpec, dict(nbhd=OpenKind.SEMI, cl=OpenKind.PRE), "cl", None),
     (dsl.Expr, dict(name="union", args=(dsl.Expr("A"), dsl.Expr("B"))), "name", "inter"),
     (dsl._Token, dict(kind="NAME", text="star", pos=0), "pos", 4),
     (laws.Law, dict(name="a:b", templates=((None, LAW),)), "name", "a:c"),
