@@ -16,16 +16,16 @@ in ``space.tables``, the dict the topology holds, and are shared by every
 space on that topology.
 The ideal is the power set of its top member, so a trace ``t & a`` lies
 in it iff ``t & a & ~top`` is empty; hence ``f(a) = H[a & ~top]`` for the
-ideal-free hit table ``H``. For a plain local function ``H`` is the kind
-closure table: every kind-open neighborhood of ``z`` meets ``b`` iff ``z``
-lies in every kind-closed superset of ``b``; for open neighborhoods that
-is the closure table itself.
+ideal-free hit table ``H``. Every ``H`` is the dual of a ``union_below``
+table that files each kind-open neighborhood under its test (see
+``hit_table``); for a plain local function that is the kind closure
+table, and for open neighborhoods the closure table itself.
 
 Every table is built in byte lanes (see ``space``): lane ``a`` holds the
 value at subset ``a``, and a table is applied to all lanes at once with
-``bytes.translate``. Builders loop over points, family members or tests,
-never over subsets: a kind closure is the dual of the union of the
-kind-open sets inside each subset, a local function is the lanes of
+``bytes.translate``. Builders loop over points or family members, never
+over subsets: a kind closure and a hit table are the dual of a
+``union_below`` table, a local function is the lanes of
 ``a & ~top`` translated through ``H`` (the bytes ``translate`` returns are
 the table), a dual is the base table's lanes reversed and complemented,
 and ``clstar:`` ORs in the identity lanes. The bytes of ``a & ~top`` are
@@ -107,19 +107,6 @@ def kopen_family(space: Space, kind: str) -> Family:
     return fam
 
 
-def kopen_at(space: Space, kind: str) -> tuple[tuple[int, ...], ...]:
-    """Per point, the kind-open sets containing it."""
-    key = ("kopen-at", kind)
-    nbhds = space.tables.get(key)
-    if nbhds is None:
-        members = kopen_family(space, kind).members
-        nbhds = tuple(
-            tuple(u for u in members if u >> z & 1) for z in range(space.ground.n)
-        )
-        space.tables[key] = nbhds
-    return nbhds
-
-
 def kclosure_table(space: Space, kind: str) -> bytes:
     """The kind closure of every subset: the intersection of its
     kind-closed supersets, i.e. the complement of the union of the
@@ -132,7 +119,8 @@ def kclosure_table(space: Space, kind: str) -> bytes:
     table = space.tables.get(key)
     if table is None:
         n = space.ground.n
-        table = dual(union_below(kopen_family(space, kind), n), n).to_bytes(1 << n, "little")
+        opens = kopen_family(space, kind).members
+        table = dual(union_below(zip(opens, opens), n), n).to_bytes(1 << n, "little")
         space.tables[key] = table
     return table
 
@@ -141,24 +129,21 @@ def hit_table(space: Space, nbhd: str, cl: str | None = None) -> bytes:
     """Ideal-free local-function table: bit ``z`` of entry ``b`` is set iff
     every test at ``z`` meets ``b``.
 
-    The tests at ``z`` are its ``nbhd``-open neighborhoods, expanded by
-    the ``cl`` kind closure when ``cl`` is given. Every kind-open
-    neighborhood of ``z`` meets ``b`` iff ``z`` lies in every kind-closed
-    superset of ``b``, so a plain table is the kind closure table. For an
-    expanded one each point ANDs, over its tests, the lanes that meet the
-    test.
+    The tests at ``z`` are its ``nbhd``-open neighborhoods ``U``, each
+    expanded to ``T(U)``, its ``cl`` kind closure, when ``cl`` is given.
+    A test misses ``b`` iff it lies inside ``X - b``, so ``X - H[b]`` is
+    the union of the ``U`` with ``T(U)`` inside ``X - b``: ``H`` is the
+    dual of the ``union_below`` table with each ``U`` filed under
+    ``T(U)``. For open tests that is ψ(A) = ∪{U open : U - A ∈ I}
+    (Hamlett and Janković, 1990); unexpanded, ``T(U) = U`` and it is the
+    kind closure table.
     """
     if cl is None:
         return kclosure_table(space, nbhd)
-    ones, identity = lanes(space.ground.n)
+    n = space.ground.n
     kcl = kclosure_table(space, cl)
-    out = 0
-    for z, us in enumerate(kopen_at(space, nbhd)):
-        hit = ones
-        for t in {kcl[u] for u in us}:
-            hit &= nonzero(identity & t * ones, ones)
-        out |= hit << z
-    return out.to_bytes(space.n_subsets, "little")
+    filed = [(kcl[u], u) for u in kopen_family(space, nbhd).members]
+    return dual(union_below(filed, n), n).to_bytes(1 << n, "little")
 
 
 @functools.lru_cache(maxsize=None)  # at most 2**n entries per point count

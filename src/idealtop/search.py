@@ -188,6 +188,8 @@ class SearchTask(Frozen):
         if self.mode == "documents":
             if not self.documents:
                 raise ValueError("documents mode needs at least one space document")
+        elif self.documents:
+            raise ValueError(f"space documents conflict with mode {self.mode!r}")
         else:
             _check_points(self.n)
 

@@ -33,9 +33,9 @@ fits in a byte, as ``MAX_POINTS`` is 8), so a per-subset loop becomes a
 few big-int operations per point or family member. A finished table is
 stored as the ``2**n`` bytes of its lanes, so ``table[a]`` is an ``int``.
 The table builders share ``lanes`` and ``nonzero``, plus ``union_below``
-(the union of a family's members inside each subset: the interior, for
-the opens) and ``dual`` (lanes reversed and complemented: the closure,
-from it).
+(per subset, the union of the members filed under a key inside it: the
+interior, for the opens filed under themselves) and ``dual`` (lanes
+reversed and complemented: the closure, from it).
 """
 
 from __future__ import annotations
@@ -227,6 +227,8 @@ class Ideal(Frozen):
     __slots__ = _fields = ("top",)
 
     def __init__(self, top: int):
+        if top < 0:
+            raise ValueError("subset masks must be non-negative")
         _set(self, "top", top)
 
     def __iter__(self) -> Iterator[int]:
@@ -399,17 +401,19 @@ def nonzero(x: int, ones: int) -> int:
     return ((x & low) + low | x) >> 7 & ones
 
 
-def union_below(members: Iterable[int], n: int) -> int:
-    """Lane ``b`` holds the union of the members that lie inside ``b``: its
-    interior, when the members are the opens of a topology.
+def union_below(filed: Iterable[tuple[int, int]], n: int) -> int:
+    """Lane ``b`` holds the union of the members filed under a key inside
+    ``b``, given ``(key, member)`` pairs. Filed under themselves, the opens
+    of a topology give its interior.
 
-    Lane ``b`` starts as ``b`` if it is a member, else empty; then, point by
-    point, every lane ORs in the lane of its subset without that point.
+    Lane ``b`` starts as the union of the members filed under ``b``; then,
+    point by point, every lane ORs in the lane of its subset without that
+    point.
     """
     ones, identity = lanes(n)
     start = bytearray(1 << n)
-    for m in members:
-        start[m] = m
+    for key, member in filed:
+        start[key] |= member
     out = int.from_bytes(start, "little")
     for i in range(n):
         out |= out << (8 << i) & (identity >> i & ones) * 0xFF
@@ -432,10 +436,10 @@ def topology_tables(ground: GroundSet, topology: Topology) -> dict:
     lanes, under ``"int"`` and ``"cl"``: the interior of ``a`` is the
     union of the opens inside it, and the closure is the interior's dual.
     The operator layer adds its ideal-free tables (generalized-open
-    families and neighborhoods, generalized closures, local-function hit
-    tables). A family is a topology on at most one point count (it must
-    hold that count's universe and nothing above it), so the topology
-    holds at most one dict, and on any other count it fails validation.
+    families and closures, local-function hit tables). A family is a
+    topology on at most one point count (it must hold that count's
+    universe and nothing above it), so the topology holds at most one
+    dict, and on any other count it fails validation.
     """
     n = ground.n
     held = topology._tables
@@ -444,7 +448,8 @@ def topology_tables(ground: GroundSet, topology: Topology) -> dict:
     issue = validate_topology(topology.family, ground)
     if issue is not None:
         raise TopologyAxiomError(issue.describe(ground), issue)
-    int_lanes = union_below(topology.family, n)
+    opens = topology.family.members
+    int_lanes = union_below(zip(opens, opens), n)
     tables = {
         "int": int_lanes.to_bytes(1 << n, "little"),
         "cl": dual(int_lanes, n).to_bytes(1 << n, "little"),

@@ -108,6 +108,13 @@ class TestCorpusLibrary:
             with pytest.raises(ValueError, match="^additivity:sstar: bindings of A"):
                 corpus.LawCheck("additivity:sstar", True, at).run(space)
 
+    def test_wrong_family_is_caught(self):
+        check = corpus.FamilyCheck("semi", (0, 15))
+        assert sabotage(corpus.SPACE_B_DOC, check) == (
+            "semi-open family: expected [{}, {w1,w2,w3,w4}], got "
+            "[{}, {w3,w4}, {w1,w3,w4}, {w2,w3,w4}, {w1,w2,w3,w4}]",
+        )
+
     def test_kuratowski_pair_that_does_not_violate_is_caught(self):
         pair = (("A", corpus.W1), ("B", corpus.W2))
         check = corpus.LawCheck("kuratowski:pstar", False, pair, "additive")

@@ -90,6 +90,7 @@ class TestParsing:
             ("expr", "star()", dsl.DslSyntaxError, "expected an expression", 5),
             ("expr", "star(A", dsl.DslSyntaxError, "expected ',' or ')'", 6),
             ("law", "A == B C", dsl.DslSyntaxError, "trailing input after law", 7),
+            ("expr", "A B", dsl.DslSyntaxError, "trailing input after expression", 2),
             ("law", "1A == A", dsl.DslSyntaxError, "unexpected character '1'", 0),
             ("law", "star(union(A,)) == A", dsl.DslSyntaxError, "expected an expression", 13),
         ],

@@ -303,6 +303,8 @@ class TestStarClosure:
         assert [report.verdict(a).holds for a in KURATOWSKI_AXIOMS] == [
             True, True, True, False,
         ]
+        with pytest.raises(ValueError, match="^unknown closure axiom 'additivity'$"):
+            report.verdict("additivity")
 
     def test_clstar_alias_composition(self, space_a):
         star = ops.unary_table(space_a, "clstar:sstar")
@@ -388,7 +390,6 @@ def oracle_alias_tables(space):
 # Every entry point that takes an open-set kind name, by the argument it names.
 KIND_TAKERS = {
     "kopen_family": ops.kopen_family,
-    "kopen_at": ops.kopen_at,
     "kclosure_table": ops.kclosure_table,
     "hit_table-nbhd": lambda space, kind: ops.hit_table(space, kind),
     "hit_table-expanded-nbhd": lambda space, kind: ops.hit_table(space, kind, "open"),
@@ -484,6 +485,25 @@ class TestSevenAndEightPoints:
                 assert ops.unary_table(space, name) == want[name], (space.ground.n, name)
 
 
+# The 5 plain kinds and all 25 (nbhd, cl) pairs, aliased or not.
+KIND_PAIRS = [(nbhd, None) for nbhd in ops.KINDS]
+KIND_PAIRS += [(nbhd, cl) for nbhd in ops.KINDS for cl in ops.KINDS]
+
+
+def assert_kind_pairs_match_oracle(space):
+    """With the ideal {{}} a local function is its hit table, so every
+    kind pair's ``hit_table`` is the oracle's local function on ``space``."""
+    assert space.ideal == Ideal(0)
+    tp, ideal, points = oracle.space_to_oracle(space)
+    sets = [oracle.bits_to_set(space.ground, a) for a in range(space.n_subsets)]
+    for nbhd, cl in KIND_PAIRS:
+        want = oracle.local_function_table(tp, ideal, points, nbhd, cl)
+        got = ops.hit_table(space, nbhd, cl)
+        assert got == bytes(oracle.set_to_bits(space.ground, want[a]) for a in sets), (
+            space.topology, nbhd, cl,
+        )
+
+
 class TestPlainHitTable:
     def test_is_the_kind_closure_up_to_four_points(self):
         # Every kind-open neighbourhood of z meets b iff z lies in every
@@ -503,20 +523,19 @@ class TestPlainHitTable:
                     assert got == bytes(oracle.set_to_bits(ground, want[a]) for a in sets)
 
     def test_every_kind_pair_matches_oracle_up_to_three_points(self):
-        # With the ideal {{}} a local function is its hit table: the 5
-        # plain kinds and all 25 (nbhd, cl) pairs, aliased or not.
-        pairs = [(nbhd, None) for nbhd in ops.KINDS]
-        pairs += [(nbhd, cl) for nbhd in ops.KINDS for cl in ops.KINDS]
-        assert len(pairs) == 30
         for n in range(1, 4):
             ground = GroundSet(search.default_labels(n))
             for topo in search.enumerate_topologies(n):
-                space = Space(ground, topo, Ideal(0))
-                tp, ideal, points = oracle.space_to_oracle(space)
-                sets = [oracle.bits_to_set(ground, a) for a in range(space.n_subsets)]
-                for nbhd, cl in pairs:
-                    want = oracle.local_function_table(tp, ideal, points, nbhd, cl)
-                    got = ops.hit_table(space, nbhd, cl)
-                    assert got == bytes(oracle.set_to_bits(ground, want[a]) for a in sets), (
-                        n, topo, nbhd, cl,
-                    )
+                assert_kind_pairs_match_oracle(Space(ground, topo, Ideal(0)))
+
+    def test_every_kind_pair_matches_oracle_on_five_and_six_points(self):
+        # Past the exhaustive range: topologies from seeded random subbases
+        # of 2-4 members, each checked to be neither discrete nor indiscrete.
+        rng = random.Random(25)
+        for n in (5, 6):
+            ground = GroundSet(search.default_labels(n))
+            for _ in range(8):
+                subbase = [rng.randrange(1, 1 << n) for _ in range(rng.randint(2, 4))]
+                space = Space(ground, generate_topology(subbase, ground), Ideal(0))
+                assert 2 < len(space.topology) < space.n_subsets
+                assert_kind_pairs_match_oracle(space)

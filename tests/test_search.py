@@ -146,6 +146,11 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             search.SearchTask("star(A) == A", 2, mode="documents")
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "subbase"])
+    def test_documents_refused_outside_documents_mode(self, mode):
+        with pytest.raises(ValueError, match=f"^space documents conflict with mode '{mode}'$"):
+            search.SearchTask("A == A", 2, mode=mode, documents=("not json",))
+
     @pytest.mark.parametrize(
         "field", ["budget_spaces", "budget_assignments", "var_cap"]
     )

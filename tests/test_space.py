@@ -14,7 +14,6 @@ import pytest
 
 import oracle
 from idealtop import search
-from idealtop.operators import kopen_at
 from idealtop.space import (
     Family,
     GroundSet,
@@ -226,6 +225,11 @@ class TestIdeal:
         }
         assert passing == {tuple(Ideal(top)) for top in range(8)}
 
+    def test_rejects_a_negative_top(self):
+        # no ideal has it: its submask walk would never end
+        with pytest.raises(ValueError, match="^subset masks must be non-negative$"):
+            Ideal(-1)
+
 
 class TestGenerators:
     def test_topology_from_subbase_example(self):
@@ -316,12 +320,6 @@ class TestSpace:
                     == oracle.closure(topo, points, aset)
                 )
 
-    def test_opens_at_lists_open_neighborhoods(self, space_a):
-        # point w1 is bit 0: opens containing it are {w1}, {w1,w2}, X
-        opens_at = kopen_at(space_a, "open")
-        assert opens_at[0] == (1, 3, 15)
-        assert opens_at[2] == (15,)
-
 
 class TestLanes:
     def test_nonzero_on_every_byte_between_empty_and_full_lanes(self):
@@ -344,10 +342,14 @@ class TestLanes:
     def test_union_below_and_dual(self):
         # {w1} and {w2} alone, not union-closed: lane {w1,w2} still holds
         # the union of both
-        assert union_below([1, 2], 2).to_bytes(4, "little") == bytes((0, 1, 2, 3))
-        assert union_below([3], 2).to_bytes(4, "little") == bytes((0, 0, 0, 3))
+        assert union_below([(1, 1), (2, 2)], 2).to_bytes(4, "little") == bytes((0, 1, 2, 3))
+        assert union_below([(3, 3)], 2).to_bytes(4, "little") == bytes((0, 0, 0, 3))
         # the dual of that interior is the closure of the indiscrete topology
-        assert dual(union_below([0, 3], 2), 2).to_bytes(4, "little") == bytes((0, 3, 3, 3))
+        assert dual(union_below([(0, 0), (3, 3)], 2), 2).to_bytes(4, "little") == bytes((0, 3, 3, 3))
+        # members filed under a key reach the lanes above the key, not
+        # above the member; two members under one key are unioned
+        assert union_below([(2, 1)], 2).to_bytes(4, "little") == bytes((0, 0, 1, 1))
+        assert union_below([(3, 1), (3, 2)], 2).to_bytes(4, "little") == bytes((0, 0, 0, 3))
 
 
 class TestDocuments:

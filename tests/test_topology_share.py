@@ -87,7 +87,6 @@ def every_table(space):
     }
     for kind in ops.KINDS:
         out["kopen", kind] = ops.kopen_family(space, kind)
-        out["kopen-at", kind] = ops.kopen_at(space, kind)
         out["kclosure", kind] = ops.kclosure_table(space, kind)
     for nbhd, cl in ops.LOCAL_FN_ALIASES.values():
         out["hits", nbhd, cl] = ops.hit_table(space, nbhd, cl)
