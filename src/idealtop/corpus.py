@@ -113,7 +113,8 @@ class FamilyCheck(NamedTuple):
         if got == self.expected:
             return None
         fmt = lambda fam: "[" + ", ".join(space.ground.format(s) for s in fam) + "]"
-        return f"{self.kind}-open family: expected {fmt(self.expected)}, got {fmt(got)}"
+        name = "open" if self.kind == "open" else f"{self.kind}-open"
+        return f"{name} family: expected {fmt(self.expected)}, got {fmt(got)}"
 
 
 class CorpusEntry(NamedTuple):

@@ -13,6 +13,7 @@ alias as well.
 from __future__ import annotations
 
 import functools
+import re
 from typing import NamedTuple
 
 from . import dsl
@@ -35,11 +36,11 @@ __all__ = [
 ]
 
 # Registry heads, as witness tag -> template text. ``{op}`` is a
-# local-function alias, ``{psi}`` its dual and ``{T:x}`` a kind test applied
-# to ``x``. A family law states membership as a hypothesis: ``A`` lies in the
-# psi-fix family iff ``A <= psi(A)``, and in the kind-open one iff
-# ``A <= T(A)``. The Kuratowski axioms are laws of the star closure
-# ``clstar:{op}``, in KURATOWSKI_AXIOMS order.
+# local-function alias, ``{psi}`` its dual and ``{T:x}`` a kind test
+# (``operators.KIND_TESTS``) at ``x``. A family law states membership as a
+# hypothesis: ``A`` lies in the psi-fix family iff ``A <= psi(A)``, and in
+# the kind-open one iff ``A <= T(A)``. The Kuratowski axioms are laws of the
+# star closure ``clstar:{op}``, in KURATOWSKI_AXIOMS order.
 LAW_TEMPLATES: dict[str, dict[str | None, str]] = {
     "additivity": {None: "{op}(union(A,B)) == union({op}(A),{op}(B))"},
     "diff-law": {None: "diff({op}(A),{op}(B)) == diff({op}(diff(A,B)),{op}(B))"},
@@ -62,21 +63,14 @@ LAW_TEMPLATES: dict[str, dict[str | None, str]] = {
     },
 }
 
-# Each open-set kind's test T, ``{}`` standing for its argument (``operators.kopen_family``).
-KIND_TESTS = {
-    "open": "int({})",
-    "semi": "cl(int({}))",
-    "pre": "int(cl({}))",
-    "b": "union(int(cl({})),cl(int({})))",
-    "beta": "cl(int(cl({})))",
-}
+_TEST_FIELD = re.compile(r"\{T:([^}]*)\}")
 
 
-class _KindTest(str):
-    """A kind test that a template field ``{T:x}`` formats as ``T(x)``."""
-
-    def __format__(self, arg: str) -> str:
-        return self.replace("{}", arg)
+def _kind_test(kind: str, arg: str) -> str:
+    """``kind``'s test at ``arg`` as DSL text: the union of its chains in
+    ``operators.KIND_TESTS``, each wrapped around ``arg``."""
+    wrap = lambda chain: functools.reduce(lambda x, op: f"{op}({x})", reversed(chain), arg)
+    return functools.reduce(lambda x, y: f"union({x},{y})", map(wrap, ops.KIND_TESTS[kind]))
 
 
 def _scan(space: Space, tag: str | None, law: dsl.LawAst) -> Verdict:
@@ -187,20 +181,20 @@ def get_law(name: str) -> Law:
     """Resolve a registry name like ``additivity:sstar``.
 
     ``<op>`` ranges over the local-function aliases, ``<kind>`` over
-    open/semi/pre/b/beta. Raises ValueError for anything else.
+    ``operators.KINDS``. Raises ValueError for anything else.
     """
     head, sep, arg = name.partition(":")
     if not sep:
         raise ValueError(f"law name needs an argument: {name!r}")
     if head == "family-cap-closed":
-        if arg not in KIND_TESTS:
+        if arg not in ops.KIND_TESTS:
             raise ValueError(f"unknown open-set kind {arg!r} in {name!r}")
-        fields = {"T": _KindTest(KIND_TESTS[arg])}
+        fill = lambda text: _TEST_FIELD.sub(lambda field: _kind_test(arg, field[1]), text)
     elif arg in ops.LOCAL_FN_ALIASES:
-        fields = {"op": arg, "psi": ops.PSI_ALIAS[arg]}
+        fill = lambda text: text.format(op=arg, psi=ops.PSI_ALIAS[arg])
     else:
         raise ValueError(f"unknown operator alias {arg!r} in {name!r}")
     if head not in LAW_TEMPLATES:
         raise ValueError(f"unknown law {name!r}")
     templates = LAW_TEMPLATES[head].items()
-    return Law(name, tuple((tag, dsl.parse_law(text.format(**fields))) for tag, text in templates))
+    return Law(name, tuple((tag, dsl.parse_law(fill(text))) for tag, text in templates))

@@ -37,7 +37,8 @@ computes the ``2**n`` bytes of any kind pair, aliased or not, and stores
 nothing of its own.
 
 Open-set kinds and local functions are named by strings, as in the law
-DSL, the command line and the corpus: a kind is one of ``KINDS``, and
+DSL, the command line and the corpus: a kind is one of ``KINDS``, the keys
+of ``KIND_TESTS`` (its test, which the law registry reads too), and
 ``LOCAL_FN_ALIASES`` maps each alias to its ``(nbhd, cl)`` kind names.
 """
 
@@ -48,7 +49,17 @@ import itertools
 
 from .space import Family, Space, dual, lanes, nonzero, union_below
 
-KINDS = ("open", "semi", "pre", "b", "beta")
+# A set is kind-open iff it lies inside the union of its kind's chains, each
+# a tuple of "int"/"cl" written outermost first, as the law DSL nests them.
+KIND_TESTS: dict[str, tuple[tuple[str, ...], ...]] = {
+    "open": (("int",),),
+    "semi": (("cl", "int"),),
+    "pre": (("int", "cl"),),
+    "b": (("int", "cl"), ("cl", "int")),
+    "beta": (("cl", "int", "cl"),),
+}
+
+KINDS = tuple(KIND_TESTS)
 
 
 def _lanes(table: bytes) -> int:
@@ -71,36 +82,26 @@ def _inside(x: int, space: Space) -> Family:
     )))
 
 
-# The test of each kind but open, as the lanes of its right-hand side
-# computed from the int and cl tables: ``_translate(x, t)`` applies ``t``
-# after ``x``.
-_KIND_TEST_LANES = {
-    "semi": lambda it, cl: _lanes(_translate(it, cl)),
-    "pre": lambda it, cl: _lanes(_translate(cl, it)),
-    "b": lambda it, cl: _lanes(_translate(cl, it)) | _lanes(_translate(it, cl)),
-    "beta": lambda it, cl: _lanes(_translate(_translate(cl, it), cl)),
-}
-
-
 def kopen_family(space: Space, kind: str) -> Family:
-    """All kind-open subsets, canonically ordered.
-
-    open: members of the topology      semi: a <= cl(int(a))
-    pre:  a <= int(cl(a))              b:    a <= int(cl(a)) | cl(int(a))
-    beta: a <= cl(int(cl(a)))
+    """All kind-open subsets, canonically ordered: the subsets inside their
+    kind's test in ``KIND_TESTS``; for open, the topology itself.
 
     The test runs on every subset at once, in byte lanes: the int/cl
     tables are the lanes of ``int(a)`` and ``cl(a)``, and translating
-    lanes through a table applies it to each. A kind not in ``KINDS``
-    raises ``KeyError``.
+    lanes through a chain's tables, innermost first, applies the chain to
+    each. A kind not in ``KINDS`` raises ``KeyError``.
     """
     key = ("kopen", kind)
     fam = space.tables.get(key)
     if fam is None:
         if kind == "open":
             fam = space.topology.family
-        elif kind in _KIND_TEST_LANES:
-            fam = _inside(_KIND_TEST_LANES[kind](space.int_table, space.cl_table), space)
+        elif kind in KIND_TESTS:
+            test = 0
+            for chain in KIND_TESTS[kind]:
+                tables = [space.tables[op] for op in reversed(chain)]
+                test |= _lanes(functools.reduce(_translate, tables))
+            fam = _inside(test, space)
         else:
             raise KeyError(f"unknown open-set kind {kind!r}")
         space.tables[key] = fam

@@ -169,21 +169,19 @@ class SearchTask(Frozen):
         var_cap: int = 3,
         documents: tuple[str, ...] = (),  # JSON space documents, "documents" mode
     ):
-        _set(self, "law_text", law_text)
-        _set(self, "n", n)
-        _set(self, "mode", mode)
-        _set(self, "want", want)
-        _set(self, "budget_spaces", budget_spaces)
-        _set(self, "budget_assignments", budget_assignments)
-        _set(self, "var_cap", var_cap)
-        _set(self, "documents", documents)
+        for name, value in zip(self._fields, (
+            law_text, n, mode, want, budget_spaces, budget_assignments, var_cap, documents
+        )):
+            _set(self, name, value)
         if self.mode not in ("exhaustive", "subbase", "documents"):
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.want not in ("first", "all-minimal"):
             raise ValueError(f"unknown want {self.want!r}")
-        for name in ("budget_spaces", "budget_assignments", "var_cap"):
+        for name in ("n", "budget_spaces", "budget_assignments", "var_cap"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if type(value) is not int and not (value is None and "budget" in name):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if name != "n" and value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if self.mode == "documents":
             if not self.documents:

@@ -114,6 +114,11 @@ class TestCorpusLibrary:
             "semi-open family: expected [{}, {w1,w2,w3,w4}], got "
             "[{}, {w3,w4}, {w1,w3,w4}, {w2,w3,w4}, {w1,w2,w3,w4}]",
         )
+        check = corpus.FamilyCheck("open", (0, 15))
+        assert sabotage(corpus.SPACE_A_DOC, check) == (
+            "open family: expected [{}, {w1,w2,w3,w4}], got "
+            "[{}, {w1}, {w2}, {w1,w2}, {w1,w2,w3,w4}]",
+        )
 
     def test_kuratowski_pair_that_does_not_violate_is_caught(self):
         pair = (("A", corpus.W1), ("B", corpus.W2))

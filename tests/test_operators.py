@@ -15,6 +15,7 @@ import oracle
 from idealtop import dsl, laws, search
 from idealtop import operators as ops
 from idealtop.space import (
+    MAX_POINTS,
     Family,
     GroundSet,
     Ideal,
@@ -452,6 +453,11 @@ class TestAliasSurface:
             assert ops.unary_table(space_a, alias) == ops.kclosure_table(space_a, kind)
 
 
+# The 29 aliases and their ``clstar:`` forms.
+TABLE_NAMES = ops.operator_names()[:-1]
+TABLE_NAMES += tuple("clstar:" + name for name in TABLE_NAMES)
+
+
 def seeded_spaces(seed=1):
     """Two topologies each on 7 and 8 points, from three random subbase
     sets, and two ideals per topology, the power sets of 1-3 random points."""
@@ -477,12 +483,86 @@ class TestSevenAndEightPoints:
             assert 0 < space.ideal.top < space.ground.universe
 
     def test_every_table_matches_oracle(self):
-        names = ops.operator_names()[:-1]
-        names += tuple("clstar:" + name for name in names)
         for space in seeded_spaces():
             want = oracle_alias_tables(space)
-            for name in names:
+            for name in TABLE_NAMES:
                 assert ops.unary_table(space, name) == want[name], (space.ground.n, name)
+
+
+def image(perm, n):
+    """The image of every subset under the point map ``x -> perm[x]``, as
+    ``2**n`` bytes: byte ``a`` is the image of subset ``a``."""
+    return bytes(sum(1 << perm[x] for x in range(n) if a >> x & 1) for a in range(1 << n))
+
+
+class TestMetamorphic:
+    """Relations between the tables of two spaces, which need no oracle
+    and so reach the seeded 7- and 8-point spaces for every alias and its
+    ``clstar:`` form (Chen, Cheung and Yiu, 1998)."""
+
+    def test_relabelling(self):
+        """R1: for a permutation π of the points, f_{π·S}(π a) = π f_S(a)
+        for every operator f and subset a, where π·S carries the opens and
+        the ideal of S along π."""
+        rng = random.Random(17)
+        for space in seeded_spaces():
+            n = space.ground.n
+            perm = rng.sample(range(n), n)
+            assert perm != sorted(perm)
+            pi = image(perm, n)
+            moved = Space(
+                space.ground,
+                Topology(Family(pi[u] for u in space.topology.family.members)),
+                Ideal(pi[space.ideal.top]),
+            )
+            for name in TABLE_NAMES:
+                table, moved_table = ops.unary_table(space, name), ops.unary_table(moved, name)
+                assert bytes(moved_table[pi[a]] for a in range(space.n_subsets)) == bytes(
+                    pi[value] for value in table
+                ), (n, perm, name)
+
+    def test_lifting(self):
+        """R2: adding a point p as its own clopen component, inside the
+        ideal, changes no operator's value on the old points:
+        f_{S+p}(a) - {p} = f_S(a - {p}) for every subset a of the larger
+        space. The 7-point spaces lift to 8, the largest point count."""
+        for space in seeded_spaces():
+            n = space.ground.n
+            if n == MAX_POINTS:
+                continue
+            p, old = 1 << n, space.ground.universe
+            members = space.topology.family.members
+            lifted = Space(
+                GroundSet(space.ground.labels + ("p",)),
+                Topology(Family(members + tuple(u | p for u in members))),
+                Ideal(space.ideal.top | p),
+            )
+            for name in TABLE_NAMES:
+                table, lifted_table = ops.unary_table(space, name), ops.unary_table(lifted, name)
+                assert bytes(value & old for value in lifted_table) == bytes(
+                    table[a & old] for a in range(lifted.n_subsets)
+                ), (n, name)
+
+    def test_ideal_antitone(self):
+        """R3: for ideals I ⊆ J, f_J(a) ⊆ f_I(a) for every local function f
+        and subset a: a larger ideal forgives more traces. Hence a dual
+        grows with the ideal, ψ_I(a) ⊆ ψ_J(a); ``clstar:`` keeps each
+        direction; and a table of the topology alone does not change."""
+        rng = random.Random(29)
+        for space in seeded_spaces():
+            n, top = space.ground.n, space.ideal.top
+            outside = [x for x in range(n) if not top >> x & 1]
+            bigger = top | sum(1 << x for x in rng.sample(outside, rng.randint(1, 2)))
+            larger = Space(space.ground, space.topology, Ideal(bigger))
+            for name in TABLE_NAMES:
+                f_i, f_j = ops.unary_table(space, name), ops.unary_table(larger, name)
+                base = name.removeprefix("clstar:")
+                if base in ops.LOCAL_FN_ALIASES:
+                    assert all(j & ~i == 0 for i, j in zip(f_i, f_j)), (n, name)
+                elif base in ops.PSI_ALIAS.values():
+                    assert all(i & ~j == 0 for i, j in zip(f_i, f_j)), (n, name)
+                else:
+                    assert f_i == f_j, (n, name)
 
 
 # The 5 plain kinds and all 25 (nbhd, cl) pairs, aliased or not.

@@ -7,6 +7,7 @@ scan, and ``--workers`` must not change a report's bytes.
 
 import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,8 @@ class TestEnumeration:
         members = search._topology_members(5)
         assert len({t.family.members for t in members}) == len(members) == 6942
         assert all(validate_topology(t.family, ground) is None for t in members)
+        # and by the oracle's own definition, not only the program's validator
+        assert all(oracle.is_topology(bits_family(ground, t.family), ground.labels) for t in members)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_growth_equals_the_product_filter(self, n):
@@ -145,6 +148,9 @@ class TestTaskValidation:
             search.SearchTask("star(A) == A", 0)
         with pytest.raises(ValueError):
             search.SearchTask("star(A) == A", 2, mode="documents")
+        for n in (True, 2.0, "2", None):
+            with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+                search.SearchTask("star(A) == A", n)
 
     @pytest.mark.parametrize("mode", ["exhaustive", "subbase"])
     def test_documents_refused_outside_documents_mode(self, mode):
@@ -158,6 +164,13 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
             search.SearchTask("star(A) == A", 2, **{field: -1})
         assert getattr(search.SearchTask("star(A) == A", 2, **{field: 0}), field) == 0
+        # a bool or a float is refused when the task is built; None only
+        # means "no budget"
+        refused = (True, 2.0, "2", None) if field == "var_cap" else (True, 2.0, "2")
+        for value in refused:
+            match = f"^{field} must be an int, got {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=match):
+                search.SearchTask("star(A) == A", 2, **{field: value})
 
     def test_bad_document_names_its_index(self, space_a):
         task = search.SearchTask(
