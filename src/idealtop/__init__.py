@@ -33,7 +33,7 @@ from .operators import (
 )
 from .dsl import LawAst, check_law, eval_expr, format_law, parse_expr, parse_law
 from .search import SearchResult, SearchTask, enumerate_ideals, enumerate_topologies, run_search
-from .verdicts import KuratowskiReport, Verdict, Witness
+from .verdicts import Verdict, Witness
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ _LAWS_NAMES = (
     "Law",
     "StarTopologyRefused",
     "check_family_is_topology",
-    "check_kuratowski",
     "get_law",
     "law_name_templates",
     "star_topology",
@@ -84,7 +83,6 @@ __all__ = [
     "enumerate_ideals",
     "enumerate_topologies",
     "run_search",
-    "KuratowskiReport",
     "Verdict",
     "Witness",
 ]

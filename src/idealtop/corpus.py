@@ -15,6 +15,7 @@ from typing import NamedTuple
 from . import dsl, laws
 from . import operators as ops
 from .space import Space, space_from_document
+from .verdicts import Witness
 
 W1, W2, W3, W4 = 1, 2, 4, 8
 ALL = W1 | W2 | W3 | W4
@@ -83,7 +84,7 @@ class LawCheck(NamedTuple):
                 return None
             got = "Holds" if verdict.holds else f"Violated at {verdict.witness.line(space.ground)}"
             return f"{self.law}: expected {want}, got {got}"
-        violated = law.witness_violates(space, laws.Witness(self.at, 0, operation=self.tag))
+        violated = law.witness_violates(space, Witness(self.at, 0, operation=self.tag))
         if violated != self.holds:
             return None
         got = "Violated" if violated else "Holds"

@@ -6,8 +6,11 @@ lexicographically first witness (first variable outermost, masks
 ascending). Registry names follow ``<law>:<operator alias>``, or
 ``family-cap-closed:<open-set kind>``; both are the strings the operator
 layer uses, a key of ``operators.LOCAL_FN_ALIASES`` and one of
-``operators.KINDS``. ``check_kuratowski`` and ``star_topology`` take the
-alias as well.
+``operators.KINDS``. ``star_topology`` takes the alias as well.
+
+``Law.check`` gives the first failing template's verdict and
+``Law.verdicts`` every template's, keyed by tag: the per-axiom verdicts of
+a star closure are ``get_law("kuratowski:" + alias).verdicts(space)``.
 """
 
 from __future__ import annotations
@@ -19,16 +22,13 @@ from typing import NamedTuple
 from . import dsl
 from . import operators as ops
 from .space import Family, GroundSet, Space, Topology, validate_topology
-from .verdicts import KURATOWSKI_AXIOMS, KuratowskiReport, Verdict, Witness
+from .verdicts import HOLDS, Verdict, Witness
 
 __all__ = [
     "Law",
-    "Verdict",
-    "Witness",
-    "KuratowskiReport",
     "LAW_TEMPLATES",
+    "KURATOWSKI_AXIOMS",
     "StarTopologyRefused",
-    "check_kuratowski",
     "check_family_is_topology",
     "get_law",
     "law_name_templates",
@@ -40,18 +40,19 @@ __all__ = [
 # (``operators.KIND_TESTS``) at ``x``. A family law states membership as a
 # hypothesis: ``A`` lies in the psi-fix family iff ``A <= psi(A)``, and in
 # the kind-open one iff ``A <= T(A)``. The Kuratowski axioms are laws of the
-# star closure ``clstar:{op}``, in KURATOWSKI_AXIOMS order.
+# star closure ``clstar:{op}``, tagged with their names and checked in this
+# order, so a witness names the first axiom that fails.
 LAW_TEMPLATES: dict[str, dict[str | None, str]] = {
     "additivity": {None: "{op}(union(A,B)) == union({op}(A),{op}(B))"},
     "diff-law": {None: "diff({op}(A),{op}(B)) == diff({op}(diff(A,B)),{op}(B))"},
     "psi-cap": {"inter": "{psi}(inter(A,B)) == inter({psi}(A),{psi}(B))"},
     "psi-cup": {"union": "{psi}(union(A,B)) == union({psi}(A),{psi}(B))"},
-    "kuratowski": dict(zip(KURATOWSKI_AXIOMS, (
-        "clstar:{op}(empty) == empty",
-        "A <= clstar:{op}(A)",
-        "clstar:{op}(clstar:{op}(A)) == clstar:{op}(A)",
-        "clstar:{op}(union(A,B)) == union(clstar:{op}(A),clstar:{op}(B))",
-    ))),
+    "kuratowski": {
+        "fixes-empty": "clstar:{op}(empty) == empty",
+        "extensive": "A <= clstar:{op}(A)",
+        "idempotent": "clstar:{op}(clstar:{op}(A)) == clstar:{op}(A)",
+        "additive": "clstar:{op}(union(A,B)) == union(clstar:{op}(A),clstar:{op}(B))",
+    },
     "eta-topology": {
         "missing-empty": "empty <= {psi}(empty)",
         "missing-universe": "X <= {psi}(X)",
@@ -62,6 +63,9 @@ LAW_TEMPLATES: dict[str, dict[str | None, str]] = {
         "inter": "inter(A,B) <= {T:inter(A,B)} if A <= {T:A}, B <= {T:B}",
     },
 }
+
+# The closure axioms, in the order ``kuratowski:<op>`` checks them.
+KURATOWSKI_AXIOMS = tuple(LAW_TEMPLATES["kuratowski"])
 
 _TEST_FIELD = re.compile(r"\{T:([^}]*)\}")
 
@@ -78,16 +82,6 @@ def _scan(space: Space, tag: str | None, law: dsl.LawAst) -> Verdict:
     if verdict.holds:
         return verdict
     return Verdict(False, verdict.witness._replace(operation=tag))
-
-
-def check_kuratowski(space: Space, alias: str) -> KuratowskiReport:
-    """Per-axiom verdicts for the star closure ``a | f(a)`` of a
-    local-function alias (a key of ``operators.LOCAL_FN_ALIASES``): the
-    four axioms are scanned as the registry law ``kuratowski:<alias>``,
-    which raises ValueError for any other name.
-    """
-    law = get_law("kuratowski:" + alias)
-    return KuratowskiReport(*(_scan(space, axiom, ast) for axiom, ast in law.templates))
 
 
 class StarTopologyRefused(Exception):
@@ -117,7 +111,7 @@ def star_topology(space: Space, alias: str) -> Topology:
     issue = validate_topology(topo.family, space.ground)
     if issue is not None:  # guarded by the axioms; defensive only
         raise StarTopologyRefused(
-            "axioms", Verdict.violated((), 0, operation=issue.kind)
+            "axioms", Verdict(False, Witness((), 0, operation=issue.kind))
         )
     return topo
 
@@ -126,12 +120,12 @@ def check_family_is_topology(family: Family, ground: GroundSet) -> Verdict:
     """Wrap the topology validator in a verdict with a pair witness."""
     issue = validate_topology(family, ground)
     if issue is None:
-        return Verdict.ok()
+        return HOLDS
     if issue.kind in ("missing-empty", "missing-universe"):
         missing = 0 if issue.kind == "missing-empty" else ground.universe
-        return Verdict.violated((), missing, operation=issue.kind)
+        return Verdict(False, Witness((), missing, operation=issue.kind))
     a, b = issue.pair
-    return Verdict.violated((("A", a), ("B", b)), issue.missing, operation=issue.kind)
+    return Verdict(False, Witness((("A", a), ("B", b)), issue.missing, operation=issue.kind))
 
 
 class Law(NamedTuple):
@@ -145,12 +139,17 @@ class Law(NamedTuple):
         return max(len(ast.free_vars) for _, ast in self.templates)
 
     def check(self, space: Space) -> Verdict:
-        """The first failing template's first witness, tagged."""
+        """The first failing template's first witness, tagged; later
+        templates are not scanned."""
         for tag, ast in self.templates:
             verdict = _scan(space, tag, ast)
             if not verdict.holds:
                 return verdict
-        return Verdict.ok()
+        return HOLDS
+
+    def verdicts(self, space: Space) -> dict[str | None, Verdict]:
+        """Every template's verdict, keyed by its tag, in template order."""
+        return {tag: _scan(space, tag, ast) for tag, ast in self.templates}
 
     def witness_violates(self, space: Space, witness: Witness) -> bool:
         """Re-evaluate a witness at its own bindings, without the law scan:

@@ -30,7 +30,6 @@ from typing import Iterable, Iterator, NamedTuple
 from . import dsl
 from .space import (
     MAX_POINTS,
-    Family,
     Frozen,
     GroundSet,
     Ideal,
@@ -206,29 +205,27 @@ class ScanError(RuntimeError):
 
 
 class SpaceWitness(NamedTuple):
-    """One violating space with the first violating assignment found in it."""
+    """One violating space, as the stream yielded it, with the scan's
+    witness: the first violating assignment found in it."""
 
-    labels: tuple[str, ...]
-    topology: tuple[int, ...]
-    ideal: tuple[int, ...]
-    bindings: tuple[tuple[str, int], ...]
-    lhs: int
-    rhs: int
+    ground: GroundSet
+    topology: Topology
+    ideal: Ideal
+    witness: Witness
 
     def space(self) -> Space:
-        return Space(
-            GroundSet(self.labels),
-            Topology(Family(self.topology)),
-            Ideal(self.ideal[-1]),
-        )
+        """The space rebuilt on a new ``Topology`` of the same family, so
+        that it is validated and tabulated again, not read from the scan's
+        tables."""
+        return Space(self.ground, Topology(self.topology.family), self.ideal)
 
     def sort_key(self):
         return (
             len(self.topology),
             len(self.ideal),
-            Family(self.topology).mask,
+            self.topology.family.mask,
             # a power set's membership mask orders as its top, its highest bit
-            self.ideal[-1],
+            self.ideal.top,
         )
 
 
@@ -296,12 +293,7 @@ def run_search(task: SearchTask) -> SearchResult:
             cut = True
             break
         if outcome == "violated":
-            ground, topology, ideal = space_key
-            witness = verdict.witness
-            witnesses.append(SpaceWitness(
-                ground.labels, topology.family.members, tuple(ideal),
-                witness.bindings, witness.lhs, witness.rhs,
-            ))
+            witnesses.append(SpaceWitness(*space_key, verdict.witness))
             if task.want == "first":
                 break
 
@@ -321,11 +313,12 @@ def run_search(task: SearchTask) -> SearchResult:
     return SearchResult(task, status, tuple(witnesses), scanned, used, total)
 
 
-def _revalidate(witness: SpaceWitness, law: dsl.LawAst) -> None:
+def _revalidate(found: SpaceWitness, law: dsl.LawAst) -> None:
     """Definition-direct recheck of a reported witness; guards the byte-lane scan."""
-    lhs, rhs, violated = dsl.eval_law(witness.space(), law, dict(witness.bindings))
+    witness = found.witness
+    lhs, rhs, violated = dsl.eval_law(found.space(), law, dict(witness.bindings))
     if not violated or lhs != witness.lhs or rhs != witness.rhs:
-        raise AssertionError(f"search produced a witness that does not re-validate: {witness}")
+        raise AssertionError(f"search produced a witness that does not re-validate: {found}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +330,7 @@ def result_to_report(result: SearchResult) -> dict:
     witnesses = []
     for w in result.witnesses:
         space = w.space()
-        fields = Witness(w.bindings, w.lhs, w.rhs).by_label(space.ground)
+        fields = w.witness.by_label(space.ground)
         del fields["operation"]  # search witnesses are untagged
         witnesses.append({"space": space_to_document(space), **fields})
     return {

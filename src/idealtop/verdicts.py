@@ -1,4 +1,8 @@
-"""Verdict and witness types shared by the law checkers."""
+"""Verdict and witness types shared by the law checkers.
+
+A verdict is ``HOLDS`` or ``Verdict(False, Witness(...))``; the scan builds
+the witness, and the registry (``laws.Law``) tags it with its template.
+"""
 
 from __future__ import annotations
 
@@ -12,9 +16,11 @@ class Witness(NamedTuple):
     """A concrete refutation: variable bindings plus the evaluated sides.
 
     ``bindings`` pairs variable names with subset bitmasks, in scan order.
-    ``operation`` tags witnesses whose meaning is not a bare equation, such
-    as family-closure failures ("union", "inter") or a failed closure axiom
-    (one of ``KURATOWSKI_AXIOMS``).
+    ``operation`` is the tag of the registry template the witness
+    violates, a key of ``laws.LAW_TEMPLATES[<law>]``: a family-closure
+    failure ("union", "inter"), a missing bound, or a failed closure axiom
+    (one of ``laws.KURATOWSKI_AXIOMS``). Bare equations and search
+    witnesses are untagged (None).
     """
 
     bindings: tuple[tuple[str, int], ...]
@@ -52,40 +58,6 @@ class Verdict(NamedTuple):
     holds: bool
     witness: Witness | None = None
 
-    @classmethod
-    def ok(cls) -> "Verdict":
-        return HOLDS
-
-    @classmethod
-    def violated(cls, bindings, lhs, rhs=None, operation=None) -> "Verdict":
-        return cls(False, Witness(tuple(bindings), lhs, rhs, operation))
-
 
 # The one verdict of a law that holds; immutable, so every check shares it.
 HOLDS = Verdict(True)
-
-
-class KuratowskiReport(NamedTuple):
-    """Per-axiom verdicts for a candidate closure operator, one field per
-    axiom in ``KURATOWSKI_AXIOMS`` order."""
-
-    fixes_empty: Verdict
-    extensive: Verdict
-    idempotent: Verdict
-    additive: Verdict
-
-    def verdict(self, axiom: str) -> Verdict:
-        if axiom not in KURATOWSKI_AXIOMS:
-            raise ValueError(f"unknown closure axiom {axiom!r}")
-        return self[KURATOWSKI_AXIOMS.index(axiom)]
-
-    @property
-    def first_violation(self) -> tuple[str, Verdict] | None:
-        for axiom, v in zip(KURATOWSKI_AXIOMS, self):
-            if not v.holds:
-                return axiom, v
-        return None
-
-
-# The axiom names, spelled once: the report's fields, in order, hyphenated.
-KURATOWSKI_AXIOMS = tuple(name.replace("_", "-") for name in KuratowskiReport._fields)

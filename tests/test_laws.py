@@ -10,6 +10,7 @@ also held to a brute-force scan over the oracle's tables.
 import functools
 import random
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +18,18 @@ import oracle
 from idealtop import laws
 from idealtop import operators as ops
 from idealtop.search import default_labels
-from idealtop.space import Family, GroundSet, Ideal, Space, Topology, space_from_document
+from idealtop.space import (
+    Family,
+    GroundSet,
+    Ideal,
+    Space,
+    Topology,
+    parse_space,
+    space_from_document,
+)
 from idealtop.verdicts import Verdict, Witness
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # theorems for the plain open-neighborhood local function; each of these
 # holds on every ideal topological space
@@ -90,6 +101,18 @@ class TestFrozenWitnesses:
         assert (w.bindings, w.lhs, w.rhs, w.operation) == (bindings, lhs, rhs, operation)
         # the recheck path recomputes from definitions and must agree
         assert law.witness_violates(space, w)
+
+    def test_verdicts_tag_every_template_in_order(self):
+        # eta-topology has four templates; on ex-3.3-2 only the last fails
+        space = parse_space((CORPUS / "ex-3.3-2.json").read_text())
+        law = laws.get_law("eta-topology:pstar")
+        verdicts = law.verdicts(space)
+        assert tuple(verdicts) == ("missing-empty", "missing-universe", "union", "inter")
+        assert tuple(verdicts) == tuple(tag for tag, _ in law.templates)
+        assert [v.holds for v in verdicts.values()] == [True, True, True, False]
+        first = next(v for v in verdicts.values() if not v.holds)
+        assert first == law.check(space)
+        assert first.witness == Witness((("A", 5), ("B", 9)), 1, 0, "inter")
 
     def test_one_witness_through_the_oracle(self, space_a):
         # additivity:sstar on the first reference space, by hand through the
@@ -301,12 +324,12 @@ class TestRegistryAgainstOracle:
                 found = oracle_first_violation(space, tables, arity, relation, sides)
                 want = found and (*found, tag)
                 assert outcome(equations[head].check(space)) == want, (head, space)
-            report = laws.check_kuratowski(space, alias)
+            report = kuratowski.verdicts(space)
             first = None
             for axiom, (arity, relation, sides) in ORACLE_AXIOMS.items():
                 found = oracle_first_violation(space, tables, arity, relation, sides)
                 want = found and (*found, axiom)
-                assert outcome(report.verdict(axiom)) == want, (axiom, space)
+                assert outcome(report[axiom]) == want, (axiom, space)
                 first = first or want
             assert outcome(kuratowski.check(space)) == first, space
 

@@ -25,6 +25,7 @@ from idealtop.space import (
     serialize_space,
     validate_topology,
 )
+from idealtop.verdicts import Verdict, Witness
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -231,9 +232,9 @@ class TestSearchFixtures:
         assert result.spaces_scanned == MINIMAL_N3[op]
         w, = result.witnesses
         expected_topo = (0, 1, 2, 3, 7) if MINIMAL_N3[op] == 49 else (0, 3, 7)
-        assert w.topology == expected_topo
-        assert w.ideal == (0,)
-        assert (w.bindings, w.lhs, w.rhs) == ((("A", 1), ("B", 2)), 7, 3)
+        assert w.topology.family.members == expected_topo
+        assert tuple(w.ideal) == (0,)
+        assert w.witness == Witness((("A", 1), ("B", 2)), 7, 3)
 
     def test_witnesses_hold_up_in_the_oracle(self):
         for op in ("sstar", "xibeta"):
@@ -243,12 +244,14 @@ class TestSearchFixtures:
             topo, ideal, points = oracle.space_to_oracle(space)
             nbhd, cl = oracle.NAMED_LOCAL_FNS[op]
             f = lambda s: oracle.local_function(topo, ideal, points, nbhd, cl, s)
-            env = {name: oracle.bits_to_set(space.ground, bits) for name, bits in w.bindings}
+            env = {
+                name: oracle.bits_to_set(space.ground, bits) for name, bits in w.witness.bindings
+            }
             lhs = f(env["A"] | env["B"])
             rhs = f(env["A"]) | f(env["B"])
             assert lhs != rhs
-            assert oracle.set_to_bits(space.ground, lhs) == w.lhs
-            assert oracle.set_to_bits(space.ground, rhs) == w.rhs
+            assert oracle.set_to_bits(space.ground, lhs) == w.witness.lhs
+            assert oracle.set_to_bits(space.ground, rhs) == w.witness.rhs
 
     def test_b_local_function_fails_at_four_points_too(self):
         result = search.run_search(search.SearchTask(ADDITIVITY.format(op="bstar"), 4))
@@ -256,8 +259,8 @@ class TestSearchFixtures:
         assert result.spaces_scanned == 49
         assert result.spaces_total == 355 * 16
         w, = result.witnesses
-        assert (w.topology, w.ideal) == ((0, 3, 15), (0,))
-        assert (w.bindings, w.lhs, w.rhs) == ((("A", 1), ("B", 2)), 15, 3)
+        assert (w.topology.family.members, tuple(w.ideal)) == ((0, 3, 15), (0,))
+        assert w.witness == Witness((("A", 1), ("B", 2)), 15, 3)
 
     def test_conditional_laws_search_and_revalidate(self):
         # intersection closure of the open sets holds everywhere; of the
@@ -272,8 +275,8 @@ class TestSearchFixtures:
         assert result.status == search.STATUS_FOUND
         assert result.spaces_scanned == 49
         w, = result.witnesses
-        assert (w.topology, w.ideal) == ((0, 1, 2, 3, 7), (0,))
-        assert (w.bindings, w.lhs, w.rhs) == ((("A", 5), ("B", 6)), 4, 0)
+        assert (w.topology.family.members, tuple(w.ideal)) == ((0, 1, 2, 3, 7), (0,))
+        assert w.witness == Witness((("A", 5), ("B", 6)), 4, 0)
 
     def test_open_star_additivity_certified_at_three_points(self):
         result = search.run_search(search.SearchTask(ADDITIVITY.format(op="star"), 3))
@@ -282,13 +285,51 @@ class TestSearchFixtures:
         assert result.assignments_evaluated == 232 * 64
 
 
+class TestRevalidation:
+    def test_a_witness_that_does_not_hold_up_is_refused(self, monkeypatch):
+        # A scan that claims star additivity fails at A={w1}, B={w2}, where
+        # it holds on every space, must not reach a report.
+        claim = ("violated", Verdict(False, Witness((("A", 1), ("B", 2)), 3, 3)), 1)
+        monkeypatch.setattr(dsl, "_scan_lanes", lambda *args: claim)
+        with pytest.raises(AssertionError, match="does not re-validate"):
+            search.run_search(search.SearchTask(ADDITIVITY.format(op="star"), 2))
+
+    def test_a_witness_with_wrong_sides_is_refused(self, monkeypatch):
+        scan = dsl._scan_lanes
+
+        def misreported(*args):
+            outcome, verdict, count = scan(*args)
+            if outcome == "violated":
+                lhs = verdict.witness.lhs ^ 1
+                verdict = Verdict(False, verdict.witness._replace(lhs=lhs))
+            return outcome, verdict, count
+
+        monkeypatch.setattr(dsl, "_scan_lanes", misreported)
+        with pytest.raises(AssertionError, match="does not re-validate"):
+            search.run_search(search.SearchTask(ADDITIVITY.format(op="sstar"), 3))
+
+    def test_recheck_builds_the_space_afresh(self):
+        w, = search.run_search(search.SearchTask(ADDITIVITY.format(op="sstar"), 3)).witnesses
+        space = w.space()
+        assert (space.ground, space.topology, space.ideal) == (w.ground, w.topology, w.ideal)
+        # a new topology object, validated and tabulated again: the recheck
+        # does not read the tables the scan read
+        assert space.topology is not w.topology
+        scanned = w.topology._tables[1]
+        assert space.tables is not scanned
+        assert (space.int_table, space.cl_table) == (scanned["int"], scanned["cl"])
+
+
 class TestAllMinimal:
     def test_collects_tied_minimal_spaces_in_order(self):
         task = search.SearchTask(ADDITIVITY.format(op="xis"), 3, want="all-minimal")
         result = search.run_search(task)
         assert result.status == search.STATUS_FOUND
         assert result.spaces_scanned == 232  # full sweep before filtering
-        assert [(w.topology, w.ideal, w.bindings) for w in result.witnesses] == [
+        assert [
+            (w.topology.family.members, tuple(w.ideal), w.witness.bindings)
+            for w in result.witnesses
+        ] == [
             ((0, 1, 2, 3, 7), (0,), (("A", 1), ("B", 2))),
             ((0, 1, 4, 5, 7), (0,), (("A", 1), ("B", 4))),
             ((0, 2, 4, 6, 7), (0,), (("A", 2), ("B", 4))),
@@ -379,7 +420,7 @@ class TestNonExhaustiveModes:
         assert hit.status == search.STATUS_FOUND
         assert hit.spaces_scanned == 2
         w, = hit.witnesses
-        assert w.bindings == (("A", 1), ("B", 2))
+        assert w.witness.bindings == (("A", 1), ("B", 2))
         miss = search.run_search(
             search.SearchTask(law, 0, mode="documents", documents=(doc_1pt,))
         )

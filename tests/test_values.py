@@ -22,7 +22,7 @@ from idealtop.space import (
     generate_ideal,
     generate_topology,
 )
-from idealtop.verdicts import HOLDS, KuratowskiReport, Verdict, Witness
+from idealtop.verdicts import HOLDS, Verdict, Witness
 
 G2 = GroundSet(("w1", "w2"))
 WITNESS = Witness((("A", 1),), 1, 0)
@@ -41,12 +41,6 @@ def _space(top: int, topology: Topology = TOPOLOGY) -> Space:
 CASES = [
     (Witness, dict(bindings=(("A", 5),), lhs=1, rhs=2, operation=None), "lhs", 3),
     (Verdict, dict(holds=False, witness=WITNESS), "holds", True),
-    (
-        KuratowskiReport,
-        dict(fixes_empty=HOLDS, extensive=HOLDS, idempotent=HOLDS, additive=HOLDS),
-        "additive",
-        Verdict(False, WITNESS),
-    ),
     (dsl.Expr, dict(name="union", args=(dsl.Expr("A"), dsl.Expr("B"))), "name", "inter"),
     (dsl._Token, dict(kind="NAME", text="star", pos=0), "pos", 4),
     (laws.Law, dict(name="a:b", templates=((None, LAW),)), "name", "a:c"),
@@ -54,9 +48,9 @@ CASES = [
     (IdealIssue, dict(kind="heredity", member=3, pair=None, missing=1), "member", 2),
     (
         search.SpaceWitness,
-        dict(labels=("w1",), topology=(0, 1), ideal=(0,), bindings=(("A", 1),), lhs=1, rhs=0),
-        "rhs",
-        1,
+        dict(ground=G2, topology=TOPOLOGY, ideal=Ideal(0), witness=WITNESS),
+        "witness",
+        WITNESS._replace(rhs=1),
     ),
     (
         search.SearchResult,
@@ -202,9 +196,9 @@ def test_unpickled_space_keys_build_the_same_space():
 
 
 def test_holds_is_one_shared_immutable_verdict(space_a):
-    assert Verdict.ok() is HOLDS
     assert dsl.check_law(space_a, dsl.parse_law("star(A) <= cl(A)")) is HOLDS
     assert laws.get_law("additivity:star").check(space_a) is HOLDS
+    assert laws.check_family_is_topology(TOPOLOGY.family, G2) is HOLDS
     assert HOLDS == Verdict(True, None)
     with pytest.raises(AttributeError):
         HOLDS.holds = False
