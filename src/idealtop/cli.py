@@ -109,7 +109,7 @@ def cmd_check(args) -> int:
     if args.laws_file:
         text = _read_text(args.laws_file)
         try:
-            file_laws = dsl.read_laws_file(text)
+            file_laws = dsl.read_laws_file(text, var_cap=args.var_cap)
         except dsl.DslError as exc:
             raise ValueError(f"{args.laws_file}:{exc.line}: {exc}") from exc
         if not file_laws:

@@ -10,33 +10,16 @@ mismatch with expected vs got.
 
 from __future__ import annotations
 
+from importlib import resources
 from typing import NamedTuple
 
 from . import dsl, laws
 from . import operators as ops
-from .space import Space, space_from_document
+from .space import Space, parse_space
 from .verdicts import Witness
 
 W1, W2, W3, W4 = 1, 2, 4, 8
 ALL = W1 | W2 | W3 | W4
-
-SPACE_A_DOC = {
-    "points": ["w1", "w2", "w3", "w4"],
-    "topology": [[], ["w1"], ["w2"], ["w1", "w2"], ["w1", "w2", "w3", "w4"]],
-    "ideal": [[], ["w3"]],
-}
-
-SPACE_B_DOC = {
-    "points": ["w1", "w2", "w3", "w4"],
-    "topology": [
-        [],
-        ["w3", "w4"],
-        ["w1", "w3", "w4"],
-        ["w2", "w3", "w4"],
-        ["w1", "w2", "w3", "w4"],
-    ],
-    "ideal": [[], ["w1"]],
-}
 
 
 def _fmt_bindings(space: Space, bindings) -> str:
@@ -118,14 +101,19 @@ class FamilyCheck(NamedTuple):
         return f"{name} family: expected {fmt(self.expected)}, got {fmt(got)}"
 
 
+def space_text(name: str) -> str:
+    """The space document ``spaces/<name>.json`` shipped with the package."""
+    return (resources.files("idealtop") / "spaces" / f"{name}.json").read_text(encoding="utf-8")
+
+
 class CorpusEntry(NamedTuple):
     id: str
     title: str
-    document: dict
+    document: str  # the name of the entry's space document, see ``space_text``
     checks: tuple
 
     def space(self) -> Space:
-        return space_from_document(self.document)
+        return parse_space(space_text(self.document))
 
 
 class EntryReport(NamedTuple):
@@ -158,7 +146,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-3.3-1",
         "semi-star additivity fails where open-star additivity holds",
-        SPACE_A_DOC,
+        "ex-3.3-1",
         (
             FamilyCheck("semi", (0, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15)),
             EvalCheck("sstar(E)", (("E", W1 | W3),), W1),
@@ -172,7 +160,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-3.3-2",
         "pre-star and beta-star additivity fail; their star closures are not Kuratowski",
-        SPACE_B_DOC,
+        "ex-3.3-2",
         (
             FamilyCheck("pre", (0, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
             FamilyCheck("beta", (0, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
@@ -195,7 +183,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-3.6",
         "the difference law fails for the semi local function",
-        SPACE_A_DOC,
+        "ex-3.3-1",
         (
             EvalCheck(
                 "diff(sstar(A),sstar(B))",
@@ -214,7 +202,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-3.7",
         "the difference law fails for the pre local function",
-        SPACE_B_DOC,
+        "ex-3.3-2",
         (
             EvalCheck(
                 "diff(pstar(A),pstar(B))",
@@ -233,7 +221,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-3.8",
         "psi of the pre local function distributes over neither meet nor join",
-        SPACE_B_DOC,
+        "ex-3.3-2",
         (
             EvalCheck("psip(A)", (("A", W2 | W4),), W1 | W2 | W4),
             EvalCheck("psip(B)", (("B", W2 | W3),), W1 | W2 | W3),
@@ -250,7 +238,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-3.10",
         "sets below their psi-pre image do not form a topology",
-        SPACE_B_DOC,
+        "ex-3.3-2",
         (
             LawCheck("A <= psip(A)", True, (("A", W2 | W4),)),
             LawCheck("A <= psip(A)", True, (("A", W2 | W3),)),
@@ -262,7 +250,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-4.2",
         "the closure-expanded semi local function is not additive",
-        SPACE_A_DOC,
+        "ex-3.3-1",
         (
             EvalCheck("xis(A)", (("A", W2 | W3),), W2),
             EvalCheck("xis(B)", (("B", W1 | W3),), W1),
@@ -275,7 +263,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-4.3",
         "the closure-expanded beta local function is not additive",
-        SPACE_B_DOC,
+        "ex-3.3-2",
         (
             EvalCheck("xibeta(A)", (("A", W1 | W3),), W3),
             EvalCheck("xibeta(B)", (("B", W1 | W4),), W4),
@@ -287,7 +275,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-4.4",
         "the closure-expanded pre local function is not additive",
-        SPACE_B_DOC,
+        "ex-3.3-2",
         (
             EvalCheck("xip(E)", (("E", W1 | W3),), W3),
             EvalCheck("xip(F)", (("F", W1 | W4),), W4),
@@ -299,7 +287,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-4.7",
         "psi of the closure-expanded semi operator breaks meets and its fix family",
-        SPACE_A_DOC,
+        "ex-3.3-1",
         (
             EvalCheck("psixis(A)", (("A", W2 | W4),), W2 | W3 | W4),
             EvalCheck("psixis(B)", (("B", W1 | W4),), W1 | W3 | W4),
@@ -316,7 +304,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         "ex-4.8",
         "psi of the closure-expanded beta operator breaks meets and its fix family",
-        SPACE_B_DOC,
+        "ex-3.3-2",
         (
             EvalCheck("psixibeta(A)", (("A", W2 | W4),), W1 | W2 | W4),
             EvalCheck("psixibeta(B)", (("B", W2 | W3),), W1 | W2 | W3),

@@ -592,16 +592,18 @@ def check_law(space: Space, law: LawAst, *, var_cap: int = 3) -> Verdict:
     return verdict
 
 
-def read_laws_file(text: str) -> list[LawAst]:
+def read_laws_file(text: str, *, var_cap: int = 3) -> list[LawAst]:
     """One law per line; blank lines and '#' comments are skipped. A law
-    that fails to parse raises its error with ``line`` set to its line
-    number, counted from 1, and its offset counted from the line's start."""
+    that fails to parse, or has more free variables than ``var_cap``,
+    raises its error with ``line`` set to its line number, counted from 1,
+    and its offset counted from the line's start."""
     out = []
     for number, line in enumerate(text.splitlines(), 1):
         code = line.split("#", 1)[0]
         if code.strip():
             try:
                 out.append(parse_law(code))
+                _check_var_cap(out[-1], var_cap)
             except DslError as exc:
                 exc.line = number
                 raise

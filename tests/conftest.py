@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from idealtop import corpus, search
-from idealtop.space import GroundSet, Space, space_from_document
+from idealtop.space import GroundSet, Space, parse_space
 
 # pytest puts src/ on sys.path (pyproject's ``pythonpath``); the CLI tests'
 # ``python -m idealtop`` children need it on PYTHONPATH as well.
@@ -17,13 +17,13 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @pytest.fixture(scope="session")
 def space_a() -> Space:
     """Four points, opens {}, {w1}, {w2}, {w1,w2}, X; ideal {{}, {w3}}."""
-    return space_from_document(corpus.SPACE_A_DOC)
+    return parse_space(corpus.space_text("ex-3.3-1"))
 
 
 @pytest.fixture(scope="session")
 def space_b() -> Space:
     """Four points, opens {}, {w3,w4}, {w1,w3,w4}, {w2,w3,w4}, X; ideal {{}, {w1}}."""
-    return space_from_document(corpus.SPACE_B_DOC)
+    return parse_space(corpus.space_text("ex-3.3-2"))
 
 
 def _spaces_up_to(max_points: int) -> list[Space]:

@@ -5,8 +5,8 @@ Criteria, in order: corpus reproduction; three-point certification of
 open-star additivity; four-point refutation of semi-star additivity;
 Kuratowski refutation for the plain pre/beta functions; fix-family
 topology refutations; the exhaustive property suite; DSL/registry witness
-equivalence; parallel-search determinism; enumeration counts against the
-validator-scan oracle.
+equivalence; ``--workers`` changes no report byte; enumeration counts
+against the validator-scan oracle.
 """
 
 import json
@@ -237,7 +237,7 @@ def test_criterion_7_dsl_registry_equivalence(space_a, space_b):
 
 
 def test_criterion_8_parallel_determinism():
-    # at least two workers so the parallel merge path really runs
+    # --workers is parsed and ignored; a count above one must change no report byte
     workers = max(2, min(os.cpu_count() or 2, 8))
     argvs = (
         ["search", ADDITIVITY.format(op="xis"), "--points", "3", "--all-minimal"],

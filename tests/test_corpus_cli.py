@@ -11,14 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from idealtop import corpus
-from idealtop.space import parse_space, space_from_document, space_to_document
+from idealtop import cli, corpus, dsl
 
 REPO = Path(__file__).resolve().parent.parent
-CORPUS_DIR = REPO / "corpus"
+SPACES_DIR = REPO / "src" / "idealtop" / "spaces"
 
 
-def sabotage(document: dict, *checks) -> tuple[str, ...]:
+def sabotage(document: str, *checks) -> tuple[str, ...]:
     """The failures of a corpus entry made of deliberately wrong checks."""
     return corpus.run_entry(corpus.CorpusEntry("fake", "sabotage", document, checks)).failures
 
@@ -52,7 +51,7 @@ class TestCorpusLibrary:
         entry = corpus.CorpusEntry(
             "fake",
             "deliberately wrong expectation",
-            corpus.SPACE_A_DOC,
+            "ex-3.3-1",
             (corpus.EvalCheck("sstar(A)", (("A", 5),), expected=0),),
         )
         report = corpus.run_entry(entry)
@@ -64,7 +63,7 @@ class TestCorpusLibrary:
         entry = corpus.CorpusEntry(
             "fake",
             "deliberately wrong expectations",
-            corpus.SPACE_B_DOC,
+            "ex-3.3-2",
             (
                 corpus.LawCheck("additivity:pstar", holds=True),
                 corpus.LawCheck("psi-cap:pstar", holds=True),
@@ -81,13 +80,13 @@ class TestCorpusLibrary:
     # template.
     def test_law_that_holds_is_caught(self):
         law = "star(union(A,B)) == union(star(A),star(B))"
-        assert sabotage(corpus.SPACE_A_DOC, corpus.LawCheck(law, holds=False)) == (
+        assert sabotage("ex-3.3-1", corpus.LawCheck(law, holds=False)) == (
             f"{law}: expected Violated, got Holds",
         )
 
     def test_other_first_failing_axiom_is_caught(self):
         check = corpus.LawCheck("kuratowski:pstar", False, tag="idempotent")
-        assert sabotage(corpus.SPACE_B_DOC, check) == (
+        assert sabotage("ex-3.3-2", check) == (
             "kuratowski:pstar: expected Violated (idempotent), got Violated at "
             "A={w3} B={w4} lhs={w1,w2,w3,w4} rhs={w3,w4} (additive)",
         )
@@ -97,25 +96,24 @@ class TestCorpusLibrary:
             corpus.LawCheck("additivity:pstar", False, (("A", corpus.W1), ("B", corpus.W2))),
             corpus.LawCheck("A <= psip(A)", True, (("A", corpus.W2),)),
         )
-        assert sabotage(corpus.SPACE_B_DOC, *checks) == (
+        assert sabotage("ex-3.3-2", *checks) == (
             "additivity:pstar [A={w1}, B={w2}]: expected Violated, got Holds",
             "A <= psip(A) [A={w2}]: expected Holds, got Violated",
         )
 
-    def test_bindings_that_cover_no_template_are_refused(self):
-        space = space_from_document(corpus.SPACE_A_DOC)
+    def test_bindings_that_cover_no_template_are_refused(self, space_a):
         for at in ((("A", 5),), (("A", 5), ("C", 6))):
             with pytest.raises(ValueError, match="^additivity:sstar: bindings of A"):
-                corpus.LawCheck("additivity:sstar", True, at).run(space)
+                corpus.LawCheck("additivity:sstar", True, at).run(space_a)
 
     def test_wrong_family_is_caught(self):
         check = corpus.FamilyCheck("semi", (0, 15))
-        assert sabotage(corpus.SPACE_B_DOC, check) == (
+        assert sabotage("ex-3.3-2", check) == (
             "semi-open family: expected [{}, {w1,w2,w3,w4}], got "
             "[{}, {w3,w4}, {w1,w3,w4}, {w2,w3,w4}, {w1,w2,w3,w4}]",
         )
         check = corpus.FamilyCheck("open", (0, 15))
-        assert sabotage(corpus.SPACE_A_DOC, check) == (
+        assert sabotage("ex-3.3-1", check) == (
             "open family: expected [{}, {w1,w2,w3,w4}], got "
             "[{}, {w1}, {w2}, {w1,w2}, {w1,w2,w3,w4}]",
         )
@@ -123,30 +121,21 @@ class TestCorpusLibrary:
     def test_kuratowski_pair_that_does_not_violate_is_caught(self):
         pair = (("A", corpus.W1), ("B", corpus.W2))
         check = corpus.LawCheck("kuratowski:pstar", False, pair, "additive")
-        assert sabotage(corpus.SPACE_B_DOC, check) == (
+        assert sabotage("ex-3.3-2", check) == (
             "kuratowski:pstar [A={w1}, B={w2}]: expected Violated (additive), got Holds",
         )
 
     def test_documents_are_only_the_two_reference_spaces(self):
-        docs = {json.dumps(e.document, sort_keys=True) for e in corpus.ENTRIES}
-        assert docs == {
-            json.dumps(corpus.SPACE_A_DOC, sort_keys=True),
-            json.dumps(corpus.SPACE_B_DOC, sort_keys=True),
-        }
+        assert {e.document for e in corpus.ENTRIES} == {"ex-3.3-1", "ex-3.3-2"}
 
 
 class TestCorpusFiles:
     def test_one_file_per_entry(self):
-        names = sorted(p.name for p in CORPUS_DIR.glob("*.json"))
-        assert names == sorted(f"{e.id}.json" for e in corpus.ENTRIES)
-
-    @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=[e.id for e in corpus.ENTRIES])
-    def test_files_load_and_match_entries(self, entry):
-        text = (CORPUS_DIR / f"{entry.id}.json").read_text(encoding="utf-8")
-        doc = json.loads(text)
-        assert doc["name"] == entry.id
-        assert parse_space(text) == entry.space()
-        assert doc == space_to_document(space_from_document(entry.document), name=entry.id)
+        # every entry's space is one shipped file, and no shipped file is unused
+        shipped = sorted(p.name for p in SPACES_DIR.glob("*.json"))
+        assert shipped == sorted({f"{e.document}.json" for e in corpus.ENTRIES})
+        for entry in corpus.ENTRIES:
+            assert json.loads(corpus.space_text(entry.document))["name"] == entry.document
 
 
 def run_cli(*argv, cwd=REPO, timeout=300):
@@ -159,8 +148,8 @@ def run_cli(*argv, cwd=REPO, timeout=300):
     )
 
 
-SPACE_A_FILE = str(CORPUS_DIR / "ex-3.3-1.json")
-SPACE_B_FILE = str(CORPUS_DIR / "ex-3.3-2.json")
+SPACE_A_FILE = str(SPACES_DIR / "ex-3.3-1.json")
+SPACE_B_FILE = str(SPACES_DIR / "ex-3.3-2.json")
 NOT_A_VARIABLE = "is not a variable (single uppercase letter other than X)"
 NON_STRING_NAME_DOC = '{"name": [1, 2], "points": ["a"], "topology": [[], ["a"]], "ideal": [[]]}'
 # read as the second "points" list if a repeated key were let through
@@ -327,6 +316,24 @@ class TestCheckCommand:
         out = run_cli("check", "--space", SPACE_A_FILE, "--laws-file", str(laws_file))
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == f"error: {laws_file}:4: expected an expression (offset 7)\n"
+
+    def test_laws_file_over_the_cap_names_file_and_line(self, tmp_path, monkeypatch, capsys):
+        laws_file = tmp_path / "laws.txt"
+        laws_file.write_text("star(A) == X\nA <= B\n")
+        scanned = []
+        check_law = dsl.check_law
+
+        def recording(space, law, **kw):
+            scanned.append(law)
+            return check_law(space, law, **kw)
+
+        monkeypatch.setattr(dsl, "check_law", recording)
+        argv = ["check", "--space", SPACE_A_FILE, "--laws-file", str(laws_file), "--var-cap", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {laws_file}:2: law has 2 free variables, cap is 1\n"
+        )
+        assert scanned == []  # refused before line 1 is scanned
 
     def test_malformed_space_file_is_named(self, tmp_path):
         bad = tmp_path / "bad.json"

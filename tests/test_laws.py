@@ -10,7 +10,6 @@ also held to a brute-force scan over the oracle's tables.
 import functools
 import random
 from itertools import permutations, product
-from pathlib import Path
 
 import pytest
 
@@ -24,12 +23,10 @@ from idealtop.space import (
     Ideal,
     Space,
     Topology,
-    parse_space,
     space_from_document,
 )
 from idealtop.verdicts import Verdict, Witness
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # theorems for the plain open-neighborhood local function; each of these
 # holds on every ideal topological space
@@ -102,16 +99,15 @@ class TestFrozenWitnesses:
         # the recheck path recomputes from definitions and must agree
         assert law.witness_violates(space, w)
 
-    def test_verdicts_tag_every_template_in_order(self):
+    def test_verdicts_tag_every_template_in_order(self, space_b):
         # eta-topology has four templates; on ex-3.3-2 only the last fails
-        space = parse_space((CORPUS / "ex-3.3-2.json").read_text())
         law = laws.get_law("eta-topology:pstar")
-        verdicts = law.verdicts(space)
+        verdicts = law.verdicts(space_b)
         assert tuple(verdicts) == ("missing-empty", "missing-universe", "union", "inter")
         assert tuple(verdicts) == tuple(tag for tag, _ in law.templates)
         assert [v.holds for v in verdicts.values()] == [True, True, True, False]
         first = next(v for v in verdicts.values() if not v.holds)
-        assert first == law.check(space)
+        assert first == law.check(space_b)
         assert first.witness == Witness((("A", 5), ("B", 9)), 1, 0, "inter")
 
     def test_one_witness_through_the_oracle(self, space_a):

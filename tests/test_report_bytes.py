@@ -10,11 +10,8 @@ refutations that scan every space and one certification.
 """
 
 import hashlib
-from pathlib import Path
 
-from idealtop import search
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+from idealtop import corpus, search
 
 LAWS = (
     "sstar(union(A,B)) == union(sstar(A),sstar(B))",
@@ -44,7 +41,8 @@ def grid_tasks():
                         law, n, want=want,
                         budget_spaces=spaces, budget_assignments=assignments,
                     )
-    documents = tuple(path.read_text() for path in sorted(CORPUS.glob("*.json")))
+    entries = sorted(corpus.ENTRIES, key=lambda entry: entry.id)
+    documents = tuple(corpus.space_text(entry.document) for entry in entries)
     for law in LAWS[:2]:
         for want in ("first", "all-minimal"):
             for assignments in (None, 50, 700):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import oracle
-from idealtop import cli, dsl, search
+from idealtop import cli, corpus, dsl, search
 from idealtop import space as space_mod
 from idealtop.space import (
     GroundSet,
@@ -28,7 +28,9 @@ from idealtop.space import (
 from idealtop.verdicts import Verdict, Witness
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SPACES = Path(__file__).resolve().parent.parent / "src" / "idealtop" / "spaces"
+# each corpus entry's space file, entries in id order
+CORPUS_FILES = [SPACES / f"{e.document}.json" for e in sorted(corpus.ENTRIES, key=lambda e: e.id)]
 
 
 def bits_family(ground, family):
@@ -440,7 +442,7 @@ class TestNonExhaustiveModes:
             return validate_topology(family, ground)
 
         monkeypatch.setattr(space_mod, "validate_topology", counting)
-        documents = tuple(path.read_text() for path in sorted(CORPUS.glob("*.json")))
+        documents = tuple(path.read_text() for path in CORPUS_FILES)
         task = search.SearchTask(
             ADDITIVITY.format(op=op), 0, mode="documents", want="all-minimal",
             documents=documents,
@@ -454,7 +456,7 @@ class TestNonExhaustiveModes:
 class TestDeterminismAndReports:
     def test_parallel_report_is_byte_identical(self, capsys):
         # --workers is accepted and ignored: every mode prints the same bytes
-        documents = [f"--space={path}" for path in sorted(CORPUS.glob("*.json"))]
+        documents = [f"--space={path}" for path in CORPUS_FILES]
         for argv in (
             [ADDITIVITY.format(op="xis"), "--points", "3"],
             [ADDITIVITY.format(op="xis"), "--points", "3", "--all-minimal"],

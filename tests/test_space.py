@@ -298,6 +298,20 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate_ideal([-1], G3)
 
+    @pytest.mark.parametrize(
+        "call, args, message",
+        [
+            # checked when called, before the first topology is asked for
+            (search.enumerate_topologies, (2, "bogus"), "unknown enumeration mode 'bogus'"),
+            (generate_topology, ((99,), GroundSet(("a", "b"))), "subbase mask 99 out of range"),
+            (generate_ideal, ((99,), GroundSet(("a", "b"))), "generator mask 99 out of range"),
+        ],
+        ids=["enumeration-mode", "subbase-mask", "generator-mask"],
+    )
+    def test_input_errors_name_the_bad_value(self, call, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(*args)
+
 
 class TestSpace:
     def test_constructor_revalidates(self):
