@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 _LAWS_NAMES = (
     "Law",
     "StarTopologyRefused",
-    "check_family_is_topology",
     "get_law",
     "law_name_templates",
     "star_topology",

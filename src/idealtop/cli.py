@@ -10,6 +10,7 @@ changes nothing: every scan runs in the calling process.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -100,24 +101,29 @@ def cmd_check(args) -> int:
 
     if args.var_cap < 0:
         raise ValueError(f"--var-cap must be >= 0, got {args.var_cap}")
-    space = _load_space(args.space)
-    results = []
+    # Every law is parsed, cap-checked and resolved before the space file
+    # is read, so a bad law fails before any scan; ``checks`` pairs each
+    # law's text with its check, in the order the results print.
+    cap = args.var_cap
+    scan = lambda law: functools.partial(dsl.check_law, law=law, var_cap=cap)
+    checks = []
     for text in args.law:
-        results.append((text, dsl.check_law(space, dsl.parse_law(text), var_cap=args.var_cap)))
-    for name in args.name:
-        results.append((name, laws.get_law(name).check(space)))
+        law = dsl.parse_law(text)
+        dsl._check_var_cap(law, cap)
+        checks.append((text, scan(law)))
+    checks += [(name, laws.get_law(name).check) for name in args.name]
     if args.laws_file:
-        text = _read_text(args.laws_file)
         try:
-            file_laws = dsl.read_laws_file(text, var_cap=args.var_cap)
+            file_laws = dsl.read_laws_file(_read_text(args.laws_file), var_cap=cap)
         except dsl.DslError as exc:
             raise ValueError(f"{args.laws_file}:{exc.line}: {exc}") from exc
         if not file_laws:
             raise ValueError(f"{args.laws_file}: no law in the file")
-        for law in file_laws:
-            results.append((dsl.format_law(law), dsl.check_law(space, law, var_cap=args.var_cap)))
-    if not results:
+        checks += [(dsl.format_law(law), scan(law)) for law in file_laws]
+    if not checks:
         raise ValueError("nothing to check: pass --law, --name or --laws-file")
+    space = _load_space(args.space)
+    results = [(text, check(space)) for text, check in checks]
     if args.json:
         _emit_json(
             [{"law": text, **_verdict_json(space, verdict)} for text, verdict in results]

@@ -16,7 +16,6 @@ from typing import NamedTuple
 from . import dsl, laws
 from . import operators as ops
 from .space import Space, parse_space
-from .verdicts import Witness
 
 W1, W2, W3, W4 = 1, 2, 4, 8
 ALL = W1 | W2 | W3 | W4
@@ -67,7 +66,7 @@ class LawCheck(NamedTuple):
                 return None
             got = "Holds" if verdict.holds else f"Violated at {verdict.witness.line(space.ground)}"
             return f"{self.law}: expected {want}, got {got}"
-        violated = law.witness_violates(space, Witness(self.at, 0, operation=self.tag))
+        violated = law.violated_at(space, self.at, self.tag)
         if violated != self.holds:
             return None
         got = "Violated" if violated else "Holds"

@@ -21,15 +21,14 @@ from typing import NamedTuple
 
 from . import dsl
 from . import operators as ops
-from .space import Family, GroundSet, Space, Topology, validate_topology
-from .verdicts import HOLDS, Verdict, Witness
+from .space import Family, Space, Topology, validate_topology
+from .verdicts import HOLDS, Verdict
 
 __all__ = [
     "Law",
     "LAW_TEMPLATES",
     "KURATOWSKI_AXIOMS",
     "StarTopologyRefused",
-    "check_family_is_topology",
     "get_law",
     "law_name_templates",
     "star_topology",
@@ -110,22 +109,8 @@ def star_topology(space: Space, alias: str) -> Topology:
     topo = Topology(Family(opens))
     issue = validate_topology(topo.family, space.ground)
     if issue is not None:  # guarded by the axioms; defensive only
-        raise StarTopologyRefused(
-            "axioms", Verdict(False, Witness((), 0, operation=issue.kind))
-        )
+        raise AssertionError(f"star closure of {alias} passed the axioms but {issue.kind} fails")
     return topo
-
-
-def check_family_is_topology(family: Family, ground: GroundSet) -> Verdict:
-    """Wrap the topology validator in a verdict with a pair witness."""
-    issue = validate_topology(family, ground)
-    if issue is None:
-        return HOLDS
-    if issue.kind in ("missing-empty", "missing-universe"):
-        missing = 0 if issue.kind == "missing-empty" else ground.universe
-        return Verdict(False, Witness((), missing, operation=issue.kind))
-    a, b = issue.pair
-    return Verdict(False, Witness((("A", a), ("B", b)), issue.missing, operation=issue.kind))
 
 
 class Law(NamedTuple):
@@ -151,24 +136,26 @@ class Law(NamedTuple):
         """Every template's verdict, keyed by its tag, in template order."""
         return {tag: _scan(space, tag, ast) for tag, ast in self.templates}
 
-    def witness_violates(self, space: Space, witness: Witness) -> bool:
-        """Re-evaluate a witness at its own bindings, without the law scan:
-        on the template its tag names or, untagged, on every template whose
-        variables it binds (violated if any of them is). Untagged bindings
+    def violated_at(
+        self, space: Space, bindings: tuple[tuple[str, int], ...], tag: str | None = None
+    ) -> bool:
+        """Evaluate the law at these bindings only, without the law scan: on
+        the template ``tag`` names or, untagged, on every template whose
+        variables they bind (violated if any of them is). Untagged bindings
         that cover no template raise ValueError."""
-        bindings = dict(witness.bindings)
-        if witness.operation is None:
-            asts = [ast for _, ast in self.templates if set(ast.free_vars) <= bindings.keys()]
+        env = dict(bindings)
+        if tag is None:
+            asts = [ast for _, ast in self.templates if set(ast.free_vars) <= env.keys()]
             if not asts:
                 raise ValueError(
-                    f"{self.name}: bindings of {', '.join(bindings) or 'no variable'} "
+                    f"{self.name}: bindings of {', '.join(env) or 'no variable'} "
                     "cover the variables of no template"
                 )
         else:
-            asts = [ast for tag, ast in self.templates if tag == witness.operation]
+            asts = [ast for t, ast in self.templates if t == tag]
             if not asts:
-                raise ValueError(f"unknown witness tag {witness.operation!r} for {self.name}")
-        return any(dsl.eval_law(space, ast, bindings)[2] for ast in asts)
+                raise ValueError(f"unknown witness tag {tag!r} for {self.name}")
+        return any(dsl.eval_law(space, ast, env)[2] for ast in asts)
 
 
 def law_name_templates() -> tuple[str, ...]:

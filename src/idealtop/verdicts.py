@@ -25,29 +25,25 @@ class Witness(NamedTuple):
 
     bindings: tuple[tuple[str, int], ...]
     lhs: int
-    rhs: int | None = None
+    rhs: int
     operation: str | None = None
 
     def by_label(self, ground: GroundSet) -> dict:
         """The witness in point labels, as reports print it: ``bindings``
-        maps each variable to its subset, ``lhs`` and ``rhs`` are subsets
-        (``rhs`` None when the witness has none), and ``operation`` is the
-        tag."""
+        maps each variable to its subset, ``lhs`` and ``rhs`` are subsets,
+        and ``operation`` is the tag."""
         labels = ground.labels_of
         return {
             "bindings": {name: labels(bits) for name, bits in self.bindings},
             "lhs": labels(self.lhs),
-            "rhs": None if self.rhs is None else labels(self.rhs),
+            "rhs": labels(self.rhs),
             "operation": self.operation,
         }
 
     def line(self, ground: GroundSet) -> str:
-        """``by_label`` on one line: ``A={w1} lhs={w1,w2} rhs={w2} (tag)``,
-        without ``rhs=`` when the witness has none."""
+        """``by_label`` on one line: ``A={w1} lhs={w1,w2} rhs={w2} (tag)``."""
         fields = self.by_label(ground)
-        subsets = {**fields["bindings"], "lhs": fields["lhs"]}
-        if fields["rhs"] is not None:
-            subsets["rhs"] = fields["rhs"]
+        subsets = {**fields["bindings"], "lhs": fields["lhs"], "rhs": fields["rhs"]}
         line = " ".join(f"{name}={{{','.join(subset)}}}" for name, subset in subsets.items())
         return line if self.operation is None else f"{line} ({self.operation})"
 

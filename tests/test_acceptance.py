@@ -19,8 +19,7 @@ from pathlib import Path
 import oracle
 from idealtop import corpus, dsl, laws, search
 from idealtop import operators as ops
-from idealtop.space import Space, generate_ideal
-from idealtop.verdicts import Witness
+from idealtop.space import Space, generate_ideal, validate_topology
 from test_dsl import serial_first_violation
 
 REPO = Path(__file__).resolve().parent.parent
@@ -70,7 +69,7 @@ def test_criterion_3_four_point_refutation(space_a):
     # pinned pair A={w1,w3}, B={w2,w3}
     law = laws.get_law("additivity:sstar")
     assert not law.check(space_a).holds
-    assert law.witness_violates(space_a, Witness((("A", 5), ("B", 6)), 0))
+    assert law.violated_at(space_a, (("A", 5), ("B", 6)))
     assert elapsed < 600.0
     report(
         "PASS criterion 3: semi-star additivity refuted at n=4 "
@@ -108,12 +107,13 @@ def test_criterion_5_fix_family_topology_refutations(space_a, space_b):
     )
     for alias, space, pair, missing in cases:
         fam = ops.psi_fix_family(space, alias)
-        verdict = laws.check_family_is_topology(fam, space.ground)
+        verdict = laws.get_law("eta-topology:" + alias).check(space)
         assert not verdict.holds
         w = verdict.witness
         assert w.operation == "inter"
         assert tuple(bits for _, bits in w.bindings) == pair
         assert w.lhs == missing
+        assert validate_topology(fam, space.ground) == ("inter", pair, missing)
         a, b = pair
         assert a in fam and b in fam and (a & b) not in fam
     report(

@@ -335,6 +335,38 @@ class TestCheckCommand:
         )
         assert scanned == []  # refused before line 1 is scanned
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--space", SPACE_A_FILE, "--law", "A <= B", "--laws-file", "laws.txt"),
+             "laws.txt:2: expected an expression (offset 4)"),
+            (("--space", SPACE_A_FILE, "--name", "additivity:nope", "--law", "A <= B"),
+             "unknown operator alias 'nope' in 'additivity:nope'"),
+            (("--space", "bad.json", "--law", "bad(("), "expected an expression (offset 4)"),
+        ],
+        ids=["laws-file-after-law", "unknown-name-after-law", "bad-law-and-bad-space"],
+    )
+    def test_every_law_is_resolved_before_any_scan(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        # the laws of every source are read before the space file, so the
+        # first bad law is the error, nothing is scanned, and a space file
+        # that is not JSON is never decoded (as in search)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "laws.txt").write_text("star(A) == A\nbad((\n")
+        (tmp_path / "bad.json").write_text("not json\n")
+        scans = []
+        scan_law = dsl.scan_law
+
+        def counting(*args, **kw):
+            scans.append(args)
+            return scan_law(*args, **kw)
+
+        monkeypatch.setattr(dsl, "scan_law", counting)
+        assert cli.main(["check", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert scans == []
+
     def test_malformed_space_file_is_named(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"points": ["a"], x}')

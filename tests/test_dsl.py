@@ -323,4 +323,4 @@ class TestRegistryEquivalence:
             if not direct.holds:
                 witness = direct.witness
                 assert (witness.bindings, witness.lhs, witness.rhs) == serial
-                assert law.witness_violates(space, witness)
+                assert law.violated_at(space, witness.bindings, witness.operation)

@@ -14,7 +14,7 @@ from itertools import permutations, product
 import pytest
 
 import oracle
-from idealtop import laws
+from idealtop import dsl, laws, search
 from idealtop import operators as ops
 from idealtop.search import default_labels
 from idealtop.space import (
@@ -76,9 +76,9 @@ FROZEN_VIOLATIONS = (
 )
 
 
-def pair(a: int, b: int) -> Witness:
-    """An untagged witness binding A and B, rechecked on every template."""
-    return Witness((("A", a), ("B", b)), 0)
+def pair(a: int, b: int) -> tuple[tuple[str, int], ...]:
+    """Bindings of A and B; untagged, they recheck every template."""
+    return (("A", a), ("B", b))
 
 
 class TestFrozenWitnesses:
@@ -97,7 +97,7 @@ class TestFrozenWitnesses:
         w = verdict.witness
         assert (w.bindings, w.lhs, w.rhs, w.operation) == (bindings, lhs, rhs, operation)
         # the recheck path recomputes from definitions and must agree
-        assert law.witness_violates(space, w)
+        assert law.violated_at(space, w.bindings, w.operation)
 
     def test_verdicts_tag_every_template_in_order(self, space_b):
         # eta-topology has four templates; on ex-3.3-2 only the last fails
@@ -123,40 +123,36 @@ class TestFrozenWitnesses:
         assert oracle.set_to_bits(space_a.ground, rhs) == 3
 
     def test_rechecks_reject_non_witnesses(self, space_a, space_b):
-        assert not laws.get_law("additivity:sstar").witness_violates(space_a, pair(0, 0))
-        assert not laws.get_law("eta-topology:pstar").witness_violates(space_b, pair(4, 8))
-        assert not laws.get_law("diff-law:pstar").witness_violates(space_b, pair(1, 1))
+        assert not laws.get_law("additivity:sstar").violated_at(space_a, pair(0, 0))
+        assert not laws.get_law("eta-topology:pstar").violated_at(space_b, pair(4, 8))
+        assert not laws.get_law("diff-law:pstar").violated_at(space_b, pair(1, 1))
 
     def test_untagged_pair_rechecks(self, space_a, space_b):
-        assert laws.get_law("additivity:sstar").witness_violates(space_a, pair(5, 6))
-        assert laws.get_law("family-cap-closed:semi").witness_violates(space_a, pair(5, 6))
-        assert laws.get_law("eta-topology:pstar").witness_violates(space_b, pair(5, 9))
+        assert laws.get_law("additivity:sstar").violated_at(space_a, pair(5, 6))
+        assert laws.get_law("family-cap-closed:semi").violated_at(space_a, pair(5, 6))
+        assert laws.get_law("eta-topology:pstar").violated_at(space_b, pair(5, 9))
 
     def test_untagged_recheck_refuses_bindings_that_cover_no_template(self, space_a):
         # Binding no template's variables checks nothing, so it is refused
         # rather than read as "not violated".
         law = laws.get_law("additivity:sstar")
         with pytest.raises(ValueError, match="^additivity:sstar: bindings of A cover the"):
-            law.witness_violates(space_a, Witness((("A", 5),), 0))
+            law.violated_at(space_a, (("A", 5),))
         with pytest.raises(ValueError, match="^additivity:sstar: bindings of A, C cover the"):
-            law.witness_violates(space_a, Witness((("A", 5), ("C", 6)), 0))
+            law.violated_at(space_a, (("A", 5), ("C", 6)))
 
     def test_kuratowski_recheck_needs_named_axiom(self, space_b):
         law = laws.get_law("kuratowski:pstar")
         with pytest.raises(ValueError, match="unknown witness tag 'inter'"):
-            law.witness_violates(space_b, Witness((("A", 4), ("B", 8)), 0, operation="inter"))
+            law.violated_at(space_b, pair(4, 8), "inter")
         # untagged: every axiom whose variables the pair binds is rechecked,
         # and additivity fails at ({w3}, {w4})
-        assert law.witness_violates(space_b, pair(4, 8))
-        assert not law.witness_violates(space_b, pair(0, 0))
+        assert law.violated_at(space_b, pair(4, 8))
+        assert not law.violated_at(space_b, pair(0, 0))
         # binding A alone leaves out the additive axiom, the only one of B
-        assert not law.witness_violates(space_b, Witness((("A", 4),), 0))
-        assert law.witness_violates(
-            space_b, Witness((("A", 4), ("B", 8)), 15, 12, operation="additive")
-        )
-        assert not law.witness_violates(
-            space_b, Witness((("A", 1),), 0, 0, operation="idempotent")
-        )
+        assert not law.violated_at(space_b, (("A", 4),))
+        assert law.violated_at(space_b, pair(4, 8), "additive")
+        assert not law.violated_at(space_b, (("A", 1),), "idempotent")
 
 
 def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
@@ -198,46 +194,11 @@ class TestRelabelingEquivariance:
                 assert moved.holds == base.holds
                 if not base.holds:
                     w = base.witness
-                    mapped = Witness(
-                        tuple((v, permute_mask(s, perm)) for v, s in w.bindings),
-                        permute_mask(w.lhs, perm),
-                        None if w.rhs is None else permute_mask(w.rhs, perm),
-                        operation=w.operation,
-                    )
-                    assert law.witness_violates(image, mapped)
+                    mapped = tuple((v, permute_mask(s, perm)) for v, s in w.bindings)
+                    assert law.violated_at(image, mapped, w.operation)
 
 
 class TestFamilyChecks:
-    def test_topology_check_reports_missing_constants(self):
-        g = GroundSet(("w1", "w2", "w3"))
-        v = laws.check_family_is_topology(Family((1, 7)), g)
-        assert (v.witness.bindings, v.witness.lhs, v.witness.operation) == ((), 0, "missing-empty")
-        v = laws.check_family_is_topology(Family((0, 1)), g)
-        assert (v.witness.lhs, v.witness.operation) == (7, "missing-universe")
-
-    def test_topology_witnesses_render_without_rhs(self):
-        # a validator witness has no right-hand side: by_label prints it as
-        # null and line leaves it out
-        g = GroundSet(("w1", "w2", "w3"))
-        w = laws.check_family_is_topology(Family((1, 7)), g).witness
-        assert w.rhs is None
-        assert w.by_label(g) == {
-            "bindings": {}, "lhs": (), "rhs": None, "operation": "missing-empty"
-        }
-        assert w.line(g) == "lhs={} (missing-empty)"
-        w = laws.check_family_is_topology(Family((0, 1, 2, 7)), g).witness
-        assert w.by_label(g) == {
-            "bindings": {"A": ("w1",), "B": ("w2",)},
-            "lhs": ("w1", "w2"),
-            "rhs": None,
-            "operation": "union",
-        }
-        assert w.line(g) == "A={w1} B={w2} lhs={w1,w2} (union)"
-
-    def test_topology_check_passes_real_topologies(self, small_spaces):
-        for space in small_spaces[::11]:
-            assert laws.check_family_is_topology(space.topology.family, space.ground).holds
-
     def test_intersection_check_first_pair(self):
         # opens {}, {w1}, {w2}, {w1,w2}, X: the semi-open sets add {w1,w3}
         # and {w2,w3}, whose meet {w3} is not semi-open (cl(int({w3})) = {})
@@ -482,3 +443,60 @@ class TestRegistry:
     def test_law_names_round_trip(self):
         assert laws.get_law("additivity:sstar").name == "additivity:sstar"
         assert laws.get_law("family-cap-closed:b").name == "family-cap-closed:b"
+
+
+# The census of the registry's equation templates through four points: for
+# each alias, the first n at which exhaustive search refutes the template,
+# or None when it is certified on every space with at most four points.
+# Columns are CENSUS_TEMPLATES, in registry order.
+CENSUS_TEMPLATES = (
+    ("additivity", None),
+    ("diff-law", None),
+    ("psi-cap", "inter"),
+    ("psi-cup", "union"),
+    ("kuratowski", "fixes-empty"),
+    ("kuratowski", "extensive"),
+    ("kuratowski", "idempotent"),
+    ("kuratowski", "additive"),
+)
+FIRST_REFUTED_AT = {
+    "G": (None, None, None, 2, None, None, 3, None),
+    "betastar": (3, 3, 3, 2, None, None, None, 3),
+    "bstar": (3, 3, 3, 2, None, None, None, 3),
+    "g": (None, None, None, 2, None, None, None, None),
+    "pstar": (3, 3, 3, 2, None, None, None, 3),
+    "sstar": (3, 3, 3, 2, None, None, None, 3),
+    "star": (None, None, None, 2, None, None, None, None),
+    "xib": (3, 3, 3, 2, None, None, None, 3),
+    "xibeta": (3, 3, 3, 2, None, None, None, 3),
+    "xip": (3, 3, 3, 2, None, None, 3, 3),
+    "xis": (3, 3, 3, 2, None, None, None, 3),
+}
+
+
+def first_refutation(law: dsl.LawAst) -> int | None:
+    """The least n <= 4 at which exhaustive search refutes ``law``."""
+    for n in range(1, 5):
+        result = search.run_search(search.SearchTask(dsl.format_law(law), n))
+        if result.status == search.STATUS_FOUND:
+            return n
+        assert result.status == search.STATUS_CERTIFIED
+    return None
+
+
+def test_registry_census_through_four_points():
+    heads = ("additivity", "diff-law", "psi-cap", "psi-cup", "kuratowski")
+    assert [(h, t) for h in heads for t in laws.LAW_TEMPLATES[h]] == list(CENSUS_TEMPLATES)
+    assert sorted(FIRST_REFUTED_AT) == sorted(ops.LOCAL_FN_ALIASES)
+    census = {
+        (alias, head, tag): first_refutation(dict(laws.get_law(f"{head}:{alias}").templates)[tag])
+        for alias in FIRST_REFUTED_AT
+        for head, tag in CENSUS_TEMPLATES
+    }
+    assert census == {
+        (alias, head, tag): first
+        for alias, row in FIRST_REFUTED_AT.items()
+        for (head, tag), first in zip(CENSUS_TEMPLATES, row)
+    }
+    firsts = list(census.values())
+    assert (firsts.count(2), firsts.count(3), firsts.count(None)) == (11, 34, 43)

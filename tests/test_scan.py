@@ -555,3 +555,22 @@ def test_random_laws_match_the_oracle():
     for outcome in ("holds", "violated", "budget"):
         assert min(sum(o[:2] == (outcome, c) for o in outcomes) for c in (False, True)) >= 5
     assert outcomes.count(("violated", False, True)) + outcomes.count(("violated", True, True)) >= 5
+
+
+def test_random_laws_match_the_oracle_at_five_and_six_points():
+    # the test above on five- and six-point spaces, with at most two
+    # variables so the serial oracle stays cheap; every other law has
+    # hypotheses, so each outcome occurs with and without them
+    rng = random.Random(SEED + 5)
+    outcomes = []
+    for i in range(120):
+        n, k = rng.randint(5, 6), rng.randint(0, 2)
+        hypotheses = rng.randint(1, 2) if i % 2 == 0 and k else 0
+        law = random_law(rng, k, hypotheses)
+        space, topology, ideal = oracle_space(rng, n)
+        budget = random_budget(rng, 1 << (n * k))
+        expected = oracle_scan(space, topology, ideal, law, budget)
+        assert byte_lane_scan(space, law, budget) == expected, (dsl.format_law(law), budget)
+        outcomes.append((expected[0], bool(law.hypotheses)))
+    for outcome in ("holds", "violated", "budget"):
+        assert min(outcomes.count((outcome, c)) for c in (False, True)) >= 5
