@@ -3,15 +3,16 @@
 Subcommands: eval, check, families, search, repro. Exit codes are part of
 the interface: 0 = holds / all passed / certified, 1 = violated / failed /
 counterexample found, 2 = usage or parse error or a failed scan, 3 = search
-budget exhausted. ``search --workers N`` is still parsed and checked, but
+budget exhausted, 141 = the reader closed stdout early (128 + SIGPIPE, with
+nothing on stderr). ``search --workers N`` is still parsed and checked, but
 changes nothing: every scan runs in the calling process.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
+import os
 import sys
 
 from . import dsl
@@ -102,16 +103,15 @@ def cmd_check(args) -> int:
     if args.var_cap < 0:
         raise ValueError(f"--var-cap must be >= 0, got {args.var_cap}")
     # Every law is parsed, cap-checked and resolved before the space file
-    # is read, so a bad law fails before any scan; ``checks`` pairs each
-    # law's text with its check, in the order the results print.
+    # is read, so a bad law fails before any scan; ``checks`` holds the
+    # laws in the order the results print, each named by its text.
     cap = args.var_cap
-    scan = lambda law: functools.partial(dsl.check_law, law=law, var_cap=cap)
     checks = []
     for text in args.law:
         law = dsl.parse_law(text)
         dsl._check_var_cap(law, cap)
-        checks.append((text, scan(law)))
-    checks += [(name, laws.get_law(name).check) for name in args.name]
+        checks.append(laws.text_law(text, law))
+    checks += map(laws.get_law, args.name)
     if args.laws_file:
         try:
             file_laws = dsl.read_laws_file(_read_text(args.laws_file), var_cap=cap)
@@ -119,11 +119,11 @@ def cmd_check(args) -> int:
             raise ValueError(f"{args.laws_file}:{exc.line}: {exc}") from exc
         if not file_laws:
             raise ValueError(f"{args.laws_file}: no law in the file")
-        checks += [(dsl.format_law(law), scan(law)) for law in file_laws]
+        checks += [laws.text_law(dsl.format_law(law), law) for law in file_laws]
     if not checks:
         raise ValueError("nothing to check: pass --law, --name or --laws-file")
     space = _load_space(args.space)
-    results = [(text, check(space)) for text, check in checks]
+    results = [(law.name, law.check(space)) for law in checks]
     if args.json:
         _emit_json(
             [{"law": text, **_verdict_json(space, verdict)} for text, verdict in results]
@@ -296,7 +296,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader left early (``idealtop repro | head``): exit as a tool
+        # killed by SIGPIPE does, silently, and send the exit-time flush of
+        # what is still buffered to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SpaceDocumentError, dsl.DslError, ValueError, OSError, search_mod.ScanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

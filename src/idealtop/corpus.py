@@ -1,9 +1,10 @@
 """Embedded regression corpus: small spaces with frozen expected outputs.
 
 Each entry pins down one way a closure-like operator misbehaves (or
-behaves) on a concrete four-point space, through three kinds of check: an
-expression's exact value at fixed bindings, an exact generalized-open
-family, and a law's verdict, over every assignment or at known bindings.
+behaves) on a concrete four-point space, through two kinds of check: an
+exact generalized-open family, and a law's verdict, over every assignment
+or at known bindings. An expression's exact value at fixed bindings is the
+law ``<expr> == R`` holding with ``R`` bound to the value.
 ``run_corpus`` re-derives everything from the engine and reports any
 mismatch with expected vs got.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from importlib import resources
 from typing import NamedTuple
 
-from . import dsl, laws
+from . import laws
 from . import operators as ops
 from .space import Space, parse_space
 
@@ -25,30 +26,14 @@ def _fmt_bindings(space: Space, bindings) -> str:
     return ", ".join(f"{name}={space.ground.format(bits)}" for name, bits in bindings)
 
 
-class EvalCheck(NamedTuple):
-    """An expression evaluates to an exact subset under fixed bindings."""
-
-    expr: str
-    bindings: tuple[tuple[str, int], ...]
-    expected: int
-
-    def run(self, space: Space) -> str | None:
-        got = dsl.eval_expr(space, dict(self.bindings), dsl.parse_expr(self.expr))
-        if got == self.expected:
-            return None
-        return (
-            f"{self.expr} [{_fmt_bindings(space, self.bindings)}]: "
-            f"expected {space.ground.format(self.expected)}, got {space.ground.format(got)}"
-        )
-
-
 class LawCheck(NamedTuple):
     """A law's verdict on the entry space, over every assignment or, with
     ``at``, at those bindings only.
 
     ``law`` is a registry name or DSL law text. Without ``at``, a given
     ``tag`` must be the tag of the first failing template; with ``at``, it
-    picks the template to evaluate.
+    picks the template to evaluate. A failure names the verdict expected
+    and the one got, with the violated template's witness.
     """
 
     law: str
@@ -60,29 +45,26 @@ class LawCheck(NamedTuple):
         law = _resolve_law(self.law)
         want = ("Holds" if self.holds else "Violated") + (f" ({self.tag})" if self.tag else "")
         if self.at is None:
-            verdict = law.check(space)
-            tag = None if verdict.holds else verdict.witness.operation
-            if verdict.holds == self.holds and self.tag in (None, tag):
-                return None
-            got = "Holds" if verdict.holds else f"Violated at {verdict.witness.line(space.ground)}"
-            return f"{self.law}: expected {want}, got {got}"
-        violated = law.violated_at(space, self.at, self.tag)
-        if violated != self.holds:
+            where, witness = "", law.check(space).witness
+            tag = None if witness is None else witness.operation
+        else:
+            where = f" [{_fmt_bindings(space, self.at)}]"
+            witness, tag = law.violated_at(space, self.at, self.tag), self.tag
+        if (witness is None) == self.holds and self.tag in (None, tag):
             return None
-        got = "Violated" if violated else "Holds"
-        return f"{self.law} [{_fmt_bindings(space, self.at)}]: expected {want}, got {got}"
+        got = "Holds" if witness is None else f"Violated at {witness.line(space.ground)}"
+        return f"{self.law}{where}: expected {want}, got {got}"
 
 
 def _resolve_law(text: str) -> laws.Law:
-    """A registry name, or DSL law text as an untagged one-template law;
-    only law text holds a relation such as ``==`` or ``<=``."""
-    if "=" in text:
-        return laws.Law(text, ((None, dsl.parse_law(text)),))
-    return laws.get_law(text)
+    """A registry name, or DSL law text; only law text holds a relation
+    such as ``==`` or ``<=``."""
+    return laws.text_law(text) if "=" in text else laws.get_law(text)
 
 
-def _pair(a: int, b: int) -> tuple[tuple[str, int], ...]:
-    return (("A", a), ("B", b))
+def _at(**subsets: int) -> tuple[tuple[str, int], ...]:
+    """Bindings in the order written: ``_at(A=W1, B=W2 | W3)``."""
+    return tuple(subsets.items())
 
 
 class FamilyCheck(NamedTuple):
@@ -148,12 +130,12 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         "ex-3.3-1",
         (
             FamilyCheck("semi", (0, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15)),
-            EvalCheck("sstar(E)", (("E", W1 | W3),), W1),
-            EvalCheck("sstar(F)", (("F", W2 | W3),), W2),
-            EvalCheck("sstar(union(E,F))", (("E", W1 | W3), ("F", W2 | W3)), ALL),
+            LawCheck("sstar(E) == R", True, _at(E=W1 | W3, R=W1)),
+            LawCheck("sstar(F) == R", True, _at(F=W2 | W3, R=W2)),
+            LawCheck("sstar(union(E,F)) == R", True, _at(E=W1 | W3, F=W2 | W3, R=ALL)),
             LawCheck("additivity:star", holds=True),
             LawCheck("additivity:sstar", holds=False),
-            LawCheck("additivity:sstar", False, _pair(W1 | W3, W2 | W3)),
+            LawCheck("additivity:sstar", False, _at(A=W1 | W3, B=W2 | W3)),
         ),
     ),
     CorpusEntry(
@@ -163,18 +145,18 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         (
             FamilyCheck("pre", (0, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
             FamilyCheck("beta", (0, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
-            EvalCheck("pstar(A)", (("A", W1 | W3),), W3),
-            EvalCheck("pstar(B)", (("B", W1 | W4),), W4),
-            EvalCheck("pstar(union(A,B))", (("A", W1 | W3), ("B", W1 | W4)), ALL),
-            EvalCheck("betastar(A)", (("A", W1 | W3),), W3),
-            EvalCheck("betastar(B)", (("B", W1 | W4),), W4),
-            EvalCheck("betastar(union(A,B))", (("A", W1 | W3), ("B", W1 | W4)), ALL),
+            LawCheck("pstar(A) == R", True, _at(A=W1 | W3, R=W3)),
+            LawCheck("pstar(B) == R", True, _at(B=W1 | W4, R=W4)),
+            LawCheck("pstar(union(A,B)) == R", True, _at(A=W1 | W3, B=W1 | W4, R=ALL)),
+            LawCheck("betastar(A) == R", True, _at(A=W1 | W3, R=W3)),
+            LawCheck("betastar(B) == R", True, _at(B=W1 | W4, R=W4)),
+            LawCheck("betastar(union(A,B)) == R", True, _at(A=W1 | W3, B=W1 | W4, R=ALL)),
             LawCheck("additivity:pstar", holds=False),
             LawCheck("additivity:betastar", holds=False),
-            LawCheck("additivity:pstar", False, _pair(W1 | W3, W1 | W4)),
-            LawCheck("additivity:betastar", False, _pair(W1 | W3, W1 | W4)),
-            LawCheck("kuratowski:pstar", False, _pair(W1 | W3, W1 | W4), "additive"),
-            LawCheck("kuratowski:betastar", False, _pair(W1 | W3, W1 | W4), "additive"),
+            LawCheck("additivity:pstar", False, _at(A=W1 | W3, B=W1 | W4)),
+            LawCheck("additivity:betastar", False, _at(A=W1 | W3, B=W1 | W4)),
+            LawCheck("kuratowski:pstar", False, _at(A=W1 | W3, B=W1 | W4), "additive"),
+            LawCheck("kuratowski:betastar", False, _at(A=W1 | W3, B=W1 | W4), "additive"),
             LawCheck("kuratowski:pstar", False, tag="additive"),
             LawCheck("kuratowski:betastar", False, tag="additive"),
         ),
@@ -184,18 +166,14 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         "the difference law fails for the semi local function",
         "ex-3.3-1",
         (
-            EvalCheck(
-                "diff(sstar(A),sstar(B))",
-                (("A", W1 | W2 | W3), ("B", W1 | W3)),
-                W2 | W3 | W4,
+            LawCheck(
+                "diff(sstar(A),sstar(B)) == R", True, _at(A=W1 | W2 | W3, B=W1 | W3, R=W2 | W3 | W4)
             ),
-            EvalCheck(
-                "diff(sstar(diff(A,B)),sstar(B))",
-                (("A", W1 | W2 | W3), ("B", W1 | W3)),
-                W2,
+            LawCheck(
+                "diff(sstar(diff(A,B)),sstar(B)) == R", True, _at(A=W1 | W2 | W3, B=W1 | W3, R=W2)
             ),
             LawCheck("diff-law:sstar", holds=False),
-            LawCheck("diff-law:sstar", False, _pair(W1 | W2 | W3, W1 | W3)),
+            LawCheck("diff-law:sstar", False, _at(A=W1 | W2 | W3, B=W1 | W3)),
         ),
     ),
     CorpusEntry(
@@ -203,18 +181,14 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         "the difference law fails for the pre local function",
         "ex-3.3-2",
         (
-            EvalCheck(
-                "diff(pstar(A),pstar(B))",
-                (("A", W1 | W3 | W4), ("B", W1 | W3)),
-                W1 | W2 | W4,
+            LawCheck(
+                "diff(pstar(A),pstar(B)) == R", True, _at(A=W1 | W3 | W4, B=W1 | W3, R=W1 | W2 | W4)
             ),
-            EvalCheck(
-                "diff(pstar(diff(A,B)),pstar(B))",
-                (("A", W1 | W3 | W4), ("B", W1 | W3)),
-                W4,
+            LawCheck(
+                "diff(pstar(diff(A,B)),pstar(B)) == R", True, _at(A=W1 | W3 | W4, B=W1 | W3, R=W4)
             ),
             LawCheck("diff-law:pstar", holds=False),
-            LawCheck("diff-law:pstar", False, _pair(W1 | W3 | W4, W1 | W3)),
+            LawCheck("diff-law:pstar", False, _at(A=W1 | W3 | W4, B=W1 | W3)),
         ),
     ),
     CorpusEntry(
@@ -222,16 +196,16 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         "psi of the pre local function distributes over neither meet nor join",
         "ex-3.3-2",
         (
-            EvalCheck("psip(A)", (("A", W2 | W4),), W1 | W2 | W4),
-            EvalCheck("psip(B)", (("B", W2 | W3),), W1 | W2 | W3),
-            EvalCheck("psip(inter(A,B))", (("A", W2 | W4), ("B", W2 | W3)), 0),
-            EvalCheck("psip(E)", (("E", W3),), W1 | W3),
-            EvalCheck("psip(F)", (("F", W1 | W2),), 0),
-            EvalCheck("psip(union(E,F))", (("E", W3), ("F", W1 | W2)), W1 | W2 | W3),
+            LawCheck("psip(A) == R", True, _at(A=W2 | W4, R=W1 | W2 | W4)),
+            LawCheck("psip(B) == R", True, _at(B=W2 | W3, R=W1 | W2 | W3)),
+            LawCheck("psip(inter(A,B)) == R", True, _at(A=W2 | W4, B=W2 | W3, R=0)),
+            LawCheck("psip(E) == R", True, _at(E=W3, R=W1 | W3)),
+            LawCheck("psip(F) == R", True, _at(F=W1 | W2, R=0)),
+            LawCheck("psip(union(E,F)) == R", True, _at(E=W3, F=W1 | W2, R=W1 | W2 | W3)),
             LawCheck("psi-cap:pstar", holds=False),
             LawCheck("psi-cup:pstar", holds=False),
-            LawCheck("psi-cap:pstar", False, _pair(W2 | W4, W2 | W3)),
-            LawCheck("psi-cup:pstar", False, _pair(W3, W1 | W2)),
+            LawCheck("psi-cap:pstar", False, _at(A=W2 | W4, B=W2 | W3)),
+            LawCheck("psi-cup:pstar", False, _at(A=W3, B=W1 | W2)),
         ),
     ),
     CorpusEntry(
@@ -239,11 +213,11 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         "sets below their psi-pre image do not form a topology",
         "ex-3.3-2",
         (
-            LawCheck("A <= psip(A)", True, (("A", W2 | W4),)),
-            LawCheck("A <= psip(A)", True, (("A", W2 | W3),)),
-            LawCheck("A <= psip(A)", False, (("A", W2),)),
+            LawCheck("A <= psip(A)", True, _at(A=W2 | W4)),
+            LawCheck("A <= psip(A)", True, _at(A=W2 | W3)),
+            LawCheck("A <= psip(A)", False, _at(A=W2)),
             LawCheck("eta-topology:pstar", holds=False),
-            LawCheck("eta-topology:pstar", False, _pair(W2 | W4, W2 | W3)),
+            LawCheck("eta-topology:pstar", False, _at(A=W2 | W4, B=W2 | W3)),
         ),
     ),
     CorpusEntry(
@@ -251,12 +225,12 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         "the closure-expanded semi local function is not additive",
         "ex-3.3-1",
         (
-            EvalCheck("xis(A)", (("A", W2 | W3),), W2),
-            EvalCheck("xis(B)", (("B", W1 | W3),), W1),
-            EvalCheck("xis(union(A,B))", (("A", W2 | W3), ("B", W1 | W3)), ALL),
+            LawCheck("xis(A) == R", True, _at(A=W2 | W3, R=W2)),
+            LawCheck("xis(B) == R", True, _at(B=W1 | W3, R=W1)),
+            LawCheck("xis(union(A,B)) == R", True, _at(A=W2 | W3, B=W1 | W3, R=ALL)),
             LawCheck("additivity:xis", holds=False),
-            LawCheck("additivity:xis", False, _pair(W2 | W3, W1 | W3)),
-            LawCheck("additivity:xis", False, _pair(W2 | W4, W1 | W4)),
+            LawCheck("additivity:xis", False, _at(A=W2 | W3, B=W1 | W3)),
+            LawCheck("additivity:xis", False, _at(A=W2 | W4, B=W1 | W4)),
         ),
     ),
     CorpusEntry(
@@ -264,11 +238,11 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         "the closure-expanded beta local function is not additive",
         "ex-3.3-2",
         (
-            EvalCheck("xibeta(A)", (("A", W1 | W3),), W3),
-            EvalCheck("xibeta(B)", (("B", W1 | W4),), W4),
-            EvalCheck("xibeta(union(A,B))", (("A", W1 | W3), ("B", W1 | W4)), ALL),
+            LawCheck("xibeta(A) == R", True, _at(A=W1 | W3, R=W3)),
+            LawCheck("xibeta(B) == R", True, _at(B=W1 | W4, R=W4)),
+            LawCheck("xibeta(union(A,B)) == R", True, _at(A=W1 | W3, B=W1 | W4, R=ALL)),
             LawCheck("additivity:xibeta", holds=False),
-            LawCheck("additivity:xibeta", False, _pair(W1 | W3, W1 | W4)),
+            LawCheck("additivity:xibeta", False, _at(A=W1 | W3, B=W1 | W4)),
         ),
     ),
     CorpusEntry(
@@ -276,11 +250,11 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         "the closure-expanded pre local function is not additive",
         "ex-3.3-2",
         (
-            EvalCheck("xip(E)", (("E", W1 | W3),), W3),
-            EvalCheck("xip(F)", (("F", W1 | W4),), W4),
-            EvalCheck("xip(union(E,F))", (("E", W1 | W3), ("F", W1 | W4)), ALL),
+            LawCheck("xip(E) == R", True, _at(E=W1 | W3, R=W3)),
+            LawCheck("xip(F) == R", True, _at(F=W1 | W4, R=W4)),
+            LawCheck("xip(union(E,F)) == R", True, _at(E=W1 | W3, F=W1 | W4, R=ALL)),
             LawCheck("additivity:xip", holds=False),
-            LawCheck("additivity:xip", False, _pair(W1 | W3, W1 | W4)),
+            LawCheck("additivity:xip", False, _at(A=W1 | W3, B=W1 | W4)),
         ),
     ),
     CorpusEntry(
@@ -288,16 +262,16 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         "psi of the closure-expanded semi operator breaks meets and its fix family",
         "ex-3.3-1",
         (
-            EvalCheck("psixis(A)", (("A", W2 | W4),), W2 | W3 | W4),
-            EvalCheck("psixis(B)", (("B", W1 | W4),), W1 | W3 | W4),
-            EvalCheck("psixis(inter(A,B))", (("A", W2 | W4), ("B", W1 | W4)), 0),
+            LawCheck("psixis(A) == R", True, _at(A=W2 | W4, R=W2 | W3 | W4)),
+            LawCheck("psixis(B) == R", True, _at(B=W1 | W4, R=W1 | W3 | W4)),
+            LawCheck("psixis(inter(A,B)) == R", True, _at(A=W2 | W4, B=W1 | W4, R=0)),
             LawCheck("psi-cap:xis", holds=False),
-            LawCheck("psi-cap:xis", False, _pair(W2 | W4, W1 | W4)),
-            LawCheck("A <= psixis(A)", True, (("A", W2 | W4),)),
-            LawCheck("A <= psixis(A)", True, (("A", W1 | W4),)),
-            LawCheck("A <= psixis(A)", False, (("A", W4),)),
+            LawCheck("psi-cap:xis", False, _at(A=W2 | W4, B=W1 | W4)),
+            LawCheck("A <= psixis(A)", True, _at(A=W2 | W4)),
+            LawCheck("A <= psixis(A)", True, _at(A=W1 | W4)),
+            LawCheck("A <= psixis(A)", False, _at(A=W4)),
             LawCheck("eta-topology:xis", holds=False),
-            LawCheck("eta-topology:xis", False, _pair(W2 | W4, W1 | W4)),
+            LawCheck("eta-topology:xis", False, _at(A=W2 | W4, B=W1 | W4)),
         ),
     ),
     CorpusEntry(
@@ -305,16 +279,16 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         "psi of the closure-expanded beta operator breaks meets and its fix family",
         "ex-3.3-2",
         (
-            EvalCheck("psixibeta(A)", (("A", W2 | W4),), W1 | W2 | W4),
-            EvalCheck("psixibeta(B)", (("B", W2 | W3),), W1 | W2 | W3),
-            EvalCheck("psixibeta(inter(A,B))", (("A", W2 | W4), ("B", W2 | W3)), 0),
+            LawCheck("psixibeta(A) == R", True, _at(A=W2 | W4, R=W1 | W2 | W4)),
+            LawCheck("psixibeta(B) == R", True, _at(B=W2 | W3, R=W1 | W2 | W3)),
+            LawCheck("psixibeta(inter(A,B)) == R", True, _at(A=W2 | W4, B=W2 | W3, R=0)),
             LawCheck("psi-cap:xibeta", holds=False),
-            LawCheck("psi-cap:xibeta", False, _pair(W2 | W4, W2 | W3)),
-            LawCheck("A <= psixibeta(A)", True, (("A", W2 | W4),)),
-            LawCheck("A <= psixibeta(A)", True, (("A", W2 | W3),)),
-            LawCheck("A <= psixibeta(A)", False, (("A", W2),)),
+            LawCheck("psi-cap:xibeta", False, _at(A=W2 | W4, B=W2 | W3)),
+            LawCheck("A <= psixibeta(A)", True, _at(A=W2 | W4)),
+            LawCheck("A <= psixibeta(A)", True, _at(A=W2 | W3)),
+            LawCheck("A <= psixibeta(A)", False, _at(A=W2)),
             LawCheck("eta-topology:xibeta", holds=False),
-            LawCheck("eta-topology:xibeta", False, _pair(W2 | W4, W2 | W3)),
+            LawCheck("eta-topology:xibeta", False, _at(A=W2 | W4, B=W2 | W3)),
         ),
     ),
 )

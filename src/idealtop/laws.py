@@ -22,7 +22,7 @@ from typing import NamedTuple
 from . import dsl
 from . import operators as ops
 from .space import Family, Space, Topology, validate_topology
-from .verdicts import HOLDS, Verdict
+from .verdicts import HOLDS, Verdict, Witness
 
 __all__ = [
     "Law",
@@ -32,6 +32,7 @@ __all__ = [
     "get_law",
     "law_name_templates",
     "star_topology",
+    "text_law",
 ]
 
 # Registry heads, as witness tag -> template text. ``{op}`` is a
@@ -77,7 +78,9 @@ def _kind_test(kind: str, arg: str) -> str:
 
 
 def _scan(space: Space, tag: str | None, law: dsl.LawAst) -> Verdict:
-    verdict = dsl.check_law(space, law)
+    # The variable cap guards law text where it enters (``check --var-cap``,
+    # ``SearchTask.var_cap``); a law that got this far is scanned whole.
+    verdict = dsl.check_law(space, law, var_cap=len(law.free_vars))
     if verdict.holds:
         return verdict
     return Verdict(False, verdict.witness._replace(operation=tag))
@@ -138,24 +141,35 @@ class Law(NamedTuple):
 
     def violated_at(
         self, space: Space, bindings: tuple[tuple[str, int], ...], tag: str | None = None
-    ) -> bool:
+    ) -> Witness | None:
         """Evaluate the law at these bindings only, without the law scan: on
         the template ``tag`` names or, untagged, on every template whose
-        variables they bind (violated if any of them is). Untagged bindings
-        that cover no template raise ValueError."""
+        variables they bind. Returns the first violated template's witness,
+        tagged, or None. Untagged bindings that cover no template raise
+        ValueError."""
         env = dict(bindings)
         if tag is None:
-            asts = [ast for _, ast in self.templates if set(ast.free_vars) <= env.keys()]
-            if not asts:
+            templates = [(t, ast) for t, ast in self.templates if set(ast.free_vars) <= env.keys()]
+            if not templates:
                 raise ValueError(
                     f"{self.name}: bindings of {', '.join(env) or 'no variable'} "
                     "cover the variables of no template"
                 )
         else:
-            asts = [ast for t, ast in self.templates if t == tag]
-            if not asts:
+            templates = [(t, ast) for t, ast in self.templates if t == tag]
+            if not templates:
                 raise ValueError(f"unknown witness tag {tag!r} for {self.name}")
-        return any(dsl.eval_law(space, ast, env)[2] for ast in asts)
+        for t, ast in templates:
+            lhs, rhs, violated = dsl.eval_law(space, ast, env)
+            if violated:
+                return Witness(tuple((v, env[v]) for v in ast.free_vars), lhs, rhs, t)
+        return None
+
+
+def text_law(text: str, ast: dsl.LawAst | None = None) -> Law:
+    """DSL law text as an untagged one-template law named by the text;
+    ``ast`` is the text already parsed."""
+    return Law(text, ((None, dsl.parse_law(text) if ast is None else ast),))
 
 
 def law_name_templates() -> tuple[str, ...]:

@@ -5,6 +5,7 @@ stdout formatting and stderr routing are all part of the pinned contract.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -48,16 +49,13 @@ class TestCorpusLibrary:
         assert len(ids) == len(set(ids))
 
     def test_sabotaged_expectation_is_caught(self):
-        entry = corpus.CorpusEntry(
-            "fake",
-            "deliberately wrong expectation",
-            "ex-3.3-1",
-            (corpus.EvalCheck("sstar(A)", (("A", 5),), expected=0),),
+        # a pinned value is the law ``<expr> == R`` at R = the value; its
+        # failure names both the expected subset (rhs) and the actual (lhs)
+        check = corpus.LawCheck("sstar(A) == R", True, (("A", 5), ("R", 0)))
+        assert sabotage("ex-3.3-1", check) == (
+            "sstar(A) == R [A={w1,w3}, R={}]: expected Holds, got Violated at "
+            "A={w1,w3} R={} lhs={w1} rhs={}",
         )
-        report = corpus.run_entry(entry)
-        assert not report.passed
-        assert len(report.failures) == 1
-        assert "sstar(A)" in report.failures[0]
 
     def test_failing_law_check_prints_its_witness_by_label(self):
         entry = corpus.CorpusEntry(
@@ -98,7 +96,7 @@ class TestCorpusLibrary:
         )
         assert sabotage("ex-3.3-2", *checks) == (
             "additivity:pstar [A={w1}, B={w2}]: expected Violated, got Holds",
-            "A <= psip(A) [A={w2}]: expected Holds, got Violated",
+            "A <= psip(A) [A={w2}]: expected Holds, got Violated at A={w2} lhs={w2} rhs={}",
         )
 
     def test_bindings_that_cover_no_template_are_refused(self, space_a):
@@ -124,6 +122,32 @@ class TestCorpusLibrary:
         assert sabotage("ex-3.3-2", check) == (
             "kuratowski:pstar [A={w1}, B={w2}]: expected Violated (additive), got Holds",
         )
+
+    def test_four_variable_law_text_runs(self):
+        # a law text is scanned under a cap read from its own variables
+        law = "union(A,union(B,union(C,D))) == union(D,union(C,union(B,A)))"
+        at = (("A", corpus.W1), ("B", corpus.W2 | corpus.W3), ("C", 0), ("D", corpus.ALL))
+        checks = (corpus.LawCheck(law, True), corpus.LawCheck(law, True, at))
+        assert sabotage("ex-3.3-1", *checks) == ()
+        assert sabotage("ex-3.3-1", corpus.LawCheck(law, False)) == (
+            f"{law}: expected Violated, got Holds",
+        )
+
+    @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.id)
+    def test_every_check_bites(self, entry):
+        # each check's negation fails, and bindings bind exactly the
+        # variables of a template they check, so no check passes whatever
+        # it expects, nor holds vacuously (say, a pinned value whose law
+        # text lost its R)
+        for check in entry.checks:
+            if isinstance(check, corpus.FamilyCheck):
+                assert sabotage(entry.document, check._replace(expected=check.expected[1:]))
+                continue
+            assert sabotage(entry.document, check._replace(holds=not check.holds)), check
+            if check.at is not None:
+                templates = corpus._resolve_law(check.law).templates
+                bound = [set(ast.free_vars) for t, ast in templates if check.tag in (None, t)]
+                assert set(dict(check.at)) in bound, check
 
     def test_documents_are_only_the_two_reference_spaces(self):
         assert {e.document for e in corpus.ENTRIES} == {"ex-3.3-1", "ex-3.3-2"}
@@ -664,6 +688,28 @@ class TestUsageErrors:
     def test_unknown_family_kind(self):
         out = run_cli("families", "clopen", "--space", SPACE_A_FILE)
         assert out.returncode == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [("repro",), ("search", "star(A) <= cl(A)", "--points", "2")], ids=["repro", "search"]
+)
+def test_closed_stdout_exits_141_and_writes_no_error(argv, unbuffered):
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # its first write fails: exit 128 + SIGPIPE, as a killed tool does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "idealtop", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=REPO, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (141, b"")
 
 
 # Modules a launch should import only when it needs them.

@@ -96,8 +96,8 @@ class TestFrozenWitnesses:
         assert not verdict.holds
         w = verdict.witness
         assert (w.bindings, w.lhs, w.rhs, w.operation) == (bindings, lhs, rhs, operation)
-        # the recheck path recomputes from definitions and must agree
-        assert law.violated_at(space, w.bindings, w.operation)
+        # the recheck path recomputes from definitions and gives the same witness
+        assert law.violated_at(space, w.bindings, w.operation) == w
 
     def test_verdicts_tag_every_template_in_order(self, space_b):
         # eta-topology has four templates; on ex-3.3-2 only the last fails
@@ -147,8 +147,8 @@ class TestFrozenWitnesses:
             law.violated_at(space_b, pair(4, 8), "inter")
         # untagged: every axiom whose variables the pair binds is rechecked,
         # and additivity fails at ({w3}, {w4})
-        assert law.violated_at(space_b, pair(4, 8))
-        assert not law.violated_at(space_b, pair(0, 0))
+        assert law.violated_at(space_b, pair(4, 8)) == Witness(pair(4, 8), 15, 12, "additive")
+        assert law.violated_at(space_b, pair(0, 0)) is None
         # binding A alone leaves out the additive axiom, the only one of B
         assert not law.violated_at(space_b, (("A", 4),))
         assert law.violated_at(space_b, pair(4, 8), "additive")

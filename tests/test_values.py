@@ -59,7 +59,6 @@ CASES = [
         "spaces_total",
         None,
     ),
-    (corpus.EvalCheck, dict(expr="star(A)", bindings=(("A", 1),), expected=1), "expected", 0),
     (
         corpus.LawCheck,
         dict(law="kuratowski:pstar", holds=False, at=(("A", 5), ("B", 9)), tag="additive"),
