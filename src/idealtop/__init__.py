@@ -31,7 +31,7 @@ from .operators import (
     psi_fix_family,
     unary_table,
 )
-from .dsl import LawAst, check_law, eval_expr, format_law, parse_expr, parse_law
+from .dsl import LawAst, eval_expr, format_law, parse_expr, parse_law
 from .search import SearchResult, SearchTask, enumerate_ideals, enumerate_topologies, run_search
 from .verdicts import Verdict, Witness
 
@@ -72,7 +72,6 @@ __all__ = [
     "unary_table",
     *_LAWS_NAMES,
     "LawAst",
-    "check_law",
     "eval_expr",
     "format_law",
     "parse_expr",

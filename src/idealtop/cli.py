@@ -18,7 +18,7 @@ import sys
 from . import dsl
 from . import operators as ops
 from . import search as search_mod
-from .space import Space, SpaceDocumentError, UnknownLabelError, parse_space
+from .space import Space, SpaceDocumentError, parse_space
 from .verdicts import Verdict
 
 
@@ -60,7 +60,7 @@ def _parse_bindings(space: Space, texts: list[str], names: tuple[str, ...]) -> d
             raise ValueError(f"--bind {text!r}: variable {name} is already bound")
         try:
             bindings[name] = space.ground.parse_subset(subset)
-        except UnknownLabelError as exc:
+        except SpaceDocumentError as exc:  # an unknown label or one given twice
             raise ValueError(f"--bind {text!r}: {exc}") from None
     return bindings
 

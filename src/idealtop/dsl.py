@@ -16,9 +16,10 @@ there and its conclusion fails.
 A parsed expression is one ``Expr(name, args)`` node per production: a
 leaf (variable, ``empty`` or ``X``) has no ``args``, and a call holds its
 arguments in order. A law quantifies implicitly over all assignments of
-its free variables; ``check_law`` scans assignments lexicographically
-(first variable outermost, masks ascending) and reports the first
-violation.
+its free variables; ``scan_law`` scans them lexicographically (first
+variable outermost, masks ascending) and reports the first violation. It
+scans a law whole: the variable cap guards law text only where it enters
+(``read_laws_file``, ``check --var-cap`` and a search task's cap).
 """
 
 from __future__ import annotations
@@ -487,11 +488,7 @@ def _check_var_cap(law: LawAst, var_cap: int) -> None:
 
 
 def scan_law(
-    space: Space,
-    law: LawAst,
-    *,
-    var_cap: int = 3,
-    budget: int | None = None,
+    space: Space, law: LawAst, *, budget: int | None = None
 ) -> tuple[str, Verdict | None, int]:
     """Scan all assignments; returns (outcome, verdict, assignments evaluated).
 
@@ -525,8 +522,6 @@ def scan_law(
     operator tables are.
     """
     program = law._program
-    if len(program.names) > var_cap:
-        _check_var_cap(law, var_cap)
     n = space.ground.n
     total = 1 << n * len(program.names)
     limit = total if budget is None else max(0, min(budget, total))
@@ -583,13 +578,6 @@ def _scan_lanes(
     if limit < total:
         return "budget", None, limit
     return "holds", HOLDS, total
-
-
-def check_law(space: Space, law: LawAst, *, var_cap: int = 3) -> Verdict:
-    """Check one law over all assignments of its free variables."""
-    outcome, verdict, _ = scan_law(space, law, var_cap=var_cap)
-    assert outcome in ("holds", "violated")
-    return verdict
 
 
 def read_laws_file(text: str, *, var_cap: int = 3) -> list[LawAst]:

@@ -78,9 +78,7 @@ def _kind_test(kind: str, arg: str) -> str:
 
 
 def _scan(space: Space, tag: str | None, law: dsl.LawAst) -> Verdict:
-    # The variable cap guards law text where it enters (``check --var-cap``,
-    # ``SearchTask.var_cap``); a law that got this far is scanned whole.
-    verdict = dsl.check_law(space, law, var_cap=len(law.free_vars))
+    verdict = dsl.scan_law(space, law)[1]
     if verdict.holds:
         return verdict
     return Verdict(False, verdict.witness._replace(operation=tag))

@@ -275,9 +275,7 @@ def run_search(task: SearchTask) -> SearchResult:
     for space_key in stream:
         remaining = None if task.budget_assignments is None else task.budget_assignments - used
         try:
-            outcome, verdict, count = dsl.scan_law(
-                Space(*space_key), law, var_cap=task.var_cap, budget=remaining
-            )
+            outcome, verdict, count = dsl.scan_law(Space(*space_key), law, budget=remaining)
         except Exception as exc:
             raise ScanError(
                 f"scan failed at space {scanned}: {type(exc).__name__}: {exc}"

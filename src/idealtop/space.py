@@ -148,9 +148,13 @@ class GroundSet(Frozen):
             raise UnknownLabelError(f"unknown point label {label!r}") from None
 
     def subset(self, labels: Iterable[str]) -> int:
+        """The mask of the labels; a label given twice is refused."""
         bits = 0
         for lab in labels:
-            bits |= 1 << self.bit(lab)
+            bit = 1 << self.bit(lab)
+            if bits & bit:
+                raise SchemaError(f"point label {lab!r} listed twice in one subset")
+            bits |= bit
         return bits
 
     def labels_of(self, bits: int) -> tuple[str, ...]:
@@ -508,7 +512,10 @@ def _subset_list(ground: GroundSet, raw, key: str) -> list[int]:
     for entry in raw:
         if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
             raise SchemaError(f"each subset under {key!r} must be an array of labels")
-        out.append(ground.subset(entry))
+        bits = ground.subset(entry)
+        if bits in out:  # at most 2**MAX_POINTS masks are ever held
+            raise SchemaError(f"{key!r} lists the subset {ground.format(bits)} twice")
+        out.append(bits)
     return out
 
 

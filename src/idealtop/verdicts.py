@@ -42,9 +42,8 @@ class Witness(NamedTuple):
 
     def line(self, ground: GroundSet) -> str:
         """``by_label`` on one line: ``A={w1} lhs={w1,w2} rhs={w2} (tag)``."""
-        fields = self.by_label(ground)
-        subsets = {**fields["bindings"], "lhs": fields["lhs"], "rhs": fields["rhs"]}
-        line = " ".join(f"{name}={{{','.join(subset)}}}" for name, subset in subsets.items())
+        subsets = (*self.bindings, ("lhs", self.lhs), ("rhs", self.rhs))
+        line = " ".join(f"{name}={ground.format(bits)}" for name, bits in subsets)
         return line if self.operation is None else f"{line} ({self.operation})"
 
 

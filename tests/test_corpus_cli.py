@@ -178,6 +178,9 @@ NOT_A_VARIABLE = "is not a variable (single uppercase letter other than X)"
 NON_STRING_NAME_DOC = '{"name": [1, 2], "points": ["a"], "topology": [[], ["a"]], "ideal": [[]]}'
 # read as the second "points" list if a repeated key were let through
 DUPLICATE_KEY_DOC = '{"points": ["a"], "points": ["b"], "topology": [[], ["b"]], "ideal": [[]]}'
+# a subset listed twice in one family, and a label listed twice in one subset
+DUPLICATE_SUBSET_DOC = '{"points": ["a", "b"], "topology": [[], ["a", "b"], ["b", "a"]], "ideal": [[]]}'
+DUPLICATE_LABEL_DOC = '{"points": ["a", "b"], "topology": [[], ["a", "b", "a"]], "ideal": [[]]}'
 
 
 class TestEvalCommand:
@@ -237,6 +240,7 @@ class TestEvalCommand:
             (["A"], "--bind 'A': a binding looks like A=w1,w3"),
             (["A=w9"], "--bind 'A=w9': unknown point label 'w9'"),
             (["A=w1", "B=w2"], "--bind 'B=w2': variable B does not occur in the expression"),
+            (["A=w1,w3,w1"], "--bind 'A=w1,w3,w1': point label 'w1' listed twice in one subset"),
         ],
     )
     def test_bad_binding_exits_2(self, binds, message):
@@ -345,13 +349,13 @@ class TestCheckCommand:
         laws_file = tmp_path / "laws.txt"
         laws_file.write_text("star(A) == X\nA <= B\n")
         scanned = []
-        check_law = dsl.check_law
+        scan_law = dsl.scan_law
 
         def recording(space, law, **kw):
             scanned.append(law)
-            return check_law(space, law, **kw)
+            return scan_law(space, law, **kw)
 
-        monkeypatch.setattr(dsl, "check_law", recording)
+        monkeypatch.setattr(dsl, "scan_law", recording)
         argv = ["check", "--space", SPACE_A_FILE, "--laws-file", str(laws_file), "--var-cap", "1"]
         assert cli.main(argv) == 2
         assert capsys.readouterr() == (
@@ -688,6 +692,23 @@ class TestUsageErrors:
     def test_unknown_family_kind(self):
         out = run_cli("families", "clopen", "--space", SPACE_A_FILE)
         assert out.returncode == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (DUPLICATE_SUBSET_DOC, "'topology' lists the subset {a,b} twice"),
+            (DUPLICATE_LABEL_DOC, "point label 'a' listed twice in one subset"),
+        ],
+        ids=["subset", "label"],
+    )
+    def test_duplicated_input_is_named(self, text, message, tmp_path, capsys):
+        # search and check refuse it with one message that names the file
+        doc = tmp_path / "twice.json"
+        doc.write_text(text)
+        for argv in (["search", "A == A", "--space", str(doc)],
+                     ["check", "--law", "A == A", "--space", str(doc)]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {doc}: {message}\n")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -215,15 +215,16 @@ class TestScanning:
         assert dsl.scan_law(space_a, law, budget=18)[0] == "budget"
 
     def test_var_cap(self, space_a):
+        # the cap guards law text where it enters; the scan takes a law whole
         law = dsl.parse_law("union(union(A,B),union(C,D)) == X")
-        with pytest.raises(dsl.VariableCapError):
-            dsl.scan_law(space_a, law)
-        outcome, _, _ = dsl.scan_law(space_a, law, var_cap=4)
-        assert outcome == "violated"
+        with pytest.raises(dsl.VariableCapError, match="law has 4 free variables, cap is 3"):
+            dsl._check_var_cap(law, 3)
+        dsl._check_var_cap(law, 4)
+        assert dsl.scan_law(space_a, law)[0] == "violated"
 
-    def test_check_law_wrapper(self, space_a):
-        assert dsl.check_law(space_a, dsl.parse_law("int(A) <= A")).holds
-        v = dsl.check_law(space_a, dsl.parse_law("A <= int(A)"))
+    def test_full_scan_verdict(self, space_a):
+        assert dsl.scan_law(space_a, dsl.parse_law("int(A) <= A"))[1] is HOLDS
+        v = dsl.scan_law(space_a, dsl.parse_law("A <= int(A)"))[1]
         assert not v.holds and v.witness.bindings == (("A", 4),)
 
     def test_zero_variable_law(self, space_a):

@@ -299,11 +299,13 @@ def seeded_spaces() -> tuple[Space, ...]:
     out = []
     for n in (4,) * 8 + (5,) * 8:
         labels = default_labels(n)
-        subset = lambda: [lab for lab in labels if rng.random() < 0.5]
+        subset = lambda: tuple(lab for lab in labels if rng.random() < 0.5)
+        # each subset listed once; a repeat adds nothing to the topology
+        subbase = dict.fromkeys(subset() for _ in range(rng.randint(1, 4)))
         out.append(space_from_document({
             "points": list(labels),
-            "topology_subbase": [subset() for _ in range(rng.randint(1, 4))],
-            "ideal_generators": [subset()],
+            "topology_subbase": [list(s) for s in subbase],
+            "ideal_generators": [list(subset())],
         }))
     return tuple(out)
 

@@ -7,6 +7,7 @@ scan, and ``--workers`` must not change a report's bytes.
 
 import itertools
 import json
+import random
 import re
 import subprocess
 import sys
@@ -15,17 +16,24 @@ from pathlib import Path
 import pytest
 
 import oracle
-from idealtop import cli, corpus, dsl, search
+from idealtop import cli, corpus, dsl, laws, search
 from idealtop import space as space_mod
 from idealtop.space import (
+    MAX_POINTS,
+    Family,
     GroundSet,
     Ideal,
     SchemaError,
+    Space,
+    Topology,
     generate_topology,
     serialize_space,
+    space_from_document,
+    space_to_document,
     validate_topology,
 )
 from idealtop.verdicts import Verdict, Witness
+from test_scan import random_law
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"
 SPACES = Path(__file__).resolve().parent.parent / "src" / "idealtop" / "spaces"
@@ -555,3 +563,132 @@ class TestScanLoop:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: scan failed at space 8: ValueError: scan broke\n"
+
+
+# ---------------------------------------------------------------------------
+# law-level metamorphic relations, through documents-mode searches
+
+
+def _document_search(space, law_text):
+    """A documents-mode search of ``law_text`` on ``space`` alone, from the
+    space's document: the violation it finds, a ``Witness``, or None."""
+    document = json.dumps(space_to_document(space))
+    result = search.run_search(
+        search.SearchTask(law_text, 0, mode="documents", documents=(document,))
+    )
+    assert result.status in (search.STATUS_FOUND, search.STATUS_BUDGET)
+    return result.witnesses[0].witness if result.witnesses else None
+
+
+def _hypotheses_can_hold(space, law):
+    """Whether some assignment on ``space`` meets every hypothesis of ``law``:
+    then, and only then, ``X <= empty if <hypotheses>`` is violated."""
+    if not law.hypotheses:
+        return True
+    text = "X <= empty if " + ", ".join(map(dsl.format_law, law.hypotheses))
+    return _document_search(space, text) is not None
+
+
+def _seeded_law_cases():
+    """Seeded random spaces on 5-8 points, each with a random law of 0-2
+    variables (up to 3 on five points); every third law with variables
+    has hypotheses."""
+    rng = random.Random(20261020)
+    out = []
+    for i in range(48):
+        n = 5 + i % 4
+        labels = search.default_labels(n)
+        subset = lambda: tuple(lab for lab in labels if rng.random() < 0.5)
+        space = space_from_document({
+            "points": list(labels),
+            "topology_subbase": [list(s) for s in dict.fromkeys(subset() for _ in range(3))],
+            "ideal_generators": [list(subset())],
+        })
+        k = rng.randint(0, 3 if n == 5 else 2)
+        law = random_law(rng, k, rng.randint(1, 2) if i % 3 == 0 and k else 0)
+        out.append((rng, space, law))
+    return out
+
+
+class TestLawMetamorphic:
+    """Relations between a law's searches on two spaces, which need no
+    oracle and so reach eight points (Chen, Cheung and Yiu, 1998). Every
+    space is searched from its document, and every search re-validates its
+    own witness."""
+
+    def test_relabelling(self):
+        """R1: for a permutation π of the points, a law is violated on π·S
+        (the opens and the ideal of S carried along π) iff it is violated on
+        S, and the π-image of S's witness is a witness on π·S, with sides
+        the π-images of S's."""
+        verdicts = []
+        for rng, space, law in _seeded_law_cases():
+            n, text = space.ground.n, dsl.format_law(law)
+            perm = rng.sample(range(n), n)
+            move = lambda bits: sum(1 << perm[i] for i in range(n) if bits >> i & 1)
+            moved = Space(
+                space.ground,
+                Topology(Family(move(u) for u in space.topology.family.members)),
+                Ideal(move(space.ideal.top)),
+            )
+            witness = _document_search(space, text)
+            assert (_document_search(moved, text) is None) == (witness is None), text
+            verdicts.append(witness is None)
+            if witness is not None:
+                bindings = tuple((name, move(bits)) for name, bits in witness.bindings)
+                assert laws.text_law(text).violated_at(moved, bindings) == Witness(
+                    bindings, move(witness.lhs), move(witness.rhs)
+                ), text
+        assert min(verdicts.count(True), verdicts.count(False)) >= 10
+
+    def test_lifting(self):
+        """R2: add a point p to S as its own clopen component, inside the
+        ideal. S+p is the sum of S and the one-point space P = {p} with
+        ideal {∅, {p}}, and every operator acts on each component alone. So
+        an assignment on S+p is a pair of assignments, on S and on P; it
+        violates a law iff the hypotheses hold on both parts and the
+        conclusion fails on one. Hence a law is violated on S+p iff
+        (violated on S, and its hypotheses can hold on P) or (violated on P,
+        and its hypotheses can hold on S); without hypotheses, a violation
+        on S persists. The verdict of S alone is not enough: ``star(X) ==
+        X`` holds on S with the ideal {∅} and fails on P. And S's witness,
+        with p added to some of its variables, is a witness on S+p, with
+        sides that agree with S's on the old points, iff the hypotheses can
+        hold on P. The 5-7-point spaces lift to 6-8."""
+        point = Space(GroundSet(("p",)), Topology(Family((0, 1))), Ideal(1))
+        seen = set()
+        for _, space, law in _seeded_law_cases():
+            n, text = space.ground.n, dsl.format_law(law)
+            if n == MAX_POINTS:
+                continue
+            p, old = 1 << n, space.ground.universe
+            members = space.topology.family.members
+            lifted = Space(
+                GroundSet(space.ground.labels + ("p",)),
+                Topology(Family(members + tuple(u | p for u in members))),
+                Ideal(space.ideal.top | p),
+            )
+            witness = _document_search(space, text)
+            on_point = _document_search(point, text) is not None
+            can_hold = _hypotheses_can_hold(point, law)
+            expected = (witness is not None and can_hold) or (
+                on_point and _hypotheses_can_hold(space, law)
+            )
+            assert (_document_search(lifted, text) is not None) == expected, text
+            seen.add((witness is not None, on_point, can_hold))
+            if witness is None:
+                continue
+            rechecks = [
+                laws.text_law(text).violated_at(lifted, tuple(
+                    (name, bits | extra) for (name, bits), extra in zip(witness.bindings, chosen)
+                ))
+                for chosen in itertools.product((0, p), repeat=len(witness.bindings))
+            ]
+            found = [w for w in rechecks if w is not None]
+            assert bool(found) == can_hold, text
+            for w in found:
+                assert (w.lhs & old, w.rhs & old) == (witness.lhs, witness.rhs), text
+        # a violation that persists, one on P alone, and hypotheses that
+        # cannot hold on P
+        assert {(True, False, True), (False, True, True)} <= seen
+        assert any(not can_hold for _, _, can_hold in seen)

@@ -71,6 +71,13 @@ class TestGroundSet:
         with pytest.raises(UnknownLabelError):
             G4.parse_subset("w1,w9")
 
+    def test_label_given_twice(self):
+        message = "^point label 'w3' listed twice in one subset$"
+        with pytest.raises(SchemaError, match=message):
+            G4.subset(["w3", "w1", "w3"])
+        with pytest.raises(SchemaError, match=message):
+            G4.parse_subset("{w3, w3}")
+
     @pytest.mark.parametrize(
         "labels",
         [(), tuple(f"p{i}" for i in range(9)), ("a", "a"), ("a", ""), ("a", "b,c"), ("a", "{b}"), ("a", "b c")],
@@ -443,6 +450,34 @@ class TestDocuments:
             space_from_document(
                 {"points": ["w1"], "topology": [[], ["w2"]], "ideal": [[]]}
             )
+
+    @pytest.mark.parametrize(
+        "key, entries, twice",
+        [
+            ("topology", [[], ["w1"], ["w1", "w2"], ["w1"]], "{w1}"),
+            ("topology_subbase", [["w2", "w1"], ["w1", "w2"]], "{w1,w2}"),
+            ("ideal", [[], ["w1"], []], "{}"),
+            ("ideal_generators", [["w1"], ["w1"]], "{w1}"),
+        ],
+    )
+    def test_subset_listed_twice_is_refused(self, key, entries, twice):
+        # listed again, in any label order, a subset would be merged unseen
+        doc = {"points": ["w1", "w2"], "topology": [[], ["w1", "w2"]], "ideal": [[]]}
+        del doc["topology" if key.startswith("topology") else "ideal"]
+        doc[key] = entries
+        message = re.escape(f"'{key}' lists the subset {twice} twice")
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            space_from_document(doc)
+        entries.pop()  # listed once, the document is a space
+        space_from_document(doc)
+
+    @pytest.mark.parametrize("key", ["topology", "topology_subbase", "ideal", "ideal_generators"])
+    def test_label_listed_twice_in_a_subset_is_refused(self, key):
+        doc = {"points": ["w1", "w2"], "topology": [[], ["w1", "w2"]], "ideal": [[]]}
+        del doc["topology" if key.startswith("topology") else "ideal"]
+        doc[key] = [[], ["w2", "w1", "w2"]]
+        with pytest.raises(SchemaError, match="^point label 'w2' listed twice in one subset$"):
+            space_from_document(doc)
 
     def test_topology_error_outranks_unknown_ideal_label(self):
         doc = {
