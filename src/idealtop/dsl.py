@@ -76,6 +76,10 @@ class Expr(NamedTuple):
 
 _CONSTANTS = ("empty", "X")
 
+# Calls an expression may nest, counting every call. The parser refuses
+# deeper text, so no recursive walk of a parsed law can overflow the stack.
+MAX_NESTING = 100
+
 # Step codes of a compiled law.
 _VAR, _CONST, _UNION, _INTER, _DIFF, _COMPL, _APPLY = range(7)
 
@@ -177,7 +181,7 @@ class _Parser:
             raise DslSyntaxError(f"expected {what}", tok.pos)
         return self.take()
 
-    def parse_expr(self) -> Expr:
+    def parse_expr(self, depth: int = 0) -> Expr:
         tok = self.peek()
         if tok.kind != "NAME":
             raise DslSyntaxError("expected an expression", tok.pos)
@@ -190,11 +194,13 @@ class _Parser:
                 f"{name!r} is not a variable (single uppercase letter), 'empty' or 'X'",
                 tok.pos,
             )
+        if depth == MAX_NESTING:
+            raise DslSyntaxError(f"calls nest deeper than {MAX_NESTING} levels", tok.pos)
         self.take()
-        args = [self.parse_expr()]
+        args = [self.parse_expr(depth + 1)]
         while self.peek().kind == "COMMA":
             self.take()
-            args.append(self.parse_expr())
+            args.append(self.parse_expr(depth + 1))
         self.expect("RPAREN", "',' or ')'")
         if name in _SET_OPS:
             arity = _SET_OPS[name][0]

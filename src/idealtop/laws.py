@@ -108,9 +108,9 @@ def star_topology(space: Space, alias: str) -> Topology:
     star = ops.unary_table(space, "clstar:" + alias)
     opens = tuple(a for a in range(space.n_subsets) if star[full ^ a] == full ^ a)
     topo = Topology(Family(opens))
-    issue = validate_topology(topo.family, space.ground)
-    if issue is not None:  # guarded by the axioms; defensive only
-        raise AssertionError(f"star closure of {alias} passed the axioms but {issue.kind} fails")
+    error = validate_topology(topo.family, space.ground)
+    if error is not None:  # guarded by the axioms; defensive only
+        raise AssertionError(f"star closure of {alias} passed the axioms but {error.kind} fails")
     return topo
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 MAX_POINTS = 8
 
@@ -64,15 +64,41 @@ class UnknownLabelError(SpaceDocumentError):
 
 
 class TopologyAxiomError(SpaceDocumentError):
-    def __init__(self, message: str, issue: "TopologyIssue"):
+    """The first topology axiom a family fails on ``ground``: ``kind`` is
+    "missing-empty", "missing-universe", "union" or "inter", and a failing
+    pair of open sets gives its ``pair`` and the ``missing`` subset."""
+
+    def __init__(self, ground: GroundSet, kind: str, pair=None, missing=None):
+        if pair is None:
+            whole = "the empty set" if kind == "missing-empty" else "the whole ground set"
+            message = f"topology must contain {whole}"
+        else:
+            a, b, c = map(ground.format, (*pair, missing))
+            op = "∪" if kind == "union" else "∩"
+            message = f"topology not closed under {kind}: {a} {op} {b} = {c} is missing"
         super().__init__(message)
-        self.issue = issue
+        self.kind, self.pair, self.missing = kind, pair, missing
 
 
 class IdealAxiomError(SpaceDocumentError):
-    def __init__(self, message: str, issue: "IdealIssue"):
+    """The first ideal axiom a family fails on ``ground``: ``kind`` is
+    "missing-empty", "heredity" (a ``member`` whose subset is ``missing``)
+    or "union" (a ``pair`` whose union is ``missing``)."""
+
+    def __init__(self, ground: GroundSet, kind: str, member=None, pair=None, missing=None):
+        f = ground.format
+        if kind == "missing-empty":
+            message = "ideal must contain the empty set"
+        elif kind == "heredity":
+            message = (
+                f"ideal violates heredity: {f(member)} is a member "
+                f"but its subset {f(missing)} is not"
+            )
+        else:
+            a, b = pair
+            message = f"ideal not closed under union: {f(a)} ∪ {f(b)} = {f(missing)} is missing"
         super().__init__(message)
-        self.issue = issue
+        self.kind, self.member, self.pair, self.missing = kind, member, pair, missing
 
 
 # Assigns a field of a ``Frozen`` value, whose own ``__setattr__`` refuses.
@@ -247,56 +273,14 @@ class Ideal(Frozen):
         return 1 << bin(self.top).count("1")
 
 
-class TopologyIssue(NamedTuple):
-    """First axiom failure found in a candidate open-set family."""
-
-    kind: str  # "missing-empty" | "missing-universe" | "union" | "inter"
-    pair: tuple[int, int] | None = None
-    missing: int | None = None
-
-    def describe(self, ground: GroundSet) -> str:
-        if self.kind == "missing-empty":
-            return "topology must contain the empty set"
-        if self.kind == "missing-universe":
-            return "topology must contain the whole ground set"
-        a, b = self.pair
-        op = "∪" if self.kind == "union" else "∩"
-        return (
-            f"topology not closed under {self.kind}: {ground.format(a)} {op} "
-            f"{ground.format(b)} = {ground.format(self.missing)} is missing"
-        )
-
-
-class IdealIssue(NamedTuple):
-    """First axiom failure found in a candidate ideal family."""
-
-    kind: str  # "missing-empty" | "heredity" | "union"
-    member: int | None = None
-    pair: tuple[int, int] | None = None
-    missing: int | None = None
-
-    def describe(self, ground: GroundSet) -> str:
-        if self.kind == "missing-empty":
-            return "ideal must contain the empty set"
-        if self.kind == "heredity":
-            return (
-                f"ideal violates heredity: {ground.format(self.member)} is a member "
-                f"but its subset {ground.format(self.missing)} is not"
-            )
-        a, b = self.pair
-        return (
-            f"ideal not closed under union: {ground.format(a)} ∪ {ground.format(b)} "
-            f"= {ground.format(self.missing)} is missing"
-        )
-
-
 def _check_in_range(largest: int, ground: GroundSet) -> None:
     if not 0 <= largest <= ground.universe:
         raise ValueError(f"subset mask {largest} out of range for {ground.n} points")
 
 
-def validate_topology(family: Family, ground: GroundSet) -> TopologyIssue | None:
-    """Return None when the family is a topology, else the first failure.
+def validate_topology(family: Family, ground: GroundSet) -> TopologyAxiomError | None:
+    """Return None when the family is a topology, else the unraised error
+    of its first failure.
 
     Pairs are scanned in lexicographic order of (first mask, second mask);
     for each pair the union is checked before the intersection.
@@ -304,21 +288,22 @@ def validate_topology(family: Family, ground: GroundSet) -> TopologyIssue | None
     if family.members:
         _check_in_range(family.members[-1], ground)
     if 0 not in family:
-        return TopologyIssue("missing-empty")
+        return TopologyAxiomError(ground, "missing-empty")
     if ground.universe not in family:
-        return TopologyIssue("missing-universe")
+        return TopologyAxiomError(ground, "missing-universe")
     members, mask = family.members, family.mask
     for i, a in enumerate(members):
         for b in members[i:]:
             if not mask >> (a | b) & 1:
-                return TopologyIssue("union", (a, b), a | b)
+                return TopologyAxiomError(ground, "union", (a, b), a | b)
             if not mask >> (a & b) & 1:
-                return TopologyIssue("inter", (a, b), a & b)
+                return TopologyAxiomError(ground, "inter", (a, b), a & b)
     return None
 
 
-def validate_ideal(family: Family, ground: GroundSet) -> IdealIssue | None:
-    """Return None when the family is an ideal, else the first failure.
+def validate_ideal(family: Family, ground: GroundSet) -> IdealAxiomError | None:
+    """Return None when the family is an ideal, else the unraised error of
+    its first failure.
 
     Checks the empty set, then heredity (members ascending, missing subsets
     ascending), then pairwise unions in lexicographic pair order. A family
@@ -328,12 +313,12 @@ def validate_ideal(family: Family, ground: GroundSet) -> IdealIssue | None:
         _check_in_range(family.members[-1], ground)
     members, mask = family.members, family.mask
     if 0 not in family:
-        return IdealIssue("missing-empty")
+        return IdealAxiomError(ground, "missing-empty")
     for b in members:
         t = 0
         while t != b:  # the proper subsets of b, ascending
             if not mask >> t & 1:
-                return IdealIssue("heredity", member=b, missing=t)
+                return IdealAxiomError(ground, "heredity", member=b, missing=t)
             t = (t - b) & b
     # a hereditary family that holds the union of its members is the power
     # set of that union, so no pair can fail
@@ -342,7 +327,7 @@ def validate_ideal(family: Family, ground: GroundSet) -> IdealIssue | None:
     for i, a in enumerate(members):
         for b in members[i:]:
             if not mask >> (a | b) & 1:
-                return IdealIssue("union", pair=(a, b), missing=a | b)
+                return IdealAxiomError(ground, "union", pair=(a, b), missing=a | b)
     return None
 
 
@@ -449,9 +434,9 @@ def topology_tables(ground: GroundSet, topology: Topology) -> dict:
     held = topology._tables
     if held is not None and held[0] == n:
         return held[1]
-    issue = validate_topology(topology.family, ground)
-    if issue is not None:
-        raise TopologyAxiomError(issue.describe(ground), issue)
+    error = validate_topology(topology.family, ground)
+    if error is not None:
+        raise error
     opens = topology.family.members
     int_lanes = union_below(zip(opens, opens), n)
     tables = {
@@ -512,7 +497,11 @@ def _subset_list(ground: GroundSet, raw, key: str) -> list[int]:
     for entry in raw:
         if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
             raise SchemaError(f"each subset under {key!r} must be an array of labels")
-        bits = ground.subset(entry)
+        try:
+            bits = ground.subset(entry)
+        except SpaceDocumentError as exc:  # an unknown label or one given twice
+            written = json.dumps(entry, ensure_ascii=False)
+            raise exc.__class__(f"{key!r} subset {written}: {exc}") from None
         if bits in out:  # at most 2**MAX_POINTS masks are ever held
             raise SchemaError(f"{key!r} lists the subset {ground.format(bits)} twice")
         out.append(bits)
@@ -555,9 +544,9 @@ def space_from_document(doc) -> Space:
 
     if "ideal" in doc:
         family = Family(_subset_list(ground, doc["ideal"], "ideal"))
-        issue = validate_ideal(family, ground)
-        if issue is not None:
-            raise IdealAxiomError(issue.describe(ground), issue)
+        error = validate_ideal(family, ground)
+        if error is not None:
+            raise error
         ideal = Ideal(family.members[-1])
     else:
         ideal = generate_ideal(

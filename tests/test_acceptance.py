@@ -113,7 +113,8 @@ def test_criterion_5_fix_family_topology_refutations(space_a, space_b):
         assert w.operation == "inter"
         assert tuple(bits for _, bits in w.bindings) == pair
         assert w.lhs == missing
-        assert validate_topology(fam, space.ground) == ("inter", pair, missing)
+        error = validate_topology(fam, space.ground)
+        assert (error.kind, error.pair, error.missing) == ("inter", pair, missing)
         a, b = pair
         assert a in fam and b in fam and (a & b) not in fam
     report(

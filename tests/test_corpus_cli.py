@@ -697,7 +697,8 @@ class TestUsageErrors:
         "text, message",
         [
             (DUPLICATE_SUBSET_DOC, "'topology' lists the subset {a,b} twice"),
-            (DUPLICATE_LABEL_DOC, "point label 'a' listed twice in one subset"),
+            (DUPLICATE_LABEL_DOC,
+             ''''topology' subset ["a", "b", "a"]: point label 'a' listed twice in one subset'''),
         ],
         ids=["subset", "label"],
     )
@@ -709,6 +710,33 @@ class TestUsageErrors:
                      ["check", "--law", "A == A", "--space", str(doc)]):
             assert cli.main(argv) == 2
             assert capsys.readouterr() == ("", f"error: {doc}: {message}\n")
+
+    @pytest.mark.parametrize("command", ["search", "check-law", "check-laws-file", "eval"])
+    def test_law_nesting_is_bounded(self, command, tmp_path, capsys):
+        # at the bound the text is scanned (a violation, or eval's value);
+        # one call more, or 10,000, is refused at once at the first call
+        # past the bound, as a syntax error
+        laws_file = tmp_path / "laws.txt"
+
+        def run(depth):
+            expr = "star(" * depth + "A" + ")" * depth
+            law = expr + " == A"
+            laws_file.write_text(law + "\n")
+            argv = {
+                "search": ["search", law, "--points", "1"],
+                "check-law": ["check", "--law", law, "--space", SPACE_A_FILE],
+                "check-laws-file": ["check", "--laws-file", str(laws_file), "--space", SPACE_A_FILE],
+                "eval": ["eval", expr, "--bind", "A=w1", "--space", SPACE_A_FILE],
+            }[command]
+            return (cli.main(argv), *capsys.readouterr())
+
+        bound = dsl.MAX_NESTING
+        status, out, err = run(bound)
+        assert (status, err) == (0 if command == "eval" else 1, "") and out
+        where = f"{laws_file}:1: " if command == "check-laws-file" else ""
+        message = f"calls nest deeper than {bound} levels (offset {5 * bound})"
+        for depth in (bound + 1, 10_000):
+            assert run(depth) == (2, "", f"error: {where}{message}\n")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -132,6 +132,23 @@ class TestParsing:
         assert str(info.value) == f"{message} (offset {offset})"
         assert info.value.offset == offset
 
+    def test_nesting_is_bounded_at_the_first_call_past_the_bound(self, space_a):
+        bound = dsl.MAX_NESTING
+        deep = dsl.parse_law("star(" * bound + "A" + ")" * bound + " == A")
+        assert dsl.scan_law(space_a, deep)[0] in ("holds", "violated")
+        message = f"calls nest deeper than {bound} levels (offset {{}})"
+        for depth in (bound + 1, 10_000):
+            with pytest.raises(dsl.DslSyntaxError) as info:
+                dsl.parse_expr("star(" * depth + "A" + ")" * depth)
+            assert str(info.value) == message.format(5 * bound)
+        # every call counts, in any argument and in a hypothesis
+        past = "union(A," + "compl(" * bound + "A" + ")" * bound + ")"
+        last = 6 * (bound - 1)  # the start of the last compl, after "union(A,"
+        for text, offset in ((past + " == A", 8 + last), ("A <= B if A <= " + past, 23 + last)):
+            with pytest.raises(dsl.DslSyntaxError) as info:
+                dsl.parse_law(text)
+            assert (str(info.value), info.value.offset) == (message.format(offset), offset)
+
     def test_x_is_reserved_not_a_variable(self):
         law = dsl.parse_law("X == union(A,compl(A))")
         assert law.free_vars == ("A",)

@@ -19,7 +19,6 @@ from idealtop.space import (
     GroundSet,
     Ideal,
     IdealAxiomError,
-    IdealIssue,
     SchemaError,
     Space,
     Topology,
@@ -124,32 +123,84 @@ class TestValidateTopology:
                 assert validate_topology(fam, g) is None
 
     def test_missing_empty(self):
-        issue = validate_topology(Family((1, 7)), G3)
-        assert issue.kind == "missing-empty"
-        assert "empty set" in issue.describe(G3)
+        error = validate_topology(Family((1, 7)), G3)
+        assert error.kind == "missing-empty"
+        assert "empty set" in str(error)
 
     def test_missing_universe(self):
-        issue = validate_topology(Family((0, 1)), G3)
-        assert issue.kind == "missing-universe"
+        error = validate_topology(Family((0, 1)), G3)
+        assert error.kind == "missing-universe"
 
     def test_first_failing_pair_is_lexicographic(self):
         # (1,2), (1,4) and (2,4) all fail; lexicographically first wins.
-        issue = validate_topology(Family((0, 1, 2, 4, 15)), G4)
-        assert (issue.kind, issue.pair, issue.missing) == ("union", (1, 2), 3)
+        error = validate_topology(Family((0, 1, 2, 4, 15)), G4)
+        assert (error.kind, error.pair, error.missing) == ("union", (1, 2), 3)
 
     def test_union_checked_before_intersection(self):
         # for the pair (3,6) both 3|6=7 and 3&6=2 are absent
-        issue = validate_topology(Family((0, 3, 6, 15)), G4)
-        assert (issue.kind, issue.pair, issue.missing) == ("union", (3, 6), 7)
+        error = validate_topology(Family((0, 3, 6, 15)), G4)
+        assert (error.kind, error.pair, error.missing) == ("union", (3, 6), 7)
 
     def test_intersection_failure(self):
-        issue = validate_topology(Family((0, 3, 5, 7)), G3)
-        assert (issue.kind, issue.pair, issue.missing) == ("inter", (3, 5), 1)
-        assert "∩" in issue.describe(G3)
+        error = validate_topology(Family((0, 3, 5, 7)), G3)
+        assert (error.kind, error.pair, error.missing) == ("inter", (3, 5), 1)
+        assert "∩" in str(error)
 
     def test_out_of_range_mask(self):
         with pytest.raises(ValueError):
             validate_topology(Family((0, 7, 16)), G3)
+
+    def test_accepts_exactly_the_oracle_topologies(self):
+        # every family of subsets of at most three points, topology or not
+        for n in (1, 2, 3):
+            ground = GroundSet(tuple(f"w{i + 1}" for i in range(n)))
+            points = list(ground.labels)
+            for mask in range(1 << (1 << n)):
+                members = tuple(s for s in range(1 << n) if mask >> s & 1)
+                family = frozenset(oracle.bits_to_set(ground, s) for s in members)
+                error = validate_topology(Family(members), ground)
+                assert (error is None) == oracle.is_topology(family, points), members
+
+    def test_first_failure_matches_an_ordered_pair_scan_on_four_points(self):
+        def pair_scan(family, ground):
+            """(kind, pair, missing) of the first failure, and its message:
+            pairs in lexicographic order, each one's union before its
+            intersection."""
+            members, f = family.members, ground.format
+            if 0 not in members:
+                return ("missing-empty", None, None), "topology must contain the empty set"
+            if ground.universe not in members:
+                message = "topology must contain the whole ground set"
+                return ("missing-universe", None, None), message
+            for i, a in enumerate(members):
+                for b in members[i:]:
+                    for kind, op, c in (("union", "∪", a | b), ("inter", "∩", a & b)):
+                        if c not in members:
+                            return (kind, (a, b), c), (
+                                f"topology not closed under {kind}: {f(a)} {op} {f(b)} = {f(c)} "
+                                "is missing"
+                            )
+            return None
+
+        # half the families are a random topology with one subset toggled,
+        # so intersection failures and passes occur as well as unions
+        rng = random.Random(20260420)
+        kinds = set()
+        for _ in range(1500):
+            if rng.random() < 0.5:
+                members = {s for s in range(16) if rng.random() < 0.5}
+            else:
+                subbase = [rng.randrange(16) for _ in range(rng.randrange(1, 4))]
+                members = set(generate_topology(subbase, G4)) ^ {rng.randrange(16)}
+            family = Family(members)
+            error = validate_topology(family, G4)
+            expected = pair_scan(family, G4)
+            if error is None:
+                assert expected is None, family
+            else:
+                assert ((error.kind, error.pair, error.missing), str(error)) == expected, family
+            kinds.add(None if error is None else error.kind)
+        assert kinds == {None, "missing-empty", "missing-universe", "union", "inter"}
 
 
 class TestValidateIdeal:
@@ -166,41 +217,48 @@ class TestValidateIdeal:
         for mask in range(1 << 8):
             members = tuple(s for s in range(8) if mask >> s & 1)
             family = frozenset(oracle.bits_to_set(G3, s) for s in members)
-            issue = validate_ideal(Family(members), G3)
-            assert (issue is None) == oracle.is_ideal(family, points)
+            error = validate_ideal(Family(members), G3)
+            assert (error is None) == oracle.is_ideal(family, points)
 
     def test_missing_empty(self):
         assert validate_ideal(Family((1,)), G3).kind == "missing-empty"
 
     def test_heredity_reports_smallest_missing_subset(self):
-        issue = validate_ideal(Family((0, 3)), G3)
-        assert (issue.kind, issue.member, issue.missing) == ("heredity", 3, 1)
-        assert "heredity" in issue.describe(G3)
+        error = validate_ideal(Family((0, 3)), G3)
+        assert (error.kind, error.member, error.missing) == ("heredity", 3, 1)
+        assert "heredity" in str(error)
 
     def test_heredity_checked_before_union(self):
         # 6 misses subset 2 before the union check could see pair (1,6)
-        issue = validate_ideal(Family((0, 1, 6)), G3)
-        assert (issue.kind, issue.member, issue.missing) == ("heredity", 6, 2)
+        error = validate_ideal(Family((0, 1, 6)), G3)
+        assert (error.kind, error.member, error.missing) == ("heredity", 6, 2)
 
     def test_union_failure(self):
-        issue = validate_ideal(Family((0, 1, 2)), G3)
-        assert (issue.kind, issue.pair, issue.missing) == ("union", (1, 2), 3)
+        error = validate_ideal(Family((0, 1, 2)), G3)
+        assert (error.kind, error.pair, error.missing) == ("union", (1, 2), 3)
 
     def test_same_first_issue_as_a_scan_of_every_smaller_mask(self):
         # heredity walks the submasks of each member; checking every mask
         # below it instead must report the same first issue and message
-        def every_mask_scan(family):
-            members, mask = family.members, family.mask
+        def every_mask_scan(family, ground):
+            """(kind, member, pair, missing) of the first failure, and its message."""
+            members, mask, f = family.members, family.mask, ground.format
             if 0 not in family:
-                return IdealIssue("missing-empty")
+                return ("missing-empty", None, None, None), "ideal must contain the empty set"
             for b in members:
                 for t in range(b):
                     if t & b == t and not mask >> t & 1:
-                        return IdealIssue("heredity", member=b, missing=t)
+                        return ("heredity", b, None, t), (
+                            f"ideal violates heredity: {f(b)} is a member but its subset "
+                            f"{f(t)} is not"
+                        )
             for i, a in enumerate(members):
                 for b in members[i:]:
                     if not mask >> (a | b) & 1:
-                        return IdealIssue("union", pair=(a, b), missing=a | b)
+                        return ("union", None, (a, b), a | b), (
+                            f"ideal not closed under union: {f(a)} ∪ {f(b)} = {f(a | b)} "
+                            "is missing"
+                        )
             return None
 
         kinds = set()
@@ -208,11 +266,14 @@ class TestValidateIdeal:
             ground = GroundSet(tuple(f"w{i + 1}" for i in range(n)))
             for mask in range(1 << (1 << n)):
                 family = Family(s for s in range(1 << n) if mask >> s & 1)
-                issue = validate_ideal(family, ground)
-                assert issue == every_mask_scan(family), family
-                if issue is not None:
-                    assert issue.describe(ground) == every_mask_scan(family).describe(ground)
-                kinds.add(None if issue is None else issue.kind)
+                error = validate_ideal(family, ground)
+                expected = every_mask_scan(family, ground)
+                if error is None:
+                    assert expected is None, family
+                else:
+                    fields = (error.kind, error.member, error.pair, error.missing)
+                    assert (fields, str(error)) == expected, family
+                kinds.add(None if error is None else error.kind)
         assert kinds == {None, "missing-empty", "heredity", "union"}
 
 
@@ -438,18 +499,26 @@ class TestDocuments:
                     "ideal": [[]],
                 }
             )
-        assert (exc.value.issue.kind, exc.value.issue.pair) == ("union", (1, 2))
+        assert (exc.value.kind, exc.value.pair) == ("union", (1, 2))
         with pytest.raises(IdealAxiomError) as exc:
             space_from_document(
                 {"points": ["w1", "w2"], "topology": [[], ["w1", "w2"]], "ideal": [[], ["w1", "w2"]]}
             )
-        assert exc.value.issue.kind == "heredity"
+        assert exc.value.kind == "heredity"
 
     def test_unknown_label_in_subset(self):
         with pytest.raises(UnknownLabelError):
             space_from_document(
                 {"points": ["w1"], "topology": [[], ["w2"]], "ideal": [[]]}
             )
+        # the message names the family key and the subset as written
+        for key in ("topology", "topology_subbase", "ideal", "ideal_generators"):
+            doc = {"points": ["w1", "w2"], "topology": [[], ["w1", "w2"]], "ideal": [[]]}
+            del doc["topology" if key.startswith("topology") else "ideal"]
+            doc[key] = [[], ["w1", "z"]]
+            message = re.escape(f"""{key!r} subset ["w1", "z"]: unknown point label 'z'""")
+            with pytest.raises(UnknownLabelError, match=f"^{message}$"):
+                space_from_document(doc)
 
     @pytest.mark.parametrize(
         "key, entries, twice",
@@ -476,7 +545,10 @@ class TestDocuments:
         doc = {"points": ["w1", "w2"], "topology": [[], ["w1", "w2"]], "ideal": [[]]}
         del doc["topology" if key.startswith("topology") else "ideal"]
         doc[key] = [[], ["w2", "w1", "w2"]]
-        with pytest.raises(SchemaError, match="^point label 'w2' listed twice in one subset$"):
+        message = re.escape(
+            f"""{key!r} subset ["w2", "w1", "w2"]: point label 'w2' listed twice in one subset"""
+        )
+        with pytest.raises(SchemaError, match=f"^{message}$"):
             space_from_document(doc)
 
     def test_topology_error_outranks_unknown_ideal_label(self):

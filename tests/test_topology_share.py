@@ -132,7 +132,7 @@ def test_one_topology_object_on_three_and_four_points():
             if ground is G4:
                 with pytest.raises(TopologyAxiomError) as exc:
                     Space(ground, chain, Ideal(1))
-                assert exc.value.issue.kind == "missing-universe"
+                assert exc.value.kind == "missing-universe"
             else:
                 space = Space(ground, chain, Ideal(1))
                 assert every_table(space) == every_table(fresh(space))
@@ -182,13 +182,13 @@ def test_invalid_topology_after_memoized_valid_one_still_raises():
     Space(G3, valid, Ideal(0))
     with pytest.raises(TopologyAxiomError) as exc:
         Space(G3, Topology(Family((0, 1, 2, 7))), Ideal(0))
-    assert exc.value.issue.kind == "union"
+    assert exc.value.kind == "union"
     # the same open sets are a topology on two points but not on three
     indiscrete = Topology(Family((0, 3)))
     Space(G2, indiscrete, Ideal(0))
     with pytest.raises(TopologyAxiomError) as exc:
         Space(G3, indiscrete, Ideal(0))
-    assert exc.value.issue.kind == "missing-universe"
+    assert exc.value.kind == "missing-universe"
 
 
 def test_ideal_is_validated_on_a_memo_hit():
@@ -201,4 +201,4 @@ def test_ideal_is_validated_on_a_memo_hit():
     doc = {"points": list(G3.labels), "topology": [[], ["w1"], ["w1", "w2", "w3"]]}
     with pytest.raises(IdealAxiomError) as exc:
         space_from_document({**doc, "ideal": [[], ["w1", "w2"]]})
-    assert (exc.value.issue.kind, exc.value.issue.missing) == ("heredity", 1)
+    assert (exc.value.kind, exc.value.missing) == ("heredity", 1)

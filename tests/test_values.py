@@ -15,10 +15,8 @@ from idealtop.space import (
     Family,
     GroundSet,
     Ideal,
-    IdealIssue,
     Space,
     Topology,
-    TopologyIssue,
     generate_ideal,
     generate_topology,
 )
@@ -44,8 +42,6 @@ CASES = [
     (dsl.Expr, dict(name="union", args=(dsl.Expr("A"), dsl.Expr("B"))), "name", "inter"),
     (dsl._Token, dict(kind="NAME", text="star", pos=0), "pos", 4),
     (laws.Law, dict(name="a:b", templates=((None, LAW),)), "name", "a:c"),
-    (TopologyIssue, dict(kind="union", pair=(1, 2), missing=3), "missing", 0),
-    (IdealIssue, dict(kind="heredity", member=3, pair=None, missing=1), "member", 2),
     (
         search.SpaceWitness,
         dict(ground=G2, topology=TOPOLOGY, ideal=Ideal(0), witness=WITNESS),
