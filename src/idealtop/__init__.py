@@ -33,7 +33,7 @@ from .operators import (
 )
 from .dsl import LawAst, eval_expr, format_law, parse_expr, parse_law
 from .search import SearchResult, SearchTask, enumerate_ideals, enumerate_topologies, run_search
-from .verdicts import Verdict, Witness
+from .verdicts import Witness
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "enumerate_ideals",
     "enumerate_topologies",
     "run_search",
-    "Verdict",
     "Witness",
 ]
 

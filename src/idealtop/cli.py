@@ -19,7 +19,7 @@ from . import dsl
 from . import operators as ops
 from . import search as search_mod
 from .space import Space, SpaceDocumentError, parse_space
-from .verdicts import Verdict
+from .verdicts import Witness
 
 
 def _read_text(path: str) -> str:
@@ -42,7 +42,7 @@ def _load_space(paths: list[str]) -> Space:
 
 
 def _parse_bindings(space: Space, texts: list[str], names: tuple[str, ...]) -> dict[str, int]:
-    """Parse ``--bind`` texts for the variables ``names`` of an expression."""
+    """Parse ``--bind`` texts, which must bind every variable in ``names``."""
     bindings: dict[str, int] = {}
     for text in texts:
         name, sep, subset = text.partition("=")
@@ -62,13 +62,16 @@ def _parse_bindings(space: Space, texts: list[str], names: tuple[str, ...]) -> d
             bindings[name] = space.ground.parse_subset(subset)
         except SpaceDocumentError as exc:  # an unknown label or one given twice
             raise ValueError(f"--bind {text!r}: {exc}") from None
+    for name in names:
+        if name not in bindings:
+            raise ValueError(f"unbound variable {name!r}: bind it with --bind {name}=SUBSET")
     return bindings
 
 
-def _verdict_json(space: Space, verdict: Verdict) -> dict:
+def _verdict_json(space: Space, witness: Witness | None) -> dict:
     return {
-        "status": "Holds" if verdict.holds else "Violated",
-        "witness": None if verdict.witness is None else verdict.witness.by_label(space.ground),
+        "status": "Holds" if witness is None else "Violated",
+        "witness": None if witness is None else witness.by_label(space.ground),
     }
 
 
@@ -126,15 +129,15 @@ def cmd_check(args) -> int:
     results = [(law.name, law.check(space)) for law in checks]
     if args.json:
         _emit_json(
-            [{"law": text, **_verdict_json(space, verdict)} for text, verdict in results]
+            [{"law": text, **_verdict_json(space, witness)} for text, witness in results]
         )
     else:
-        for text, verdict in results:
-            if verdict.holds:
+        for text, witness in results:
+            if witness is None:
                 print(f"Holds     {text}")
             else:
-                print(f"Violated  {text}  [{verdict.witness.line(space.ground)}]")
-    return 0 if all(v.holds for _, v in results) else 1
+                print(f"Violated  {text}  [{witness.line(space.ground)}]")
+    return 0 if all(w is None for _, w in results) else 1
 
 
 def cmd_families(args) -> int:

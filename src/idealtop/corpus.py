@@ -45,7 +45,7 @@ class LawCheck(NamedTuple):
         law = _resolve_law(self.law)
         want = ("Holds" if self.holds else "Violated") + (f" ({self.tag})" if self.tag else "")
         if self.at is None:
-            where, witness = "", law.check(space).witness
+            where, witness = "", law.check(space)
             tag = None if witness is None else witness.operation
         else:
             where = f" [{_fmt_bindings(space, self.at)}]"

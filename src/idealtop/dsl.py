@@ -31,7 +31,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from . import operators as ops
 from .space import Frozen, Space, _set, nonzero
-from .verdicts import HOLDS, Verdict, Witness
+from .verdicts import Witness
 
 
 class DslError(ValueError):
@@ -489,18 +489,21 @@ def _space_free_block(program: _Program, n: int, start: int) -> tuple[tuple, tup
 
 def _check_var_cap(law: LawAst, var_cap: int) -> None:
     """Refuse a law with more free variables than ``var_cap``."""
-    if len(law.free_vars) > var_cap:
-        raise VariableCapError(f"law has {len(law.free_vars)} free variables, cap is {var_cap}")
+    count = len(law.free_vars)
+    if count > var_cap:
+        plural = "" if count == 1 else "s"
+        raise VariableCapError(f"law has {count} free variable{plural}, cap is {var_cap}")
 
 
 def scan_law(
     space: Space, law: LawAst, *, budget: int | None = None
-) -> tuple[str, Verdict | None, int]:
-    """Scan all assignments; returns (outcome, verdict, assignments evaluated).
+) -> tuple[str, Witness | None, int]:
+    """Scan all assignments; returns (outcome, witness, assignments evaluated).
 
-    Outcome is "holds", "violated" or "budget". The scan runs in byte
-    lanes: assignment ``i`` is the concatenation of the variables' masks
-    (first variable in the high bits), every subexpression is one big int
+    Outcome is "holds", "violated" or "budget", and the witness is None
+    unless it is "violated". The scan runs in byte lanes: assignment ``i``
+    is the concatenation of the variables' masks (first variable in the
+    high bits), every subexpression is one big int
     whose byte ``i`` is its subset under assignment ``i`` (``MAX_POINTS``
     is 8, so a subset fits in a byte), and blocks of ``2**16`` assignments
     are evaluated at once. Set operations act on all lanes in one int
@@ -538,8 +541,8 @@ def scan_law(
 
 # Lane scans kept by ``_scan_lanes``. A key holds the compiled law and
 # its operator nodes' tables (``2**n`` bytes each, so at most 256, and
-# the nodes of one operator share one), and a result is one small
-# verdict, so a full memo is a few MiB at most. An exhaustive 4-point
+# the nodes of one operator share one), and a result is at most one small
+# witness, so a full memo is a few MiB at most. An exhaustive 4-point
 # search has 1,136 distinct ``star`` tables over its 5,680 spaces, and
 # every one stays in the memo.
 _SCAN_MEMO_SIZE = 2048
@@ -548,7 +551,7 @@ _SCAN_MEMO_SIZE = 2048
 @functools.lru_cache(maxsize=_SCAN_MEMO_SIZE)
 def _scan_lanes(
     program: _Program, n: int, limit: int, *tables: bytes
-) -> tuple[str, Verdict | None, int]:
+) -> tuple[str, Witness | None, int]:
     """The first ``limit`` assignments of ``program`` on n points, with
     ``tables[j]`` the table of ``program.ops[j]``; see ``scan_law``."""
     k = len(program.names)
@@ -580,10 +583,10 @@ def _scan_lanes(
                 (name, index >> sh & point_mask) for name, sh in zip(program.names, shifts)
             )
             witness = Witness(bindings, lhs >> 8 * offset & 0xFF, rhs >> 8 * offset & 0xFF)
-            return "violated", Verdict(False, witness), index + 1
+            return "violated", witness, index + 1
     if limit < total:
         return "budget", None, limit
-    return "holds", HOLDS, total
+    return "holds", None, total
 
 
 def read_laws_file(text: str, *, var_cap: int = 3) -> list[LawAst]:

@@ -8,9 +8,9 @@ ascending). Registry names follow ``<law>:<operator alias>``, or
 layer uses, a key of ``operators.LOCAL_FN_ALIASES`` and one of
 ``operators.KINDS``. ``star_topology`` takes the alias as well.
 
-``Law.check`` gives the first failing template's verdict and
-``Law.verdicts`` every template's, keyed by tag: the per-axiom verdicts of
-a star closure are ``get_law("kuratowski:" + alias).verdicts(space)``.
+``Law.check`` gives the first failing template's tagged witness, or None,
+and ``Law.verdicts`` every template's, keyed by tag: the per-axiom answers
+of a star closure are ``get_law("kuratowski:" + alias).verdicts(space)``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 from . import dsl
 from . import operators as ops
 from .space import Family, Space, Topology, validate_topology
-from .verdicts import HOLDS, Verdict, Witness
+from .verdicts import Witness
 
 __all__ = [
     "Law",
@@ -77,20 +77,20 @@ def _kind_test(kind: str, arg: str) -> str:
     return functools.reduce(lambda x, y: f"union({x},{y})", map(wrap, ops.KIND_TESTS[kind]))
 
 
-def _scan(space: Space, tag: str | None, law: dsl.LawAst) -> Verdict:
-    verdict = dsl.scan_law(space, law)[1]
-    if verdict.holds:
-        return verdict
-    return Verdict(False, verdict.witness._replace(operation=tag))
+def _scan(space: Space, tag: str | None, law: dsl.LawAst) -> Witness | None:
+    witness = dsl.scan_law(space, law)[1]
+    return None if witness is None else witness._replace(operation=tag)
 
 
 class StarTopologyRefused(Exception):
-    """The star closure failed a Kuratowski axiom, so no topology is built."""
+    """A star closure failed the Kuratowski axiom its ``witness`` is tagged with."""
 
-    def __init__(self, axiom: str, verdict: Verdict):
-        super().__init__(f"star closure violates the {axiom} axiom")
-        self.axiom = axiom
-        self.verdict = verdict
+    def __init__(self, witness: Witness):
+        super().__init__(f"star closure violates the {witness.operation} axiom")
+        self.witness = witness
+
+    def __reduce__(self):
+        return self.__class__, (self.witness,)
 
 
 def star_topology(space: Space, alias: str) -> Topology:
@@ -101,9 +101,9 @@ def star_topology(space: Space, alias: str) -> Topology:
     axioms hold for the star closure ``clstar:<alias>`` on this space; the
     refusal names the first axiom that fails and carries its witness.
     """
-    verdict = get_law("kuratowski:" + alias).check(space)
-    if not verdict.holds:
-        raise StarTopologyRefused(verdict.witness.operation, verdict)
+    witness = get_law("kuratowski:" + alias).check(space)
+    if witness is not None:
+        raise StarTopologyRefused(witness)
     full = space.ground.universe
     star = ops.unary_table(space, "clstar:" + alias)
     opens = tuple(a for a in range(space.n_subsets) if star[full ^ a] == full ^ a)
@@ -120,21 +120,17 @@ class Law(NamedTuple):
     name: str
     templates: tuple[tuple[str | None, dsl.LawAst], ...]
 
-    @property
-    def arity(self) -> int:
-        return max(len(ast.free_vars) for _, ast in self.templates)
-
-    def check(self, space: Space) -> Verdict:
-        """The first failing template's first witness, tagged; later
-        templates are not scanned."""
+    def check(self, space: Space) -> Witness | None:
+        """The first failing template's first witness, tagged, or None if
+        the law holds; later templates are not scanned."""
         for tag, ast in self.templates:
-            verdict = _scan(space, tag, ast)
-            if not verdict.holds:
-                return verdict
-        return HOLDS
+            witness = _scan(space, tag, ast)
+            if witness is not None:
+                return witness
+        return None
 
-    def verdicts(self, space: Space) -> dict[str | None, Verdict]:
-        """Every template's verdict, keyed by its tag, in template order."""
+    def verdicts(self, space: Space) -> dict[str | None, Witness | None]:
+        """Every template's tagged first witness, or None, keyed by tag in order."""
         return {tag: _scan(space, tag, ast) for tag, ast in self.templates}
 
     def violated_at(

@@ -275,7 +275,7 @@ def run_search(task: SearchTask) -> SearchResult:
     for space_key in stream:
         remaining = None if task.budget_assignments is None else task.budget_assignments - used
         try:
-            outcome, verdict, count = dsl.scan_law(Space(*space_key), law, budget=remaining)
+            outcome, witness, count = dsl.scan_law(Space(*space_key), law, budget=remaining)
         except Exception as exc:
             raise ScanError(
                 f"scan failed at space {scanned}: {type(exc).__name__}: {exc}"
@@ -291,7 +291,7 @@ def run_search(task: SearchTask) -> SearchResult:
             cut = True
             break
         if outcome == "violated":
-            witnesses.append(SpaceWitness(*space_key, verdict.witness))
+            witnesses.append(SpaceWitness(*space_key, witness))
             if task.want == "first":
                 break
 

@@ -77,7 +77,10 @@ class TopologyAxiomError(SpaceDocumentError):
             op = "∪" if kind == "union" else "∩"
             message = f"topology not closed under {kind}: {a} {op} {b} = {c} is missing"
         super().__init__(message)
-        self.kind, self.pair, self.missing = kind, pair, missing
+        self.ground, self.kind, self.pair, self.missing = ground, kind, pair, missing
+
+    def __reduce__(self):
+        return self.__class__, (self.ground, self.kind, self.pair, self.missing)
 
 
 class IdealAxiomError(SpaceDocumentError):
@@ -98,7 +101,11 @@ class IdealAxiomError(SpaceDocumentError):
             a, b = pair
             message = f"ideal not closed under union: {f(a)} ∪ {f(b)} = {f(missing)} is missing"
         super().__init__(message)
-        self.kind, self.member, self.pair, self.missing = kind, member, pair, missing
+        self.ground, self.kind, self.member = ground, kind, member
+        self.pair, self.missing = pair, missing
+
+    def __reduce__(self):
+        return self.__class__, (self.ground, self.kind, self.member, self.pair, self.missing)
 
 
 # Assigns a field of a ``Frozen`` value, whose own ``__setattr__`` refuses.

@@ -1,7 +1,7 @@
-"""Verdict and witness types shared by the law checkers.
+"""The witness type shared by the law checkers.
 
-A verdict is ``HOLDS`` or ``Verdict(False, Witness(...))``; the scan builds
-the witness, and the registry (``laws.Law``) tags it with its template.
+A check answers None where a law holds, or its first ``Witness``; the scan
+builds the witness, and the registry (``laws.Law``) tags it with its template.
 """
 
 from __future__ import annotations
@@ -45,14 +45,3 @@ class Witness(NamedTuple):
         subsets = (*self.bindings, ("lhs", self.lhs), ("rhs", self.rhs))
         line = " ".join(f"{name}={ground.format(bits)}" for name, bits in subsets)
         return line if self.operation is None else f"{line} ({self.operation})"
-
-
-class Verdict(NamedTuple):
-    """Outcome of one law check: holds, or violated with a witness."""
-
-    holds: bool
-    witness: Witness | None = None
-
-
-# The one verdict of a law that holds; immutable, so every check shares it.
-HOLDS = Verdict(True)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from idealtop import corpus, search
+from idealtop import corpus, laws, operators, search
 from idealtop.space import GroundSet, Space, parse_space
 
 # pytest puts src/ on sys.path (pyproject's ``pythonpath``); the CLI tests'
@@ -12,6 +12,19 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
+
+
+@pytest.fixture(scope="session")
+def registry_names() -> list[str]:
+    """Every registry law name: each head with each local-function alias,
+    and ``family-cap-closed`` with each open-set kind; 6 * 11 + 5 = 71."""
+    names = [
+        f"{head}:{arg}"
+        for head in laws.LAW_TEMPLATES
+        for arg in (operators.KINDS if head == "family-cap-closed" else operators.LOCAL_FN_ALIASES)
+    ]
+    assert len(names) == 71
+    return names
 
 
 @pytest.fixture(scope="session")

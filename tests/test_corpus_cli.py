@@ -249,6 +249,16 @@ class TestEvalCommand:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "expr, binds, name",
+        [("star(A)", [], "A"), ("union(A,B)", ["--bind", "A=w1"], "B"), ("inter(B,A)", [], "B")],
+    )
+    def test_unbound_variable_names_bind(self, expr, binds, name, capsys):
+        assert cli.main(["eval", expr, "--space", SPACE_A_FILE, *binds]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: unbound variable '{name}': bind it with --bind {name}=SUBSET\n"
+        )
+
 
 class TestCheckCommand:
     def test_violated_law_with_witness(self):
@@ -418,6 +428,15 @@ class TestCheckCommand:
         out = run_cli("check", "--space", str(doc), "--law", "A <= X")
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == f"error: {doc}: 'name' must be a string\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--space", SPACE_A_FILE, "--law", "A == A"], ["search", "A == A"]],
+        ids=["check", "search"],
+    )
+    def test_one_variable_over_the_cap_is_singular(self, argv, capsys):
+        assert cli.main([*argv, "--var-cap", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: law has 1 free variable, cap is 0\n")
 
     def test_negative_var_cap_exits_2(self):
         out = run_cli("check", "--space", SPACE_A_FILE, "--law", "A <= X", "--var-cap", "-1")

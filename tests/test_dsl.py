@@ -13,7 +13,6 @@ import pytest
 
 from idealtop import dsl, laws
 from idealtop import operators as ops
-from idealtop.verdicts import HOLDS
 
 
 class TestParsing:
@@ -206,22 +205,22 @@ class TestEvaluation:
 class TestScanning:
     def test_first_witness_and_count(self, space_a):
         law = dsl.parse_law("sstar(union(A,B)) == union(sstar(A),sstar(B))")
-        outcome, verdict, count = dsl.scan_law(space_a, law)
+        outcome, witness, count = dsl.scan_law(space_a, law)
         assert outcome == "violated"
-        assert verdict.witness.bindings == (("A", 1), ("B", 2))
-        assert (verdict.witness.lhs, verdict.witness.rhs) == (15, 3)
+        assert witness.bindings == (("A", 1), ("B", 2))
+        assert (witness.lhs, witness.rhs) == (15, 3)
         # assignments run in lexicographic order with A outermost
         assert count == 1 * 16 + 2 + 1
 
     def test_holds_scans_everything(self, space_a):
         law = dsl.parse_law("star(union(A,B)) == union(star(A),star(B))")
-        assert dsl.scan_law(space_a, law) == ("holds", HOLDS, 256)
+        assert dsl.scan_law(space_a, law) == ("holds", None, 256)
 
     def test_subset_relation(self, space_a):
-        outcome, verdict, count = dsl.scan_law(space_a, dsl.parse_law("cl(A) <= A"))
+        outcome, witness, count = dsl.scan_law(space_a, dsl.parse_law("cl(A) <= A"))
         assert (outcome, count) == ("violated", 2)
-        assert verdict.witness.bindings == (("A", 1),)
-        assert (verdict.witness.lhs, verdict.witness.rhs) == (13, 1)
+        assert witness.bindings == (("A", 1),)
+        assert (witness.lhs, witness.rhs) == (13, 1)
         assert dsl.scan_law(space_a, dsl.parse_law("A <= clstar:star(A)"))[0] == "holds"
 
     def test_budget_stops_early(self, space_a):
@@ -238,15 +237,18 @@ class TestScanning:
             dsl._check_var_cap(law, 3)
         dsl._check_var_cap(law, 4)
         assert dsl.scan_law(space_a, law)[0] == "violated"
+        # the noun agrees with the count
+        with pytest.raises(dsl.VariableCapError, match=r"^law has 1 free variable, cap is 0$"):
+            dsl._check_var_cap(dsl.parse_law("A == A"), 0)
 
     def test_full_scan_verdict(self, space_a):
-        assert dsl.scan_law(space_a, dsl.parse_law("int(A) <= A"))[1] is HOLDS
-        v = dsl.scan_law(space_a, dsl.parse_law("A <= int(A)"))[1]
-        assert not v.holds and v.witness.bindings == (("A", 4),)
+        assert dsl.scan_law(space_a, dsl.parse_law("int(A) <= A"))[1] is None
+        witness = dsl.scan_law(space_a, dsl.parse_law("A <= int(A)"))[1]
+        assert witness.bindings == (("A", 4),)
 
     def test_zero_variable_law(self, space_a):
         assert dsl.scan_law(space_a, dsl.parse_law("star(empty) == empty")) == (
-            "holds", HOLDS, 1,
+            "holds", None, 1,
         )
 
 
@@ -335,10 +337,9 @@ class TestRegistryEquivalence:
         law = laws.get_law(f"{head}:{alias}")
         ast = dsl.parse_law(dsl_text(head, alias))
         for space in (space_a, space_b):
-            direct = law.check(space)
+            witness = law.check(space)
             serial = serial_first_violation(space, ast)
-            assert direct.holds == (serial is None)
-            if not direct.holds:
-                witness = direct.witness
+            assert (witness is None) == (serial is None)
+            if witness is not None:
                 assert (witness.bindings, witness.lhs, witness.rhs) == serial
                 assert law.violated_at(space, witness.bindings, witness.operation)

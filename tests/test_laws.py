@@ -25,7 +25,7 @@ from idealtop.space import (
     Topology,
     space_from_document,
 )
-from idealtop.verdicts import Verdict, Witness
+from idealtop.verdicts import Witness
 
 
 # theorems for the plain open-neighborhood local function; each of these
@@ -45,13 +45,13 @@ class TestCertifiedTheorems:
     def test_holds_on_every_small_space(self, name, small_spaces):
         law = laws.get_law(name)
         for space in small_spaces:
-            assert law.check(space).holds
+            assert law.check(space) is None
 
     @pytest.mark.parametrize("name", OPEN_STAR_THEOREMS)
     def test_holds_on_reference_spaces(self, name, space_a, space_b):
         law = laws.get_law(name)
-        assert law.check(space_a).holds
-        assert law.check(space_b).holds
+        assert law.check(space_a) is None
+        assert law.check(space_b) is None
 
 
 # (law, fixture name, bindings, lhs, rhs, operation) engine-first witnesses
@@ -92,9 +92,7 @@ class TestFrozenWitnesses:
     ):
         space = space_a if which == "a" else space_b
         law = laws.get_law(name)
-        verdict = law.check(space)
-        assert not verdict.holds
-        w = verdict.witness
+        w = law.check(space)
         assert (w.bindings, w.lhs, w.rhs, w.operation) == (bindings, lhs, rhs, operation)
         # the recheck path recomputes from definitions and gives the same witness
         assert law.violated_at(space, w.bindings, w.operation) == w
@@ -105,10 +103,10 @@ class TestFrozenWitnesses:
         verdicts = law.verdicts(space_b)
         assert tuple(verdicts) == ("missing-empty", "missing-universe", "union", "inter")
         assert tuple(verdicts) == tuple(tag for tag, _ in law.templates)
-        assert [v.holds for v in verdicts.values()] == [True, True, True, False]
-        first = next(v for v in verdicts.values() if not v.holds)
+        assert [w is None for w in verdicts.values()] == [True, True, True, False]
+        first = next(w for w in verdicts.values() if w is not None)
         assert first == law.check(space_b)
-        assert first.witness == Witness((("A", 5), ("B", 9)), 1, 0, "inter")
+        assert first == Witness((("A", 5), ("B", 9)), 1, 0, "inter")
 
     def test_one_witness_through_the_oracle(self, space_a):
         # additivity:sstar on the first reference space, by hand through the
@@ -191,11 +189,10 @@ class TestRelabelingEquivariance:
             for perm in permutations(range(space.ground.n)):
                 image = permute_space(space, perm)
                 moved = law.check(image)
-                assert moved.holds == base.holds
-                if not base.holds:
-                    w = base.witness
-                    mapped = tuple((v, permute_mask(s, perm)) for v, s in w.bindings)
-                    assert law.violated_at(image, mapped, w.operation)
+                assert (moved is None) == (base is None)
+                if base is not None:
+                    mapped = tuple((v, permute_mask(s, perm)) for v, s in base.bindings)
+                    assert law.violated_at(image, mapped, base.operation)
 
 
 class TestFamilyChecks:
@@ -206,9 +203,9 @@ class TestFamilyChecks:
             GroundSet(("w1", "w2", "w3")), Topology(Family((0, 1, 2, 3, 7))), Ideal(0)
         )
         assert ops.kopen_family(space, "semi").members == (0, 1, 2, 3, 5, 6, 7)
-        v = laws.get_law("family-cap-closed:semi").check(space)
-        assert v == Verdict(False, Witness((("A", 5), ("B", 6)), 4, 0, "inter"))
-        assert laws.get_law("family-cap-closed:pre").check(space).holds
+        w = laws.get_law("family-cap-closed:semi").check(space)
+        assert w == Witness((("A", 5), ("B", 6)), 4, 0, "inter")
+        assert laws.get_law("family-cap-closed:pre").check(space) is None
 
 
 # The registry's equation laws restated over the oracle's frozensets: name ->
@@ -253,11 +250,8 @@ def oracle_first_violation(space, tables, arity, relation, sides):
     return None
 
 
-def outcome(verdict):
-    if verdict.holds:
-        return None
-    w = verdict.witness
-    return w.bindings, w.lhs, w.rhs, w.operation
+def outcome(w):
+    return w and (w.bindings, w.lhs, w.rhs, w.operation)
 
 
 # Four points where the star closure of xip fails both idempotence and
@@ -377,14 +371,13 @@ class TestFamilyLawsAgainstOracle:
                         family,
                         (("union", frozenset.union), ("inter", frozenset.intersection)),
                     )
-                verdict = laws.get_law(f"eta-topology:{alias}").check(space)
-                assert verdict.holds == oracle.is_topology(family, points), (alias, space)
-                assert verdict.holds == (want is None), (alias, space)
+                w = laws.get_law(f"eta-topology:{alias}").check(space)
+                assert (w is None) == oracle.is_topology(family, points), (alias, space)
+                assert (w is None) == (want is None), (alias, space)
                 if want is None:
                     continue
                 violations += 1
                 past_three += space.ground.n > 3
-                w = verdict.witness
                 assert (w.bindings, w.lhs, w.operation) == want, (alias, space)
                 psi = tables.psi[oracle.bits_to_set(space.ground, w.lhs)]
                 assert w.rhs == oracle.set_to_bits(space.ground, psi)
@@ -399,18 +392,21 @@ class TestFamilyLawsAgainstOracle:
                 want = oracle_family_violation(
                     space, family, (("inter", frozenset.intersection),)
                 )
-                verdict = laws.get_law(f"family-cap-closed:{kind}").check(space)
-                assert verdict.holds == (want is None), (kind, space)
+                w = laws.get_law(f"family-cap-closed:{kind}").check(space)
+                assert (w is None) == (want is None), (kind, space)
                 if want is None:
                     continue
                 violations += 1
                 past_three += space.ground.n > 3
-                w = verdict.witness
                 assert (w.bindings, w.lhs, w.operation) == want, (kind, space)
                 lhs = oracle.bits_to_set(space.ground, w.lhs)
                 test = oracle_kind_test(topo, points, kind, lhs)
                 assert w.rhs == oracle.set_to_bits(space.ground, test)
         assert violations >= 20 and past_three >= 5
+
+
+# registry laws violated on ex-3.3-1 (46) plus those violated on ex-3.3-2 (44)
+VIOLATED_ON_PACKAGE_SPACES = 90
 
 
 class TestRegistry:
@@ -425,11 +421,30 @@ class TestRegistry:
             "family-cap-closed:<kind>",
         )
 
+    def test_every_check_answers_with_one_first_witness(self, registry_names, space_a, space_b):
+        # ``check``, the values of ``verdicts``, ``violated_at`` and the scan
+        # all answer a ``Witness`` or None, and name the same first failure
+        violated = 0
+        for space in (space_a, space_b):
+            for name in registry_names:
+                law = laws.get_law(name)
+                witness = law.check(space)
+                answers = law.verdicts(space)
+                assert witness == next((w for w in answers.values() if w is not None), None)
+                for (tag, ast), answer in zip(law.templates, answers.values()):
+                    scanned = dsl.scan_law(space, ast)[1]
+                    assert answer == (scanned and scanned._replace(operation=tag)), (name, tag)
+                if witness is not None:
+                    violated += 1
+                    assert type(witness) is Witness
+                    assert law.violated_at(space, witness.bindings, witness.operation) == witness
+        assert violated == VIOLATED_ON_PACKAGE_SPACES
+
     def test_every_template_instantiates(self, space_a):
         for alias in ops.LOCAL_FN_ALIASES:
             for head in ("additivity", "diff-law", "psi-cap", "psi-cup", "kuratowski", "eta-topology"):
                 law = laws.get_law(f"{head}:{alias}")
-                assert law.arity == 2
+                assert max(len(ast.free_vars) for _, ast in law.templates) == 2
                 law.check(space_a)
         for kind in ops.KINDS:
             laws.get_law(f"family-cap-closed:{kind}").check(space_a)

@@ -6,12 +6,17 @@ layout shows up here. The grid crosses laws (one with an ``if`` clause) with
 n = 1-3, both ``want`` values and several space and assignment budgets, and
 adds the corpus documents and a budgeted 5-point subbase run. A second
 hash pins three exhaustive 4-point reports: two ``--all-minimal``
-refutations that scan every space and one certification.
+refutations that scan every space and one certification. The output of
+``check`` over every registry law on both package spaces, and of ``repro``
+in both formats, is pinned the same way.
 """
 
 import hashlib
+from pathlib import Path
 
-from idealtop import corpus, search
+import pytest
+
+from idealtop import cli, corpus, search
 
 LAWS = (
     "sstar(union(A,B)) == union(sstar(A),sstar(B))",
@@ -84,3 +89,34 @@ def test_four_point_report_bytes_are_pinned():
         )
         digest.update(search.report_json(result).encode("utf-8"))
     assert digest.hexdigest() == FOUR_POINT_SHA256
+
+
+# sha256 of ``check --name <every registry law> --json``, then of the same
+# run as text, on ex-3.3-1 and then on ex-3.3-2; computed before checks
+# answered with a bare witness
+CHECK_SHA256 = "5799ed4324629403351379cbb96f94a34bee5bcc1ebb2d60dd313b4a01b08612"
+
+
+def test_check_bytes_are_pinned(registry_names, capsys):
+    digest = hashlib.sha256()
+    for document in ("ex-3.3-1", "ex-3.3-2"):
+        path = Path(corpus.__file__).parent / "spaces" / f"{document}.json"
+        argv = ["check", "--space", str(path)]
+        argv += [arg for name in registry_names for arg in ("--name", name)]
+        for extra in (["--json"], []):
+            assert cli.main(argv + extra) == 1  # some registry law fails on each
+            digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == CHECK_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["repro"], "d446f20463b185b5225b28215cd4379f6abd7c8abbb0da9cdae62ea633d7fcfa"),
+        (["repro", "--json"], "67455f1ea6af4256afd29a6d954aa425fa5490712d5505cefdc4416caa2310e5"),
+    ],
+    ids=["text", "json"],
+)
+def test_repro_bytes_are_pinned(argv, sha256, capsys):
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256

@@ -91,13 +91,10 @@ def reference_scan(space, law, budget=None):
 
 
 def byte_lane_scan(space, law, budget=None):
-    outcome, verdict, count = dsl.scan_law(space, law, budget=budget)
-    witness = None
-    if outcome == "violated":
-        w = verdict.witness
-        witness = (w.bindings, w.lhs, w.rhs)
-    else:
-        assert (verdict is None) == (outcome == "budget")
+    outcome, witness, count = dsl.scan_law(space, law, budget=budget)
+    assert (witness is None) == (outcome != "violated")
+    if witness is not None:
+        witness = (witness.bindings, witness.lhs, witness.rhs)
     return outcome, witness, count
 
 

@@ -32,7 +32,7 @@ from idealtop.space import (
     space_to_document,
     validate_topology,
 )
-from idealtop.verdicts import Verdict, Witness
+from idealtop.verdicts import Witness
 from test_scan import random_law
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"
@@ -299,7 +299,7 @@ class TestRevalidation:
     def test_a_witness_that_does_not_hold_up_is_refused(self, monkeypatch):
         # A scan that claims star additivity fails at A={w1}, B={w2}, where
         # it holds on every space, must not reach a report.
-        claim = ("violated", Verdict(False, Witness((("A", 1), ("B", 2)), 3, 3)), 1)
+        claim = ("violated", Witness((("A", 1), ("B", 2)), 3, 3), 1)
         monkeypatch.setattr(dsl, "_scan_lanes", lambda *args: claim)
         with pytest.raises(AssertionError, match="does not re-validate"):
             search.run_search(search.SearchTask(ADDITIVITY.format(op="star"), 2))
@@ -308,11 +308,10 @@ class TestRevalidation:
         scan = dsl._scan_lanes
 
         def misreported(*args):
-            outcome, verdict, count = scan(*args)
+            outcome, witness, count = scan(*args)
             if outcome == "violated":
-                lhs = verdict.witness.lhs ^ 1
-                verdict = Verdict(False, verdict.witness._replace(lhs=lhs))
-            return outcome, verdict, count
+                witness = witness._replace(lhs=witness.lhs ^ 1)
+            return outcome, witness, count
 
         monkeypatch.setattr(dsl, "_scan_lanes", misreported)
         with pytest.raises(AssertionError, match="does not re-validate"):

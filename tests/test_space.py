@@ -5,7 +5,9 @@ points; validator witnesses are pinned to exact first-failure pairs so the
 deterministic scan order stays part of the contract.
 """
 
+import copy
 import json
+import pickle
 import random
 import re
 from itertools import combinations
@@ -505,6 +507,27 @@ class TestDocuments:
                 {"points": ["w1", "w2"], "topology": [[], ["w1", "w2"]], "ideal": [[], ["w1", "w2"]]}
             )
         assert exc.value.kind == "heredity"
+
+    @pytest.mark.parametrize(
+        "validate, members, kind",
+        [
+            (validate_topology, (1, 7), "missing-empty"),
+            (validate_topology, (0, 1), "missing-universe"),
+            (validate_topology, (0, 1, 2, 7), "union"),
+            (validate_topology, (0, 3, 5, 7), "inter"),
+            (validate_ideal, (1,), "missing-empty"),
+            (validate_ideal, (0, 3), "heredity"),
+            (validate_ideal, (0, 1, 2), "union"),
+        ],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_axiom_errors_pickle_and_copy(self, validate, members, kind):
+        error = validate(Family(members), G3)
+        assert error.kind == kind and error.ground == G3
+        for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+            assert type(clone) is type(error)
+            assert str(clone) == str(error)
+            assert vars(clone) == vars(error)  # ground, kind and the failing subsets
 
     def test_unknown_label_in_subset(self):
         with pytest.raises(UnknownLabelError):

@@ -20,7 +20,7 @@ from idealtop.space import (
     generate_ideal,
     generate_topology,
 )
-from idealtop.verdicts import HOLDS, Verdict, Witness
+from idealtop.verdicts import Witness
 
 G2 = GroundSet(("w1", "w2"))
 WITNESS = Witness((("A", 1),), 1, 0)
@@ -38,7 +38,6 @@ def _space(top: int, topology: Topology = TOPOLOGY) -> Space:
 # (type, fields in declaration order, one field name, another value for it)
 CASES = [
     (Witness, dict(bindings=(("A", 5),), lhs=1, rhs=2, operation=None), "lhs", 3),
-    (Verdict, dict(holds=False, witness=WITNESS), "holds", True),
     (dsl.Expr, dict(name="union", args=(dsl.Expr("A"), dsl.Expr("B"))), "name", "inter"),
     (dsl._Token, dict(kind="NAME", text="star", pos=0), "pos", 4),
     (laws.Law, dict(name="a:b", templates=((None, LAW),)), "name", "a:c"),
@@ -188,12 +187,9 @@ def test_unpickled_space_keys_build_the_same_space():
     assert pickle.loads(pickle.dumps(key[1]))._tables is None
 
 
-def test_holds_is_one_shared_immutable_verdict(space_a):
-    assert dsl.scan_law(space_a, dsl.parse_law("star(A) <= cl(A)"))[1] is HOLDS
-    assert laws.get_law("additivity:star").check(space_a) is HOLDS
-    assert HOLDS == Verdict(True, None)
-    with pytest.raises(AttributeError):
-        HOLDS.holds = False
-    with pytest.raises(AttributeError):
-        HOLDS.witness = WITNESS
-    assert HOLDS.holds is True and HOLDS.witness is None
+def test_a_law_that_holds_answers_none(space_a):
+    assert dsl.scan_law(space_a, dsl.parse_law("star(A) <= cl(A)")) == ("holds", None, 16)
+    law = laws.get_law("additivity:star")
+    assert law.check(space_a) is None
+    assert law.verdicts(space_a) == {None: None}
+    assert law.violated_at(space_a, (("A", 1), ("B", 2))) is None
