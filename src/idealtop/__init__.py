@@ -16,6 +16,7 @@ from .space import (
     Topology,
     TopologyAxiomError,
     UnknownLabelError,
+    Witness,
     generate_ideal,
     generate_topology,
     parse_space,
@@ -33,7 +34,6 @@ from .operators import (
 )
 from .dsl import LawAst, eval_expr, format_law, parse_expr, parse_law
 from .search import SearchResult, SearchTask, enumerate_ideals, enumerate_topologies, run_search
-from .verdicts import Witness
 
 __version__ = "0.1.0"
 
@@ -58,6 +58,7 @@ __all__ = [
     "Topology",
     "TopologyAxiomError",
     "UnknownLabelError",
+    "Witness",
     "generate_ideal",
     "generate_topology",
     "parse_space",
@@ -81,7 +82,6 @@ __all__ = [
     "enumerate_ideals",
     "enumerate_topologies",
     "run_search",
-    "Witness",
 ]
 
 

@@ -18,8 +18,7 @@ import sys
 from . import dsl
 from . import operators as ops
 from . import search as search_mod
-from .space import Space, SpaceDocumentError, parse_space
-from .verdicts import Witness
+from .space import Space, SpaceDocumentError, Witness, parse_space
 
 
 def _read_text(path: str) -> str:

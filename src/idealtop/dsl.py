@@ -30,8 +30,7 @@ import re
 from typing import Iterator, Mapping, NamedTuple
 
 from . import operators as ops
-from .space import Frozen, Space, _set, nonzero
-from .verdicts import Witness
+from .space import Frozen, Space, Witness, _set, nonzero
 
 
 class DslError(ValueError):

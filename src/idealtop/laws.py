@@ -21,8 +21,7 @@ from typing import NamedTuple
 
 from . import dsl
 from . import operators as ops
-from .space import Family, Space, Topology, validate_topology
-from .verdicts import Witness
+from .space import Family, Space, Topology, Witness, validate_topology
 
 __all__ = [
     "Law",

@@ -32,7 +32,7 @@ and ``clstar:`` ORs in the identity lanes. The bytes of ``a & ~top`` are
 kept once per (n, top), and each alias's ``H``, padded to the 256 bytes
 ``translate`` takes, is the one hit table stored with the topology's
 tables, so a local-function table costs each space one ``translate``,
-which ``unary_table`` does in one step on a cache miss. ``hit_table``
+the first case of ``_build``. ``hit_table``
 computes the ``2**n`` bytes of any kind pair, aliased or not, and stores
 nothing of its own.
 
@@ -231,6 +231,8 @@ def operator_names() -> tuple[str, ...]:
 
 
 def _table(space: Space, name: str) -> bytes:
+    # The memo of ``unary_table`` for the bases ``_build`` reads (a dual's
+    # local function, a ``clstar:`` argument), untraced and unchecked.
     table = space._cache.get(name)
     if table is None:
         table = _build(space, name)
@@ -271,18 +273,15 @@ def unary_table(space: Space, name: str) -> bytes:
     subset ``a``.
 
     This is the only producer of operator values: each alias has one table
-    per space, kept in ``space._cache`` under its name. A local function,
-    the hot case, is built here in one step; every other name goes
-    through ``_table``. Unknown names raise ``KeyError``.
+    per space, kept in ``space._cache`` under its name. A missing table is
+    built by ``_build``, whose first case is a local function, the hot
+    one. Unknown names raise ``KeyError``.
     """
     table = space._cache.get(name)  # only operator names are ever cached
     if table is None:
-        if name in LOCAL_FN_ALIASES:
-            table = space._cache[name] = _local_fn(space, name)
-        elif is_operator(name):
-            table = _table(space, name)
-        else:
+        if not is_operator(name):
             raise KeyError(f"unknown operator alias {name!r}")
+        table = space._cache[name] = _build(space, name)
     return table
 
 

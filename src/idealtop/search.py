@@ -35,6 +35,7 @@ from .space import (
     Ideal,
     Space,
     Topology,
+    Witness,
     _json_document,
     _set,
     generate_topology,
@@ -42,7 +43,6 @@ from .space import (
     space_to_document,
     topology_of_neighbourhoods,
 )
-from .verdicts import Witness
 
 EXHAUSTIVE_MAX_POINTS = 4
 MAX_SUBBASE_SIZE = 3

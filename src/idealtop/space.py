@@ -1,4 +1,5 @@
-"""Ground sets, bitmask subsets, set families, and validated spaces.
+"""Ground sets, bitmask subsets, set families, validated spaces, and the
+witness that answers a law check.
 
 A subset of the ground set is a plain ``int``: bit ``i`` set means point
 ``i`` (in declared label order) belongs to the subset. A family of subsets
@@ -23,6 +24,9 @@ its preorder y ∈ U(x)), ``topology_of_neighbourhoods`` unions given
 U(x), and ``generate_ideal`` takes the power set of the union of its
 generators.
 
+A law check answers None where the law holds, or its first ``Witness``,
+which the scan builds and ``laws.Law`` tags with its template.
+
 A ``Space`` reads its interior and closure tables from its topology,
 which validates and builds them on first use (``topology_tables``);
 every operator value, those two included, is read through
@@ -43,12 +47,9 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_POINTS = 8
-
-# Labels appear in comma/brace subset syntax, so keep them delimiter-free.
-_LABEL_FORBIDDEN = set(" \t\r\n,{}")
 
 
 class SpaceDocumentError(ValueError):
@@ -165,7 +166,8 @@ class GroundSet(Frozen):
             raise ValueError(f"ground set needs 1..{MAX_POINTS} points, got {n}")
         seen = set()
         for lab in labels:
-            if not isinstance(lab, str) or not lab or any(c in _LABEL_FORBIDDEN for c in lab):
+            # subsets are written {a,b}, and the whitespace around a label is stripped
+            if not isinstance(lab, str) or not lab or any(c in ",{}" or c.isspace() for c in lab):
                 raise ValueError(f"bad point label {lab!r}")
             if lab in seen:
                 raise ValueError(f"duplicate point label {lab!r}")
@@ -278,6 +280,41 @@ class Ideal(Frozen):
 
     def __len__(self) -> int:
         return 1 << bin(self.top).count("1")
+
+
+class Witness(NamedTuple):
+    """A concrete refutation: variable bindings plus the evaluated sides.
+
+    ``bindings`` pairs variable names with subset bitmasks, in scan order.
+    ``operation`` is the tag of the registry template the witness
+    violates, a key of ``laws.LAW_TEMPLATES[<law>]``: a family-closure
+    failure ("union", "inter"), a missing bound, or a failed closure axiom
+    (one of ``laws.KURATOWSKI_AXIOMS``). Bare equations and search
+    witnesses are untagged (None).
+    """
+
+    bindings: tuple[tuple[str, int], ...]
+    lhs: int
+    rhs: int
+    operation: str | None = None
+
+    def by_label(self, ground: GroundSet) -> dict:
+        """The witness in point labels, as reports print it: ``bindings``
+        maps each variable to its subset, ``lhs`` and ``rhs`` are subsets,
+        and ``operation`` is the tag."""
+        labels = ground.labels_of
+        return {
+            "bindings": {name: labels(bits) for name, bits in self.bindings},
+            "lhs": labels(self.lhs),
+            "rhs": labels(self.rhs),
+            "operation": self.operation,
+        }
+
+    def line(self, ground: GroundSet) -> str:
+        """``by_label`` on one line: ``A={w1} lhs={w1,w2} rhs={w2} (tag)``."""
+        subsets = (*self.bindings, ("lhs", self.lhs), ("rhs", self.rhs))
+        line = " ".join(f"{name}={ground.format(bits)}" for name, bits in subsets)
+        return line if self.operation is None else f"{line} ({self.operation})"
 
 
 def _check_in_range(largest: int, ground: GroundSet) -> None:
@@ -574,10 +611,14 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _json_document(text: str):
-    """Decode the JSON of a space document; the one decoder of documents."""
+    """Decode the JSON of a space document; the one decoder of documents.
+    Every decoder failure becomes a ``SchemaError``: bad syntax, an integer
+    over the digit limit, or nesting deep enough to raise ``RecursionError``."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except SchemaError:  # a duplicate key, from ``_unique_keys``
+        raise
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
 
 

@@ -249,6 +249,14 @@ class TestEvalCommand:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("label", ["a\v", "b\u00a0"])
+    def test_label_with_whitespace_is_refused_with_its_file(self, label, tmp_path, capsys):
+        # accepted, ``--bind A=<label>`` would find the label stripped and unknown
+        doc = tmp_path / "space.json"
+        doc.write_text(json.dumps({"points": [label], "topology": [[], [label]], "ideal": [[]]}))
+        assert cli.main(["eval", "star(A)", "--bind", f"A={label}", "--space", str(doc)]) == 2
+        assert capsys.readouterr() == ("", f"error: {doc}: bad point label {label!r}\n")
+
     @pytest.mark.parametrize(
         "expr, binds, name",
         [("star(A)", [], "A"), ("union(A,B)", ["--bind", "A=w1"], "B"), ("inter(B,A)", [], "B")],
@@ -730,6 +738,27 @@ class TestUsageErrors:
             assert cli.main(argv) == 2
             assert capsys.readouterr() == ("", f"error: {doc}: {message}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+            ("[" + "9" * 5_000 + "]", "Exceeds the limit (4300 digits) for integer string conversion"),
+        ],
+        ids=["deep", "long-integer"],
+    )
+    def test_undecodable_json_is_named(self, text, message, tmp_path, capsys):
+        # every decoder failure exits 2 from each command that reads a space file
+        doc = tmp_path / "bad.json"
+        doc.write_text(text)
+        for argv in (["eval", "star(A)", "--bind", "A=", "--space", str(doc)],
+                     ["check", "--law", "A == A", "--space", str(doc)],
+                     ["families", "semi", "--space", str(doc)],
+                     ["search", "A == A", "--space", str(doc)]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert (out, err.count("\n")) == ("", 1)
+            assert err.startswith(f"error: {doc}: invalid JSON: {message}")
+
     @pytest.mark.parametrize("command", ["search", "check-law", "check-laws-file", "eval"])
     def test_law_nesting_is_bounded(self, command, tmp_path, capsys):
         # at the bound the text is scanned (a violation, or eval's value);
@@ -801,9 +830,9 @@ class TestStartup:
     (nor the ``inspect`` it pulls in), a process pool, the law registry nor
     the corpus, and ``--workers 2`` changes none of that."""
 
-    def probe(self, *argv):
+    def probe(self, *argv, script=STARTUP_PROBE):
         out = subprocess.run(
-            [sys.executable, "-S", "-c", STARTUP_PROBE, *argv],
+            [sys.executable, "-S", "-c", script, *argv],
             capture_output=True, text=True, cwd=REPO, timeout=120,
         )
         assert out.stderr == ""
@@ -816,6 +845,18 @@ class TestStartup:
     def test_two_worker_search_loads_none_of_them(self):
         law = "star(union(A,B)) == union(star(A),star(B))"
         assert self.probe("search", law, "--points", "2", "--workers", "2") == "0 []"
+
+    def test_search_loads_exactly_its_launch_path(self):
+        # Without a bytecode cache each of these is compiled on every
+        # launch, so a module added here should be a visible decision.
+        script = STARTUP_PROBE + (
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'idealtop'))\n"
+        )
+        law = "star(union(A,B)) == union(star(A),star(B))"
+        assert self.probe("search", law, "--points", "2", script=script) == str([
+            "idealtop", "idealtop.cli", "idealtop.dsl", "idealtop.operators",
+            "idealtop.search", "idealtop.space",
+        ])
 
     def test_check_loads_the_registry(self):
         probe = self.probe("check", "--space", SPACE_A_FILE, "--name", "additivity:star")

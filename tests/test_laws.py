@@ -23,9 +23,9 @@ from idealtop.space import (
     Ideal,
     Space,
     Topology,
+    Witness,
     space_from_document,
 )
-from idealtop.verdicts import Witness
 
 
 # theorems for the plain open-neighborhood local function; each of these

@@ -26,13 +26,13 @@ from idealtop.space import (
     SchemaError,
     Space,
     Topology,
+    Witness,
     generate_topology,
     serialize_space,
     space_from_document,
     space_to_document,
     validate_topology,
 )
-from idealtop.verdicts import Witness
 from test_scan import random_law
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"

@@ -591,6 +591,13 @@ class TestDocuments:
         with pytest.raises(SchemaError):
             parse_space("{not json")
 
+    @pytest.mark.parametrize("label", ["a\v", "b\u00a0", "c\u2028d"])
+    def test_labels_with_any_whitespace_are_refused(self, label):
+        # ``parse_subset`` strips whitespace, so such a point could never be bound
+        doc = {"points": [label, "e"], "topology": [[], [label, "e"]], "ideal": [[]]}
+        with pytest.raises(SchemaError, match=f"^bad point label {re.escape(repr(label))}$"):
+            parse_space(json.dumps(doc))
+
     def test_duplicate_key_is_a_schema_error(self):
         # json would keep the second "points" list without a word
         text = '{"points": ["a"], "points": ["w1", "w2"], "topology": [[]], "ideal": [[]]}'

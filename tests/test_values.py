@@ -17,10 +17,10 @@ from idealtop.space import (
     Ideal,
     Space,
     Topology,
+    Witness,
     generate_ideal,
     generate_topology,
 )
-from idealtop.verdicts import Witness
 
 G2 = GroundSet(("w1", "w2"))
 WITNESS = Witness((("A", 1),), 1, 0)
