@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registry law name, e.g. additivity:sstar (repeatable)",
     )
     p_check.add_argument("--laws-file", help="file with one law per line, # comments")
-    p_check.add_argument("--var-cap", type=int, default=3)
+    p_check.add_argument("--var-cap", type=int, default=dsl.DEFAULT_VAR_CAP)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--all-minimal", action="store_true", help="collect all minimal violating spaces")
     p_search.add_argument("--budget-spaces", type=int, default=None)
     p_search.add_argument("--budget-assignments", type=int, default=None)
-    p_search.add_argument("--var-cap", type=int, default=3)
+    p_search.add_argument("--var-cap", type=int, default=dsl.DEFAULT_VAR_CAP)
     p_search.add_argument(
         "--workers", type=int, default=1, help="accepted and ignored; scans run in this process"
     )

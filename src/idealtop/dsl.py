@@ -75,6 +75,11 @@ class Expr(NamedTuple):
 
 _CONSTANTS = ("empty", "X")
 
+# The default variable cap of ``read_laws_file``, ``SearchTask`` and the
+# ``--var-cap`` of ``check`` and ``search``: the most free variables law
+# text may have where it enters.
+DEFAULT_VAR_CAP = 3
+
 # Calls an expression may nest, counting every call. The parser refuses
 # deeper text, so no recursive walk of a parsed law can overflow the stack.
 MAX_NESTING = 100
@@ -325,10 +330,12 @@ class _Program(Frozen):
 
     Step ``i`` is ``(code, a, b)``: a variable index, a constant (``a`` true
     for ``X``), or an operation on earlier steps ``a`` and ``b`` (for
-    ``_APPLY``, ``b`` numbers the operator among the distinct ones). A step
-    is space-free when no operator lies below it; its lanes depend only on
-    the point count and the block, and ``space_free`` lists those steps,
-    ``per_space`` the rest, each in evaluation order. It compares by identity, which is all the
+    ``_APPLY``, ``b`` numbers the operator in order of first use in
+    ``ops``, the order in which ``scan_law`` hands ``_scan_lanes`` the
+    tables). A step is space-free when no operator lies below it; its
+    lanes depend only on the point count and the block, and
+    ``space_free`` lists those steps, ``per_space`` the rest, each in
+    evaluation order. It compares by identity, which is all the
     ``_space_free_block`` and ``_scan_lanes`` memos need of their keys.
     """
 
@@ -342,7 +349,6 @@ class _Program(Frozen):
         "rhs",
         "hypotheses",  # (relation, lhs step, rhs step) each
         "ops",  # the operator of every operator node, repeats included
-        "firsts",  # where in ``ops`` each distinct operator first occurs
     )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -358,7 +364,7 @@ def _compile(law: LawAst) -> _Program:
         for node in itertools.chain.from_iterable(map(_walk, law.sides))
         if node.args and node.name not in _SET_OPS
     )
-    firsts = {op: ops.index(op) for op in ops}
+    number = {op: j for j, op in enumerate(dict.fromkeys(ops))}
     slots: dict[Expr, int] = {}
     steps: list[tuple] = []
     free: list[bool] = []
@@ -378,7 +384,7 @@ def _compile(law: LawAst) -> _Program:
             step = (_SET_OPS[name][1], args[0], args[1] if len(args) > 1 else None)
             is_free = all(free[a] for a in args)
         else:
-            step, is_free = (_APPLY, args[0], list(firsts).index(name)), False
+            step, is_free = (_APPLY, args[0], number[name]), False
         slots[node] = len(steps)
         steps.append(step)
         free.append(is_free)
@@ -396,7 +402,6 @@ def _compile(law: LawAst) -> _Program:
         rhs,
         hypotheses,
         ops,
-        tuple(firsts.values()),
     )
 
 
@@ -524,9 +529,9 @@ def scan_law(
     A space enters the scan only through its point count and its operator
     tables, so the lane scan itself, ``_scan_lanes``, is memoized on the
     compiled law, the point count, the assignments to scan and the table
-    of each operator node: a space whose tables repeat an earlier space's
-    gets that scan's result without scanning. Nodes of one operator carry
-    one table, so two keys are equal exactly when the law's distinct
+    of each distinct operator, in order of first use: a space whose
+    tables repeat an earlier space's gets that scan's result without
+    scanning, and two keys are equal exactly when the law's distinct
     operator tables are.
     """
     program = law._program
@@ -534,16 +539,17 @@ def scan_law(
     total = 1 << n * len(program.names)
     limit = total if budget is None else max(0, min(budget, total))
     # One lookup per operator node, repeats included: the space's table
-    # counts do not depend on how the law compiles or on the memo.
-    return _scan_lanes(program, n, limit, *[ops.unary_table(space, op) for op in program.ops])
+    # counts do not depend on how the law compiles or on the memo. The
+    # dict keeps each distinct operator's table once, in order of first use.
+    tables = {op: ops.unary_table(space, op) for op in program.ops}
+    return _scan_lanes(program, n, limit, *tables.values())
 
 
 # Lane scans kept by ``_scan_lanes``. A key holds the compiled law and
-# its operator nodes' tables (``2**n`` bytes each, so at most 256, and
-# the nodes of one operator share one), and a result is at most one small
-# witness, so a full memo is a few MiB at most. An exhaustive 4-point
-# search has 1,136 distinct ``star`` tables over its 5,680 spaces, and
-# every one stays in the memo.
+# its distinct operators' tables (``2**n`` bytes each, so at most 256),
+# and a result is at most one small witness, so a full memo is a few MiB
+# at most. An exhaustive 4-point search has 1,136 distinct ``star``
+# tables over its 5,680 spaces, and every one stays in the memo.
 _SCAN_MEMO_SIZE = 2048
 
 
@@ -552,14 +558,15 @@ def _scan_lanes(
     program: _Program, n: int, limit: int, *tables: bytes
 ) -> tuple[str, Witness | None, int]:
     """The first ``limit`` assignments of ``program`` on n points, with
-    ``tables[j]`` the table of ``program.ops[j]``; see ``scan_law``."""
+    ``tables[j]`` the table of operator ``j``, the ``j``-th distinct one
+    in ``program.ops``; see ``scan_law``."""
     k = len(program.names)
     width, block_bits, ones, full = _block_shape(n, k)
     total = 1 << width
     size = 1 << block_bits
     # ``bytes.translate`` takes a 256-byte table; lanes only ever index
     # its first 2**n bytes.
-    padded = [tables[j].ljust(256, b"\0") for j in program.firsts]
+    padded = [table.ljust(256, b"\0") for table in tables]
     free_block = _space_free_block
     if limit > size * _SPACE_FREE_BLOCKS:
         free_block = _space_free_block.__wrapped__
@@ -588,7 +595,7 @@ def _scan_lanes(
     return "holds", None, total
 
 
-def read_laws_file(text: str, *, var_cap: int = 3) -> list[LawAst]:
+def read_laws_file(text: str, *, var_cap: int = DEFAULT_VAR_CAP) -> list[LawAst]:
     """One law per line; blank lines and '#' comments are skipped. A law
     that fails to parse, or has more free variables than ``var_cap``,
     raises its error with ``line`` set to its line number, counted from 1,

@@ -10,10 +10,10 @@ the star-closure ``a | f(a)``; and the family of dual-expansive sets.
 ``unary_table(space, name)`` is the one producer of operator values: every
 alias, and ``clstar:`` of one, is a table over all subsets, ``2**n`` bytes
 with byte ``a`` the value at subset ``a``, memoized in the per-space
-``space._cache`` under its name. Tables that depend on the topology alone
-(generalized-open families and closures, local-function hit tables) live
-in ``space.tables``, the dict the topology holds, and are shared by every
-space on that topology.
+``space._cache`` under its name, which nothing else writes. Tables that
+depend on the topology alone (generalized-open families and closures,
+local-function hit tables) live in ``space.tables``, the dict the
+topology holds, and are shared by every space on that topology.
 The ideal is the power set of its top member, so a trace ``t & a`` lies
 in it iff ``t & a & ~top`` is empty; hence ``f(a) = H[a & ~top]`` for the
 ideal-free hit table ``H``. Every ``H`` is the dual of a ``union_below``
@@ -27,14 +27,15 @@ value at subset ``a``, and a table is applied to all lanes at once with
 over subsets: a kind closure and a hit table are the dual of a
 ``union_below`` table, a local function is the lanes of
 ``a & ~top`` translated through ``H`` (the bytes ``translate`` returns are
-the table), a dual is the base table's lanes reversed and complemented,
-and ``clstar:`` ORs in the identity lanes. The bytes of ``a & ~top`` are
-kept once per (n, top), and each alias's ``H``, padded to the 256 bytes
-``translate`` takes, is the one hit table stored with the topology's
-tables, so a local-function table costs each space one ``translate``,
-the first case of ``_build``. ``hit_table``
-computes the ``2**n`` bytes of any kind pair, aliased or not, and stores
-nothing of its own.
+the table), a dual is its local function's lanes reversed and
+complemented, and a chain of ``clstar:`` prefixes ORs in the identity
+lanes once, as ``a | (a | f(a)) = a | f(a)``. The bytes of ``a & ~top``
+are kept once per (n, top), and each alias's ``H``, padded to the 256
+bytes ``translate`` takes, is the one hit table stored with the
+topology's tables, so a local-function table costs each space one
+``translate``, the first case of ``_build``. ``hit_table`` computes the
+``2**n`` bytes of any kind pair, aliased or not, and stores nothing of
+its own.
 
 Open-set kinds and local functions are named by strings, as in the law
 DSL, the command line and the corpus: a kind is one of ``KINDS``, the keys
@@ -115,7 +116,7 @@ def kclosure_table(space: Space, kind: str) -> bytes:
     of the kind-open sets inside each subset; for the opens, the closure
     table the topology already holds."""
     if kind == "open":
-        return space.cl_table
+        return space.tables["cl"]
     key = ("kclosure", kind)
     table = space.tables.get(key)
     if table is None:
@@ -218,36 +219,30 @@ _CLSTAR = "clstar:"
 
 
 def is_operator(name: str) -> bool:
-    """Whether ``name`` is an alias, or ``clstar:`` applied to one."""
-    if name in _ALIASES:
-        return True
-    while name.startswith(_CLSTAR):
-        name = name[len(_CLSTAR):]
-    return name in _ALIASES
+    """Whether ``name`` is an alias, or ``clstar:`` applied to one any
+    number of times."""
+    chain, _, base = name.rpartition(_CLSTAR)
+    return base in _ALIASES and chain == _CLSTAR * (len(chain) // len(_CLSTAR))
 
 
 def operator_names() -> tuple[str, ...]:
     return tuple(sorted(_ALIASES)) + ("clstar:<op>",)
 
 
-def _table(space: Space, name: str) -> bytes:
-    # The memo of ``unary_table`` for the bases ``_build`` reads (a dual's
-    # local function, a ``clstar:`` argument), untraced and unchecked.
-    table = space._cache.get(name)
-    if table is None:
-        table = _build(space, name)
-        space._cache[name] = table
-    return table
-
-
 def _build(space: Space, name: str) -> bytes:
-    # Every table is computed on all subsets at once, in byte lanes.
+    # Every table is computed on all subsets at once, in byte lanes. A
+    # dual's local function and a ``clstar:`` argument are built by calling
+    # this again, not read from the memo, so only ``unary_table`` writes it.
     if name in LOCAL_FN_ALIASES:
         return _local_fn(space, name)
     n = space.ground.n
     size = space.n_subsets
     ones, identity = lanes(n)
     full = space.ground.universe
+    base = name.rpartition(_CLSTAR)[2]
+    if base != name:
+        # the whole chain of prefixes at once: a | (a | f(a)) = a | f(a)
+        return (_lanes(_build(space, base)) | identity).to_bytes(size, "little")
     if name in ("int", "cl"):
         return space.tables[name]
     if name == "der":
@@ -256,15 +251,12 @@ def _build(space: Space, name: str) -> bytes:
         for z in range(n):
             bit = 1 << z
             without = (identity & (full ^ bit) * ones).to_bytes(size, "little")
-            out |= _lanes(_translate(without, space.cl_table)) & bit * ones
+            out |= _lanes(_translate(without, space.tables["cl"])) & bit * ones
         return out.to_bytes(size, "little")
     kind = _KCLOSURE_KIND.get(name)
     if kind is not None:
         return kclosure_table(space, kind)
-    base = _DUAL_BASE.get(name)
-    if base is not None:
-        return dual(_lanes(_table(space, base)), n).to_bytes(size, "little")
-    return (_lanes(_table(space, name[len(_CLSTAR):])) | identity).to_bytes(size, "little")
+    return dual(_lanes(_build(space, _DUAL_BASE[name])), n).to_bytes(size, "little")
 
 
 def unary_table(space: Space, name: str) -> bytes:
@@ -272,10 +264,11 @@ def unary_table(space: Space, name: str) -> bytes:
     subset, memoized per space: ``2**n`` bytes, byte ``a`` the value at
     subset ``a``.
 
-    This is the only producer of operator values: each alias has one table
-    per space, kept in ``space._cache`` under its name. A missing table is
-    built by ``_build``, whose first case is a local function, the hot
-    one. Unknown names raise ``KeyError``.
+    This is the only producer of operator values and the only writer of
+    ``space._cache``: each name has one table per space, kept there under
+    that name. A missing table is built by ``_build``, whose first case is
+    a local function, the hot one; the ``int`` and ``cl`` tables are the
+    very ``bytes`` of ``space.tables``. Unknown names raise ``KeyError``.
     """
     table = space._cache.get(name)  # only operator names are ever cached
     if table is None:

@@ -165,7 +165,7 @@ class SearchTask(Frozen):
         want: str = "first",  # "first" | "all-minimal"
         budget_spaces: int | None = None,
         budget_assignments: int | None = None,
-        var_cap: int = 3,
+        var_cap: int = dsl.DEFAULT_VAR_CAP,
         documents: tuple[str, ...] = (),  # JSON space documents, "documents" mode
     ):
         for name, value in zip(self._fields, (

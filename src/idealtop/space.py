@@ -365,14 +365,15 @@ def validate_ideal(family: Family, ground: GroundSet) -> IdealAxiomError | None:
                 return IdealAxiomError(ground, "heredity", member=b, missing=t)
             t = (t - b) & b
     # a hereditary family that holds the union of its members is the power
-    # set of that union, so no pair can fail
+    # set of that union, so no pair can fail; one that misses it has a
+    # failing pair, since pairwise unions would build it, so the loop
+    # below always returns
     if mask >> functools.reduce(operator.or_, members) & 1:
         return None
     for i, a in enumerate(members):
         for b in members[i:]:
             if not mask >> (a | b) & 1:
                 return IdealAxiomError(ground, "union", pair=(a, b), missing=a | b)
-    return None
 
 
 def generate_topology(subbase: Iterable[int], ground: GroundSet) -> Topology:
@@ -521,14 +522,6 @@ class Space(Frozen):
     @property
     def n_subsets(self) -> int:
         return 1 << self.ground.n
-
-    @property
-    def int_table(self) -> bytes:
-        return self.tables["int"]
-
-    @property
-    def cl_table(self) -> bytes:
-        return self.tables["cl"]
 
 
 _DOCUMENT_KEYS = {"points", "topology", "topology_subbase", "ideal", "ideal_generators", "name"}

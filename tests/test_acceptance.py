@@ -178,7 +178,7 @@ def test_criterion_6_property_suite(small_spaces, space_a, space_b):
     # ideal extremes on every small topology
     for space in small_spaces:
         if space.ideal.top == 0:
-            if ops.unary_table(space, "star") != space.cl_table:
+            if ops.unary_table(space, "star") != ops.unary_table(space, "cl"):
                 violations += 1
     for base in (space_a, space_b):
         discrete = Space(

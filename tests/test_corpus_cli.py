@@ -506,6 +506,28 @@ def test_file_that_is_not_utf8_is_named(tmp_path, argv):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--law", "{op}(A) == A", "--space", SPACE_A_FILE),
+        ("eval", "{op}(A)", "--bind", "A=w1", "--space", SPACE_A_FILE),
+        ("search", "{op}(A) == A", "--space", SPACE_A_FILE),
+    ],
+    ids=["check", "eval", "search"],
+)
+def test_long_clstar_chain_answers_as_one_prefix(argv):
+    # a chain of prefixes is built in one step, so its length cannot
+    # exhaust the stack; the output differs only in the law text
+    chain = "clstar:" * 1000 + "star"
+    long, one = (run_cli(*(arg.format(op=op) for arg in argv)) for op in (chain, "clstar:star"))
+    assert long.stderr == one.stderr == ""
+    assert (long.returncode, long.stdout.replace(chain, "clstar:star")) == (
+        one.returncode,
+        one.stdout,
+    )
+    assert one.returncode == (0 if argv[0] == "eval" else 1)
+
+
 class TestFamiliesCommand:
     def test_semi_family_listing(self):
         out = run_cli("families", "semi", "--space", SPACE_A_FILE)

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from idealtop import dsl, laws
+from idealtop import cli, dsl, laws, search
 from idealtop import operators as ops
 
 
@@ -240,6 +240,17 @@ class TestScanning:
         # the noun agrees with the count
         with pytest.raises(dsl.VariableCapError, match=r"^law has 1 free variable, cap is 0$"):
             dsl._check_var_cap(dsl.parse_law("A == A"), 0)
+
+    def test_one_default_var_cap(self):
+        # a task, a laws file and both commands' --var-cap share one default
+        assert dsl.DEFAULT_VAR_CAP == 3
+        assert search.SearchTask("A == A", 2).var_cap == dsl.DEFAULT_VAR_CAP
+        parser = cli.build_parser()
+        for argv in (["check", "--space", "s.json"], ["search", "A == A"]):
+            assert parser.parse_args(argv).var_cap == dsl.DEFAULT_VAR_CAP
+        four = "union(union(A,B),union(C,D)) == X"
+        with pytest.raises(dsl.VariableCapError, match="cap is 3$"):
+            dsl.read_laws_file(four)
 
     def test_full_scan_verdict(self, space_a):
         assert dsl.scan_law(space_a, dsl.parse_law("int(A) <= A"))[1] is None

@@ -326,7 +326,7 @@ class TestRevalidation:
         assert space.topology is not w.topology
         scanned = w.topology._tables[1]
         assert space.tables is not scanned
-        assert (space.int_table, space.cl_table) == (scanned["int"], scanned["cl"])
+        assert (space.tables["int"], space.tables["cl"]) == (scanned["int"], scanned["cl"])
 
 
 class TestAllMinimal:

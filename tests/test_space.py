@@ -396,11 +396,11 @@ class TestSpace:
             for a in range(space.n_subsets):
                 aset = oracle.bits_to_set(space.ground, a)
                 assert (
-                    oracle.bits_to_set(space.ground, space.int_table[a])
+                    oracle.bits_to_set(space.ground, space.tables["int"][a])
                     == oracle.interior(topo, aset)
                 )
                 assert (
-                    oracle.bits_to_set(space.ground, space.cl_table[a])
+                    oracle.bits_to_set(space.ground, space.tables["cl"][a])
                     == oracle.closure(topo, points, aset)
                 )
 

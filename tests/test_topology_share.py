@@ -82,8 +82,8 @@ def test_random_spaces_match_oracle():
 def every_table(space):
     """Every table the operator layer derives from a space."""
     out = {
-        "int": space.int_table,
-        "cl": space.cl_table,
+        "int": space.tables["int"],
+        "cl": space.tables["cl"],
     }
     for kind in ops.KINDS:
         out["kopen", kind] = ops.kopen_family(space, kind)

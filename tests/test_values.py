@@ -13,11 +13,13 @@ import pytest
 from idealtop import corpus, dsl, laws, search
 from idealtop.space import (
     Family,
+    Frozen,
     GroundSet,
     Ideal,
     Space,
     Topology,
     Witness,
+    _set,
     generate_ideal,
     generate_topology,
 )
@@ -107,6 +109,25 @@ def test_equal_fields_make_equal_values(cls, fields, name, other):
     assert changed != a and not changed == a
 
 
+def test_values_of_two_types_are_never_equal():
+    # ``Frozen`` equality holds within one type only: another type, even
+    # with equal field values, and a plain tuple of the fields are unequal
+    class Top(Frozen):
+        __slots__ = _fields = ("top",)
+
+        def __init__(self, top):
+            _set(self, "top", top)
+
+    family = Family((0, 1))
+    assert Top(1)._values() == Ideal(1)._values() == (1,)
+    for a, b in [
+        (Topology(family), family),
+        (Top(1), Ideal(1)),
+        (Ideal(1), (1,)),
+        (family, ((0, 1),)),
+    ]:
+        assert a != b and b != a and not a == b and not b == a
+
 @pytest.mark.parametrize("cls, fields, name, other", CASES, ids=_ids(CASES))
 def test_repr_lists_fields_in_order(cls, fields, name, other):
     listed = ", ".join(f"{key}={value!r}" for key, value in fields.items())
@@ -149,7 +170,8 @@ def test_identity_types_compare_by_identity():
     assert twin == TOPOLOGY and hash(twin) == hash(TOPOLOGY)
     on_twin = _space(1, twin)
     assert on_twin.tables is not _space(1).tables
-    assert (on_twin.int_table, on_twin.cl_table) == (_space(1).int_table, _space(1).cl_table)
+    for name in ("int", "cl"):
+        assert on_twin.tables[name] == _space(1).tables[name]
     first, second = dsl.parse_law("A <= X"), dsl.parse_law("A <= X")
     assert first == second
     assert first._program is first._program
@@ -181,7 +203,7 @@ def test_unpickled_space_keys_build_the_same_space():
     key = (G2, generate_topology((1,), G2), generate_ideal((1,), G2))
     space = Space(*pickle.loads(pickle.dumps(key)))
     assert space == Space(*key)
-    assert space.int_table == Space(*key).int_table
+    assert space.tables["int"] == Space(*key).tables["int"]
     # the tables the topology holds are a cache, not pickled with it
     assert key[1]._tables is not None
     assert pickle.loads(pickle.dumps(key[1]))._tables is None
