@@ -5,7 +5,9 @@ the interface: 0 = holds / all passed / certified, 1 = violated / failed /
 counterexample found, 2 = usage or parse error or a failed scan, 3 = search
 budget exhausted, 141 = the reader closed stdout early (128 + SIGPIPE, with
 nothing on stderr). ``search --workers N`` is still parsed and checked, but
-changes nothing: every scan runs in the calling process.
+changes nothing: every scan runs in the calling process. ``check --law``
+takes a registry name or law text, printed in the order given before the
+``--laws-file`` laws; ``search --space`` selects documents mode.
 """
 
 from __future__ import annotations
@@ -104,26 +106,20 @@ def cmd_check(args) -> int:
 
     if args.var_cap < 0:
         raise ValueError(f"--var-cap must be >= 0, got {args.var_cap}")
-    # Every law is parsed, cap-checked and resolved before the space file
-    # is read, so a bad law fails before any scan; ``checks`` holds the
-    # laws in the order the results print, each named by its text.
-    cap = args.var_cap
-    checks = []
-    for text in args.law:
-        law = dsl.parse_law(text)
-        dsl._check_var_cap(law, cap)
-        checks.append(laws.text_law(text, law))
-    checks += map(laws.get_law, args.name)
+    # Every law is resolved before the space file is read, so a bad law
+    # fails before any scan; ``checks`` holds the laws in the order the
+    # results print, each named by its text.
+    checks = [laws.resolve_law(text, args.var_cap) for text in args.law]
     if args.laws_file:
         try:
-            file_laws = dsl.read_laws_file(_read_text(args.laws_file), var_cap=cap)
+            file_laws = dsl.read_laws_file(_read_text(args.laws_file), var_cap=args.var_cap)
         except dsl.DslError as exc:
             raise ValueError(f"{args.laws_file}:{exc.line}: {exc}") from exc
         if not file_laws:
             raise ValueError(f"{args.laws_file}: no law in the file")
         checks += [laws.text_law(dsl.format_law(law), law) for law in file_laws]
     if not checks:
-        raise ValueError("nothing to check: pass --law, --name or --laws-file")
+        raise ValueError("nothing to check: pass --law or --laws-file")
     space = _load_space(args.space)
     results = [(law.name, law.check(space)) for law in checks]
     if args.json:
@@ -156,13 +152,9 @@ def cmd_search(args) -> int:
     if args.space and args.points is not None:
         raise ValueError("--points conflicts with --space files")
     documents = [_read_text(path) for path in args.space or ()]
-    mode = args.mode
-    if mode is None:
-        mode = "documents" if documents else "exhaustive"
-    if mode == "documents" and not documents:
-        raise ValueError("documents mode needs at least one --space file")
-    if mode != "documents" and documents:
-        raise ValueError(f"--space files conflict with --mode {mode}")
+    if documents and args.mode:
+        raise ValueError(f"--space files conflict with --mode {args.mode}")
+    mode = "documents" if documents else args.mode or "exhaustive"
     task = search_mod.SearchTask(
         law_text=args.law,
         n=3 if args.points is None else args.points,
@@ -241,13 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--law",
         action="append",
         default=[],
-        help="law text, e.g. 'sstar(union(A,B)) == union(sstar(A),sstar(B))' (repeatable)",
-    )
-    p_check.add_argument(
-        "--name",
-        action="append",
-        default=[],
-        help="registry law name, e.g. additivity:sstar (repeatable)",
+        help="registry law name, e.g. additivity:sstar, or law text, e.g. "
+        "'sstar(union(A,B)) == union(sstar(A),sstar(B))' (repeatable)",
     )
     p_check.add_argument("--laws-file", help="file with one law per line, # comments")
     p_check.add_argument("--var-cap", type=int, default=dsl.DEFAULT_VAR_CAP)
@@ -267,15 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--points", type=int, default=None, help="ground set size (default 3)")
     p_search.add_argument(
         "--mode",
-        choices=["exhaustive", "subbase", "documents"],
+        choices=["exhaustive", "subbase"],
         default=None,
-        help="space stream (default: exhaustive, or documents when --space given)",
+        help="enumerated space stream (default: exhaustive); conflicts with --space",
     )
     p_search.add_argument(
         "--space",
         action="append",
         metavar="FILE",
-        help="space-document file (repeatable; implies --mode documents)",
+        help="space-document file (repeatable); scans these spaces in place of an enumeration",
     )
     p_search.add_argument("--all-minimal", action="store_true", help="collect all minimal violating spaces")
     p_search.add_argument("--budget-spaces", type=int, default=None)

@@ -30,10 +30,11 @@ class LawCheck(NamedTuple):
     """A law's verdict on the entry space, over every assignment or, with
     ``at``, at those bindings only.
 
-    ``law`` is a registry name or DSL law text. Without ``at``, a given
-    ``tag`` must be the tag of the first failing template; with ``at``, it
-    picks the template to evaluate. A failure names the verdict expected
-    and the one got, with the violated template's witness.
+    ``law`` is a registry name or DSL law text of any variable count (see
+    ``laws.resolve_law``). Without ``at``, a given ``tag`` must be the tag
+    of the first failing template; with ``at``, it picks the template to
+    evaluate. A failure names the verdict expected and the one got, with
+    the violated template's witness.
     """
 
     law: str
@@ -42,7 +43,7 @@ class LawCheck(NamedTuple):
     tag: str | None = None
 
     def run(self, space: Space) -> str | None:
-        law = _resolve_law(self.law)
+        law = laws.resolve_law(self.law, var_cap=None)
         want = ("Holds" if self.holds else "Violated") + (f" ({self.tag})" if self.tag else "")
         if self.at is None:
             where, witness = "", law.check(space)
@@ -54,12 +55,6 @@ class LawCheck(NamedTuple):
             return None
         got = "Holds" if witness is None else f"Violated at {witness.line(space.ground)}"
         return f"{self.law}{where}: expected {want}, got {got}"
-
-
-def _resolve_law(text: str) -> laws.Law:
-    """A registry name, or DSL law text; only law text holds a relation
-    such as ``==`` or ``<=``."""
-    return laws.text_law(text) if "=" in text else laws.get_law(text)
 
 
 def _at(**subsets: int) -> tuple[tuple[str, int], ...]:

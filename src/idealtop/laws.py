@@ -7,6 +7,8 @@ ascending). Registry names follow ``<law>:<operator alias>``, or
 ``family-cap-closed:<open-set kind>``; both are the strings the operator
 layer uses, a key of ``operators.LOCAL_FN_ALIASES`` and one of
 ``operators.KINDS``. ``star_topology`` takes the alias as well.
+``resolve_law`` is the one place that tells a registry name from DSL law
+text, for ``check --law`` and the corpus alike.
 
 ``Law.check`` gives the first failing template's tagged witness, or None,
 and ``Law.verdicts`` every template's, keyed by tag: the per-axiom answers
@@ -30,6 +32,7 @@ __all__ = [
     "StarTopologyRefused",
     "get_law",
     "law_name_templates",
+    "resolve_law",
     "star_topology",
     "text_law",
 ]
@@ -163,6 +166,19 @@ def text_law(text: str, ast: dsl.LawAst | None = None) -> Law:
     """DSL law text as an untagged one-template law named by the text;
     ``ast`` is the text already parsed."""
     return Law(text, ((None, dsl.parse_law(text) if ast is None else ast),))
+
+
+def resolve_law(text: str, var_cap: int | None = dsl.DEFAULT_VAR_CAP) -> Law:
+    """A registry name or DSL law text as a ``Law``: text whose part before
+    its first ``:`` is a registry head is a name (``get_law``), and any
+    other text is a law, parsed, checked against ``var_cap`` (None: no
+    cap) and wrapped by ``text_law``. The cap guards law text only."""
+    if text.partition(":")[0] in LAW_TEMPLATES:
+        return get_law(text)
+    law = dsl.parse_law(text)
+    if var_cap is not None:
+        dsl._check_var_cap(law, var_cap)
+    return text_law(text, law)
 
 
 def law_name_templates() -> tuple[str, ...]:

@@ -45,6 +45,9 @@ from .space import (
 )
 
 EXHAUSTIVE_MAX_POINTS = 4
+# Labeled topologies on n = 1, 2, ... points (OEIS A000798): the exhaustive
+# stream must hold exactly these many before it may certify anything.
+A000798 = (1, 4, 29, 355, 6942)
 MAX_SUBBASE_SIZE = 3
 
 STATUS_FOUND = "CounterexampleFound"
@@ -118,9 +121,10 @@ def enumerate_topologies(n: int, mode: str = "exhaustive") -> Iterator[Topology]
     """Stream topologies on n points.
 
     mode "exhaustive" (n <= 4) yields every topology in ascending order of
-    the family membership mask; mode "subbase" yields a deduplicated but
-    incomplete stream for any n. Arguments are checked when this is
-    called, before the first topology.
+    the family membership mask, and raises AssertionError, an internal
+    error, if their count is not ``A000798[n - 1]``; mode "subbase" yields
+    a deduplicated but incomplete stream for any n. Arguments are checked
+    when this is called, before the first topology.
     """
     _check_points(n)
     if mode == "exhaustive":
@@ -128,7 +132,13 @@ def enumerate_topologies(n: int, mode: str = "exhaustive") -> Iterator[Topology]
             raise ValueError(
                 f"exhaustive enumeration needs n <= {EXHAUSTIVE_MAX_POINTS}, got {n}"
             )
-        return iter(_topology_members(n))
+        members = _topology_members(n)
+        if len(members) != A000798[n - 1]:
+            raise AssertionError(
+                f"exhaustive enumeration found {len(members)} topologies on {n} points, "
+                f"not {A000798[n - 1]}"
+            )
+        return iter(members)
     if mode == "subbase":
         return _subbase_topology_members(n)
     raise ValueError(f"unknown enumeration mode {mode!r}")
@@ -198,6 +208,9 @@ class DocumentError(ValueError):
         super().__init__(f"document {index + 1}: {error}")
         self.index = index
         self.error = error
+
+    def __reduce__(self):
+        return self.__class__, (self.index, self.error)
 
 
 class ScanError(RuntimeError):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from idealtop import cli, corpus, dsl
+from idealtop import cli, corpus, dsl, laws
 
 REPO = Path(__file__).resolve().parent.parent
 SPACES_DIR = REPO / "src" / "idealtop" / "spaces"
@@ -145,7 +145,7 @@ class TestCorpusLibrary:
                 continue
             assert sabotage(entry.document, check._replace(holds=not check.holds)), check
             if check.at is not None:
-                templates = corpus._resolve_law(check.law).templates
+                templates = laws.resolve_law(check.law, var_cap=None).templates
                 bound = [set(ast.free_vars) for t, ast in templates if check.tag in (None, t)]
                 assert set(dict(check.at)) in bound, check
 
@@ -270,7 +270,7 @@ class TestEvalCommand:
 
 class TestCheckCommand:
     def test_violated_law_with_witness(self):
-        out = run_cli("check", "--space", SPACE_A_FILE, "--name", "additivity:sstar")
+        out = run_cli("check", "--space", SPACE_A_FILE, "--law", "additivity:sstar")
         assert out.returncode == 1
         assert out.stdout == (
             "Violated  additivity:sstar  "
@@ -310,15 +310,15 @@ class TestCheckCommand:
     def test_registry_witness_with_operation_tag(self):
         # rhs is psi of lhs: {w1} is not in its psi image, so the meet of
         # two psi-fixed sets is not psi-fixed
-        out = run_cli("check", "--space", SPACE_B_FILE, "--name", "eta-topology:pstar")
+        out = run_cli("check", "--space", SPACE_B_FILE, "--law", "eta-topology:pstar")
         assert (out.returncode, out.stderr) == (1, "")
         assert out.stdout == (
             "Violated  eta-topology:pstar  [A={w1,w3} B={w1,w4} lhs={w1} rhs={} (inter)]\n"
         )
 
     def test_repeated_name_checks_each_in_order(self):
-        out = run_cli("check", "--space", SPACE_A_FILE, "--name", "eta-topology:xis",
-                      "--name", "family-cap-closed:semi", "--name", "additivity:xis")
+        out = run_cli("check", "--space", SPACE_A_FILE, "--law", "eta-topology:xis",
+                      "--law", "family-cap-closed:semi", "--law", "additivity:xis")
         assert (out.returncode, out.stderr) == (1, "")
         assert out.stdout == (
             "Violated  eta-topology:xis  [A={w1,w3} B={w2,w3} lhs={w3} rhs={} (inter)]\n"
@@ -326,18 +326,26 @@ class TestCheckCommand:
             "Violated  additivity:xis  [A={w1} B={w2} lhs={w1,w2,w3,w4} rhs={w1,w2}]\n"
         )
 
-    def test_laws_then_names_then_file(self, tmp_path):
+    def test_laws_in_order_then_file(self, tmp_path):
+        # registry names and law text mix in one --law list, printed in the
+        # order given; the --laws-file laws come last wherever it stands
         laws_file = tmp_path / "laws.txt"
         laws_file.write_text("inter(A,B)<=cl(int(inter(A,B))) if A<=cl(int(A)),B<=cl(int(B))\n")
         out = run_cli("check", "--space", SPACE_A_FILE, "--laws-file", str(laws_file),
-                      "--name", "family-cap-closed:open", "--law", "A <= X if A <= B")
+                      "--law", "family-cap-closed:open", "--law", "A <= X if A <= B")
         assert (out.returncode, out.stderr) == (1, "")
         assert out.stdout == (
-            "Holds     A <= X if A <= B\n"
             "Holds     family-cap-closed:open\n"
+            "Holds     A <= X if A <= B\n"
             "Violated  inter(A,B) <= cl(int(inter(A,B))) if A <= cl(int(A)), B <= cl(int(B))  "
             "[A={w1,w3} B={w2,w3} lhs={w3} rhs={}]\n"
         )
+
+    def test_name_is_no_option(self):
+        # a registry name is given with --law; --name is a usage error
+        out = run_cli("check", "--space", SPACE_A_FILE, "--name", "additivity:sstar")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert "unrecognized arguments: --name additivity:sstar" in out.stderr
 
     def test_nothing_to_check_exits_2(self):
         out = run_cli("check", "--space", SPACE_A_FILE)
@@ -386,7 +394,7 @@ class TestCheckCommand:
         [
             (("--space", SPACE_A_FILE, "--law", "A <= B", "--laws-file", "laws.txt"),
              "laws.txt:2: expected an expression (offset 4)"),
-            (("--space", SPACE_A_FILE, "--name", "additivity:nope", "--law", "A <= B"),
+            (("--space", SPACE_A_FILE, "--law", "A <= B", "--law", "additivity:nope"),
              "unknown operator alias 'nope' in 'additivity:nope'"),
             (("--space", "bad.json", "--law", "bad(("), "expected an expression (offset 4)"),
         ],
@@ -452,7 +460,7 @@ class TestCheckCommand:
         assert out.stderr == "error: --var-cap must be >= 0, got -1\n"
 
     def test_json_output(self):
-        out = run_cli("check", "--space", SPACE_B_FILE, "--name", "kuratowski:pstar", "--json")
+        out = run_cli("check", "--space", SPACE_B_FILE, "--law", "kuratowski:pstar", "--json")
         payload = json.loads(out.stdout)
         assert out.returncode == 1
         assert payload == [
@@ -657,8 +665,12 @@ class TestSearchCommand:
         ]
 
     def test_documents_mode_needs_files(self):
-        out = run_cli("search", "star(A) == star(A)", "--mode", "documents")
-        assert out.returncode == 2
+        # --space alone selects documents mode; ``--mode documents`` is no
+        # choice, with or without files
+        for files in ([], ["--space", SPACE_A_FILE]):
+            out = run_cli("search", "star(A) == star(A)", "--mode", "documents", *files)
+            assert (out.returncode, out.stdout) == (2, "")
+            assert "invalid choice: 'documents'" in out.stderr
 
     def test_space_files_conflict_with_enumerated_modes(self):
         out = run_cli("search", "star(A) == star(A)", "--mode", "exhaustive",
@@ -881,7 +893,7 @@ class TestStartup:
         ])
 
     def test_check_loads_the_registry(self):
-        probe = self.probe("check", "--space", SPACE_A_FILE, "--name", "additivity:star")
+        probe = self.probe("check", "--space", SPACE_A_FILE, "--law", "additivity:star")
         assert probe == "0 ['idealtop.laws']"
 
     def test_package_resolves_registry_names_on_first_use(self):

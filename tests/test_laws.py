@@ -457,6 +457,25 @@ class TestRegistry:
         with pytest.raises(ValueError):
             laws.get_law(bad)
 
+    def test_resolve_law_tells_names_from_text(self):
+        # a registry head before the first ":" makes a name, whose law is
+        # the registry's own; any other text is law text, capped
+        assert laws.resolve_law("additivity:sstar") is laws.get_law("additivity:sstar")
+        assert laws.resolve_law("kuratowski:xis", var_cap=0) is laws.get_law("kuratowski:xis")
+        text = "A <= clstar:star(A)"
+        assert laws.resolve_law(text) == laws.text_law(text)
+        with pytest.raises(dsl.VariableCapError, match="law has 2 free variables, cap is 1"):
+            laws.resolve_law("star(union(A,B)) == union(star(A),star(B))", var_cap=1)
+        four = "union(A,union(B,union(C,D))) == union(D,union(C,union(B,A)))"
+        assert laws.resolve_law(four, var_cap=None).name == four
+        with pytest.raises(ValueError, match="unknown operator alias 'nope' in 'additivity:nope'"):
+            laws.resolve_law("additivity:nope")
+        with pytest.raises(ValueError, match="law name needs an argument: 'additivity'"):
+            laws.resolve_law("additivity")
+        # an unknown head is no name, so it reads as law text
+        with pytest.raises(dsl.DslSyntaxError, match="'bogus:star' is not a variable"):
+            laws.resolve_law("bogus:star")
+
     def test_law_names_round_trip(self):
         assert laws.get_law("additivity:sstar").name == "additivity:sstar"
         assert laws.get_law("family-cap-closed:b").name == "family-cap-closed:b"

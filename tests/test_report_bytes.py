@@ -91,7 +91,7 @@ def test_four_point_report_bytes_are_pinned():
     assert digest.hexdigest() == FOUR_POINT_SHA256
 
 
-# sha256 of ``check --name <every registry law> --json``, then of the same
+# sha256 of ``check --law <every registry name> --json``, then of the same
 # run as text, on ex-3.3-1 and then on ex-3.3-2; computed before checks
 # answered with a bare witness
 CHECK_SHA256 = "5799ed4324629403351379cbb96f94a34bee5bcc1ebb2d60dd313b4a01b08612"
@@ -102,7 +102,7 @@ def test_check_bytes_are_pinned(registry_names, capsys):
     for document in ("ex-3.3-1", "ex-3.3-2"):
         path = Path(corpus.__file__).parent / "spaces" / f"{document}.json"
         argv = ["check", "--space", str(path)]
-        argv += [arg for name in registry_names for arg in ("--name", name)]
+        argv += [arg for name in registry_names for arg in ("--law", name)]
         for extra in (["--json"], []):
             assert cli.main(argv + extra) == 1  # some registry law fails on each
             digest.update(capsys.readouterr().out.encode("utf-8"))

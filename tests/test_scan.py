@@ -115,24 +115,28 @@ def random_space(rng, n):
     )
 
 
-def random_expr(rng, names, depth):
+def random_expr(rng, names, depth, operators=_OPERATORS):
     if depth == 0 or rng.random() < 0.25:
         return rng.choice(names + ("X", "empty") if names else ("X", "empty"))
     kind = rng.randrange(5)
+    sub = lambda: random_expr(rng, names, depth - 1, operators)
     if kind < 2:
         fn = rng.choice(("union", "inter", "diff"))
-        return f"{fn}({random_expr(rng, names, depth - 1)},{random_expr(rng, names, depth - 1)})"
+        return f"{fn}({sub()},{sub()})"
     if kind == 2:
-        return f"compl({random_expr(rng, names, depth - 1)})"
-    return f"{rng.choice(_OPERATORS)}({random_expr(rng, names, depth - 1)})"
+        return f"compl({sub()})"
+    return f"{rng.choice(operators)}({sub()})"
 
 
-def random_law(rng, k, hypotheses=0):
+def random_law(rng, k, hypotheses=0, operators=_OPERATORS):
+    """A random law of exactly ``k`` variables, with ``hypotheses``
+    hypotheses, whose operators are drawn from ``operators``."""
     names = ("A", "B", "C")[:k]
 
     def relation(depth):
         rel = rng.choice(("==", "<="))
-        return f"{random_expr(rng, names, depth)} {rel} {random_expr(rng, names, depth)}"
+        side = lambda: random_expr(rng, names, depth, operators)
+        return f"{side()} {rel} {side()}"
 
     while True:
         text = relation(3)

@@ -33,7 +33,8 @@ from idealtop.space import (
     space_to_document,
     validate_topology,
 )
-from test_scan import random_law
+from test_operators import HEREDITARY, open_subspace
+from test_scan import _OPERATORS, random_law
 
 ADDITIVITY = "{op}(union(A,B)) == union({op}(A),{op}(B))"
 SPACES = Path(__file__).resolve().parent.parent / "src" / "idealtop" / "spaces"
@@ -115,7 +116,21 @@ class TestEnumeration:
     def test_grown_topology_counts(self):
         # labelled topologies on n points: OEIS A000798
         counts = [len(search._topology_members(n)) for n in range(1, 6)]
-        assert counts == [1, 4, 29, 355, 6942]
+        assert counts == [1, 4, 29, 355, 6942] == list(search.A000798)
+
+    def test_incomplete_enumeration_never_certifies(self, monkeypatch):
+        # an exhaustive stream one topology short is an internal error,
+        # raised before any space is scanned, not a certificate
+        members, scans = search._topology_members, []
+        monkeypatch.setattr(search, "_topology_members", lambda n: members(n)[1:])
+        monkeypatch.setattr(dsl, "scan_law", lambda *a, **k: scans.append(a))
+        for n in range(1, search.EXHAUSTIVE_MAX_POINTS + 1):
+            with pytest.raises(AssertionError, match=(
+                f"found {search.A000798[n - 1] - 1} topologies on {n} points, "
+                f"not {search.A000798[n - 1]}"
+            )):
+                search.run_search(search.SearchTask("star(A) <= cl(A)", n))
+        assert scans == []
 
     def test_five_point_topologies_are_distinct_and_valid(self):
         ground = GroundSet(search.default_labels(5))
@@ -588,11 +603,11 @@ def _hypotheses_can_hold(space, law):
     return _document_search(space, text) is not None
 
 
-def _seeded_law_cases():
+def _seeded_law_cases(seed=20261020, operators=_OPERATORS):
     """Seeded random spaces on 5-8 points, each with a random law of 0-2
     variables (up to 3 on five points); every third law with variables
-    has hypotheses."""
-    rng = random.Random(20261020)
+    has hypotheses, over ``operators``."""
+    rng = random.Random(seed)
     out = []
     for i in range(48):
         n = 5 + i % 4
@@ -604,7 +619,7 @@ def _seeded_law_cases():
             "ideal_generators": [list(subset())],
         })
         k = rng.randint(0, 3 if n == 5 else 2)
-        law = random_law(rng, k, rng.randint(1, 2) if i % 3 == 0 and k else 0)
+        law = random_law(rng, k, rng.randint(1, 2) if i % 3 == 0 and k else 0, operators)
         out.append((rng, space, law))
     return out
 
@@ -691,3 +706,50 @@ class TestLawMetamorphic:
         # cannot hold on P
         assert {(True, False, True), (False, True, True)} <= seen
         assert any(not can_hold for _, _, can_hold in seen)
+
+    def test_open_subspace(self):
+        """R4: let Y = U(z), the least open set holding a point z, with the
+        subspace topology and the trace ideal. Each operator of
+        ``HEREDITARY`` and its ``clstar:`` form restricts to Y,
+        f_X(a) ∩ Y = f_Y(a ∩ Y), and so do ``union``, ``inter``, ``diff``,
+        ``compl``, ``X`` and ``empty``, hence every expression built from
+        them. So (1) if bindings violate a law on X and z is a point where
+        the sides differ against the relation (in lhs − rhs for ``<=``, in
+        lhs △ rhs for ``==``), the bindings cut down to Y violate it on Y,
+        hypotheses included, since a hypothesis that holds on X holds on Y,
+        and the sides are X's cut down to Y; and (2) if a law without
+        hypotheses is violated on Y, its bindings there, read as subsets
+        of X, violate it on X, with sides that are Y's on Y. A hypothesis
+        that holds on Y need not hold on X, so (2) needs no hypotheses."""
+        operators = HEREDITARY + tuple("clstar:" + name for name in HEREDITARY)
+        seen = {"cut": 0, "cut with hypotheses": 0, "lifted": 0}
+        for _, space, law in _seeded_law_cases(20261022, operators=operators):
+            text = dsl.format_law(law)
+            law_x = laws.text_law(text)
+            witness = _document_search(space, text)
+            if witness is not None:
+                differ = witness.lhs ^ witness.rhs
+                if law.relation == "<=":
+                    differ &= witness.lhs
+                z = (differ & -differ).bit_length() - 1
+                sub, down, _ = open_subspace(space, z)
+                cut = tuple((name, down[bits]) for name, bits in witness.bindings)
+                assert law_x.violated_at(sub, cut) == Witness(
+                    cut, down[witness.lhs], down[witness.rhs]
+                ), (text, z)
+                seen["cut with hypotheses" if law.hypotheses else "cut"] += 1
+            if law.hypotheses:
+                continue
+            for z in range(space.ground.n):
+                sub, down, points = open_subspace(space, z)
+                found = _document_search(sub, text)
+                if found is None:
+                    continue
+                up = lambda bits: sum(1 << x for i, x in enumerate(points) if bits >> i & 1)
+                lifted = tuple((name, up(bits)) for name, bits in found.bindings)
+                on_x = law_x.violated_at(space, lifted)
+                assert on_x is not None, (text, z)
+                assert (down[on_x.lhs], down[on_x.rhs]) == (found.lhs, found.rhs), (text, z)
+                assert witness is not None, (text, z)
+                seen["lifted"] += 1
+        assert min(seen.values()) >= 5, seen

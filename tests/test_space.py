@@ -524,10 +524,19 @@ class TestDocuments:
     def test_axiom_errors_pickle_and_copy(self, validate, members, kind):
         error = validate(Family(members), G3)
         assert error.kind == kind and error.ground == G3
-        for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        clones = lambda value: (
+            pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
+        )
+        for clone in clones(error):
             assert type(clone) is type(error)
             assert str(clone) == str(error)
             assert vars(clone) == vars(error)  # ground, kind and the failing subsets
+        # and as the error of a documents-mode task's third document
+        document_error = search.DocumentError(2, error)
+        for clone in clones(document_error):
+            assert type(clone) is search.DocumentError
+            assert (clone.index, str(clone)) == (2, str(document_error))
+            assert type(clone.error) is type(error) and vars(clone.error) == vars(error)
 
     def test_unknown_label_in_subset(self):
         with pytest.raises(UnknownLabelError):
