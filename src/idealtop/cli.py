@@ -2,12 +2,15 @@
 
 Subcommands: eval, check, families, search, repro. Exit codes are part of
 the interface: 0 = holds / all passed / certified, 1 = violated / failed /
-counterexample found, 2 = usage or parse error or a failed scan, 3 = search
-budget exhausted, 141 = the reader closed stdout early (128 + SIGPIPE, with
-nothing on stderr). ``search --workers N`` is still parsed and checked, but
-changes nothing: every scan runs in the calling process. ``check --law``
-takes a registry name or law text, printed in the order given before the
-``--laws-file`` laws; ``search --space`` selects documents mode.
+counterexample found, 2 = usage or parse error, a failed or refused scan,
+or an internal error, 3 = search budget exhausted, 141 = the reader closed
+stdout early (128 + SIGPIPE, with nothing on stderr). ``search --workers
+N`` is still parsed and checked, but changes nothing: every scan runs in
+the calling process. ``check --law`` takes a registry name or law text,
+printed in the order given before the ``--laws-file`` laws; ``search
+--space`` selects documents mode. A law may have any number of variables:
+a scan of more than ``dsl.MAX_SCAN`` assignments of one space is refused
+when it starts, after the space file is read.
 """
 
 from __future__ import annotations
@@ -104,15 +107,13 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     from . import laws  # only check needs the registry; other commands start without it
 
-    if args.var_cap < 0:
-        raise ValueError(f"--var-cap must be >= 0, got {args.var_cap}")
     # Every law is resolved before the space file is read, so a bad law
     # fails before any scan; ``checks`` holds the laws in the order the
     # results print, each named by its text.
-    checks = [laws.resolve_law(text, args.var_cap) for text in args.law]
+    checks = list(map(laws.resolve_law, args.law))
     if args.laws_file:
         try:
-            file_laws = dsl.read_laws_file(_read_text(args.laws_file), var_cap=args.var_cap)
+            file_laws = dsl.read_laws_file(_read_text(args.laws_file))
         except dsl.DslError as exc:
             raise ValueError(f"{args.laws_file}:{exc.line}: {exc}") from exc
         if not file_laws:
@@ -162,7 +163,6 @@ def cmd_search(args) -> int:
         want="all-minimal" if args.all_minimal else "first",
         budget_spaces=args.budget_spaces,
         budget_assignments=args.budget_assignments,
-        var_cap=args.var_cap,
         documents=tuple(documents),
     )
     try:
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'sstar(union(A,B)) == union(sstar(A),sstar(B))' (repeatable)",
     )
     p_check.add_argument("--laws-file", help="file with one law per line, # comments")
-    p_check.add_argument("--var-cap", type=int, default=dsl.DEFAULT_VAR_CAP)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
@@ -267,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--all-minimal", action="store_true", help="collect all minimal violating spaces")
     p_search.add_argument("--budget-spaces", type=int, default=None)
     p_search.add_argument("--budget-assignments", type=int, default=None)
-    p_search.add_argument("--var-cap", type=int, default=dsl.DEFAULT_VAR_CAP)
     p_search.add_argument(
         "--workers", type=int, default=1, help="accepted and ignored; scans run in this process"
     )
@@ -296,6 +294,9 @@ def main(argv=None) -> int:
         return 141
     except (SpaceDocumentError, dsl.DslError, ValueError, OSError, search_mod.ScanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:  # a self-check of the program failed
+        print(f"error: internal error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -43,7 +43,7 @@ class LawCheck(NamedTuple):
     tag: str | None = None
 
     def run(self, space: Space) -> str | None:
-        law = laws.resolve_law(self.law, var_cap=None)
+        law = laws.resolve_law(self.law)
         want = ("Holds" if self.holds else "Violated") + (f" ({self.tag})" if self.tag else "")
         if self.at is None:
             where, witness = "", law.check(space)

@@ -17,9 +17,10 @@ A parsed expression is one ``Expr(name, args)`` node per production: a
 leaf (variable, ``empty`` or ``X``) has no ``args``, and a call holds its
 arguments in order. A law quantifies implicitly over all assignments of
 its free variables; ``scan_law`` scans them lexicographically (first
-variable outermost, masks ascending) and reports the first violation. It
-scans a law whole: the variable cap guards law text only where it enters
-(``read_laws_file``, ``check --var-cap`` and a search task's cap).
+variable outermost, masks ascending) and reports the first violation. The
+one limit on a law is the work of one scan: ``scan_law`` refuses, before
+it builds a table, a scan of more than ``MAX_SCAN`` assignments of one
+space, so a law may have any number of variables its space can afford.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import re
 from typing import Iterator, Mapping, NamedTuple
 
 from . import operators as ops
-from .space import Frozen, Space, Witness, _set, nonzero
+from .space import MAX_POINTS, Frozen, Space, Witness, _set, nonzero
 
 
 class DslError(ValueError):
@@ -60,7 +61,7 @@ class UnboundVariableError(DslError):
     pass
 
 
-class VariableCapError(DslError):
+class ScanSizeError(DslError):
     pass
 
 
@@ -75,10 +76,9 @@ class Expr(NamedTuple):
 
 _CONSTANTS = ("empty", "X")
 
-# The default variable cap of ``read_laws_file``, ``SearchTask`` and the
-# ``--var-cap`` of ``check`` and ``search``: the most free variables law
-# text may have where it enters.
-DEFAULT_VAR_CAP = 3
+# The most assignments one scan of one space may cover: 2**24, every
+# assignment of a three-variable law on ``MAX_POINTS`` points.
+MAX_SCAN = 1 << 3 * MAX_POINTS
 
 # Calls an expression may nest, counting every call. The parser refuses
 # deeper text, so no recursive walk of a parsed law can overflow the stack.
@@ -491,14 +491,6 @@ def _space_free_block(program: _Program, n: int, start: int) -> tuple[tuple, tup
     return tuple(vals), tuple(inputs)
 
 
-def _check_var_cap(law: LawAst, var_cap: int) -> None:
-    """Refuse a law with more free variables than ``var_cap``."""
-    count = len(law.free_vars)
-    if count > var_cap:
-        plural = "" if count == 1 else "s"
-        raise VariableCapError(f"law has {count} free variable{plural}, cap is {var_cap}")
-
-
 def scan_law(
     space: Space, law: LawAst, *, budget: int | None = None
 ) -> tuple[str, Witness | None, int]:
@@ -517,7 +509,9 @@ def scan_law(
     variable outermost, masks ascending), and the count is what a serial
     scan would have evaluated: index + 1 on a violation, the budget when
     it runs out first, otherwise every assignment. Lanes where a
-    hypothesis fails are cleared before the lowest is taken.
+    hypothesis fails are cleared before the lowest is taken. A scan of
+    more than ``MAX_SCAN`` assignments, after the budget, raises
+    ``ScanSizeError`` before any table is built.
 
     The law is compiled once into straight-line code with one step per
     distinct subexpression, so a repeated subexpression is evaluated once.
@@ -538,6 +532,12 @@ def scan_law(
     n = space.ground.n
     total = 1 << n * len(program.names)
     limit = total if budget is None else max(0, min(budget, total))
+    if limit > MAX_SCAN:
+        raise ScanSizeError(
+            f"law {format_law(law)!r} has {len(program.names)} free variables: "
+            f"2^{n * len(program.names)} assignments on {n} points, "
+            f"over the bound of 2^{MAX_SCAN.bit_length() - 1}"
+        )
     # One lookup per operator node, repeats included: the space's table
     # counts do not depend on how the law compiles or on the memo. The
     # dict keeps each distinct operator's table once, in order of first use.
@@ -595,18 +595,16 @@ def _scan_lanes(
     return "holds", None, total
 
 
-def read_laws_file(text: str, *, var_cap: int = DEFAULT_VAR_CAP) -> list[LawAst]:
+def read_laws_file(text: str) -> list[LawAst]:
     """One law per line; blank lines and '#' comments are skipped. A law
-    that fails to parse, or has more free variables than ``var_cap``,
-    raises its error with ``line`` set to its line number, counted from 1,
-    and its offset counted from the line's start."""
+    that fails to parse raises its error with ``line`` set to its line
+    number, counted from 1, and its offset counted from the line's start."""
     out = []
     for number, line in enumerate(text.splitlines(), 1):
         code = line.split("#", 1)[0]
         if code.strip():
             try:
                 out.append(parse_law(code))
-                _check_var_cap(out[-1], var_cap)
             except DslError as exc:
                 exc.line = number
                 raise

@@ -168,17 +168,13 @@ def text_law(text: str, ast: dsl.LawAst | None = None) -> Law:
     return Law(text, ((None, dsl.parse_law(text) if ast is None else ast),))
 
 
-def resolve_law(text: str, var_cap: int | None = dsl.DEFAULT_VAR_CAP) -> Law:
+def resolve_law(text: str) -> Law:
     """A registry name or DSL law text as a ``Law``: text whose part before
     its first ``:`` is a registry head is a name (``get_law``), and any
-    other text is a law, parsed, checked against ``var_cap`` (None: no
-    cap) and wrapped by ``text_law``. The cap guards law text only."""
+    other text is a law, parsed and wrapped by ``text_law``."""
     if text.partition(":")[0] in LAW_TEMPLATES:
         return get_law(text)
-    law = dsl.parse_law(text)
-    if var_cap is not None:
-        dsl._check_var_cap(law, var_cap)
-    return text_law(text, law)
+    return text_law(text)
 
 
 def law_name_templates() -> tuple[str, ...]:

@@ -151,10 +151,6 @@ def enumerate_ideals(n: int) -> Iterator[Ideal]:
     return map(Ideal, range(1 << n))
 
 
-def count_topologies(n: int) -> int:
-    return len(_topology_members(n))
-
-
 # ---------------------------------------------------------------------------
 # search
 
@@ -163,8 +159,7 @@ class SearchTask(Frozen):
     """One search, validated when built."""
 
     __slots__ = _fields = (
-        "law_text", "n", "mode", "want", "budget_spaces", "budget_assignments",
-        "var_cap", "documents",
+        "law_text", "n", "mode", "want", "budget_spaces", "budget_assignments", "documents",
     )
 
     def __init__(
@@ -175,18 +170,17 @@ class SearchTask(Frozen):
         want: str = "first",  # "first" | "all-minimal"
         budget_spaces: int | None = None,
         budget_assignments: int | None = None,
-        var_cap: int = dsl.DEFAULT_VAR_CAP,
         documents: tuple[str, ...] = (),  # JSON space documents, "documents" mode
     ):
         for name, value in zip(self._fields, (
-            law_text, n, mode, want, budget_spaces, budget_assignments, var_cap, documents
+            law_text, n, mode, want, budget_spaces, budget_assignments, documents
         )):
             _set(self, name, value)
         if self.mode not in ("exhaustive", "subbase", "documents"):
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.want not in ("first", "all-minimal"):
             raise ValueError(f"unknown want {self.want!r}")
-        for name in ("n", "budget_spaces", "budget_assignments", "var_cap"):
+        for name in ("n", "budget_spaces", "budget_assignments"):
             value = getattr(self, name)
             if type(value) is not int and not (value is None and "budget" in name):
                 raise ValueError(f"{name} must be an int, got {value!r}")
@@ -278,7 +272,6 @@ def _space_stream(task: SearchTask) -> tuple[Iterator[tuple], int | None]:
 
 def run_search(task: SearchTask) -> SearchResult:
     law = dsl.parse_law(task.law_text)  # fail fast on bad law text
-    dsl._check_var_cap(law, task.var_cap)  # and on too many variables
     stream, total = _space_stream(task)
 
     witnesses: list[SpaceWitness] = []

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from idealtop import cli, corpus, dsl, laws
+from idealtop import cli, corpus, dsl, laws, search
 
 REPO = Path(__file__).resolve().parent.parent
 SPACES_DIR = REPO / "src" / "idealtop" / "spaces"
@@ -124,7 +124,7 @@ class TestCorpusLibrary:
         )
 
     def test_four_variable_law_text_runs(self):
-        # a law text is scanned under a cap read from its own variables
+        # law text of any variable count is scanned
         law = "union(A,union(B,union(C,D))) == union(D,union(C,union(B,A)))"
         at = (("A", corpus.W1), ("B", corpus.W2 | corpus.W3), ("C", 0), ("D", corpus.ALL))
         checks = (corpus.LawCheck(law, True), corpus.LawCheck(law, True, at))
@@ -145,7 +145,7 @@ class TestCorpusLibrary:
                 continue
             assert sabotage(entry.document, check._replace(holds=not check.holds)), check
             if check.at is not None:
-                templates = laws.resolve_law(check.law, var_cap=None).templates
+                templates = laws.resolve_law(check.law).templates
                 bound = [set(ast.free_vars) for t, ast in templates if check.tag in (None, t)]
                 assert set(dict(check.at)) in bound, check
 
@@ -181,6 +181,20 @@ DUPLICATE_KEY_DOC = '{"points": ["a"], "points": ["b"], "topology": [[], ["b"]],
 # a subset listed twice in one family, and a label listed twice in one subset
 DUPLICATE_SUBSET_DOC = '{"points": ["a", "b"], "topology": [[], ["a", "b"], ["b", "a"]], "ideal": [[]]}'
 DUPLICATE_LABEL_DOC = '{"points": ["a", "b"], "topology": [[], ["a", "b", "a"]], "ideal": [[]]}'
+# a law whose every scan on seven points is over the bound of 2^24 assignments
+FOUR_VARIABLES = "union(A,union(B,union(C,D))) == X"
+OVER_THE_BOUND = (
+    f"law '{FOUR_VARIABLES}' has 4 free variables: "
+    "2^28 assignments on 7 points, over the bound of 2^24"
+)
+
+
+def seven_point_file(tmp_path) -> str:
+    """An indiscrete seven-point space with the trivial ideal, as a file."""
+    labels = [f"w{i}" for i in range(1, 8)]
+    doc = tmp_path / "seven.json"
+    doc.write_text(json.dumps({"points": labels, "topology": [[], labels], "ideal": [[]]}))
+    return str(doc)
 
 
 class TestEvalCommand:
@@ -342,10 +356,12 @@ class TestCheckCommand:
         )
 
     def test_name_is_no_option(self):
-        # a registry name is given with --law; --name is a usage error
-        out = run_cli("check", "--space", SPACE_A_FILE, "--name", "additivity:sstar")
-        assert (out.returncode, out.stdout) == (2, "")
-        assert "unrecognized arguments: --name additivity:sstar" in out.stderr
+        # a registry name is given with --law; --name is a usage error, and
+        # so is --var-cap, as the scan bound is worked out from the law
+        for option in ("--name additivity:sstar", "--var-cap 3"):
+            out = run_cli("check", "--space", SPACE_A_FILE, "--law", "A == A", *option.split())
+            assert (out.returncode, out.stdout) == (2, "")
+            assert f"unrecognized arguments: {option}" in out.stderr
 
     def test_nothing_to_check_exits_2(self):
         out = run_cli("check", "--space", SPACE_A_FILE)
@@ -371,9 +387,11 @@ class TestCheckCommand:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == f"error: {laws_file}:4: expected an expression (offset 7)\n"
 
-    def test_laws_file_over_the_cap_names_file_and_line(self, tmp_path, monkeypatch, capsys):
+    def test_laws_file_over_the_bound_names_the_law(self, tmp_path, monkeypatch, capsys):
+        # a law too large for the space is refused when its scan starts,
+        # after the laws before it are scanned, and named by its text
         laws_file = tmp_path / "laws.txt"
-        laws_file.write_text("star(A) == X\nA <= B\n")
+        laws_file.write_text("star(A) == X\nunion(A, union(B,union(C,D)))==X\n")
         scanned = []
         scan_law = dsl.scan_law
 
@@ -382,12 +400,10 @@ class TestCheckCommand:
             return scan_law(space, law, **kw)
 
         monkeypatch.setattr(dsl, "scan_law", recording)
-        argv = ["check", "--space", SPACE_A_FILE, "--laws-file", str(laws_file), "--var-cap", "1"]
+        argv = ["check", "--space", seven_point_file(tmp_path), "--laws-file", str(laws_file)]
         assert cli.main(argv) == 2
-        assert capsys.readouterr() == (
-            "", f"error: {laws_file}:2: law has 2 free variables, cap is 1\n"
-        )
-        assert scanned == []  # refused before line 1 is scanned
+        assert capsys.readouterr() == ("", f"error: {OVER_THE_BOUND}\n")
+        assert list(map(dsl.format_law, scanned)) == ["star(A) == X", FOUR_VARIABLES]
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -445,19 +461,12 @@ class TestCheckCommand:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == f"error: {doc}: 'name' must be a string\n"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["check", "--space", SPACE_A_FILE, "--law", "A == A"], ["search", "A == A"]],
-        ids=["check", "search"],
-    )
-    def test_one_variable_over_the_cap_is_singular(self, argv, capsys):
-        assert cli.main([*argv, "--var-cap", "0"]) == 2
-        assert capsys.readouterr() == ("", "error: law has 1 free variable, cap is 0\n")
-
-    def test_negative_var_cap_exits_2(self):
-        out = run_cli("check", "--space", SPACE_A_FILE, "--law", "A <= X", "--var-cap", "-1")
-        assert (out.returncode, out.stdout) == (2, "")
-        assert out.stderr == "error: --var-cap must be >= 0, got -1\n"
+    @pytest.mark.parametrize("space", [SPACE_A_FILE, SPACE_B_FILE], ids=["ex-3.3-1", "ex-3.3-2"])
+    def test_four_variable_law_runs(self, space):
+        # 2^16 assignments of a four-point space, under the scan bound
+        law = "star(union(A,union(B,union(C,D)))) == union(star(A),union(star(B),union(star(C),star(D))))"
+        out = run_cli("check", "--space", space, "--law", law)
+        assert (out.returncode, out.stdout, out.stderr) == (0, f"Holds     {law}\n", "")
 
     def test_json_output(self):
         out = run_cli("check", "--space", SPACE_B_FILE, "--law", "kuratowski:pstar", "--json")
@@ -581,10 +590,15 @@ class TestSearchCommand:
         assert report["witnesses"][0]["bindings"] == {"A": ["w1"], "B": ["w2"]}
 
     def test_budget_exits_3(self):
-        out = run_cli("search", "sstar(union(A,B)) == union(sstar(A),sstar(B))",
-                      "--budget-spaces", "5")
-        assert out.returncode == 3
-        assert json.loads(out.stdout)["status"] == "BudgetExhausted"
+        for argv in (
+            ("sstar(union(A,B)) == union(sstar(A),sstar(B))", "--budget-spaces", "5"),
+            # a budget keeps a four-variable scan on seven points under the bound
+            ("union(A,union(B,union(C,D))) == union(D,union(C,union(B,A)))",
+             "--mode", "subbase", "--points", "7", "--budget-assignments", "1000"),
+        ):
+            out = run_cli("search", *argv)
+            assert out.returncode == 3
+            assert json.loads(out.stdout)["status"] == "BudgetExhausted"
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -593,7 +607,6 @@ class TestSearchCommand:
             ("--budget-assignments", "-5", "budget_assignments must be >= 0, got -5"),
             ("--workers", "-4", "--workers must be >= 1, got -4"),
             ("--workers", "0", "--workers must be >= 1, got 0"),
-            ("--var-cap", "-1", "var_cap must be >= 0, got -1"),
         ],
     )
     def test_bad_search_numbers_exit_2(self, flag, value, message):
@@ -602,9 +615,11 @@ class TestSearchCommand:
         assert out.stderr == f"error: {message}\n"
 
     def test_seed_is_not_an_option(self):
-        out = run_cli("search", "star(A) == star(A)", "--points", "2", "--seed", "1")
-        assert (out.returncode, out.stdout) == (2, "")
-        assert "unrecognized arguments: --seed 1" in out.stderr
+        # nor is --var-cap: the scan bound is worked out from the law
+        for option in ("--seed 1", "--var-cap 3"):
+            out = run_cli("search", "star(A) == star(A)", "--points", "2", *option.split())
+            assert (out.returncode, out.stdout) == (2, "")
+            assert f"unrecognized arguments: {option}" in out.stderr
 
     def test_malformed_space_file_is_named(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -792,6 +807,37 @@ class TestUsageErrors:
             out, err = capsys.readouterr()
             assert (out, err.count("\n")) == ("", 1)
             assert err.startswith(f"error: {doc}: invalid JSON: {message}")
+
+    @pytest.mark.parametrize("command", ["check", "search"])
+    def test_scan_over_the_bound_exits_2(self, command, tmp_path, monkeypatch, capsys):
+        # 4 variables on 7 points with no budget: refused before any lane is scanned
+        argv, where = {
+            "check": (["check", "--space", seven_point_file(tmp_path), "--law", FOUR_VARIABLES], ""),
+            "search": (["search", FOUR_VARIABLES, "--mode", "subbase", "--points", "7"],
+                       "scan failed at space 0: ScanSizeError: "),
+        }[command]
+        scans = []
+        monkeypatch.setattr(dsl, "_scan_lanes", lambda *args: scans.append(args))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {where}{OVER_THE_BOUND}\n")
+        assert scans == []
+
+    @pytest.mark.parametrize("fault", ["short-enumeration", "witness-mismatch"])
+    def test_internal_error_exits_2(self, fault, monkeypatch, capsys):
+        # a failed self-check is no counterexample: exit 2, nothing on stdout
+        if fault == "short-enumeration":
+            members = search._topology_members
+            monkeypatch.setattr(search, "_topology_members", lambda n: members(n)[:-1])
+            argv = ["search", "star(A) <= cl(A)", "--points", "3"]
+            message = "exhaustive enumeration found 28 topologies on 3 points, not 29\n"
+        else:
+            monkeypatch.setattr(dsl, "eval_law", lambda space, law, bindings: (0, 0, False))
+            argv = ["search", "A == empty", "--points", "1"]
+            message = "search produced a witness that does not re-validate: "
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: internal error: {message}")
 
     @pytest.mark.parametrize("command", ["search", "check-law", "check-laws-file", "eval"])
     def test_law_nesting_is_bounded(self, command, tmp_path, capsys):

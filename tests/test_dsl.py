@@ -7,12 +7,14 @@ byte-lane scan of each equation law is checked against a serial sweep of the
 definition-direct evaluator, which must find the same first witness.
 """
 
+import re
 from itertools import product
 
 import pytest
 
-from idealtop import cli, dsl, laws, search
+from idealtop import dsl, laws, search
 from idealtop import operators as ops
+from idealtop.space import space_from_document
 
 
 class TestParsing:
@@ -230,27 +232,29 @@ class TestScanning:
         assert dsl.scan_law(space_a, law, budget=19)[0] == "violated"
         assert dsl.scan_law(space_a, law, budget=18)[0] == "budget"
 
-    def test_var_cap(self, space_a):
-        # the cap guards law text where it enters; the scan takes a law whole
-        law = dsl.parse_law("union(union(A,B),union(C,D)) == X")
-        with pytest.raises(dsl.VariableCapError, match="law has 4 free variables, cap is 3"):
-            dsl._check_var_cap(law, 3)
-        dsl._check_var_cap(law, 4)
-        assert dsl.scan_law(space_a, law)[0] == "violated"
-        # the noun agrees with the count
-        with pytest.raises(dsl.VariableCapError, match=r"^law has 1 free variable, cap is 0$"):
-            dsl._check_var_cap(dsl.parse_law("A == A"), 0)
+    def test_scan_bound(self, space_a, monkeypatch):
+        # the one limit on a law is the assignments one scan of one space
+        # covers: every assignment of a three-variable law on the largest space
+        assert dsl.MAX_SCAN == 1 << 3 * 8
+        four = dsl.parse_law("union(A,union(B,union(C,D))) == X")
+        assert dsl.scan_law(space_a, four)[0] == "violated"  # 2^16 on 4 points
+        labels = list(search.default_labels(7))
+        seven = space_from_document({"points": labels, "topology": [[], labels], "ideal": [[]]})
+        # a budget keeps a scan under the bound
+        outcome, _, count = dsl.scan_law(seven, four, budget=1000)
+        assert (outcome, count) == ("violated", 1)
 
-    def test_one_default_var_cap(self):
-        # a task, a laws file and both commands' --var-cap share one default
-        assert dsl.DEFAULT_VAR_CAP == 3
-        assert search.SearchTask("A == A", 2).var_cap == dsl.DEFAULT_VAR_CAP
-        parser = cli.build_parser()
-        for argv in (["check", "--space", "s.json"], ["search", "A == A"]):
-            assert parser.parse_args(argv).var_cap == dsl.DEFAULT_VAR_CAP
-        four = "union(union(A,B),union(C,D)) == X"
-        with pytest.raises(dsl.VariableCapError, match="cap is 3$"):
-            dsl.read_laws_file(four)
+        def no_scan(*args):
+            raise AssertionError("a scan over the bound was started")
+
+        monkeypatch.setattr(dsl, "_scan_lanes", no_scan)
+        message = (
+            "law 'union(A,union(B,union(C,D))) == X' has 4 free variables: "
+            "2^28 assignments on 7 points, over the bound of 2^24"
+        )
+        for budget in (None, dsl.MAX_SCAN + 1):
+            with pytest.raises(dsl.ScanSizeError, match=f"^{re.escape(message)}$"):
+                dsl.scan_law(seven, four, budget=budget)
 
     def test_full_scan_verdict(self, space_a):
         assert dsl.scan_law(space_a, dsl.parse_law("int(A) <= A"))[1] is None

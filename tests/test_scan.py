@@ -386,6 +386,8 @@ def test_one_point_law_without_variables_is_a_single_lane(law_text, ideal):
         ("diff(cl(A),A) == diff(star(A),A)", ("holds", None, 256)),
         ("compl(A) == diff(cl(A),A)", ("violated", ((("A", 0),), 255, 0), 1)),
         ("union(compl(A),B) <= cl(union(A,B))", ("violated", ((("A", 0), ("B", 0)), 255, 0), 1)),
+        # three variables: 2^24 assignments, the most one scan may cover
+        ("cl(union(A,B)) <= C", ("violated", ((("A", 0), ("B", 1), ("C", 0)), 255, 0), 257)),
     ],
 )
 def test_eight_point_values_use_the_top_bit_of_a_lane(law_text, expected):

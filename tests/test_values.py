@@ -89,7 +89,7 @@ CASES = [
     (
         search.SearchTask,
         dict(law_text="A == A", n=3, mode="subbase", want="all-minimal", budget_spaces=5,
-             budget_assignments=None, var_cap=1, documents=()),
+             budget_assignments=None, documents=()),
         "budget_spaces",
         6,
     ),
